@@ -18,8 +18,7 @@ from .e2e import (
 from .montecarlo import (
     EstimateWithError,
     McOptions,
-    available_backends,
-    default_backend,
+    simulate,
     simulate_ber,
     simulate_outage,
 )
@@ -70,12 +69,10 @@ __all__ = [
     "VlcDerived",
     "VlcParams",
     "apply_axis",
-    "available_backends",
     "axis_grid",
     "ber_floor",
     "bessel_i_int",
     "channel_gain",
-    "default_backend",
     "derive",
     "e2e_avg_ber",
     "e2e_cdf",
@@ -96,6 +93,7 @@ __all__ = [
     "run_sweep",
     "sample_mrc_snr",
     "sample_vlc_snr",
+    "simulate",
     "simulate_ber",
     "simulate_outage",
     "upper_inc_gamma",

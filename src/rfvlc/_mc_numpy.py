@@ -1,9 +1,10 @@
-"""Pure-numpy Monte Carlo chunk kernel.
+"""The Monte Carlo chunk kernel: one chunk of draws, many points.
 
-Stream contract shared with the compiled kernel (consume order per chunk):
-first n*branches*2 standard normals laid out as (trial, branch, re/im),
-then n uniforms for the user position.  Any change here must be mirrored
-in _mc_cython.pyx or the two backends stop being interchangeable.
+Stream contract (consume order per chunk): first n*branches*2 standard
+normals laid out as (trial, branch, re/im), then n uniforms for the user
+position.  Every point evaluated on a chunk sees these same draws, so the
+points of one call share common random numbers, and each point's
+arithmetic is exactly what a call for that point alone would do.
 """
 from __future__ import annotations
 
@@ -11,33 +12,49 @@ import numpy as np
 from scipy import special as sc
 
 
-def chunk_stats(bitgen, n, rf_mu, rf_los, rf_sd, branches,
-                vlc_scale, vlc_expo, vlc_r2, vlc_l2, gamma_th):
-    """Simulate one chunk of n trials; return the five chunk partials
-    (outage count, sum and sum-of-squares of the per-trial conditional bit
-    error probability for each hop)."""
+def chunk_stats(bitgen, n, rf_los, rf_sd, branches, points, ber):
+    """Simulate one chunk of n trials and evaluate every point on it.
+
+    `rf_los`, `rf_sd` and `branches` fix the radio fading, which all points
+    share.  Each point is `(rf_mu, vlc, gamma_th)` with
+    `vlc = (scale, expo, r2, l2)`, the optical SNR being
+    `scale * (r2 * u + l2) ** expo`.  Returns one tuple of chunk partials
+    per point: the outage count, followed when `ber` is true by the sum
+    and sum of squares of each hop's conditional bit error probability
+    (radio, then optical).  erfc runs only when `ber` is true.
+    """
     gen = np.random.Generator(bitgen)
     z = gen.standard_normal((n, branches, 2))
     u = gen.random(n)
 
-    # branch loop kept sequential so the compiled kernel's per-trial
-    # accumulation order matches bit for bit
-    snr_rf = np.zeros(n)
+    # unscaled combined gain sum |h_b|^2, in branch order
+    gain = np.zeros(n)
     for b in range(branches):
         re = rf_los + rf_sd * z[:, b, 0]
         im = rf_sd * z[:, b, 1]
-        snr_rf += re * re + im * im
-    snr_rf *= rf_mu
+        gain += re * re + im * im
+    del z
 
-    snr_vlc = vlc_scale * (vlc_r2 * u + vlc_l2) ** vlc_expo
+    # consecutive points often share one hop (a sweep varies only the
+    # other), so each hop's SNR is recomputed only when its parameters change
+    rf_key = vlc_key = None
+    out = []
+    for rf_mu, vlc, gamma_th in points:
+        if rf_mu != rf_key:
+            rf_key, snr_rf = rf_mu, gain * rf_mu
+            rf_moments = _moments(snr_rf) if ber else ()
+        if vlc != vlc_key:
+            vlc_key = vlc
+            scale, expo, r2, l2 = vlc
+            snr_vlc = scale * (r2 * u + l2) ** expo
+            vlc_moments = _moments(snr_vlc) if ber else ()
+        count = int(np.count_nonzero(np.minimum(snr_rf, snr_vlc) < gamma_th))
+        out.append((count, *rf_moments, *vlc_moments))
+    return out
 
-    count = int(np.count_nonzero(np.minimum(snr_rf, snr_vlc) < gamma_th))
-    x_rf = 0.5 * sc.erfc(np.sqrt(snr_rf))
-    x_vlc = 0.5 * sc.erfc(np.sqrt(snr_vlc))
-    return (
-        count,
-        float(x_rf.sum()),
-        float((x_rf * x_rf).sum()),
-        float(x_vlc.sum()),
-        float((x_vlc * x_vlc).sum()),
-    )
+
+def _moments(snr):
+    """Sum and sum of squares of the conditional BPSK bit error
+    probability erfc(sqrt(snr))/2 over the chunk."""
+    x = 0.5 * sc.erfc(np.sqrt(snr))
+    return float(x.sum()), float((x * x).sum())

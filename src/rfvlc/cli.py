@@ -19,7 +19,7 @@ import sys
 
 from .config import ConfigError, ParsedConfig, parse_config
 from .e2e import ber_floor, e2e_avg_ber, outage_floor, outage_probability
-from .montecarlo import McOptions, simulate_ber, simulate_outage
+from .montecarlo import simulate, simulate_ber, simulate_outage
 from .specfun import ConvergenceError
 from .sweep import emit_csv, run_sweep
 
@@ -123,13 +123,10 @@ def _point_report(quantity: str, parsed: ParsedConfig) -> str:
 
 def _validate_report(parsed: ParsedConfig) -> tuple[str, bool]:
     cfg, mc = parsed.system, parsed.mc
-    rows = (
-        ("outage", outage_probability(cfg), simulate_outage),
-        ("ber", e2e_avg_ber(cfg), simulate_ber),
-    )
+    closed = outage_probability(cfg), e2e_avg_ber(cfg)
+    [estimates] = simulate([cfg], mc.trials, mc.seed, workers=mc.workers, ber=True)
     lines, all_ok = [], True
-    for name, analytic, runner in rows:
-        est = runner(cfg, mc.trials, mc.seed, workers=mc.workers)
+    for name, analytic, est in zip(("outage", "ber"), closed, estimates):
         diff = abs(analytic - est.estimate)
         gate = VALIDATION_GATE_SE * est.std_error + VALIDATION_GATE_ABS
         ok = diff <= gate

@@ -6,58 +6,37 @@ Philox seeded with SeedSequence(seed, spawn_key=(i,)), and chunk partials
 are reduced in chunk order with exact summation.  The worker count only
 changes how chunks are scheduled, never the result.
 
-Two interchangeable chunk kernels exist: a compiled one (rfvlc._mc_cython,
-built at install time) and a numpy fallback consuming the identical random
-stream.  Selection happens at import; RFVLC_MC_BACKEND=numpy|cython forces
-a choice, and every simulate_* call accepts backend= to override per call.
+Shared-stream contract: `simulate` draws each chunk once and evaluates
+every config it is given on those draws (common random numbers), and one
+pass yields both the outage and the BER estimate.  Every config sees the
+stream it would see alone, so its estimate and standard error are
+bit-identical to a single-config call.  The estimates of different configs
+in one call are correlated: neighbouring sweep points move together, and
+a simulated curve comes out smoother than independent runs would make it,
+while each point on its own is unchanged.
 """
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import vlc_channel
+from . import _mc_numpy, vlc_channel
 from .e2e import SystemConfig
-
-try:
-    from . import _mc_cython
-except ImportError:
-    _mc_cython = None
-from . import _mc_numpy
 
 __all__ = [
     "CHUNK_SIZE",
     "EstimateWithError",
     "McOptions",
-    "available_backends",
-    "default_backend",
+    "simulate",
     "simulate_outage",
     "simulate_ber",
 ]
 
 CHUNK_SIZE = 65536
 MIN_TRIALS = 1000
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("cython", "numpy") if _mc_cython is not None else ("numpy",)
-
-
-def default_backend() -> str:
-    forced = os.environ.get("RFVLC_MC_BACKEND", "").strip().lower()
-    if forced:
-        if forced not in ("cython", "numpy"):
-            raise ValueError(
-                f"RFVLC_MC_BACKEND must be 'cython' or 'numpy', got {forced!r}"
-            )
-        if forced == "cython" and _mc_cython is None:
-            raise RuntimeError("RFVLC_MC_BACKEND=cython but the compiled kernel is absent")
-        return forced
-    return "cython" if _mc_cython is not None else "numpy"
 
 
 @dataclass(frozen=True)
@@ -97,78 +76,79 @@ def _validate_run(trials, seed, workers):
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
 
 
-def _kernel(backend):
-    if backend is None:
-        backend = default_backend()
-    if backend == "cython":
-        if _mc_cython is None:
-            raise RuntimeError("compiled kernel not available; use backend='numpy'")
-        return _mc_cython.chunk_stats
-    if backend == "numpy":
-        return _mc_numpy.chunk_stats
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-def _accumulate(cfg: SystemConfig, trials: int, seed: int, workers: int, backend):
-    """Run all chunks and reduce their partials in chunk order."""
-    kernel = _kernel(backend)
-    rf = cfg.rf
+def _point_args(cfg: SystemConfig):
+    """The per-point kernel arguments: (rf_mu, vlc, gamma_th)."""
     d = vlc_channel.derive(cfg.vlc)
-    args = (
-        rf.avg_snr,
-        math.sqrt(rf.k_factor / (rf.k_factor + 1.0)),
-        math.sqrt(0.5 / (rf.k_factor + 1.0)),
-        rf.branches,
+    vlc = (
         d.mu_vlc * d.upsilon**2,
         -(d.lambert_order + 3.0),
         d.cell_radius**2,
         d.height**2,
-        cfg.outage_threshold,
     )
-    sizes = [CHUNK_SIZE] * (trials // CHUNK_SIZE)
-    if trials % CHUNK_SIZE:
-        sizes.append(trials % CHUNK_SIZE)
+    return cfg.rf.avg_snr, vlc, cfg.outage_threshold
+
+
+def simulate(cfgs, trials: int, seed: int, *, workers: int = 1,
+             ber: bool = False) -> list[tuple[EstimateWithError, EstimateWithError | None]]:
+    """Estimate every config in `cfgs` from one shared pass over the stream.
+
+    All configs must share `rf.branches` and `rf.k_factor`, which fix how
+    the normals become fading; the radio SNR scale, the optical hop and the
+    threshold may differ.  Each chunk is drawn once, by one worker, and
+    every config is evaluated on it, so no more than one chunk's draws per
+    worker is held at a time.
+
+    Returns one `(outage, ber)` pair per config, in order; `ber` is None
+    unless `ber=True` (the erfc work is skipped then).  Each pair is
+    bit-identical to a call with that config alone.
+    """
+    _validate_run(trials, seed, workers)
+    cfgs = list(cfgs)
+    if not cfgs:
+        return []
+    rf = cfgs[0].rf
+    if any((c.rf.branches, c.rf.k_factor) != (rf.branches, rf.k_factor) for c in cfgs):
+        raise ValueError("configs simulated together must share rf.branches and rf.k_factor")
+    fading = (
+        math.sqrt(rf.k_factor / (rf.k_factor + 1.0)),
+        math.sqrt(0.5 / (rf.k_factor + 1.0)),
+        rf.branches,
+    )
+    points = [_point_args(c) for c in cfgs]
 
     def run_chunk(idx_size):
         idx, size = idx_size
         bitgen = np.random.Philox(np.random.SeedSequence(seed, spawn_key=(idx,)))
-        return kernel(bitgen, size, *args)
+        return _mc_numpy.chunk_stats(bitgen, size, *fading, points, ber)
 
+    sizes = [CHUNK_SIZE] * (trials // CHUNK_SIZE)
+    if trials % CHUNK_SIZE:
+        sizes.append(trials % CHUNK_SIZE)
     if workers == 1:
         partials = [run_chunk(t) for t in enumerate(sizes)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(run_chunk, enumerate(sizes)))
 
-    count = sum(p[0] for p in partials)
-    sums = [math.fsum(p[j] for p in partials) for j in range(1, 5)]
-    return count, *sums
+    # reduce each point's partials in chunk order, with exact summation
+    results = []
+    for chunks in zip(*partials):
+        outage = _outage_estimate(sum(c[0] for c in chunks), trials, seed)
+        ber_est = None
+        if ber:
+            sums = (math.fsum(c[i] for c in chunks) for i in range(1, 5))
+            ber_est = _ber_estimate(*sums, trials, seed)
+        results.append((outage, ber_est))
+    return results
 
 
-def simulate_outage(cfg: SystemConfig, trials: int, seed: int, *,
-                    workers: int = 1, backend: str | None = None) -> EstimateWithError:
-    """Estimate the outage probability by counting trials whose min-hop SNR
-    falls below the threshold; binomial standard error."""
-    _validate_run(trials, seed, workers)
-    count, _, _, _, _ = _accumulate(cfg, trials, seed, workers, backend)
+def _outage_estimate(count, trials, seed):
     p = count / trials
     se = math.sqrt(p * (1.0 - p) / trials)
     return EstimateWithError(estimate=p, std_error=se, trials=trials, seed=seed)
 
 
-def simulate_ber(cfg: SystemConfig, trials: int, seed: int, *,
-                 workers: int = 1, backend: str | None = None) -> EstimateWithError:
-    """Estimate the end-to-end BER with the conditional-error estimator.
-
-    Each trial contributes erfc(sqrt(snr))/2 per hop (the exact conditional
-    bit error probability given that hop's SNR), and the hop means combine
-    through p = p_rf + p_vlc - 2 p_rf p_vlc.  This needs no bit flipping,
-    so the variance per trial is far below the Bernoulli estimator's.  The
-    standard error follows by first-order propagation through the combining
-    formula, using the independence of the two hops.
-    """
-    _validate_run(trials, seed, workers)
-    _, s_rf, q_rf, s_vlc, q_vlc = _accumulate(cfg, trials, seed, workers, backend)
+def _ber_estimate(s_rf, q_rf, s_vlc, q_vlc, trials, seed):
     n = trials
     m_rf = s_rf / n
     m_vlc = s_vlc / n
@@ -179,3 +159,24 @@ def simulate_ber(cfg: SystemConfig, trials: int, seed: int, *,
         (1.0 - 2.0 * m_vlc) ** 2 * var_rf / n + (1.0 - 2.0 * m_rf) ** 2 * var_vlc / n
     )
     return EstimateWithError(estimate=estimate, std_error=se, trials=trials, seed=seed)
+
+
+def simulate_outage(cfg: SystemConfig, trials: int, seed: int, *,
+                    workers: int = 1) -> EstimateWithError:
+    """Estimate the outage probability by counting trials whose min-hop SNR
+    falls below the threshold; binomial standard error."""
+    return simulate([cfg], trials, seed, workers=workers)[0][0]
+
+
+def simulate_ber(cfg: SystemConfig, trials: int, seed: int, *,
+                 workers: int = 1) -> EstimateWithError:
+    """Estimate the end-to-end BER with the conditional-error estimator.
+
+    Each trial contributes erfc(sqrt(snr))/2 per hop (the exact conditional
+    bit error probability given that hop's SNR), and the hop means combine
+    through p = p_rf + p_vlc - 2 p_rf p_vlc.  This needs no bit flipping,
+    so the variance per trial is far below the Bernoulli estimator's.  The
+    standard error follows by first-order propagation through the combining
+    formula, using the independence of the two hops.
+    """
+    return simulate([cfg], trials, seed, workers=workers, ber=True)[0][1]

@@ -14,7 +14,7 @@ from .e2e import (
     outage_floor,
     outage_probability,
 )
-from .montecarlo import McOptions, simulate_ber, simulate_outage
+from .montecarlo import McOptions, simulate
 from .specfun import ConvergenceError
 from .vlc_channel import VlcParams
 
@@ -90,45 +90,54 @@ def apply_axis(cfg: SystemConfig, axis: str, value: float) -> SystemConfig:
 def run_sweep(cfg: SystemConfig, spec: SweepSpec, mc: McOptions) -> list[ResultRecord]:
     """Evaluate the swept quantity over the grid.
 
-    Every point uses the same (trials, seed), so the whole sweep is a pure
-    function of (cfg, spec, mc) regardless of worker count.  Errors gain
-    the offending axis value without losing their type.
+    The closed forms run first, point by point in grid order; errors gain
+    the offending axis value without losing their type.  Monte Carlo then
+    runs once per group of points that share the radio fading (branches
+    and K factor): every point on the rf_avg_snr_db, optical_power_w and
+    semi_angle_deg axes, one point per group on branches.  Each group draws
+    its chunks once, so the points see common random numbers; every point
+    still uses the same (trials, seed) and gets the estimate a lone run
+    would give, and the sweep is a pure function of (cfg, spec, mc)
+    regardless of worker count.
     """
-    records = []
+    ber = spec.quantity == "ber"
+    values, points, closed = [], [], []
     for value in axis_grid(spec):
         value = float(value)
         try:
             point = apply_axis(cfg, spec.axis, value)
-            if spec.quantity == "outage":
-                analytic = outage_probability(point)
-                floor = outage_floor(point)
-                est = (
-                    simulate_outage(point, mc.trials, mc.seed, workers=mc.workers)
-                    if mc.enabled
-                    else None
-                )
+            if ber:
+                closed.append((e2e_avg_ber(point), ber_floor(point)))
             else:
-                analytic = e2e_avg_ber(point)
-                floor = ber_floor(point)
-                est = (
-                    simulate_ber(point, mc.trials, mc.seed, workers=mc.workers)
-                    if mc.enabled
-                    else None
-                )
+                closed.append((outage_probability(point), outage_floor(point)))
         except ConvergenceError as exc:
             raise ConvergenceError(f"at {spec.axis} = {value:g}: {exc}") from None
         except ValueError as exc:
             raise ValueError(f"at {spec.axis} = {value:g}: {exc}") from None
-        records.append(
-            ResultRecord(
-                axis_value=value,
-                analytic=analytic,
-                mc_estimate=est.estimate if est is not None else None,
-                mc_std_error=est.std_error if est is not None else None,
-                floor=floor,
-            )
+        values.append(value)
+        points.append(point)
+
+    estimates = [None] * len(points)
+    if mc.enabled:
+        groups = {}
+        for i, point in enumerate(points):
+            groups.setdefault((point.rf.branches, point.rf.k_factor), []).append(i)
+        for idx in groups.values():
+            pairs = simulate([points[i] for i in idx], mc.trials, mc.seed,
+                             workers=mc.workers, ber=ber)
+            for i, (outage, ber_est) in zip(idx, pairs):
+                estimates[i] = ber_est if ber else outage
+
+    return [
+        ResultRecord(
+            axis_value=value,
+            analytic=analytic,
+            mc_estimate=est.estimate if est is not None else None,
+            mc_std_error=est.std_error if est is not None else None,
+            floor=floor,
         )
-    return records
+        for value, (analytic, floor), est in zip(values, closed, estimates)
+    ]
 
 
 def _cell(x: float | None) -> str:

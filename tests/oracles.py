@@ -188,3 +188,49 @@ def bitflip_ber_mc(sample_rf, sample_vlc, trials, seed):
     p = err.mean()
     se = math.sqrt(max(p * (1.0 - p), 0.0) / trials)
     return p, se
+
+
+def per_point_mc(cfg, trials, seed, chunk_size=65536):
+    """Monte Carlo outage and BER of one config, chunk by chunk, as a
+    reference loop for the library's shared-stream kernel.
+
+    Same stream layout as the library: chunk i draws from Philox seeded
+    with SeedSequence(seed, spawn_key=(i,)), first the (trial, branch,
+    re/im) normals, then the uniforms.  The per-trial arithmetic and the
+    reductions are written out here for this config alone, so the library
+    must match it bit for bit.  Returns ((outage, se), (ber, se)).
+    """
+    rf, d = cfg.rf, derive(cfg.vlc)
+    los = math.sqrt(rf.k_factor / (rf.k_factor + 1.0))
+    sd = math.sqrt(0.5 / (rf.k_factor + 1.0))
+    count, partials = 0, []
+    for idx, start in enumerate(range(0, trials, chunk_size)):
+        n = min(chunk_size, trials - start)
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(idx,))))
+        z = gen.standard_normal((n, rf.branches, 2))
+        u = gen.random(n)
+        snr_rf = np.zeros(n)
+        for b in range(rf.branches):
+            re = los + sd * z[:, b, 0]
+            im = sd * z[:, b, 1]
+            snr_rf += re * re + im * im
+        snr_rf *= rf.avg_snr
+        scale = d.mu_vlc * d.upsilon**2
+        snr_vlc = scale * (d.cell_radius**2 * u + d.height**2) ** -(d.lambert_order + 3.0)
+        count += int(np.count_nonzero(np.minimum(snr_rf, snr_vlc) < cfg.outage_threshold))
+        x_rf = 0.5 * sc.erfc(np.sqrt(snr_rf))
+        x_vlc = 0.5 * sc.erfc(np.sqrt(snr_vlc))
+        partials.append([float(x_rf.sum()), float((x_rf * x_rf).sum()),
+                         float(x_vlc.sum()), float((x_vlc * x_vlc).sum())])
+    p = count / trials
+    outage = (p, math.sqrt(p * (1.0 - p) / trials))
+    s_rf, q_rf, s_vlc, q_vlc = (math.fsum(c[j] for c in partials) for j in range(4))
+    m_rf, m_vlc = s_rf / trials, s_vlc / trials
+    var_rf = max(q_rf - trials * m_rf * m_rf, 0.0) / (trials - 1)
+    var_vlc = max(q_vlc - trials * m_vlc * m_vlc, 0.0) / (trials - 1)
+    ber = (
+        m_rf + m_vlc - 2.0 * m_rf * m_vlc,
+        math.sqrt((1.0 - 2.0 * m_vlc) ** 2 * var_rf / trials
+                  + (1.0 - 2.0 * m_rf) ** 2 * var_vlc / trials),
+    )
+    return outage, ber

@@ -363,14 +363,46 @@ class TestCli:
         assert "outage:" in out and "ber:" in out
 
     def test_validate_gate_failure(self, cfg_file, capsys, monkeypatch):
-        def skewed(cfg, trials, seed, workers=1, backend=None):
-            return EstimateWithError(estimate=0.9, std_error=1e-6, trials=trials, seed=seed)
+        real = cli.simulate
 
-        monkeypatch.setattr(cli, "simulate_outage", skewed)
+        def skewed(cfgs, trials, seed, **kw):
+            skew = EstimateWithError(estimate=0.9, std_error=1e-6, trials=trials, seed=seed)
+            return [(skew, ber) for _, ber in real(cfgs, trials, seed, **kw)]
+
+        monkeypatch.setattr(cli, "simulate", skewed)
         rc = cli.main(["validate", "--config", cfg_file(DOC), "--trials", "2000"])
         out = capsys.readouterr().out
         assert rc == 4
         assert "FAIL" in out
+        lines = out.splitlines()
+        assert lines[0].startswith("outage:") and lines[0].endswith("FAIL")
+        assert lines[1].startswith("ber:") and lines[1].endswith("OK")
+
+    def test_validate_draws_each_chunk_once(self, cfg_file, capsys, monkeypatch):
+        real, keys = np.random.Philox, []
+
+        def counted(seed_seq):
+            keys.append(seed_seq.spawn_key)
+            return real(seed_seq)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        rc = cli.main(["validate", "--config", cfg_file(DOC), "--trials", str(2 * 65536 + 1)])
+        assert rc == 0
+        assert "validation passed" in capsys.readouterr().out
+        assert sorted(keys) == [(0,), (1,), (2,)]
+
+    def test_mid_grid_convergence_error_matches_no_mc(self, cfg_file, capsys):
+        # K = 20 dB with M = 4 converges at 0 and 5 dB, not at 10 dB
+        path = cfg_file(doc_with(k_factor_db="20", branches="4"))
+        reports = []
+        for extra in ([], ["--no-mc"]):
+            rc = cli.main(["sweep", "--config", path] + extra)
+            captured = capsys.readouterr()
+            reports.append((rc, captured.out, captured.err))
+        assert reports[0] == reports[1]
+        rc, out, err = reports[0]
+        assert rc == 3 and out == ""
+        assert "convergence error: at rf_avg_snr_db = 10:" in err
 
     def test_missing_file_is_config_error(self, tmp_path, capsys):
         rc = cli.main(["outage", "--config", str(tmp_path / "absent.cfg")])

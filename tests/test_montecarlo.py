@@ -5,20 +5,19 @@ import pytest
 
 import oracles
 from rfvlc.e2e import e2e_avg_ber, outage_probability
+from rfvlc.config import SweepSpec
+from rfvlc.e2e import ber_floor, outage_floor
 from rfvlc.montecarlo import (
     EstimateWithError,
     McOptions,
-    available_backends,
-    default_backend,
+    simulate,
     simulate_ber,
     simulate_outage,
 )
 from rfvlc.rf_channel import sample_mrc_snr
+from rfvlc.sweep import ResultRecord, apply_axis, axis_grid, emit_csv, run_sweep
 from rfvlc.vlc_channel import derive, sample_vlc_snr
 from test_e2e import make_cfg
-
-HAS_CYTHON = "cython" in available_backends()
-needs_cython = pytest.mark.skipif(not HAS_CYTHON, reason="compiled kernel not built")
 
 
 class TestOptionsAndValidation:
@@ -49,16 +48,16 @@ class TestOptionsAndValidation:
             simulate_outage(cfg, trials=10_000, seed=-3)
         with pytest.raises(ValueError):
             simulate_outage(cfg, trials=10_000, seed=0, workers=0)
-        with pytest.raises(ValueError):
-            simulate_outage(cfg, trials=10_000, seed=0, backend="fortran")
+
+    def test_simulate_rejects_mixed_fading(self):
+        with pytest.raises(ValueError, match="share"):
+            simulate([make_cfg(branches=1), make_cfg(branches=2)], trials=10_000, seed=0)
+        with pytest.raises(ValueError, match="share"):
+            simulate([make_cfg(k_factor=1.0), make_cfg(k_factor=2.0)], trials=10_000, seed=0)
 
     def test_minimum_trials_boundary(self):
         out = simulate_outage(make_cfg(), trials=1000, seed=1)
         assert out.trials == 1000
-
-    def test_backend_listing(self):
-        assert "numpy" in available_backends()
-        assert default_backend() in available_backends()
 
 
 class TestEstimateWithError:
@@ -101,36 +100,83 @@ class TestDeterminism:
         assert a.estimate != b.estimate
 
 
-@needs_cython
-class TestCrossBackend:
-    def test_outage_counts_exactly_equal(self):
-        cfg = make_cfg()
-        a = simulate_outage(cfg, trials=200_000, seed=5, backend="numpy")
-        b = simulate_outage(cfg, trials=200_000, seed=5, backend="cython")
-        assert a.estimate == b.estimate
-        assert a.std_error == b.std_error
+# three full chunks and a remainder chunk
+SHARED_TRIALS = 3 * 65536 + 17
+SWEEPS = {
+    "rf_avg_snr_db": dict(start=0.0, stop=20.0, points=4),
+    "optical_power_w": dict(start=0.05, stop=2.0, points=4, scale="log"),
+    "semi_angle_deg": dict(start=20.0, stop=70.0, points=4),
+    "branches": dict(start=1.0, stop=3.0, points=3),
+}
 
-    def test_ber_matches_to_summation_order(self):
-        # identical stream; only float summation order differs
-        cfg = make_cfg()
-        a = simulate_ber(cfg, trials=200_000, seed=5, backend="numpy")
-        b = simulate_ber(cfg, trials=200_000, seed=5, backend="cython")
-        assert a.estimate == pytest.approx(b.estimate, rel=1e-12)
-        assert a.std_error == pytest.approx(b.std_error, rel=1e-9)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("RFVLC_MC_BACKEND", "numpy")
-        assert default_backend() == "numpy"
-        monkeypatch.setenv("RFVLC_MC_BACKEND", "cython")
-        assert default_backend() == "cython"
+def per_point_sweep(cfg, spec, trials, seed):
+    """The sweep records built point by point, with each point simulated
+    alone by the reference loop."""
+    records = []
+    for value in axis_grid(spec):
+        point = apply_axis(cfg, spec.axis, float(value))
+        outage, ber = oracles.per_point_mc(point, trials, seed)
+        if spec.quantity == "outage":
+            analytic, floor, (est, se) = outage_probability(point), outage_floor(point), outage
+        else:
+            analytic, floor, (est, se) = e2e_avg_ber(point), ber_floor(point), ber
+        records.append(ResultRecord(float(value), analytic, est, se, floor))
+    return records
+
+
+class ErfcCalled(Exception):
+    pass
+
+
+class TestSharedStream:
+    @pytest.mark.parametrize("quantity", ["outage", "ber"])
+    @pytest.mark.parametrize("axis", sorted(SWEEPS))
+    def test_sweep_matches_per_point_loop(self, axis, quantity):
+        cfg = make_cfg()
+        spec = SweepSpec(axis=axis, quantity=quantity, **SWEEPS[axis])
+        want = per_point_sweep(cfg, spec, SHARED_TRIALS, seed=5)
+        for workers in (1, 3):
+            mc = McOptions(trials=SHARED_TRIALS, seed=5, workers=workers)
+            got = run_sweep(cfg, spec, mc)
+            assert got == want  # exact floats, not only their 12-digit CSV form
+            assert emit_csv(got) == emit_csv(want)
+
+    def test_one_pass_matches_single_config_calls(self):
+        cfgs = [make_cfg(avg_snr=2.0, threshold=0.5, branches=3),
+                make_cfg(optical_power=0.1, branches=3),
+                make_cfg(avg_snr=2.0, threshold=0.5, branches=3)]
+        pairs = simulate(cfgs, SHARED_TRIALS, 8, workers=2, ber=True)
+        for cfg, (outage, ber) in zip(cfgs, pairs):
+            assert outage == simulate_outage(cfg, SHARED_TRIALS, 8)
+            assert ber == simulate_ber(cfg, SHARED_TRIALS, 8)
+            (p, p_se), (b, b_se) = oracles.per_point_mc(cfg, SHARED_TRIALS, 8)
+            assert (outage.estimate, outage.std_error) == (p, p_se)
+            assert (ber.estimate, ber.std_error) == (b, b_se)
+
+    def test_outage_only_never_reaches_erfc(self, monkeypatch):
+        import scipy.special
+
+        def erfc(x):
+            raise ErfcCalled
+
+        monkeypatch.setattr(scipy.special, "erfc", erfc)
+        cfgs = [make_cfg(avg_snr=a) for a in (1.0, 5.0)]
+        assert simulate_outage(cfgs[0], trials=70_000, seed=1).trials == 70_000
+        assert all(ber is None for _, ber in simulate(cfgs, 70_000, 1, workers=2))
+        spec = SweepSpec(axis="optical_power_w", start=0.1, stop=1.0, points=3,
+                         quantity="outage")
+        run_sweep(cfgs[0], spec, McOptions(trials=70_000, seed=1, workers=2))
+        # the patch is live: a BER pass does reach it
+        with pytest.raises(ErfcCalled):
+            simulate_ber(cfgs[0], trials=70_000, seed=1)
 
 
 class TestAgainstAnalytic:
-    @pytest.mark.parametrize("backend", [None])
-    def test_outage_within_error_bars(self, backend):
+    def test_outage_within_error_bars(self):
         for cfg, seed in [(make_cfg(), 11), (make_cfg(avg_snr=2.0, branches=1), 12)]:
             want = outage_probability(cfg)
-            got = simulate_outage(cfg, trials=400_000, seed=seed, backend=backend)
+            got = simulate_outage(cfg, trials=400_000, seed=seed)
             assert abs(got.estimate - want) < 4.0 * got.std_error
             # binomial error bar sanity
             assert got.std_error == pytest.approx(
