@@ -36,8 +36,10 @@ def chunk_stats(bitgen, n, rf_los, rf_sd, branches, points, ber):
     del z
 
     # consecutive points often share one hop (a sweep varies only the
-    # other), so each hop's SNR is recomputed only when its parameters change
-    rf_key = vlc_key = None
+    # other), so each hop's SNR is recomputed only when its parameters
+    # change, and the optical power law only when the cell geometry does
+    # (an optical power sweep changes the scale alone)
+    rf_key = vlc_key = power_key = None
     out = []
     for rf_mu, vlc, gamma_th in points:
         if rf_mu != rf_key:
@@ -46,7 +48,9 @@ def chunk_stats(bitgen, n, rf_los, rf_sd, branches, points, ber):
         if vlc != vlc_key:
             vlc_key = vlc
             scale, expo, r2, l2 = vlc
-            snr_vlc = scale * (r2 * u + l2) ** expo
+            if vlc[1:] != power_key:
+                power_key, power = vlc[1:], (r2 * u + l2) ** expo
+            snr_vlc = scale * power
             vlc_moments = _moments(snr_vlc) if ber else ()
         count = int(np.count_nonzero(np.minimum(snr_rf, snr_vlc) < gamma_th))
         out.append((count, *rf_moments, *vlc_moments))

@@ -12,7 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import vlc_channel
-from .rf_channel import RfParams, mrc_snr_cdf, rf_avg_ber
+from .rf_channel import (
+    RfParams,
+    mrc_cdf_batch,
+    mrc_snr_cdf,
+    rf_avg_ber,
+    rf_avg_ber_batch,
+)
 from .specfun import Accuracy, DEFAULT_ACCURACY
 from .vlc_channel import VlcParams, vlc_avg_ber, vlc_snr_cdf
 
@@ -20,7 +26,9 @@ __all__ = [
     "SystemConfig",
     "e2e_cdf",
     "outage_probability",
+    "outage_batch",
     "e2e_avg_ber",
+    "ber_batch",
     "outage_floor",
     "ber_floor",
 ]
@@ -55,15 +63,58 @@ def e2e_cdf(gamma, cfg: SystemConfig, acc: Accuracy = DEFAULT_ACCURACY):
 
 def outage_probability(cfg: SystemConfig, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     """Probability that the equivalent SNR falls below the threshold."""
-    return float(e2e_cdf(cfg.outage_threshold, cfg, acc))
+    (p,), _, error = outage_batch([cfg], acc)
+    if error is not None:
+        raise error
+    return float(p)
+
+
+def outage_batch(cfgs, acc: Accuracy = DEFAULT_ACCURACY):
+    """Outage probability and outage floor of every config, from one radio
+    series pass.
+
+    The configs must share rf.k_factor and rf.branches.  Each optical cell
+    is derived once, and each value equals the single-config call's bit for
+    bit.  Returns (outage, floor, error) with error as in `mrc_cdf_batch`.
+    """
+    thresholds = [c.outage_threshold for c in cfgs]
+    f_rf, error = mrc_cdf_batch(thresholds, [c.rf for c in cfgs], acc)
+    f_vlc = _per_cell(cfgs, lambda c, d: vlc_snr_cdf(c.outage_threshold, d),
+                      key=lambda c: (c.vlc, c.outage_threshold))
+    # sum-minus-product keeps relative accuracy for tiny tails; rounding
+    # can overshoot 1 by an ulp once a factor saturates, so clamp
+    return np.minimum(f_rf + f_vlc - f_rf * f_vlc, 1.0), f_vlc, error
 
 
 def e2e_avg_ber(cfg: SystemConfig, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     """End-to-end average BER of the decode-and-forward chain:
     P = P_rf (1 - P_vlc) + P_vlc (1 - P_rf)."""
-    p_rf = rf_avg_ber(cfg.rf, acc)
-    p_vlc = vlc_avg_ber(vlc_channel.derive(cfg.vlc))
-    return p_rf + p_vlc - 2.0 * p_rf * p_vlc
+    (p,), _, error = ber_batch([cfg], acc)
+    if error is not None:
+        raise error
+    return float(p)
+
+
+def ber_batch(cfgs, acc: Accuracy = DEFAULT_ACCURACY):
+    """End-to-end BER and BER floor (the radio hop's own BER) of every
+    config, from one radio series pass; as `outage_batch` otherwise."""
+    p_rf, error = rf_avg_ber_batch([c.rf for c in cfgs], acc)
+    p_vlc = _per_cell(cfgs, lambda c, d: vlc_avg_ber(d), key=lambda c: c.vlc)
+    return p_rf + p_vlc - 2.0 * p_rf * p_vlc, p_rf, error
+
+
+def _per_cell(cfgs, hop, key):
+    """hop(cfg, derived cell) for every config, as an array; each distinct
+    optical cell is derived once and each distinct key evaluated once."""
+    cells, values, out = {}, {}, []
+    for c in cfgs:
+        k = key(c)
+        if k not in values:
+            if c.vlc not in cells:
+                cells[c.vlc] = vlc_channel.derive(c.vlc)
+            values[k] = hop(c, cells[c.vlc])
+        out.append(values[k])
+    return np.array(out, dtype=float)
 
 
 def outage_floor(cfg: SystemConfig) -> float:

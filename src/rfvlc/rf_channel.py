@@ -13,15 +13,23 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sc
 
-from .specfun import Accuracy, DEFAULT_ACCURACY, marcum_q, poisson_weighted_sum
+from .specfun import (
+    Accuracy,
+    DEFAULT_ACCURACY,
+    marcum_q,
+    poisson_weighted_sum,
+    series_error,
+)
 
 __all__ = [
     "RfParams",
     "rician_snr_pdf",
     "mrc_snr_pdf",
     "mrc_snr_cdf",
+    "mrc_cdf_batch",
     "sample_mrc_snr",
     "rf_avg_ber",
+    "rf_avg_ber_batch",
 ]
 
 
@@ -109,6 +117,10 @@ def mrc_snr_cdf(gamma, params: RfParams, acc: Accuracy = DEFAULT_ACCURACY):
     but is evaluated as the complementary Poisson mixture of regularized
     lower incomplete gammas: every term is positive, so the deep left tail
     keeps full relative accuracy instead of cancelling against 1.
+
+    An array `gamma` is one series with one truncation budget, set by its
+    smallest nonzero value; `mrc_cdf_batch` evaluates each point as its own
+    series instead.
     """
     g = _validate_snr(gamma)
     k, m, mu = params.k_factor, params.branches, params.avg_snr
@@ -125,6 +137,39 @@ def mrc_snr_cdf(gamma, params: RfParams, acc: Accuracy = DEFAULT_ACCURACY):
         else:
             out = np.asarray(val)
     return _scalar_like(gamma, out)
+
+
+def _shared_fading(params):
+    k, m = params[0].k_factor, params[0].branches
+    if any((p.k_factor, p.branches) != (k, m) for p in params):
+        raise ValueError("params evaluated together must share k_factor and branches")
+    return k, m
+
+
+def mrc_cdf_batch(gammas, params, acc: Accuracy = DEFAULT_ACCURACY):
+    """F(gammas[i]; params[i]) for every i, each point its own series.
+
+    The params must share k_factor and branches (the series rate); avg_snr
+    and the SNR may differ.  One series pass over the array gives, for
+    every point, exactly the value of `mrc_snr_cdf(gammas[i], params[i])`.
+    Returns (values, error): error is None, or a ConvergenceError whose
+    `unconverged` mask names the points that ran out of terms (their
+    values are partial sums).
+    """
+    k, m = _shared_fading(params)
+    g = _validate_snr(gammas)
+    mu = np.array([p.avg_snr for p in params])
+    y = (k + 1.0) * g / mu
+    positive = y > 0.0
+    out = np.zeros_like(y)
+    unconverged = np.zeros(y.shape, dtype=bool)
+    if positive.any():
+        y_pos = y[positive]
+        out[positive], unconverged[positive] = poisson_weighted_sum(
+            k * m, lambda j: sc.gammainc(m + j, y_pos), acc, independent=True
+        )
+    error = series_error(k * m, acc, unconverged) if unconverged.any() else None
+    return out, error
 
 
 def sample_mrc_snr(params: RfParams, rng: np.random.Generator, size=None):
@@ -154,9 +199,22 @@ def rf_avg_ber(params: RfParams, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     bounded by 1, so the series is evaluated to relative accuracy even when
     the result is many orders below 1.
     """
-    k, m, mu = params.k_factor, params.branches, params.avg_snr
-    w = (k + 1.0) / (k + 1.0 + mu)
-    total = poisson_weighted_sum(
-        k * m, lambda j: float(sc.betainc(m + j, 0.5, w)), acc
+    (p,), error = rf_avg_ber_batch([params], acc)
+    if error is not None:
+        raise error
+    return float(p)
+
+
+def rf_avg_ber_batch(params, acc: Accuracy = DEFAULT_ACCURACY):
+    """`rf_avg_ber` of every params in one series pass, each its own sum.
+
+    The params must share k_factor and branches; avg_snr may differ.
+    Returns (values, error) as `mrc_cdf_batch` does.
+    """
+    k, m = _shared_fading(params)
+    w = np.array([(k + 1.0) / (k + 1.0 + p.avg_snr) for p in params])
+    total, unconverged = poisson_weighted_sum(
+        k * m, lambda j: sc.betainc(m + j, 0.5, w), acc, independent=True
     )
-    return 0.5 * float(total)
+    error = series_error(k * m, acc, unconverged) if unconverged.any() else None
+    return 0.5 * total, error

@@ -29,7 +29,13 @@ _SQRT_PI = math.sqrt(math.pi)
 
 
 class ConvergenceError(RuntimeError):
-    """A truncated series failed to reach its tolerance within max_terms."""
+    """A truncated series failed to reach its tolerance within max_terms.
+
+    `unconverged` is None, or the boolean mask of the failing elements when
+    the error reports a batch evaluation (see `series_error`).
+    """
+
+    unconverged = None
 
 
 @dataclass(frozen=True)
@@ -53,7 +59,19 @@ class Accuracy:
 DEFAULT_ACCURACY = Accuracy()
 
 
-def poisson_weighted_sum(lam, term, acc=DEFAULT_ACCURACY, absolute=False):
+def series_error(lam, acc=DEFAULT_ACCURACY, unconverged=None):
+    """The ConvergenceError of a Poisson-weighted series at rate `lam` that
+    ran out of terms; `unconverged` masks the failing elements of a batch."""
+    exc = ConvergenceError(
+        f"Poisson-weighted series did not converge: rate={lam:g}, "
+        f"max_terms={acc.max_terms}, rel_tol={acc.rel_tol:g}"
+    )
+    exc.unconverged = unconverged
+    return exc
+
+
+def poisson_weighted_sum(lam, term, acc=DEFAULT_ACCURACY, absolute=False,
+                         independent=False):
     """Evaluate sum_{k>=0} pois(k; lam) * term(k) for term values in [0, 1].
 
     Terms are accumulated outward from the Poisson mode, so large `lam`
@@ -65,18 +83,32 @@ def poisson_weighted_sum(lam, term, acc=DEFAULT_ACCURACY, absolute=False):
     directly (suitable for probabilities); otherwise against
     acc.rel_tol * |partial sum|.
 
-    term(k) may return a float or an ndarray of a fixed shape.
+    term(k) may return a float or an ndarray of a fixed shape.  By default
+    an array is one sum with one budget: the series stops once the bound
+    meets the budget of its smallest nonzero entry, and running out of
+    terms raises ConvergenceError.
+
+    With independent=True, term(k) returns a 1-D array whose entries are
+    separate sums sharing the rate.  Each entry stops at exactly the term
+    where a scalar call for that entry alone would stop and is frozen from
+    then on.  Returns (sums, unconverged): entries still open after
+    acc.max_terms are flagged in the boolean mask (their sums are partial)
+    instead of raising.
     """
     if lam < 0.0:
         raise ValueError(f"Poisson rate must be >= 0, got {lam}")
     if lam == 0.0:
-        return term(0)
+        first = term(0)
+        return (first, np.zeros(np.shape(first), dtype=bool)) if independent else first
 
     k0 = int(lam)
     p0 = math.exp(k0 * math.log(lam) - lam - math.lgamma(k0 + 1))
     total = p0 * term(k0)
     k_lo = k_hi = k0
     p_lo = p_hi = p0
+    if independent:
+        frozen = np.empty(np.shape(total))
+        open_ = np.ones(frozen.shape, dtype=bool)
 
     for _ in range(acc.max_terms):
         # Tail bound: remaining right terms decay at least geometrically with
@@ -95,11 +127,20 @@ def poisson_weighted_sum(lam, term, acc=DEFAULT_ACCURACY, absolute=False):
         if bound < math.inf:
             if absolute:
                 scale = acc.rel_tol
+            elif independent:
+                scale = acc.rel_tol * np.abs(total)
             else:
                 mags = np.atleast_1d(np.abs(np.asarray(total, dtype=float)))
                 nonzero = mags[mags > 0.0]
                 scale = acc.rel_tol * float(nonzero.min()) if nonzero.size else 0.0
-            if bound <= scale or bound < 1e-300:
+            stop = (bound <= scale) | (bound < 1e-300)
+            if independent:
+                newly = open_ & stop
+                frozen[newly] = total[newly]
+                open_ &= ~newly
+                if not open_.any():
+                    return frozen, open_
+            elif stop:
                 return total
 
         p_hi = p_hi * lam / (k_hi + 1.0)
@@ -110,10 +151,10 @@ def poisson_weighted_sum(lam, term, acc=DEFAULT_ACCURACY, absolute=False):
             k_lo -= 1
             total = total + p_lo * term(k_lo)
 
-    raise ConvergenceError(
-        f"Poisson-weighted series did not converge: rate={lam:g}, "
-        f"max_terms={acc.max_terms}, rel_tol={acc.rel_tol:g}"
-    )
+    if independent:
+        frozen[open_] = total[open_]
+        return frozen, open_
+    raise series_error(lam, acc)
 
 
 def bessel_i_int(order: int, x):

@@ -7,16 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SweepSpec, db_to_linear
-from .e2e import (
-    SystemConfig,
-    ber_floor,
-    e2e_avg_ber,
-    outage_floor,
-    outage_probability,
-)
+from .e2e import SystemConfig, ber_batch, outage_batch
 from .montecarlo import McOptions, simulate
 from .specfun import ConvergenceError
-from .vlc_channel import VlcParams
 
 __all__ = ["ResultRecord", "CSV_HEADER", "axis_grid", "apply_axis", "run_sweep", "emit_csv"]
 
@@ -52,26 +45,6 @@ def axis_grid(spec: SweepSpec) -> np.ndarray:
     return grid
 
 
-def _replace_vlc(vlc: VlcParams, **changes) -> VlcParams:
-    """dataclasses.replace for VlcParams with the resolved optical power
-    carried over (the led pair, once folded in, stays folded)."""
-    fields = {
-        "semi_angle": vlc.semi_angle,
-        "height": vlc.height,
-        "area": vlc.area,
-        "fov": vlc.fov,
-        "refractive_index": vlc.refractive_index,
-        "filter_gain": vlc.filter_gain,
-        "responsivity": vlc.responsivity,
-        "conv_efficiency": vlc.conv_efficiency,
-        "noise_psd": vlc.noise_psd,
-        "bandwidth": vlc.bandwidth,
-        "optical_power": vlc.optical_power,
-    }
-    fields.update(changes)
-    return VlcParams(**fields)
-
-
 def apply_axis(cfg: SystemConfig, axis: str, value: float) -> SystemConfig:
     """Return cfg with one swept parameter replaced."""
     if axis == "rf_avg_snr_db":
@@ -81,47 +54,61 @@ def apply_axis(cfg: SystemConfig, axis: str, value: float) -> SystemConfig:
         rf = dataclasses.replace(cfg.rf, branches=int(round(value)))
         return dataclasses.replace(cfg, rf=rf)
     if axis == "optical_power_w":
-        return dataclasses.replace(cfg, vlc=_replace_vlc(cfg.vlc, optical_power=value))
+        return dataclasses.replace(cfg, vlc=dataclasses.replace(cfg.vlc, optical_power=value))
     if axis == "semi_angle_deg":
-        return dataclasses.replace(cfg, vlc=_replace_vlc(cfg.vlc, semi_angle=value))
+        return dataclasses.replace(cfg, vlc=dataclasses.replace(cfg.vlc, semi_angle=value))
     raise ValueError(f"unknown sweep axis {axis!r}")
 
 
 def run_sweep(cfg: SystemConfig, spec: SweepSpec, mc: McOptions) -> list[ResultRecord]:
     """Evaluate the swept quantity over the grid.
 
-    The closed forms run first, point by point in grid order; errors gain
-    the offending axis value without losing their type.  Monte Carlo then
-    runs once per group of points that share the radio fading (branches
-    and K factor): every point on the rf_avg_snr_db, optical_power_w and
-    semi_angle_deg axes, one point per group on branches.  Each group draws
-    its chunks once, so the points see common random numbers; every point
-    still uses the same (trials, seed) and gets the estimate a lone run
-    would give, and the sweep is a pure function of (cfg, spec, mc)
-    regardless of worker count.
+    Points that share the radio fading (branches and K factor) form a
+    group: every point on the rf_avg_snr_db, optical_power_w and
+    semi_angle_deg axes, one point per group on branches.  The closed forms
+    run first, one radio series pass per group, each point keeping the
+    value a lone call would give.  The first failing grid point raises,
+    its error gaining the axis value without losing its type.  Monte Carlo
+    then runs once per group: each group draws its chunks once, so the
+    points see common random numbers; every point still uses the same
+    (trials, seed) and gets the estimate a lone run would give, and the
+    sweep is a pure function of (cfg, spec, mc) regardless of worker count.
     """
     ber = spec.quantity == "ber"
-    values, points, closed = [], [], []
+    values, points, failure = [], [], None
     for value in axis_grid(spec):
         value = float(value)
         try:
-            point = apply_axis(cfg, spec.axis, value)
-            if ber:
-                closed.append((e2e_avg_ber(point), ber_floor(point)))
-            else:
-                closed.append((outage_probability(point), outage_floor(point)))
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"at {spec.axis} = {value:g}: {exc}") from None
+            points.append(apply_axis(cfg, spec.axis, value))
         except ValueError as exc:
-            raise ValueError(f"at {spec.axis} = {value:g}: {exc}") from None
+            failure = ValueError(f"at {spec.axis} = {value:g}: {exc}")
+            break
+        except ArithmeticError as exc:  # dB overflow: raised as is, after earlier points
+            failure = exc
+            break
         values.append(value)
-        points.append(point)
+
+    groups = {}
+    for i, point in enumerate(points):
+        groups.setdefault((point.rf.branches, point.rf.k_factor), []).append(i)
+
+    batch = ber_batch if ber else outage_batch
+    closed = [None] * len(points)
+    first_failed = len(points)
+    for idx in groups.values():
+        analytic, floor, error = batch([points[i] for i in idx])
+        if error is not None:
+            i = idx[int(np.argmax(error.unconverged))]
+            if i < first_failed:
+                first_failed = i
+                failure = ConvergenceError(f"at {spec.axis} = {values[i]:g}: {error}")
+        for i, a, f in zip(idx, analytic.tolist(), floor.tolist()):
+            closed[i] = (a, f)
+    if failure is not None:
+        raise failure
 
     estimates = [None] * len(points)
     if mc.enabled:
-        groups = {}
-        for i, point in enumerate(points):
-            groups.setdefault((point.rf.branches, point.rf.k_factor), []).append(i)
         for idx in groups.values():
             pairs = simulate([points[i] for i in idx], mc.trials, mc.seed,
                              workers=mc.workers, ber=ber)

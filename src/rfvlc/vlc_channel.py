@@ -44,8 +44,7 @@ class VlcParams:
     conv_efficiency: electrical-to-optical conversion efficiency, > 0
     noise_psd: noise power spectral density, W/Hz, > 0
     bandwidth: receiver bandwidth, Hz, > 0
-    optical_power: transmitted optical power, W, > 0; alternatively give
-        led_count and led_power whose product defines it
+    optical_power: transmitted optical power, W, > 0
     """
 
     semi_angle: float
@@ -58,9 +57,7 @@ class VlcParams:
     conv_efficiency: float
     noise_psd: float
     bandwidth: float
-    optical_power: float | None = None
-    led_count: int | None = None
-    led_power: float | None = None
+    optical_power: float
 
     def __post_init__(self):
         if not (0.0 < self.semi_angle < 90.0):
@@ -74,24 +71,8 @@ class VlcParams:
             v = getattr(self, name)
             if not (v > 0.0) or not math.isfinite(v):
                 raise ValueError(f"{name} must be finite and > 0, got {v}")
-        if self.optical_power is not None:
-            if self.led_count is not None or self.led_power is not None:
-                raise ValueError(
-                    "give either optical_power or led_count with led_power, not both"
-                )
-            if not (self.optical_power > 0.0):
-                raise ValueError(f"optical_power must be > 0, got {self.optical_power}")
-        else:
-            if self.led_count is None or self.led_power is None:
-                raise ValueError(
-                    "optical power unspecified: give optical_power or both "
-                    "led_count and led_power"
-                )
-            if not isinstance(self.led_count, (int, np.integer)) or self.led_count < 1:
-                raise ValueError(f"led_count must be an integer >= 1, got {self.led_count!r}")
-            if not (self.led_power > 0.0):
-                raise ValueError(f"led_power must be > 0, got {self.led_power}")
-            object.__setattr__(self, "optical_power", self.led_count * self.led_power)
+        if self.optical_power is None or not (self.optical_power > 0.0):
+            raise ValueError(f"optical_power must be > 0, got {self.optical_power}")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import numpy as np
 from scipy import integrate, stats
 from scipy import special as sc
 
+from rfvlc.specfun import DEFAULT_ACCURACY, ConvergenceError
 from rfvlc.vlc_channel import VlcParams, derive
 
 
@@ -234,3 +235,68 @@ def per_point_mc(cfg, trials, seed, chunk_size=65536):
                   + (1.0 - 2.0 * m_rf) ** 2 * var_vlc / trials),
     )
     return outage, ber
+
+
+# The scalar Poisson-mixture summation as it stood before the library
+# gained its batched mode, kept verbatim as the reference for one series.
+def poisson_weighted_sum(lam, term, acc=DEFAULT_ACCURACY, absolute=False):
+    """Evaluate sum_{k>=0} pois(k; lam) * term(k) for term values in [0, 1].
+
+    Terms are accumulated outward from the Poisson mode, so large `lam`
+    costs O(sqrt(lam)) evaluations instead of O(lam) and the weights never
+    underflow prematurely.  The remaining tail is bounded through the
+    frontier weights themselves (geometric-ratio bound), which keeps the
+    stopping rule meaningful even when the sum is many orders of magnitude
+    below 1.  With absolute=True the bound is compared against acc.rel_tol
+    directly (suitable for probabilities); otherwise against
+    acc.rel_tol * |partial sum|.
+
+    term(k) may return a float or an ndarray of a fixed shape.
+    """
+    if lam < 0.0:
+        raise ValueError(f"Poisson rate must be >= 0, got {lam}")
+    if lam == 0.0:
+        return term(0)
+
+    k0 = int(lam)
+    p0 = math.exp(k0 * math.log(lam) - lam - math.lgamma(k0 + 1))
+    total = p0 * term(k0)
+    k_lo = k_hi = k0
+    p_lo = p_hi = p0
+
+    for _ in range(acc.max_terms):
+        # Tail bound: remaining right terms decay at least geometrically with
+        # ratio lam/(k_hi+2) once that ratio is < 1; the left side similarly
+        # with ratio k_lo/lam, and terminates at k = 0 regardless.
+        ratio_hi = lam / (k_hi + 2.0)
+        bound = math.inf
+        if ratio_hi < 1.0:
+            bound = p_hi * (lam / (k_hi + 1.0)) / (1.0 - ratio_hi)
+            if k_lo > 0:
+                ratio_lo = k_lo / lam
+                if ratio_lo < 1.0:
+                    bound += p_lo * ratio_lo / (1.0 - ratio_lo)
+                else:
+                    bound = math.inf
+        if bound < math.inf:
+            if absolute:
+                scale = acc.rel_tol
+            else:
+                mags = np.atleast_1d(np.abs(np.asarray(total, dtype=float)))
+                nonzero = mags[mags > 0.0]
+                scale = acc.rel_tol * float(nonzero.min()) if nonzero.size else 0.0
+            if bound <= scale or bound < 1e-300:
+                return total
+
+        p_hi = p_hi * lam / (k_hi + 1.0)
+        k_hi += 1
+        total = total + p_hi * term(k_hi)
+        if k_lo > 0:
+            p_lo = p_lo * k_lo / lam
+            k_lo -= 1
+            total = total + p_lo * term(k_lo)
+
+    raise ConvergenceError(
+        f"Poisson-weighted series did not converge: rate={lam:g}, "
+        f"max_terms={acc.max_terms}, rel_tol={acc.rel_tol:g}"
+    )

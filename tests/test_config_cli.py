@@ -246,6 +246,24 @@ class TestRunSweep:
             run_sweep(parsed.system, parsed.sweep, mc)
         assert "rf_avg_snr_db = 0" in str(ei.value)
 
+    @pytest.mark.parametrize("quantity", ["outage", "ber"])
+    def test_first_failing_grid_point_raises(self, quantity):
+        # K = 20 dB with M = 4: the series runs out of terms at 1000 dB, and
+        # 4000 dB overflows to an infinite SNR later on the same grid
+        from rfvlc.specfun import ConvergenceError
+
+        parsed = parse_config(doc_with(k_factor_db="20", branches="4"))
+        mc = parsed.mc.__class__(trials=1000, seed=0, workers=1, enabled=False)
+        spec = SweepSpec("rf_avg_snr_db", 0.0, 4000.0, 5, quantity)
+        with pytest.raises(ConvergenceError, match="^at rf_avg_snr_db = 1000: "):
+            run_sweep(parsed.system, spec, mc)
+        # with every series converging, the later failure is the first one
+        with pytest.raises(OverflowError):
+            run_sweep(parse_config(DOC).system, spec, mc)
+        spec = SweepSpec("semi_angle_deg", 30.0, 90.0, 3, quantity)
+        with pytest.raises(ValueError, match="^at semi_angle_deg = 90: "):
+            run_sweep(parse_config(DOC).system, spec, mc)
+
     def test_degenerate_span(self):
         # a two-point grid over a vanishing span gives twin records
         parsed = parse_config(DOC)

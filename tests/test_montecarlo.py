@@ -107,6 +107,9 @@ SWEEPS = {
     "optical_power_w": dict(start=0.05, stop=2.0, points=4, scale="log"),
     "semi_angle_deg": dict(start=20.0, stop=70.0, points=4),
     "branches": dict(start=1.0, stop=3.0, points=3),
+    # LOS-heavy fading (K = 17 dB, M = 4): Poisson rate 200, long series
+    "rf_avg_snr_db_los": dict(axis="rf_avg_snr_db", start=-10.0, stop=30.0, points=5,
+                              cfg=dict(k_factor=10.0**1.7, branches=4)),
 }
 
 
@@ -131,10 +134,11 @@ class ErfcCalled(Exception):
 
 class TestSharedStream:
     @pytest.mark.parametrize("quantity", ["outage", "ber"])
-    @pytest.mark.parametrize("axis", sorted(SWEEPS))
-    def test_sweep_matches_per_point_loop(self, axis, quantity):
-        cfg = make_cfg()
-        spec = SweepSpec(axis=axis, quantity=quantity, **SWEEPS[axis])
+    @pytest.mark.parametrize("case", sorted(SWEEPS))
+    def test_sweep_matches_per_point_loop(self, case, quantity):
+        sweep = dict(SWEEPS[case])
+        cfg = make_cfg(**sweep.pop("cfg", {}))
+        spec = SweepSpec(axis=sweep.pop("axis", case), quantity=quantity, **sweep)
         want = per_point_sweep(cfg, spec, SHARED_TRIALS, seed=5)
         for workers in (1, 3):
             mc = McOptions(trials=SHARED_TRIALS, seed=5, workers=workers)

@@ -2,17 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy import special as sc
 
 import oracles
 from rfvlc.rf_channel import (
     RfParams,
+    mrc_cdf_batch,
     mrc_snr_cdf,
     mrc_snr_pdf,
     rf_avg_ber,
+    rf_avg_ber_batch,
     rician_snr_pdf,
     sample_mrc_snr,
 )
+from rfvlc.specfun import ConvergenceError
 GRID = [
     (0.0, 1, 1.0),
     (0.0, 2, 0.5),
@@ -253,3 +259,69 @@ class TestAvgBer:
         assert all(x > y for x, y in zip(vals, vals[1:]))
         by_m = [rf_avg_ber(RfParams(k_factor=1.0, branches=m, avg_snr=2.0)) for m in [1, 2, 3, 4]]
         assert all(x > y for x, y in zip(by_m, by_m[1:]))
+
+
+def _scalar_or_failed(fn):
+    try:
+        return fn()
+    except ConvergenceError:
+        return None
+
+
+def _flags(error, n):
+    return [False] * n if error is None else error.unconverged.tolist()
+
+
+class TestBatch:
+    """One series pass per fading group gives each point its lone value."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        k_db=st.floats(0.0, 20.0),
+        m=st.integers(1, 4),
+        points=st.lists(
+            st.tuples(st.floats(-10.0, 30.0), st.floats(-10.0, 20.0)),
+            min_size=1, max_size=6,
+        ),
+    )
+    # K = 20 dB with M = 4 runs out of terms at 10 dB, not at 0 dB
+    @example(k_db=20.0, m=4, points=[(0.0, 0.0), (10.0, 0.0), (5.0, 3.0)])
+    def test_matches_lone_calls_and_oracle(self, k_db, m, points):
+        k = 10.0 ** (k_db / 10.0)
+        params = [RfParams(k_factor=k, branches=m, avg_snr=10.0 ** (s / 10.0)) for s, _ in points]
+        gammas = [10.0 ** (t / 10.0) for _, t in points]
+        cdf, cdf_error = mrc_cdf_batch(gammas, params)
+        ber, ber_error = rf_avg_ber_batch(params)
+        cdf_flags, ber_flags = _flags(cdf_error, len(params)), _flags(ber_error, len(params))
+        for i, (p, g) in enumerate(zip(params, gammas)):
+            y = (k + 1.0) * g / p.avg_snr
+            w = (k + 1.0) / (k + 1.0 + p.avg_snr)
+            lone = _scalar_or_failed(lambda: mrc_snr_cdf(g, p))
+            ref = _scalar_or_failed(lambda: float(oracles.poisson_weighted_sum(
+                k * m, lambda j: sc.gammainc(m + j, y))))
+            assert cdf_flags[i] == (lone is None) == (ref is None)
+            if lone is not None:
+                assert cdf[i] == lone == ref
+            lone = _scalar_or_failed(lambda: rf_avg_ber(p))
+            ref = _scalar_or_failed(lambda: 0.5 * oracles.poisson_weighted_sum(
+                k * m, lambda j: float(sc.betainc(m + j, 0.5, w))))
+            assert ber_flags[i] == (lone is None) == (ref is None)
+            if lone is not None:
+                assert ber[i] == lone == ref
+
+    def test_failure_names_the_points(self):
+        params = [RfParams(k_factor=100.0, branches=4, avg_snr=10.0 ** (s / 10.0))
+                  for s in (0.0, 10.0, 5.0)]
+        _, error = mrc_cdf_batch([1.0] * 3, params)
+        assert error.unconverged.tolist() == [False, True, False]
+        assert "rate=400" in str(error)
+        with pytest.raises(ConvergenceError, match="rate=400"):
+            mrc_snr_cdf(1.0, params[1])
+
+    def test_rejects_mixed_fading(self):
+        mixed = [RfParams(k_factor=1.0, branches=1, avg_snr=1.0),
+                 RfParams(k_factor=1.0, branches=2, avg_snr=1.0)]
+        with pytest.raises(ValueError, match="share"):
+            mrc_cdf_batch([1.0, 1.0], mixed)
+        with pytest.raises(ValueError, match="share"):
+            rf_avg_ber_batch(mixed)

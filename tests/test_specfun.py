@@ -248,3 +248,30 @@ class TestPoissonWeightedSum:
         with pytest.raises(ConvergenceError) as ei:
             poisson_weighted_sum(5000.0, lambda k: 1.0, acc=Accuracy(max_terms=16), absolute=True)
         assert "16" in str(ei.value)
+
+    @pytest.mark.parametrize("absolute", [False, True])
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 30.0, 400.0])
+    def test_independent_entries_match_scalar_calls(self, lam, absolute):
+        # each entry stops where its own scalar call stops, bit for bit,
+        # and is flagged exactly where that call runs out of terms
+        ts = np.array([1e-30, 1e-3, 0.3, 0.7, 1.0])
+        acc = Accuracy(rel_tol=1e-3, max_terms=40)
+        got, unconverged = poisson_weighted_sum(
+            lam, lambda k: ts**k, acc, absolute=absolute, independent=True
+        )
+        assert got.shape == unconverged.shape == ts.shape
+        for t, value, flagged in zip(ts, got, unconverged):
+            try:
+                want = poisson_weighted_sum(lam, lambda k: t**k, acc, absolute=absolute)
+            except ConvergenceError:
+                assert flagged
+            else:
+                assert not flagged and value == want
+
+    def test_independent_mode_flags_instead_of_raising(self):
+        acc = Accuracy(max_terms=16)
+        got, unconverged = poisson_weighted_sum(
+            5000.0, lambda k: np.ones(3), acc, absolute=True, independent=True
+        )
+        assert unconverged.tolist() == [True, True, True]
+        assert np.all((got > 0.0) & (got < 1.0))  # partial sums

@@ -53,10 +53,6 @@ def random_cell(rng):
 
 
 class TestParams:
-    def test_led_pair_folds_into_power(self):
-        p = VlcParams(**{**cell().__dict__, "optical_power": None, "led_count": 4, "led_power": 0.25})
-        assert p.optical_power == 1.0
-
     @pytest.mark.parametrize(
         "kw",
         [
@@ -83,13 +79,7 @@ class TestParams:
 
     def test_power_exclusivity(self):
         with pytest.raises(ValueError):
-            cell(led_count=2, led_power=0.5)  # together with optical_power
-        with pytest.raises(ValueError):
             cell(optical_power=None)  # no power at all
-        with pytest.raises(ValueError):
-            cell(optical_power=None, led_count=2)  # missing led_power
-        with pytest.raises(ValueError):
-            cell(optical_power=None, led_count=2.5, led_power=0.5)
 
 
 class TestLambertianOrder:
