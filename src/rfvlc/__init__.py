@@ -35,9 +35,6 @@ from .specfun import (
     ConvergenceError,
     bessel_i_int,
     erfc,
-    erfc_moment,
-    marcum_q,
-    meijer_g_2122,
     upper_inc_gamma,
 )
 from .sweep import ResultRecord, apply_axis, axis_grid, emit_csv, run_sweep
@@ -79,12 +76,9 @@ __all__ = [
     "emit_config",
     "emit_csv",
     "erfc",
-    "erfc_moment",
     "lambertian_order",
-    "marcum_q",
     "mrc_snr_cdf",
     "mrc_snr_pdf",
-    "meijer_g_2122",
     "outage_floor",
     "outage_probability",
     "parse_config",

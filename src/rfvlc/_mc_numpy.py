@@ -1,39 +1,43 @@
 """The Monte Carlo chunk kernel: one chunk of draws, many points.
 
-Stream contract (consume order per chunk): first n*branches*2 standard
-normals laid out as (trial, branch, re/im), then n uniforms for the user
-position.  Every point evaluated on a chunk sees these same draws, so the
-points of one call share common random numbers, and each point's
-arithmetic is exactly what a call for that point alone would do.
+Stream contract (consume order per chunk): n pairs of standard normals
+laid out as (trial, pair), then n uniforms for the user position, then
+(branches - 1) rows of n standard exponentials, one row per extra radio
+branch, for the largest branch count among the points.  The radio gain is
+formed from these by `rf_channel.mrc_gains`.  A point with M branches
+reads the normals, the uniforms and the first M - 1 exponential rows,
+which is exactly what a chunk drawn for that point alone holds: the draws
+for fewer branches are a prefix of the draws for more.  So every point
+evaluated on a chunk sees the draws it would see alone (the points of one
+call share common random numbers), and each point's arithmetic is exactly
+what a call for that point alone would do.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy import special as sc
 
+from .rf_channel import mrc_gains
 
-def chunk_stats(bitgen, n, rf_los, rf_sd, branches, points, ber):
+
+def chunk_stats(bitgen, n, k_factor, points, ber):
     """Simulate one chunk of n trials and evaluate every point on it.
 
-    `rf_los`, `rf_sd` and `branches` fix the radio fading, which all points
-    share.  Each point is `(rf_mu, vlc, gamma_th)` with
-    `vlc = (scale, expo, r2, l2)`, the optical SNR being
-    `scale * (r2 * u + l2) ** expo`.  Returns one tuple of chunk partials
-    per point: the outage count, followed when `ber` is true by the sum
-    and sum of squares of each hop's conditional bit error probability
-    (radio, then optical).  erfc runs only when `ber` is true.
+    `k_factor` fixes the radio fading, which all points share.  Each point
+    is `(branches, rf_mu, vlc, gamma_th)` with `vlc = (scale, expo, r2, l2)`,
+    the optical SNR being `scale * (r2 * u + l2) ** expo`.  Returns one
+    tuple of chunk partials per point: the outage count, followed when
+    `ber` is true by the sum and sum of squares of each hop's conditional
+    bit error probability (radio, then optical).  erfc runs only when `ber`
+    is true.
     """
     gen = np.random.Generator(bitgen)
-    z = gen.standard_normal((n, branches, 2))
+    z = gen.standard_normal((n, 2))
     u = gen.random(n)
-
-    # unscaled combined gain sum |h_b|^2, in branch order
-    gain = np.zeros(n)
-    for b in range(branches):
-        re = rf_los + rf_sd * z[:, b, 0]
-        im = rf_sd * z[:, b, 1]
-        gain += re * re + im * im
-    del z
+    counts = {p[0] for p in points}
+    exps = gen.standard_exponential((max(counts) - 1, n))
+    gains = mrc_gains(k_factor, z, exps, counts)
+    del z, exps
 
     # consecutive points often share one hop (a sweep varies only the
     # other), so each hop's SNR is recomputed only when its parameters
@@ -41,9 +45,9 @@ def chunk_stats(bitgen, n, rf_los, rf_sd, branches, points, ber):
     # (an optical power sweep changes the scale alone)
     rf_key = vlc_key = power_key = None
     out = []
-    for rf_mu, vlc, gamma_th in points:
-        if rf_mu != rf_key:
-            rf_key, snr_rf = rf_mu, gain * rf_mu
+    for branches, rf_mu, vlc, gamma_th in points:
+        if (branches, rf_mu) != rf_key:
+            rf_key, snr_rf = (branches, rf_mu), gains[branches] * rf_mu
             rf_moments = _moments(snr_rf) if ber else ()
         if vlc != vlc_key:
             vlc_key = vlc

@@ -72,7 +72,11 @@ class ConfigError(ValueError):
 
 
 def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
+    """10^(x_db/10); ValueError when that overflows a float."""
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{x_db:g} dB overflows a float in linear units") from None
 
 
 def linear_to_db(x: float) -> float:
@@ -205,7 +209,12 @@ class _Section:
                     f"{self._label()}: missing required key {key!r} (or '{key}_db')"
                 )
             return None
-        return plain if plain is not None else db_to_linear(db)
+        if plain is not None:
+            return plain
+        try:
+            return db_to_linear(db)
+        except ValueError as exc:
+            raise ConfigError(f"{self._label()}: key '{key}_db': {exc}") from None
 
     def finish(self):
         if self.table:

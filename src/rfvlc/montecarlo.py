@@ -2,14 +2,18 @@
 
 Determinism contract: results are a pure function of (config, trials,
 seed).  Trials are processed in fixed chunks of 65536; chunk i draws from
-Philox seeded with SeedSequence(seed, spawn_key=(i,)), and chunk partials
-are reduced in chunk order with exact summation.  The worker count only
-changes how chunks are scheduled, never the result.
+SFC64 seeded with SeedSequence(seed, spawn_key=(i,)), in the consume order
+of `_mc_numpy` (normal pairs, uniforms, one exponential row per extra radio
+branch), and chunk partials are reduced in chunk order with exact
+summation.  The worker count only changes how chunks are scheduled, never
+the result.
 
 Shared-stream contract: `simulate` draws each chunk once and evaluates
 every config it is given on those draws (common random numbers), and one
-pass yields both the outage and the BER estimate.  Every config sees the
-stream it would see alone, so its estimate and standard error are
+pass yields both the outage and the BER estimate.  The configs need only
+share the Rician K factor: the draws for fewer radio branches are a prefix
+of the draws for more, so every config, whatever its branch count, sees
+the stream it would see alone, and its estimate and standard error are
 bit-identical to a single-config call.  The estimates of different configs
 in one call are correlated: neighbouring sweep points move together, and
 a simulated curve comes out smoother than independent runs would make it,
@@ -77,7 +81,7 @@ def _validate_run(trials, seed, workers):
 
 
 def _point_args(cfg: SystemConfig):
-    """The per-point kernel arguments: (rf_mu, vlc, gamma_th)."""
+    """The per-point kernel arguments: (branches, rf_mu, vlc, gamma_th)."""
     d = vlc_channel.derive(cfg.vlc)
     vlc = (
         d.mu_vlc * d.upsilon**2,
@@ -85,15 +89,15 @@ def _point_args(cfg: SystemConfig):
         d.cell_radius**2,
         d.height**2,
     )
-    return cfg.rf.avg_snr, vlc, cfg.outage_threshold
+    return cfg.rf.branches, cfg.rf.avg_snr, vlc, cfg.outage_threshold
 
 
 def simulate(cfgs, trials: int, seed: int, *, workers: int = 1,
              ber: bool = False) -> list[tuple[EstimateWithError, EstimateWithError | None]]:
     """Estimate every config in `cfgs` from one shared pass over the stream.
 
-    All configs must share `rf.branches` and `rf.k_factor`, which fix how
-    the normals become fading; the radio SNR scale, the optical hop and the
+    All configs must share `rf.k_factor`, which fixes how the draws become
+    fading; the branch count, the radio SNR scale, the optical hop and the
     threshold may differ.  Each chunk is drawn once, by one worker, and
     every config is evaluated on it, so no more than one chunk's draws per
     worker is held at a time.
@@ -106,20 +110,15 @@ def simulate(cfgs, trials: int, seed: int, *, workers: int = 1,
     cfgs = list(cfgs)
     if not cfgs:
         return []
-    rf = cfgs[0].rf
-    if any((c.rf.branches, c.rf.k_factor) != (rf.branches, rf.k_factor) for c in cfgs):
-        raise ValueError("configs simulated together must share rf.branches and rf.k_factor")
-    fading = (
-        math.sqrt(rf.k_factor / (rf.k_factor + 1.0)),
-        math.sqrt(0.5 / (rf.k_factor + 1.0)),
-        rf.branches,
-    )
+    k_factor = cfgs[0].rf.k_factor
+    if any(c.rf.k_factor != k_factor for c in cfgs):
+        raise ValueError("configs simulated together must share rf.k_factor")
     points = [_point_args(c) for c in cfgs]
 
     def run_chunk(idx_size):
         idx, size = idx_size
-        bitgen = np.random.Philox(np.random.SeedSequence(seed, spawn_key=(idx,)))
-        return _mc_numpy.chunk_stats(bitgen, size, *fading, points, ber)
+        bitgen = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(idx,)))
+        return _mc_numpy.chunk_stats(bitgen, size, k_factor, points, ber)
 
     sizes = [CHUNK_SIZE] * (trials // CHUNK_SIZE)
     if trials % CHUNK_SIZE:

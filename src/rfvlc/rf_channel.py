@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sc
 
-from .specfun import (
-    Accuracy,
-    DEFAULT_ACCURACY,
-    marcum_q,
-    poisson_weighted_sum,
-    series_error,
-)
+from .specfun import Accuracy, DEFAULT_ACCURACY, poisson_weighted_sum, series_error
 
 __all__ = [
     "RfParams",
@@ -27,6 +21,7 @@ __all__ = [
     "mrc_snr_pdf",
     "mrc_snr_cdf",
     "mrc_cdf_batch",
+    "mrc_gains",
     "sample_mrc_snr",
     "rf_avg_ber",
     "rf_avg_ber_batch",
@@ -113,10 +108,11 @@ def mrc_snr_pdf(gamma, params: RfParams):
 def mrc_snr_cdf(gamma, params: RfParams, acc: Accuracy = DEFAULT_ACCURACY):
     """Distribution function of the combined SNR, vectorized.
 
-    Equals 1 - marcum_q(branches, sqrt(2*k*m), sqrt(2*(k+1)*gamma/avg_snr)),
-    but is evaluated as the complementary Poisson mixture of regularized
-    lower incomplete gammas: every term is positive, so the deep left tail
-    keeps full relative accuracy instead of cancelling against 1.
+    Equals 1 - Q_m(sqrt(2*k*m), sqrt(2*(k+1)*gamma/avg_snr)), Q_m being
+    the generalized Marcum Q function of order m = branches, but is
+    evaluated as the complementary Poisson mixture of regularized lower
+    incomplete gammas: every term is positive, so the deep left tail keeps
+    full relative accuracy instead of cancelling against 1.
 
     An array `gamma` is one series with one truncation budget, set by its
     smallest nonzero value; `mrc_cdf_batch` evaluates each point as its own
@@ -172,20 +168,59 @@ def mrc_cdf_batch(gammas, params, acc: Accuracy = DEFAULT_ACCURACY):
     return out, error
 
 
+def mrc_gains(k_factor, z, exps, branch_counts):
+    """Unscaled combined gains sum_b |h_b|^2 of unit-mean-power Rician
+    branches, one array per branch count, all from the same draws.
+
+    The sum over m branches is a noncentral chi-square with 2m degrees of
+    freedom, so it is drawn exactly as
+
+        (sqrt(m) los + sd Z1)^2 + (sd Z2)^2 + s E_1 + ... + s E_{m-1}
+
+    with los = sqrt(K/(K+1)), sd = sqrt(1/(2(K+1))), s = 1/(K+1), the
+    standard normals Z1, Z2 = z[..., 0], z[..., 1] and the standard
+    exponentials E_b = exps[b - 1], the scaled exponentials added in row
+    order.  The gain for m branches reads only the first m - 1 rows of
+    `exps` and is formed by the same operations whatever other counts are
+    asked for, so it equals the gain of a call for m alone bit for bit.
+
+    `z` and `exps` serve as scratch and are overwritten, which spares the
+    chunk kernel fresh temporaries.  Returns {m: gain} for every m in
+    `branch_counts`.
+    """
+    los = math.sqrt(k_factor / (k_factor + 1.0))
+    z *= math.sqrt(0.5 / (k_factor + 1.0))
+    im = z[..., 1]
+    im *= im
+    # rows become running sums of the scaled exponentials, in row order
+    exps *= 1.0 / (k_factor + 1.0)
+    for b in range(1, len(exps)):
+        exps[b] += exps[b - 1]
+    gains = {}
+    for m in sorted(set(branch_counts)):
+        gain = z[..., 0] + math.sqrt(m) * los
+        gain *= gain
+        gain += im
+        if m > 1:
+            gain += exps[m - 2]
+        gains[m] = gain
+    return gains
+
+
 def sample_mrc_snr(params: RfParams, rng: np.random.Generator, size=None):
-    """Draw combined-SNR samples: sum over branches of avg_snr times the
-    squared magnitude of a unit-mean-power Rician complex amplitude."""
-    k, m, mu = params.k_factor, params.branches, params.avg_snr
-    los = math.sqrt(k / (k + 1.0))
-    sd = math.sqrt(0.5 / (k + 1.0))
+    """Draw combined-SNR samples: avg_snr times the combined gain of
+    `mrc_gains`, from `size` pairs of standard normals followed by
+    (branches - 1) x `size` standard exponentials."""
     if size is None:
         shape = ()
     elif isinstance(size, tuple):
         shape = tuple(int(s) for s in size)
     else:
         shape = (int(size),)
-    z = rng.standard_normal(shape + (m, 2))
-    snr = mu * ((los + sd * z[..., 0]) ** 2 + (sd * z[..., 1]) ** 2).sum(axis=-1)
+    m = params.branches
+    z = rng.standard_normal(shape + (2,))
+    exps = rng.standard_exponential((m - 1,) + shape)
+    snr = params.avg_snr * mrc_gains(params.k_factor, z, exps, (m,))[m]
     return float(snr) if size is None else snr
 
 

@@ -20,12 +20,7 @@ __all__ = [
     "bessel_i_int",
     "erfc",
     "upper_inc_gamma",
-    "marcum_q",
-    "erfc_moment",
-    "meijer_g_2122",
 ]
-
-_SQRT_PI = math.sqrt(math.pi)
 
 
 class ConvergenceError(RuntimeError):
@@ -188,87 +183,3 @@ def upper_inc_gamma(s: float, x):
         raise ValueError("x must be >= 0")
     out = sc.gammaincc(s, x_arr) * sc.gamma(s)
     return float(out) if np.ndim(x) == 0 else out
-
-
-def marcum_q(order: int, a: float, b, acc: Accuracy = DEFAULT_ACCURACY):
-    """Generalized Marcum Q-function Q_order(a, b), vectorized over b.
-
-    Evaluated as the noncentral chi-square survival probability,
-    sum_k pois(k; a^2/2) * Q(order+k, b^2/2) with Q the regularized upper
-    incomplete gamma. The result is a probability; truncation keeps the
-    absolute error below acc.rel_tol.  Q_order(a, 0) is exactly 1.
-    """
-    if not isinstance(order, (int, np.integer)) or order < 1:
-        raise ValueError(f"order must be an integer >= 1, got {order!r}")
-    if a < 0.0:
-        raise ValueError(f"a must be >= 0, got {a}")
-    b_arr = np.asarray(b, dtype=float)
-    if np.any(b_arr < 0.0):
-        raise ValueError("b must be >= 0")
-
-    y = 0.5 * b_arr * b_arr
-    if a == 0.0:
-        out = sc.gammaincc(order, y)
-    else:
-        out = poisson_weighted_sum(
-            0.5 * a * a, lambda k: sc.gammaincc(order + k, y), acc, absolute=True
-        )
-    out = np.where(b_arr == 0.0, 1.0, out)  # exact at b = 0
-    return float(out) if np.ndim(b) == 0 else out
-
-
-def erfc_moment(n: float, a: float) -> float:
-    """Integral of g^(n-1) * exp(-a g) * erfc(sqrt(g)) over g in (0, inf).
-
-    Closed form for n > 0, a > 0:
-
-        Gamma(n)/a^n
-        - 2 Gamma(n + 1/2) / sqrt(pi) * (1+a)^-(n+1/2) * 2F1(1, n+1/2; 3/2; 1/(1+a))
-
-    obtained by writing erfc as its Gaussian tail integral and integrating
-    g first.  Accurate for moderate n (a few digits degrade beyond n ~ 20
-    because the two terms approach each other); the linear-argument 2F1
-    keeps scipy's hyp2f1 on its stable branch.
-    """
-    if n <= 0.0:
-        raise ValueError(f"n must be > 0, got {n}")
-    if a <= 0.0:
-        raise ValueError(f"a must be > 0, got {a}")
-    w = 1.0 / (1.0 + a)
-    head = math.gamma(n) * a ** (-n)
-    tail = (
-        2.0
-        * math.gamma(n + 0.5)
-        / _SQRT_PI
-        * (1.0 + a) ** (-(n + 0.5))
-        * float(sc.hyp2f1(1.0, n + 0.5, 1.5, w))
-    )
-    return head - tail
-
-
-def meijer_g_2122(shift: float, z: float) -> float:
-    """Meijer G of kind G^{2,1}_{2,2}[z | (shift, 1); (0, 1/2)] for shift = 1 - n.
-
-    Only the family with integer n >= 1 is supported; it is the one that
-    appears in the average-error closed forms.  For that family
-
-        G = sqrt(pi) * Gamma(n) * I(n, 1/2; 1/(1+z))
-
-    where I is the regularized incomplete beta function.  Derivation: the
-    G-function equals sqrt(pi) a^n * integral of t^(n-1) e^(-a t) erfc(sqrt t)
-    with a = 1/z; substituting erfc(sqrt t) = (2/sqrt(pi)) * integral over
-    s > 1 of sqrt(t) e^(-t s^2) ds and integrating t first gives
-    2 Gamma(n+1/2)/sqrt(pi) * integral of (a+s^2)^-(n+1/2) ds, which the
-    substitution u = s^2/(a+s^2) turns into the incomplete beta above.  The
-    direct two-term hypergeometric difference cancels catastrophically for
-    large n, while this form is a single positive term.
-    """
-    n_float = 1.0 - shift
-    n = int(round(n_float))
-    if n < 1 or abs(n_float - n) > 1e-9:
-        raise ValueError(
-            f"shift must equal 1 - n for an integer n >= 1, got {shift!r}"
-        )
-    if z <= 0.0:
-        raise ValueError(f"z must be > 0, got {z}")
-    return _SQRT_PI * math.gamma(n) * float(sc.betainc(n, 0.5, 1.0 / (1.0 + z)))

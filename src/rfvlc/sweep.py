@@ -63,16 +63,17 @@ def apply_axis(cfg: SystemConfig, axis: str, value: float) -> SystemConfig:
 def run_sweep(cfg: SystemConfig, spec: SweepSpec, mc: McOptions) -> list[ResultRecord]:
     """Evaluate the swept quantity over the grid.
 
-    Points that share the radio fading (branches and K factor) form a
-    group: every point on the rf_avg_snr_db, optical_power_w and
+    Points that share the radio series rate (branches and K factor) form
+    a group: every point on the rf_avg_snr_db, optical_power_w and
     semi_angle_deg axes, one point per group on branches.  The closed forms
     run first, one radio series pass per group, each point keeping the
     value a lone call would give.  The first failing grid point raises,
     its error gaining the axis value without losing its type.  Monte Carlo
-    then runs once per group: each group draws its chunks once, so the
-    points see common random numbers; every point still uses the same
-    (trials, seed) and gets the estimate a lone run would give, and the
-    sweep is a pure function of (cfg, spec, mc) regardless of worker count.
+    then runs once for the whole grid, which no axis moves off one K
+    factor: its chunks are drawn once, so the points see common random
+    numbers; every point still uses the same (trials, seed) and gets the
+    estimate a lone run would give, and the sweep is a pure function of
+    (cfg, spec, mc) regardless of worker count.
     """
     ber = spec.quantity == "ber"
     values, points, failure = [], [], None
@@ -82,9 +83,6 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec, mc: McOptions) -> list[ResultR
             points.append(apply_axis(cfg, spec.axis, value))
         except ValueError as exc:
             failure = ValueError(f"at {spec.axis} = {value:g}: {exc}")
-            break
-        except ArithmeticError as exc:  # dB overflow: raised as is, after earlier points
-            failure = exc
             break
         values.append(value)
 
@@ -109,11 +107,8 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec, mc: McOptions) -> list[ResultR
 
     estimates = [None] * len(points)
     if mc.enabled:
-        for idx in groups.values():
-            pairs = simulate([points[i] for i in idx], mc.trials, mc.seed,
-                             workers=mc.workers, ber=ber)
-            for i, (outage, ber_est) in zip(idx, pairs):
-                estimates[i] = ber_est if ber else outage
+        pairs = simulate(points, mc.trials, mc.seed, workers=mc.workers, ber=ber)
+        estimates = [ber_est if ber else outage for outage, ber_est in pairs]
 
     return [
         ResultRecord(

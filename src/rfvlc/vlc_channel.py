@@ -60,8 +60,7 @@ class VlcParams:
     optical_power: float
 
     def __post_init__(self):
-        if not (0.0 < self.semi_angle < 90.0):
-            raise ValueError(f"semi_angle must be in (0, 90) degrees, got {self.semi_angle}")
+        lambertian_order(self.semi_angle)  # the semi-angle rule lives there
         if not (0.0 < self.fov <= 90.0):
             raise ValueError(f"fov must be in (0, 90] degrees, got {self.fov}")
         if self.refractive_index < 1.0:
@@ -93,10 +92,19 @@ class VlcDerived:
 
 
 def lambertian_order(semi_angle: float) -> float:
-    """Lambertian mode number from the half-power semi-angle in degrees."""
+    """Lambertian mode number from the half-power semi-angle in degrees.
+
+    Angles so small that their cosine rounds to 1 have no finite order and
+    are rejected."""
     if not (0.0 < semi_angle < 90.0):
         raise ValueError(f"semi_angle must be in (0, 90) degrees, got {semi_angle}")
-    return -math.log(2.0) / math.log(math.cos(math.radians(semi_angle)))
+    log_cos = math.log(math.cos(math.radians(semi_angle)))
+    if log_cos == 0.0:
+        raise ValueError(
+            f"semi_angle {semi_angle:g} degrees is too small: its cosine rounds "
+            "to 1, so the Lambertian order is infinite"
+        )
+    return -math.log(2.0) / log_cos
 
 
 def derive(params: VlcParams) -> VlcDerived:

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import integrate, stats
 from scipy import special as sc
 
-from rfvlc.specfun import DEFAULT_ACCURACY, ConvergenceError
+from rfvlc.specfun import DEFAULT_ACCURACY, Accuracy, ConvergenceError
 from rfvlc.vlc_channel import VlcParams, derive
 
 
@@ -73,6 +73,14 @@ def mrc_cdf_ref(snr, k_factor, branches, avg_snr):
     return stats.ncx2.cdf(y, 2 * branches, 2.0 * k_factor * branches)
 
 
+def mrc_ppf_ref(q, k_factor, branches, avg_snr):
+    """Quantiles of the diversity-combined SNR through scipy.stats.ncx2."""
+    scale = avg_snr / (2.0 * (k_factor + 1.0))
+    if k_factor == 0.0:
+        return scale * stats.chi2.ppf(q, 2 * branches)
+    return scale * stats.ncx2.ppf(q, 2 * branches, 2.0 * k_factor * branches)
+
+
 def mrc_rvs_ref(k_factor, branches, avg_snr, size, seed):
     """Independent sampling route for KS tests (scipy rvs, not the library)."""
     rng = np.random.default_rng(seed)
@@ -111,6 +119,96 @@ def meijer_ref(shift, z, dps=50):
     with mpmath.workdps(dps):
         val = mpmath.meijerg([[shift], [1]], [[0, mpmath.mpf(1) / 2], []], mpmath.mpf(z))
         return float(val)
+
+
+# Special functions that sit on no library path, kept here as references:
+# the Marcum Q route to the radio CDF and the Meijer-G/erfc-moment identity
+# behind the radio BER series.  marcum_q sums with the scalar series below.
+_SQRT_PI = math.sqrt(math.pi)
+
+
+def marcum_q(order: int, a: float, b, acc: Accuracy = DEFAULT_ACCURACY):
+    """Generalized Marcum Q-function Q_order(a, b), vectorized over b.
+
+    Evaluated as the noncentral chi-square survival probability,
+    sum_k pois(k; a^2/2) * Q(order+k, b^2/2) with Q the regularized upper
+    incomplete gamma. The result is a probability; truncation keeps the
+    absolute error below acc.rel_tol.  Q_order(a, 0) is exactly 1.
+    """
+    if not isinstance(order, (int, np.integer)) or order < 1:
+        raise ValueError(f"order must be an integer >= 1, got {order!r}")
+    if a < 0.0:
+        raise ValueError(f"a must be >= 0, got {a}")
+    b_arr = np.asarray(b, dtype=float)
+    if np.any(b_arr < 0.0):
+        raise ValueError("b must be >= 0")
+
+    y = 0.5 * b_arr * b_arr
+    if a == 0.0:
+        out = sc.gammaincc(order, y)
+    else:
+        out = poisson_weighted_sum(
+            0.5 * a * a, lambda k: sc.gammaincc(order + k, y), acc, absolute=True
+        )
+    out = np.where(b_arr == 0.0, 1.0, out)  # exact at b = 0
+    return float(out) if np.ndim(b) == 0 else out
+
+
+def erfc_moment(n: float, a: float) -> float:
+    """Integral of g^(n-1) * exp(-a g) * erfc(sqrt(g)) over g in (0, inf).
+
+    Closed form for n > 0, a > 0:
+
+        Gamma(n)/a^n
+        - 2 Gamma(n + 1/2) / sqrt(pi) * (1+a)^-(n+1/2) * 2F1(1, n+1/2; 3/2; 1/(1+a))
+
+    obtained by writing erfc as its Gaussian tail integral and integrating
+    g first.  Accurate for moderate n (a few digits degrade beyond n ~ 20
+    because the two terms approach each other); the linear-argument 2F1
+    keeps scipy's hyp2f1 on its stable branch.
+    """
+    if n <= 0.0:
+        raise ValueError(f"n must be > 0, got {n}")
+    if a <= 0.0:
+        raise ValueError(f"a must be > 0, got {a}")
+    w = 1.0 / (1.0 + a)
+    head = math.gamma(n) * a ** (-n)
+    tail = (
+        2.0
+        * math.gamma(n + 0.5)
+        / _SQRT_PI
+        * (1.0 + a) ** (-(n + 0.5))
+        * float(sc.hyp2f1(1.0, n + 0.5, 1.5, w))
+    )
+    return head - tail
+
+
+def meijer_g_2122(shift: float, z: float) -> float:
+    """Meijer G of kind G^{2,1}_{2,2}[z | (shift, 1); (0, 1/2)] for shift = 1 - n.
+
+    Only the family with integer n >= 1 is supported; it is the one that
+    appears in the average-error closed forms.  For that family
+
+        G = sqrt(pi) * Gamma(n) * I(n, 1/2; 1/(1+z))
+
+    where I is the regularized incomplete beta function.  Derivation: the
+    G-function equals sqrt(pi) a^n * integral of t^(n-1) e^(-a t) erfc(sqrt t)
+    with a = 1/z; substituting erfc(sqrt t) = (2/sqrt(pi)) * integral over
+    s > 1 of sqrt(t) e^(-t s^2) ds and integrating t first gives
+    2 Gamma(n+1/2)/sqrt(pi) * integral of (a+s^2)^-(n+1/2) ds, which the
+    substitution u = s^2/(a+s^2) turns into the incomplete beta above.  The
+    direct two-term hypergeometric difference cancels catastrophically for
+    large n, while this form is a single positive term.
+    """
+    n_float = 1.0 - shift
+    n = int(round(n_float))
+    if n < 1 or abs(n_float - n) > 1e-9:
+        raise ValueError(
+            f"shift must equal 1 - n for an integer n >= 1, got {shift!r}"
+        )
+    if z <= 0.0:
+        raise ValueError(f"z must be > 0, got {z}")
+    return _SQRT_PI * math.gamma(n) * float(sc.betainc(n, 0.5, 1.0 / (1.0 + z)))
 
 
 def upper_gamma_ref(s, x, dps=40):
@@ -195,11 +293,14 @@ def per_point_mc(cfg, trials, seed, chunk_size=65536):
     """Monte Carlo outage and BER of one config, chunk by chunk, as a
     reference loop for the library's shared-stream kernel.
 
-    Same stream layout as the library: chunk i draws from Philox seeded
-    with SeedSequence(seed, spawn_key=(i,)), first the (trial, branch,
-    re/im) normals, then the uniforms.  The per-trial arithmetic and the
-    reductions are written out here for this config alone, so the library
-    must match it bit for bit.  Returns ((outage, se), (ber, se)).
+    Same stream layout as the library: chunk i draws from SFC64 seeded
+    with SeedSequence(seed, spawn_key=(i,)), first n pairs of normals, then
+    n uniforms, then one row of n exponentials per radio branch beyond the
+    first.  The radio gain is the noncentral chi-square form of the branch
+    sum: (sqrt(M) los + sd Z1)^2 + (sd Z2)^2 plus the exponential rows,
+    each scaled by 1/(K+1), summed in row order.  The per-trial arithmetic
+    and the reductions are written out here for this config alone, so the
+    library must match it bit for bit.  Returns ((outage, se), (ber, se)).
     """
     rf, d = cfg.rf, derive(cfg.vlc)
     los = math.sqrt(rf.k_factor / (rf.k_factor + 1.0))
@@ -207,14 +308,19 @@ def per_point_mc(cfg, trials, seed, chunk_size=65536):
     count, partials = 0, []
     for idx, start in enumerate(range(0, trials, chunk_size)):
         n = min(chunk_size, trials - start)
-        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(idx,))))
-        z = gen.standard_normal((n, rf.branches, 2))
+        gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(idx,))))
+        z = gen.standard_normal((n, 2))
         u = gen.random(n)
-        snr_rf = np.zeros(n)
-        for b in range(rf.branches):
-            re = los + sd * z[:, b, 0]
-            im = sd * z[:, b, 1]
-            snr_rf += re * re + im * im
+        e = gen.standard_exponential((rf.branches - 1, n))
+        re = math.sqrt(rf.branches) * los + sd * z[:, 0]
+        im = sd * z[:, 1]
+        snr_rf = re * re + im * im
+        if rf.branches > 1:
+            e = (1.0 / (rf.k_factor + 1.0)) * e
+            exp_sum = e[0]
+            for row in e[1:]:
+                exp_sum = exp_sum + row
+            snr_rf = snr_rf + exp_sum
         snr_rf *= rf.avg_snr
         scale = d.mu_vlc * d.upsilon**2
         snr_vlc = scale * (d.cell_radius**2 * u + d.height**2) ** -(d.lambert_order + 3.0)

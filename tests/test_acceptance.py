@@ -12,6 +12,7 @@ import pytest
 from scipy import integrate
 
 import oracles
+from oracles import erfc_moment, meijer_g_2122
 from test_e2e import make_cfg
 from test_vlc_channel import cell, random_cell
 
@@ -19,7 +20,6 @@ from rfvlc.config import SweepSpec, db_to_linear
 from rfvlc.e2e import ber_floor, e2e_avg_ber, outage_floor, outage_probability
 from rfvlc.montecarlo import McOptions, simulate_ber, simulate_outage
 from rfvlc.rf_channel import RfParams, mrc_snr_cdf, mrc_snr_pdf, rf_avg_ber
-from rfvlc.specfun import erfc_moment, meijer_g_2122
 from rfvlc.sweep import emit_csv, run_sweep
 from rfvlc.vlc_channel import derive, vlc_avg_ber, vlc_snr_cdf
 

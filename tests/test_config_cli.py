@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 
@@ -144,6 +145,11 @@ class TestParse:
             (lambda t: t.replace("quantity = outage", "quantity = latency"), "quantity"),
             (lambda t: t.replace("start = 0\nstop = 20", "start = 20\nstop = 3"), "start < stop"),
             (lambda t: t.replace("[sweep]", "[sweep]\nscale = cubic"), "scale"),
+            (lambda t: t.replace("outage_threshold = 1.0", "outage_threshold_db = 4000"),
+             "'outage_threshold_db': 4000 dB overflows"),
+            (lambda t: t.replace("k_factor_db = 5", "k_factor_db = 4000"), "'k_factor_db'"),
+            (lambda t: t.replace("avg_snr_db = 7", "avg_snr_db = 4000"), "'avg_snr_db'"),
+            (lambda t: t.replace("semi_angle_deg = 60", "semi_angle_deg = 1e-9"), "too small"),
         ],
     )
     def test_rejections_name_the_problem(self, mangle, needle):
@@ -258,7 +264,7 @@ class TestRunSweep:
         with pytest.raises(ConvergenceError, match="^at rf_avg_snr_db = 1000: "):
             run_sweep(parsed.system, spec, mc)
         # with every series converging, the later failure is the first one
-        with pytest.raises(OverflowError):
+        with pytest.raises(ValueError, match="^at rf_avg_snr_db = 4000: "):
             run_sweep(parse_config(DOC).system, spec, mc)
         spec = SweepSpec("semi_angle_deg", 30.0, 90.0, 3, quantity)
         with pytest.raises(ValueError, match="^at semi_angle_deg = 90: "):
@@ -397,13 +403,13 @@ class TestCli:
         assert lines[1].startswith("ber:") and lines[1].endswith("OK")
 
     def test_validate_draws_each_chunk_once(self, cfg_file, capsys, monkeypatch):
-        real, keys = np.random.Philox, []
+        real, keys = np.random.SFC64, []
 
         def counted(seed_seq):
             keys.append(seed_seq.spawn_key)
             return real(seed_seq)
 
-        monkeypatch.setattr(np.random, "Philox", counted)
+        monkeypatch.setattr(np.random, "SFC64", counted)
         rc = cli.main(["validate", "--config", cfg_file(DOC), "--trials", str(2 * 65536 + 1)])
         assert rc == 0
         assert "validation passed" in capsys.readouterr().out
@@ -431,6 +437,19 @@ class TestCli:
         rc = cli.main(["outage", "--config", cfg_file(DOC.replace("[rf]", "[radio]"))])
         assert rc == 2
 
+    @pytest.mark.parametrize("extra", [[], ["--no-mc"]])
+    def test_sweep_grid_errors_are_config_errors(self, cfg_file, capsys, extra):
+        # a dB grid past the float range, and a semi-angle with no finite
+        # Lambertian order, fail at their grid point with exit 2
+        for edits, prefix in (
+            (dict(stop="4000", points="3"), "at rf_avg_snr_db = 4000: "),
+            (dict(axis="semi_angle_deg", start="1e-9", stop="30"), "at semi_angle_deg = 1e-09: "),
+        ):
+            rc = cli.main(["sweep", "--config", cfg_file(doc_with(**edits))] + extra)
+            captured = capsys.readouterr()
+            assert (rc, captured.out) == (2, "")
+            assert captured.err.startswith("config error: " + prefix)
+
     def test_bad_override_exit_code(self, cfg_file, capsys):
         rc = cli.main(["outage", "--config", cfg_file(DOC), "--trials", "10"])
         assert rc == 2
@@ -442,11 +461,16 @@ class TestCli:
         assert "convergence error" in err
 
     def test_console_script_entry_point(self, cfg_file):
+        # the child imports the package this test imported, installed or not
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
         proc = subprocess.run(
             [sys.executable, "-m", "rfvlc.cli", "ber", "--config", cfg_file(DOC), "--no-mc"],
             capture_output=True,
             text=True,
             timeout=120,
+            env=env,
         )
         assert proc.returncode == 0
         assert "analytic = " in proc.stdout

@@ -168,7 +168,7 @@ class TestMrcCdf:
         assert f[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_equals_marcum_complement(self):
-        from rfvlc.specfun import marcum_q
+        from oracles import marcum_q
 
         p = RfParams(k_factor=2.0, branches=3, avg_snr=2.0)
         for g in [0.1, 1.0, 5.0, 15.0]:
@@ -196,6 +196,21 @@ class TestSampling:
         draws = sample_mrc_snr(p, np.random.default_rng(1234), size=200_000)
         stat = stats.kstest(draws, lambda x: oracles.mrc_cdf_ref(x, k, m, mu)).statistic
         assert stat < 0.005  # ~4.4x the 1/sqrt(n) scale at n=2e5
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [0.0, 10.0**0.5, 10.0**1.7], ids=["K0", "K5dB", "K17dB"])
+    def test_distribution_matches_cdf(self, k, m):
+        # binned chi-square of the noncentral chi-square draw against the
+        # closed-form CDF, on 20 bins of equal reference probability; at
+        # K = 0 the line-of-sight term of the draw is exactly 0
+        mu, bins = 2.0, 20
+        p = RfParams(k_factor=k, branches=m, avg_snr=mu)
+        draws = sample_mrc_snr(p, np.random.default_rng(4200 + m), size=200_000)
+        edges = oracles.mrc_ppf_ref(np.arange(1, bins) / bins, k, m, mu)
+        expected = np.diff(np.concatenate(([0.0], mrc_snr_cdf(edges, p), [1.0]))) * draws.size
+        observed = np.bincount(np.searchsorted(edges, draws), minlength=bins)
+        stat = float(((observed - expected) ** 2 / expected).sum())
+        assert stats.chi2.sf(stat, bins - 1) > 1e-4, stat
 
     def test_distribution_ks_million(self):
         # reference configuration at a million draws, tight KS bound
@@ -237,7 +252,8 @@ class TestAvgBer:
 
     def test_matches_meijer_term_route(self):
         # same series with each term routed through the Meijer-G reduction
-        from rfvlc.specfun import meijer_g_2122, poisson_weighted_sum
+        from oracles import meijer_g_2122
+        from rfvlc.specfun import poisson_weighted_sum
 
         for k, m, mu in [(1.0, 2, 4.0), (0.5, 1, 1.0), (2.0, 3, 10.0)]:
             p = RfParams(k_factor=k, branches=m, avg_snr=mu)

@@ -5,14 +5,12 @@ import pytest
 from scipy import special as sc
 
 import oracles
+from oracles import erfc_moment, marcum_q, meijer_g_2122
 from rfvlc.specfun import (
     Accuracy,
     ConvergenceError,
     bessel_i_int,
     erfc,
-    erfc_moment,
-    marcum_q,
-    meijer_g_2122,
     poisson_weighted_sum,
     upper_inc_gamma,
 )

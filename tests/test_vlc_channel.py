@@ -71,6 +71,7 @@ class TestParams:
             dict(bandwidth=0.0),
             dict(optical_power=0.0),
             dict(optical_power=math.nan, height=math.nan),
+            dict(semi_angle=1e-9),
         ],
     )
     def test_rejects_invalid(self, kw):
@@ -100,6 +101,9 @@ class TestLambertianOrder:
             lambertian_order(0.0)
         with pytest.raises(ValueError):
             lambertian_order(90.0)
+        # cos(1e-9 degrees) rounds to 1: the order would divide by log 1 = 0
+        with pytest.raises(ValueError, match="too small"):
+            lambertian_order(1e-9)
 
 
 class TestDerive:
