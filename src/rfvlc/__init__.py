@@ -30,13 +30,7 @@ from .rf_channel import (
     rician_snr_pdf,
     sample_mrc_snr,
 )
-from .specfun import (
-    Accuracy,
-    ConvergenceError,
-    bessel_i_int,
-    erfc,
-    upper_inc_gamma,
-)
+from .specfun import Accuracy, ConvergenceError
 from .sweep import ResultRecord, apply_axis, axis_grid, emit_csv, run_sweep
 from .vlc_channel import (
     VlcDerived,
@@ -68,14 +62,12 @@ __all__ = [
     "apply_axis",
     "axis_grid",
     "ber_floor",
-    "bessel_i_int",
     "channel_gain",
     "derive",
     "e2e_avg_ber",
     "e2e_cdf",
     "emit_config",
     "emit_csv",
-    "erfc",
     "lambertian_order",
     "mrc_snr_cdf",
     "mrc_snr_pdf",
@@ -90,7 +82,6 @@ __all__ = [
     "simulate",
     "simulate_ber",
     "simulate_outage",
-    "upper_inc_gamma",
     "vlc_avg_ber",
     "vlc_snr_cdf",
     "vlc_snr_pdf",

@@ -18,7 +18,7 @@ import dataclasses
 import sys
 
 from .config import ConfigError, ParsedConfig, parse_config
-from .e2e import ber_floor, e2e_avg_ber, outage_floor, outage_probability
+from .e2e import ber_batch, e2e_avg_ber, outage_batch, outage_probability
 from .montecarlo import simulate, simulate_ber, simulate_outage
 from .specfun import ConvergenceError
 from .sweep import emit_csv, run_sweep
@@ -96,11 +96,12 @@ def _write(args, text: str) -> None:
 def _point_report(quantity: str, parsed: ParsedConfig) -> str:
     cfg, mc = parsed.system, parsed.mc
     if quantity == "outage":
-        analytic, floor = outage_probability(cfg), outage_floor(cfg)
-        runner = simulate_outage
+        batch, runner = outage_batch, simulate_outage
     else:
-        analytic, floor = e2e_avg_ber(cfg), ber_floor(cfg)
-        runner = simulate_ber
+        batch, runner = ber_batch, simulate_ber
+    (analytic,), (floor,), error = batch([cfg])
+    if error is not None:
+        raise error
     lines = [
         f"quantity = {quantity}",
         f"analytic = {analytic:.12g}",

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sc
 
-from .specfun import Accuracy, DEFAULT_ACCURACY, poisson_weighted_sum, series_error
+from .specfun import (
+    Accuracy,
+    DEFAULT_ACCURACY,
+    poisson_weighted_sum,
+    series_error,
+    validate_snr,
+)
 
 __all__ = [
     "RfParams",
@@ -50,13 +56,6 @@ class RfParams:
             raise ValueError(f"avg_snr must be finite and > 0, got {self.avg_snr}")
 
 
-def _validate_snr(gamma):
-    g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0.0) or np.any(np.isnan(g)):
-        raise ValueError("snr values must be >= 0")
-    return g
-
-
 def _scalar_like(template, out):
     return float(out) if np.ndim(template) == 0 else out
 
@@ -67,7 +66,7 @@ def rician_snr_pdf(gamma, params: RfParams):
     Scaled exp(x - ...) * ive pairing keeps the Bessel growth and the
     Gaussian decay together, so no intermediate overflows.
     """
-    g = _validate_snr(gamma)
+    g = validate_snr(gamma)
     k, mu = params.k_factor, params.avg_snr
     if k == 0.0:
         out = np.exp(-g / mu) / mu
@@ -84,7 +83,7 @@ def rician_snr_pdf(gamma, params: RfParams):
 
 def mrc_snr_pdf(gamma, params: RfParams):
     """Density of the combined SNR after maximal-ratio combining, vectorized."""
-    g = _validate_snr(gamma)
+    g = validate_snr(gamma)
     k, m, mu = params.k_factor, params.branches, params.avg_snr
     if k * m < 1e-12:
         # Noncentrality below any representable effect: gamma density limit.
@@ -114,25 +113,33 @@ def mrc_snr_cdf(gamma, params: RfParams, acc: Accuracy = DEFAULT_ACCURACY):
     incomplete gammas: every term is positive, so the deep left tail keeps
     full relative accuracy instead of cancelling against 1.
 
-    An array `gamma` is one series with one truncation budget, set by its
-    smallest nonzero value; `mrc_cdf_batch` evaluates each point as its own
-    series instead.
+    Every entry of an array `gamma` is its own series under its own
+    truncation budget, so it equals the scalar call at that entry bit for
+    bit.  Raises ConvergenceError, whose `unconverged` mask names the
+    entries that ran out of terms.
     """
-    g = _validate_snr(gamma)
+    g = validate_snr(gamma)
     k, m, mu = params.k_factor, params.branches, params.avg_snr
-    y = (k + 1.0) * g / mu
+    out, error = _cdf_series((k + 1.0) * g / mu, k, m, acc)
+    if error is not None:
+        raise error
+    return _scalar_like(gamma, out)
+
+
+def _cdf_series(y, k, m, acc):
+    """The combined-SNR CDF at y = (k+1) * gamma / avg_snr for Rician K = k
+    and m branches, each entry of the array `y` its own series.  Returns
+    (values, error) as `mrc_cdf_batch` does."""
     positive = y > 0.0
     out = np.zeros_like(y)
-    if np.any(positive):
-        y_pos = y[positive] if y.ndim else y
-        val = poisson_weighted_sum(
+    unconverged = np.zeros(y.shape, dtype=bool)
+    if positive.any():
+        y_pos = y[positive]
+        out[positive], unconverged[positive] = poisson_weighted_sum(
             k * m, lambda j: sc.gammainc(m + j, y_pos), acc
         )
-        if y.ndim:
-            out[positive] = val
-        else:
-            out = np.asarray(val)
-    return _scalar_like(gamma, out)
+    error = series_error(k * m, acc, unconverged) if unconverged.any() else None
+    return out, error
 
 
 def _shared_fading(params):
@@ -153,19 +160,8 @@ def mrc_cdf_batch(gammas, params, acc: Accuracy = DEFAULT_ACCURACY):
     values are partial sums).
     """
     k, m = _shared_fading(params)
-    g = _validate_snr(gammas)
     mu = np.array([p.avg_snr for p in params])
-    y = (k + 1.0) * g / mu
-    positive = y > 0.0
-    out = np.zeros_like(y)
-    unconverged = np.zeros(y.shape, dtype=bool)
-    if positive.any():
-        y_pos = y[positive]
-        out[positive], unconverged[positive] = poisson_weighted_sum(
-            k * m, lambda j: sc.gammainc(m + j, y_pos), acc, independent=True
-        )
-    error = series_error(k * m, acc, unconverged) if unconverged.any() else None
-    return out, error
+    return _cdf_series((k + 1.0) * validate_snr(gammas) / mu, k, m, acc)
 
 
 def mrc_gains(k_factor, z, exps, branch_counts):
@@ -249,7 +245,7 @@ def rf_avg_ber_batch(params, acc: Accuracy = DEFAULT_ACCURACY):
     k, m = _shared_fading(params)
     w = np.array([(k + 1.0) / (k + 1.0 + p.avg_snr) for p in params])
     total, unconverged = poisson_weighted_sum(
-        k * m, lambda j: sc.betainc(m + j, 0.5, w), acc, independent=True
+        k * m, lambda j: sc.betainc(m + j, 0.5, w), acc
     )
     error = series_error(k * m, acc, unconverged) if unconverged.any() else None
     return 0.5 * total, error

@@ -1,9 +1,12 @@
-"""Special functions behind the link-performance closed forms.
+"""The Poisson-mixture series behind the radio-hop closed forms.
 
-Everything accepts floats and, where noted, numpy arrays.  Series are
-truncated under an explicit accuracy budget (`Accuracy`); running out of
-terms raises `ConvergenceError` rather than returning a silently wrong
-number.
+The combined radio SNR is a noncentral chi-square variable, so its CDF and
+its average BER are both Poisson mixtures of bounded terms.
+`poisson_weighted_sum` evaluates such a mixture elementwise under an
+explicit accuracy budget (`Accuracy`); entries that run out of terms are
+reported through `series_error` as a `ConvergenceError`, never returned as
+silently wrong numbers.  `validate_snr` is the one argument check shared
+by the SNR distributions of both hops.
 """
 from __future__ import annotations
 
@@ -11,23 +14,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sc
 
 __all__ = [
     "Accuracy",
     "DEFAULT_ACCURACY",
     "ConvergenceError",
-    "bessel_i_int",
-    "erfc",
-    "upper_inc_gamma",
+    "series_error",
+    "poisson_weighted_sum",
+    "validate_snr",
 ]
 
 
 class ConvergenceError(RuntimeError):
     """A truncated series failed to reach its tolerance within max_terms.
 
-    `unconverged` is None, or the boolean mask of the failing elements when
-    the error reports a batch evaluation (see `series_error`).
+    `unconverged` is the boolean mask of the failing elements (see
+    `series_error`).
     """
 
     unconverged = None
@@ -54,9 +56,9 @@ class Accuracy:
 DEFAULT_ACCURACY = Accuracy()
 
 
-def series_error(lam, acc=DEFAULT_ACCURACY, unconverged=None):
+def series_error(lam, acc, unconverged):
     """The ConvergenceError of a Poisson-weighted series at rate `lam` that
-    ran out of terms; `unconverged` masks the failing elements of a batch."""
+    ran out of terms; `unconverged` masks the failing elements."""
     exc = ConvergenceError(
         f"Poisson-weighted series did not converge: rate={lam:g}, "
         f"max_terms={acc.max_terms}, rel_tol={acc.rel_tol:g}"
@@ -65,45 +67,43 @@ def series_error(lam, acc=DEFAULT_ACCURACY, unconverged=None):
     return exc
 
 
-def poisson_weighted_sum(lam, term, acc=DEFAULT_ACCURACY, absolute=False,
-                         independent=False):
-    """Evaluate sum_{k>=0} pois(k; lam) * term(k) for term values in [0, 1].
+def validate_snr(gamma):
+    """`gamma` as a float array, rejecting negative and NaN SNR values."""
+    g = np.asarray(gamma, dtype=float)
+    if np.any(g < 0.0) or np.any(np.isnan(g)):
+        raise ValueError("snr values must be >= 0")
+    return g
+
+
+def poisson_weighted_sum(lam, term, acc=DEFAULT_ACCURACY):
+    """Evaluate sum_{k>=0} pois(k; lam) * term(k) for term values in [0, 1],
+    each entry of the 1-D array term(k) its own series sharing the rate.
 
     Terms are accumulated outward from the Poisson mode, so large `lam`
     costs O(sqrt(lam)) evaluations instead of O(lam) and the weights never
     underflow prematurely.  The remaining tail is bounded through the
     frontier weights themselves (geometric-ratio bound), which keeps the
-    stopping rule meaningful even when the sum is many orders of magnitude
-    below 1.  With absolute=True the bound is compared against acc.rel_tol
-    directly (suitable for probabilities); otherwise against
-    acc.rel_tol * |partial sum|.
+    stopping rule meaningful even when a sum is many orders of magnitude
+    below 1.  An entry stops once the bound is within acc.rel_tol of its
+    own partial sum and is frozen from then on, so its value does not
+    depend on the other entries.
 
-    term(k) may return a float or an ndarray of a fixed shape.  By default
-    an array is one sum with one budget: the series stops once the bound
-    meets the budget of its smallest nonzero entry, and running out of
-    terms raises ConvergenceError.
-
-    With independent=True, term(k) returns a 1-D array whose entries are
-    separate sums sharing the rate.  Each entry stops at exactly the term
-    where a scalar call for that entry alone would stop and is frozen from
-    then on.  Returns (sums, unconverged): entries still open after
-    acc.max_terms are flagged in the boolean mask (their sums are partial)
-    instead of raising.
+    Returns (sums, unconverged): entries still open after acc.max_terms are
+    flagged in the boolean mask (their sums are partial).
     """
     if lam < 0.0:
         raise ValueError(f"Poisson rate must be >= 0, got {lam}")
     if lam == 0.0:
         first = term(0)
-        return (first, np.zeros(np.shape(first), dtype=bool)) if independent else first
+        return first, np.zeros(np.shape(first), dtype=bool)
 
     k0 = int(lam)
     p0 = math.exp(k0 * math.log(lam) - lam - math.lgamma(k0 + 1))
     total = p0 * term(k0)
     k_lo = k_hi = k0
     p_lo = p_hi = p0
-    if independent:
-        frozen = np.empty(np.shape(total))
-        open_ = np.ones(frozen.shape, dtype=bool)
+    frozen = np.empty(np.shape(total))
+    open_ = np.ones(frozen.shape, dtype=bool)
 
     for _ in range(acc.max_terms):
         # Tail bound: remaining right terms decay at least geometrically with
@@ -120,23 +120,12 @@ def poisson_weighted_sum(lam, term, acc=DEFAULT_ACCURACY, absolute=False,
                 else:
                     bound = math.inf
         if bound < math.inf:
-            if absolute:
-                scale = acc.rel_tol
-            elif independent:
-                scale = acc.rel_tol * np.abs(total)
-            else:
-                mags = np.atleast_1d(np.abs(np.asarray(total, dtype=float)))
-                nonzero = mags[mags > 0.0]
-                scale = acc.rel_tol * float(nonzero.min()) if nonzero.size else 0.0
-            stop = (bound <= scale) | (bound < 1e-300)
-            if independent:
-                newly = open_ & stop
-                frozen[newly] = total[newly]
-                open_ &= ~newly
-                if not open_.any():
-                    return frozen, open_
-            elif stop:
-                return total
+            stop = (bound <= acc.rel_tol * np.abs(total)) | (bound < 1e-300)
+            newly = open_ & stop
+            frozen[newly] = total[newly]
+            open_ &= ~newly
+            if not open_.any():
+                return frozen, open_
 
         p_hi = p_hi * lam / (k_hi + 1.0)
         k_hi += 1
@@ -146,40 +135,5 @@ def poisson_weighted_sum(lam, term, acc=DEFAULT_ACCURACY, absolute=False,
             k_lo -= 1
             total = total + p_lo * term(k_lo)
 
-    if independent:
-        frozen[open_] = total[open_]
-        return frozen, open_
-    raise series_error(lam, acc)
-
-
-def bessel_i_int(order: int, x):
-    """Modified Bessel function of the first kind, integer order >= 0.
-
-    Vectorized over x (x >= 0).
-    """
-    if not isinstance(order, (int, np.integer)):
-        raise ValueError(f"order must be an integer, got {order!r}")
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0.0):
-        raise ValueError("x must be >= 0")
-    out = sc.iv(order, x_arr)
-    return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
-
-
-def erfc(x):
-    """Complementary error function, vectorized."""
-    out = sc.erfc(np.asarray(x, dtype=float))
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def upper_inc_gamma(s: float, x):
-    """Upper incomplete gamma Gamma(s, x) for s > 0, x >= 0 (non-regularized)."""
-    if s <= 0.0:
-        raise ValueError(f"s must be > 0, got {s}")
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0.0):
-        raise ValueError("x must be >= 0")
-    out = sc.gammaincc(s, x_arr) * sc.gamma(s)
-    return float(out) if np.ndim(x) == 0 else out
+    frozen[open_] = total[open_]
+    return frozen, open_

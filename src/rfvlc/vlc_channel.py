@@ -12,13 +12,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as sc
 
-from .specfun import erfc, upper_inc_gamma
+from .specfun import validate_snr
 
 __all__ = [
     "VlcParams",
     "VlcDerived",
     "lambertian_order",
+    "check_snr_scale",
     "derive",
     "channel_gain",
     "vlc_snr_pdf",
@@ -72,6 +74,7 @@ class VlcParams:
                 raise ValueError(f"{name} must be finite and > 0, got {v}")
         if self.optical_power is None or not (self.optical_power > 0.0):
             raise ValueError(f"optical_power must be > 0, got {self.optical_power}")
+        check_snr_scale(self)  # the rule on how the parameters combine lives there
 
 
 @dataclass(frozen=True)
@@ -107,12 +110,11 @@ def lambertian_order(semi_angle: float) -> float:
     return -math.log(2.0) / log_cos
 
 
-def derive(params: VlcParams) -> VlcDerived:
-    """Compute the derived optical-cell quantities."""
+def _gain_factors(params: VlcParams):
+    """(m, concentrator, upsilon, noise_var, mu_vlc) of the cell; raises
+    OverflowError when height ** (m + 1) or the squared power overflows."""
     m = lambertian_order(params.semi_angle)
-    phi = math.radians(params.semi_angle)
     psi = math.radians(params.fov)
-    radius = params.height * math.tan(phi)
     conc = params.refractive_index**2 / math.sin(psi) ** 2
     upsilon = (
         params.area
@@ -125,6 +127,36 @@ def derive(params: VlcParams) -> VlcDerived:
     )
     noise_var = params.noise_psd * params.bandwidth
     mu_vlc = (params.optical_power * params.conv_efficiency) ** 2 / noise_var
+    return m, conc, upsilon, noise_var, mu_vlc
+
+
+def check_snr_scale(params: VlcParams) -> None:
+    """Reject a cell whose SNR scale mu_vlc * upsilon^2 is not a finite
+    float > 0.
+
+    The SNR at emitter distance D is that scale times D^-(2m + 6), and the
+    Monte Carlo kernel forms it as a float.  A narrow beam gives a high
+    Lambertian order m, and upsilon's factor height ** (m + 1) then
+    overflows above 1 m or underflows below it.  Raises ValueError."""
+    m = lambertian_order(params.semi_angle)
+    try:
+        _, _, upsilon, _, mu_vlc = _gain_factors(params)
+        scale = mu_vlc * upsilon**2
+    except OverflowError:
+        scale = math.inf
+    if not (0.0 < scale < math.inf):
+        raise ValueError(
+            f"the optical SNR scale mu_vlc * upsilon^2 = {scale:g} is not a finite "
+            f"float > 0 (optical_power {params.optical_power:g} W; semi_angle "
+            f"{params.semi_angle:g} degrees gives Lambertian order {m:.6g}, so "
+            f"height {params.height:g} m enters as height ** {m + 1.0:.6g})"
+        )
+
+
+def derive(params: VlcParams) -> VlcDerived:
+    """Compute the derived optical-cell quantities."""
+    m, conc, upsilon, noise_var, mu_vlc = _gain_factors(params)
+    radius = params.height * math.tan(math.radians(params.semi_angle))
     gain_max = upsilon / params.height ** (m + 3.0)
     gain_min = upsilon / (radius**2 + params.height**2) ** (0.5 * (m + 3.0))
     return VlcDerived(
@@ -162,9 +194,7 @@ def _log_scale(d: VlcDerived) -> float:
 def vlc_snr_pdf(gamma, d: VlcDerived):
     """Density of the optical-hop electrical SNR: a power law on
     [snr_min, snr_max], zero outside.  Vectorized."""
-    g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0.0) or np.any(np.isnan(g)):
-        raise ValueError("snr values must be >= 0")
+    g = validate_snr(gamma)
     m = d.lambert_order
     expo = 1.0 / (m + 3.0)
     coeff = math.exp(_log_scale(d) * expo) / (d.cell_radius**2 * (m + 3.0))
@@ -177,9 +207,7 @@ def vlc_snr_pdf(gamma, d: VlcDerived):
 def vlc_snr_cdf(gamma, d: VlcDerived):
     """Distribution function of the optical-hop SNR, clamped to 0 below
     snr_min and 1 above snr_max.  Vectorized."""
-    g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0.0) or np.any(np.isnan(g)):
-        raise ValueError("snr values must be >= 0")
+    g = validate_snr(gamma)
     m = d.lambert_order
     r2 = d.cell_radius**2
     l2 = d.height**2
@@ -221,7 +249,10 @@ def vlc_avg_ber(d: VlcDerived) -> float:
     q = (m + 1.0) / (2.0 * m + 6.0)
 
     def h(g: float) -> float:
-        return g ** (-beta) * erfc(math.sqrt(g)) - upper_inc_gamma(q, g) / _SQRT_PI
+        return float(
+            g ** (-beta) * sc.erfc(math.sqrt(g))
+            - sc.gammaincc(q, g) * sc.gamma(q) / _SQRT_PI
+        )
 
     pref = math.exp(_log_scale(d) * beta) / (2.0 * d.cell_radius**2)
     return pref * (h(d.snr_min) - h(d.snr_max))

@@ -17,16 +17,6 @@ from rfvlc.specfun import DEFAULT_ACCURACY, Accuracy, ConvergenceError
 from rfvlc.vlc_channel import VlcParams, derive
 
 
-def bessel_i_series(order, x, terms=120):
-    """Modified Bessel I_n(x) by its power series, summed with fsum."""
-    parts = []
-    for k in range(terms):
-        lg = (order + 2 * k) * math.log(x / 2.0) if x > 0 else (0.0 if order + 2 * k == 0 else -math.inf)
-        lg -= math.lgamma(k + 1) + math.lgamma(order + k + 1)
-        parts.append(math.exp(lg))
-    return math.fsum(parts)
-
-
 def marcum_q_quad(order, a, b):
     """Generalized Marcum Q by quadrature of its defining integral.
 
@@ -209,11 +199,6 @@ def meijer_g_2122(shift: float, z: float) -> float:
     if z <= 0.0:
         raise ValueError(f"z must be > 0, got {z}")
     return _SQRT_PI * math.gamma(n) * float(sc.betainc(n, 0.5, 1.0 / (1.0 + z)))
-
-
-def upper_gamma_ref(s, x, dps=40):
-    with mpmath.workdps(dps):
-        return float(mpmath.gammainc(mpmath.mpf(s), mpmath.mpf(x), mpmath.inf))
 
 
 def vlc_pdf_ref(snr, derived):

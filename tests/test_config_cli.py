@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import rfvlc.cli as cli
+import rfvlc.rf_channel as rf_channel
 from rfvlc.config import (
     ConfigError,
     SweepSpec,
@@ -364,6 +365,20 @@ class TestCli:
         got = dict(line.split(" = ") for line in out.strip().splitlines())
         assert got["mc_trials"] == "4096" and got["mc_seed"] == "3"
 
+    @pytest.mark.parametrize("quantity", ["outage", "ber"])
+    def test_point_report_runs_one_radio_series(self, cfg_file, capsys, monkeypatch, quantity):
+        # the analytic value and its floor come from one batch call
+        real, calls = rf_channel.poisson_weighted_sum, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rf_channel, "poisson_weighted_sum", counted)
+        assert cli.main([quantity, "--config", cfg_file(DOC), "--no-mc"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
     def test_sweep_to_file(self, cfg_file, tmp_path, capsys):
         dest = tmp_path / "out.csv"
         rc = cli.main(["sweep", "--config", cfg_file(DOC), "--out", str(dest)])
@@ -449,6 +464,44 @@ class TestCli:
             captured = capsys.readouterr()
             assert (rc, captured.out) == (2, "")
             assert captured.err.startswith("config error: " + prefix)
+
+    @pytest.mark.parametrize(
+        "command,angle,height",
+        [
+            (["outage", "--no-mc"], "1", "2"),    # height ** (m + 1) overflowed
+            (["outage", "--no-mc"], "1", "0.5"),  # ... underflowed to 0
+            (["outage"], "2.5", "2"),             # upsilon ** 2 overflowed in MC
+            (["outage", "--no-mc"], "2.5", "2"),  # printed numbers before
+            (["validate"], "2.5", "2"),
+            (["outage"], "3", "2"),               # MC saw an infinite optical SNR
+        ],
+        ids=["no-mc-1deg-2m", "no-mc-1deg-0.5m", "mc-2.5deg-2m", "no-mc-2.5deg-2m",
+             "validate-2.5deg-2m", "mc-3deg-2m"],
+    )
+    def test_narrow_beam_is_config_error(self, cfg_file, capsys, command, angle, height):
+        path = cfg_file(doc_with(semi_angle_deg=angle, height_m=height))
+        rc = cli.main(command + ["--config", path])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err.startswith("config error: the optical SNR scale")
+        assert f"semi_angle {angle} degrees" in captured.err
+
+    @pytest.mark.parametrize("extra", [[], ["--no-mc"]])
+    def test_narrow_beam_sweep_names_the_grid_point(self, cfg_file, capsys, extra):
+        path = cfg_file(doc_with(axis="semi_angle_deg", start="0.5", stop="8", points="16"))
+        rc = cli.main(["sweep", "--config", path] + extra)
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err.startswith("config error: at semi_angle_deg = 0.5: the optical SNR")
+
+    def test_narrow_accepted_beam_validates(self, cfg_file, capsys):
+        # a threshold inside the optical SNR range: at 3 degrees the Monte
+        # Carlo saw an infinite optical SNR and reported no outage where the
+        # closed form gives 0.39; at 3.5 degrees both agree
+        doc = doc_with(semi_angle_deg="3.5", avg_snr_db="90")
+        path = cfg_file(doc.replace("outage_threshold = 1.0", "outage_threshold = 5e6"))
+        assert cli.main(["validate", "--config", path]) == 0
+        assert "validation passed" in capsys.readouterr().out
 
     def test_bad_override_exit_code(self, cfg_file, capsys):
         rc = cli.main(["outage", "--config", cfg_file(DOC), "--trials", "10"])

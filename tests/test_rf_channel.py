@@ -165,7 +165,20 @@ class TestMrcCdf:
         p = RfParams(k_factor=4.0, branches=2, avg_snr=3.0)
         f = mrc_snr_cdf(np.linspace(0.0, 40.0, 200), p)
         assert np.all(np.diff(f) >= 0.0)
-        assert f[-1] == pytest.approx(1.0, abs=1e-12)
+        # the array's last entry is the lone call's, within the 1e-10 budget
+        assert f[-1] == mrc_snr_cdf(40.0, p)
+        want = oracles.mrc_cdf_ref(40.0, 4.0, 2, 3.0)
+        assert abs(f[-1] - want) <= 1e-10
+
+    @pytest.mark.parametrize("k,m,mu", [(4.0, 2, 3.0), (0.0, 1, 1.0), (50.0, 4, 10.0)])
+    def test_array_entries_equal_lone_calls(self, k, m, mu):
+        # each entry is its own series: no neighbour changes where it stops
+        p = RfParams(k_factor=k, branches=m, avg_snr=mu)
+        g = np.concatenate([np.linspace(0.0, 40.0, 200), np.geomspace(1e-8, 1e3, 50)])
+        f = mrc_snr_cdf(g, p)
+        assert f.tolist() == [mrc_snr_cdf(float(x), p) for x in g]
+        grid = mrc_snr_cdf(g.reshape(10, 25), p)
+        assert grid.shape == (10, 25) and grid.ravel().tolist() == f.tolist()
 
     def test_equals_marcum_complement(self):
         from oracles import marcum_q
@@ -252,8 +265,7 @@ class TestAvgBer:
 
     def test_matches_meijer_term_route(self):
         # same series with each term routed through the Meijer-G reduction
-        from oracles import meijer_g_2122
-        from rfvlc.specfun import poisson_weighted_sum
+        from oracles import meijer_g_2122, poisson_weighted_sum
 
         for k, m, mu in [(1.0, 2, 4.0), (0.5, 1, 1.0), (2.0, 3, 10.0)]:
             p = RfParams(k_factor=k, branches=m, avg_snr=mu)
@@ -324,6 +336,15 @@ class TestBatch:
             assert ber_flags[i] == (lone is None) == (ref is None)
             if lone is not None:
                 assert ber[i] == lone == ref
+            # the array form gives every entry its lone value, or names the
+            # entries that fail
+            lones = [_scalar_or_failed(lambda: mrc_snr_cdf(g, p)) for g in gammas]
+            try:
+                arr = mrc_snr_cdf(np.array(gammas), p)
+            except ConvergenceError as exc:
+                assert exc.unconverged.tolist() == [v is None for v in lones]
+            else:
+                assert arr.tolist() == lones
 
     def test_failure_names_the_points(self):
         params = [RfParams(k_factor=100.0, branches=4, avg_snr=10.0 ** (s / 10.0))

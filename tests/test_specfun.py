@@ -9,10 +9,9 @@ from oracles import erfc_moment, marcum_q, meijer_g_2122
 from rfvlc.specfun import (
     Accuracy,
     ConvergenceError,
-    bessel_i_int,
-    erfc,
     poisson_weighted_sum,
-    upper_inc_gamma,
+    series_error,
+    validate_snr,
 )
 
 SQRT_PI = 1.7724538509055160273
@@ -33,74 +32,6 @@ class TestAccuracy:
     def test_rejects_bad_max_terms(self, max_terms):
         with pytest.raises(ValueError):
             Accuracy(max_terms=max_terms)
-
-
-class TestBessel:
-    # frozen from the power series oracle (fsum, 120 terms)
-    def test_spot_values(self):
-        assert bessel_i_int(0, 1.0) == pytest.approx(1.26606587775200834, rel=1e-13)
-        assert bessel_i_int(3, 2.5) == pytest.approx(0.47437040877803559, rel=1e-13)
-
-    @pytest.mark.parametrize("order", [0, 1, 3, 7])
-    def test_matches_series(self, order):
-        for x in [0.0, 1e-6, 0.5, 1.0, 4.0, 12.0, 30.0]:
-            want = oracles.bessel_i_series(order, x)
-            got = bessel_i_int(order, x)
-            assert got == pytest.approx(want, rel=1e-10), (order, x)
-
-    def test_at_zero(self):
-        assert bessel_i_int(0, 0.0) == 1.0
-        assert bessel_i_int(2, 0.0) == 0.0
-
-    def test_vectorized(self):
-        x = np.array([0.0, 1.0, 2.0])
-        out = bessel_i_int(1, x)
-        assert out.shape == (3,)
-        assert out[1] == pytest.approx(bessel_i_int(1, 1.0), rel=1e-15)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            bessel_i_int(-1, 1.0)
-        with pytest.raises(ValueError):
-            bessel_i_int(1.5, 1.0)
-        with pytest.raises(ValueError):
-            bessel_i_int(0, -0.1)
-
-
-class TestErfc:
-    def test_spot_value(self):
-        # mpmath.erfc(1) at 50 digits
-        assert erfc(1.0) == pytest.approx(0.157299207050285131, rel=1e-14)
-
-    def test_reflection(self):
-        x = np.linspace(-4, 4, 33)
-        np.testing.assert_allclose(erfc(x) + erfc(-x), 2.0, rtol=1e-14)
-
-    def test_limits(self):
-        assert erfc(0.0) == 1.0
-        assert erfc(40.0) == pytest.approx(0.0, abs=1e-300)
-
-
-class TestUpperIncGamma:
-    def test_spot_values(self):
-        # mpmath.gammainc at 40 digits
-        assert upper_inc_gamma(0.5, 1.0) == pytest.approx(0.278805585280661976, rel=1e-13)
-        assert upper_inc_gamma(3.0, 2.0) == pytest.approx(1.35335283236612692, rel=1e-13)
-
-    def test_at_zero_is_gamma(self):
-        for s in [0.3, 1.0, 2.5, 7.0]:
-            assert upper_inc_gamma(s, 0.0) == pytest.approx(math.gamma(s), rel=1e-14)
-
-    @pytest.mark.parametrize("s", [0.25, 1.0, 3.5, 10.0])
-    def test_matches_mpmath(self, s):
-        for x in [0.0, 0.1, 1.0, 5.0, 30.0]:
-            assert upper_inc_gamma(s, x) == pytest.approx(oracles.upper_gamma_ref(s, x), rel=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            upper_inc_gamma(0.0, 1.0)
-        with pytest.raises(ValueError):
-            upper_inc_gamma(1.0, -0.5)
 
 
 class TestMarcumQ:
@@ -221,55 +152,76 @@ class TestMeijerG2122:
 
 class TestPoissonWeightedSum:
     def test_zero_rate_is_first_term(self):
-        assert poisson_weighted_sum(0.0, lambda k: float(k + 7)) == 7.0
+        got, unconverged = poisson_weighted_sum(0.0, lambda k: np.array([k + 7.0, k + 2.0]))
+        assert got.tolist() == [7.0, 2.0]
+        assert unconverged.tolist() == [False, False]
 
     def test_unit_sum(self):
-        # sum of the weights is 1 up to the absolute truncation budget
+        # sum of the weights is 1 up to the relative truncation budget
         for lam in [0.3, 4.0, 120.0]:
-            got = poisson_weighted_sum(lam, lambda k: 1.0, absolute=True)
+            (got,), _ = poisson_weighted_sum(lam, lambda k: np.ones(1))
             assert got == pytest.approx(1.0, abs=3e-10)
 
     def test_known_generating_function(self):
-        # E[t^K] = exp(lam (t - 1))
-        lam, t = 5.0, 0.7
-        got = poisson_weighted_sum(lam, lambda k: t**k)
-        assert got == pytest.approx(math.exp(lam * (t - 1.0)), rel=1e-11)
+        # E[t^K] = exp(lam (t - 1)), one entry per t
+        lam, ts = 5.0, np.array([0.2, 0.7])
+        got, _ = poisson_weighted_sum(lam, lambda k: ts**k)
+        np.testing.assert_allclose(got, np.exp(lam * (ts - 1.0)), rtol=1e-11)
 
     def test_relative_accuracy_for_tiny_sums(self):
         # terms shrink like e^{-9k}; the sum is ~1e-5 times the largest weight
         lam = 30.0
-        got = poisson_weighted_sum(lam, lambda k: math.exp(-0.5 * k))
+        (got,), _ = poisson_weighted_sum(lam, lambda k: np.array([math.exp(-0.5 * k)]))
         want = math.exp(lam * (math.exp(-0.5) - 1.0))
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_truncation_raises(self):
-        with pytest.raises(ConvergenceError) as ei:
-            poisson_weighted_sum(5000.0, lambda k: 1.0, acc=Accuracy(max_terms=16), absolute=True)
-        assert "16" in str(ei.value)
+        acc = Accuracy(max_terms=16)
+        _, unconverged = poisson_weighted_sum(5000.0, lambda k: np.ones(2), acc)
+        exc = series_error(5000.0, acc, unconverged)
+        assert isinstance(exc, ConvergenceError)
+        assert "16" in str(exc) and "rate=5000" in str(exc)
+        assert exc.unconverged is unconverged
 
-    @pytest.mark.parametrize("absolute", [False, True])
     @pytest.mark.parametrize("lam", [0.0, 0.3, 30.0, 400.0])
-    def test_independent_entries_match_scalar_calls(self, lam, absolute):
-        # each entry stops where its own scalar call stops, bit for bit,
-        # and is flagged exactly where that call runs out of terms
+    def test_independent_entries_match_scalar_calls(self, lam):
+        # each entry stops where the scalar oracle stops for it alone, bit
+        # for bit, and is flagged exactly where that call runs out of terms
         ts = np.array([1e-30, 1e-3, 0.3, 0.7, 1.0])
         acc = Accuracy(rel_tol=1e-3, max_terms=40)
-        got, unconverged = poisson_weighted_sum(
-            lam, lambda k: ts**k, acc, absolute=absolute, independent=True
-        )
+        got, unconverged = poisson_weighted_sum(lam, lambda k: ts**k, acc)
         assert got.shape == unconverged.shape == ts.shape
         for t, value, flagged in zip(ts, got, unconverged):
             try:
-                want = poisson_weighted_sum(lam, lambda k: t**k, acc, absolute=absolute)
+                want = oracles.poisson_weighted_sum(lam, lambda k: t**k, acc)
             except ConvergenceError:
                 assert flagged
             else:
                 assert not flagged and value == want
 
-    def test_independent_mode_flags_instead_of_raising(self):
+    def test_unconverged_entries_are_flagged(self):
         acc = Accuracy(max_terms=16)
-        got, unconverged = poisson_weighted_sum(
-            5000.0, lambda k: np.ones(3), acc, absolute=True, independent=True
-        )
+        got, unconverged = poisson_weighted_sum(5000.0, lambda k: np.ones(3), acc)
         assert unconverged.tolist() == [True, True, True]
         assert np.all((got > 0.0) & (got < 1.0))  # partial sums
+
+
+class TestValidateSnr:
+    def test_passes_through_as_float_array(self):
+        out = validate_snr([0.0, 2])
+        assert out.dtype == float and out.tolist() == [0.0, 2.0]
+        assert validate_snr(3).shape == ()
+
+    @pytest.mark.parametrize("bad", [-1e-300, np.nan, [1.0, -2.0], [np.nan]])
+    def test_rejects_negative_and_nan(self, bad):
+        with pytest.raises(ValueError, match="^snr values must be >= 0$"):
+            validate_snr(bad)
+
+
+def test_public_names_resolve():
+    import rfvlc
+    import rfvlc.specfun
+
+    for module in (rfvlc, rfvlc.specfun):
+        for name in module.__all__:
+            assert hasattr(module, name), (module.__name__, name)

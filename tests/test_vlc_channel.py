@@ -8,6 +8,7 @@ import oracles
 from rfvlc.vlc_channel import (
     VlcParams,
     channel_gain,
+    check_snr_scale,
     derive,
     lambertian_order,
     sample_vlc_snr,
@@ -81,6 +82,33 @@ class TestParams:
     def test_power_exclusivity(self):
         with pytest.raises(ValueError):
             cell(optical_power=None)  # no power at all
+
+
+class TestCheckSnrScale:
+    # height ** (m + 1) overflows, underflows to 0; upsilon ** 2 overflows;
+    # mu_vlc * upsilon ** 2 overflows; the squared power overflows
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(semi_angle=1.0),
+            dict(semi_angle=1.0, height=0.5),
+            dict(semi_angle=2.5),
+            dict(semi_angle=3.0),
+            dict(optical_power=1e200),
+        ],
+    )
+    def test_rejects_scale_outside_float_range(self, kw):
+        # construction runs the rule
+        with pytest.raises(ValueError, match="mu_vlc \\* upsilon\\^2 = (inf|0) is not"):
+            cell(**kw)
+
+    @pytest.mark.parametrize("angle,height", [(3.5, 2.0), (60.0, 2.0), (1.0, 1.0), (5.0, 0.5)])
+    def test_accepts_representable_scale(self, angle, height):
+        p = cell(semi_angle=angle, height=height)
+        assert check_snr_scale(p) is None
+        d = derive(p)
+        assert 0.0 < d.mu_vlc * d.upsilon**2 < math.inf
+        assert 0.0 < d.snr_min < d.snr_max < math.inf
 
 
 class TestLambertianOrder:
