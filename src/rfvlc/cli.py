@@ -18,8 +18,8 @@ import dataclasses
 import sys
 
 from .config import ConfigError, ParsedConfig, parse_config
-from .e2e import ber_batch, e2e_avg_ber, outage_batch, outage_probability
-from .montecarlo import simulate, simulate_ber, simulate_outage
+from .e2e import SystemConfig, ber_batch, e2e_avg_ber, outage_batch, outage_probability
+from .montecarlo import McOptions, simulate, simulate_ber, simulate_outage
 from .specfun import ConvergenceError
 from .sweep import emit_csv, run_sweep
 
@@ -74,8 +74,6 @@ def _load(args) -> ParsedConfig:
         overrides["seed"] = args.seed
     if args.workers is not None:
         overrides["workers"] = args.workers
-    if getattr(args, "no_mc", False):
-        overrides["enabled"] = False
     if overrides:
         try:
             mc = dataclasses.replace(parsed.mc, **overrides)
@@ -93,8 +91,7 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _point_report(quantity: str, parsed: ParsedConfig) -> str:
-    cfg, mc = parsed.system, parsed.mc
+def _point_report(quantity: str, cfg: SystemConfig, mc: McOptions | None) -> str:
     if quantity == "outage":
         batch, runner = outage_batch, simulate_outage
     else:
@@ -107,7 +104,7 @@ def _point_report(quantity: str, parsed: ParsedConfig) -> str:
         f"analytic = {analytic:.12g}",
         f"floor = {floor:.12g}",
     ]
-    if mc.enabled:
+    if mc is not None:
         est = runner(cfg, mc.trials, mc.seed, workers=mc.workers)
         lines += [
             f"mc_estimate = {est.estimate:.12g}",
@@ -147,13 +144,14 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         parsed = _load(args)
+        mc = None if getattr(args, "no_mc", False) else parsed.mc
         if args.command == "sweep":
             if parsed.sweep is None:
                 raise ConfigError("the sweep command needs a [sweep] section")
-            records = run_sweep(parsed.system, parsed.sweep, parsed.mc)
+            records = run_sweep(parsed.system, parsed.sweep, mc)
             _write(args, emit_csv(records))
         elif args.command in ("outage", "ber"):
-            _write(args, _point_report(args.command, parsed))
+            _write(args, _point_report(args.command, parsed.system, mc))
         else:
             report, ok = _validate_report(parsed)
             _write(args, report)

@@ -6,6 +6,11 @@ since it belongs to the link as a whole.  SNR-like quantities accept a
 linear key or a _db twin; angles are given in degrees.  All dB-to-linear
 conversion happens here, nowhere deeper.
 
+Each section's keys are declared once, in a table that both
+`parse_config` and `emit_config` read.  A key is optional exactly when
+the dataclass field it fills has a default, and that default is the one
+the dataclass declares.
+
 Example:
 
     outage_threshold_db = 0.0
@@ -43,6 +48,7 @@ Example:
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -61,10 +67,6 @@ __all__ = [
     "parse_config",
     "emit_config",
 ]
-
-SWEEP_AXES = ("rf_avg_snr_db", "optical_power_w", "semi_angle_deg", "branches")
-SWEEP_QUANTITIES = ("outage", "ber")
-SWEEP_SCALES = ("linear", "log")
 
 
 class ConfigError(ValueError):
@@ -85,6 +87,17 @@ def linear_to_db(x: float) -> float:
     return 10.0 * math.log10(x)
 
 
+# axis -> (hop of SystemConfig, field of that hop, conversion of a grid value)
+SWEEP_AXES = {
+    "rf_avg_snr_db": ("rf", "avg_snr", db_to_linear),
+    "optical_power_w": ("vlc", "optical_power", float),
+    "semi_angle_deg": ("vlc", "semi_angle", float),
+    "branches": ("rf", "branches", lambda value: int(round(value))),
+}
+SWEEP_QUANTITIES = ("outage", "ber")
+SWEEP_SCALES = ("linear", "log")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One-dimensional parameter sweep description."""
@@ -98,7 +111,9 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
-            raise ValueError(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
+            raise ValueError(
+                f"axis must be one of {tuple(SWEEP_AXES)}, got {self.axis!r}"
+            )
         if self.quantity not in SWEEP_QUANTITIES:
             raise ValueError(
                 f"quantity must be one of {SWEEP_QUANTITIES}, got {self.quantity!r}"
@@ -123,6 +138,44 @@ class ParsedConfig:
 
 
 _SECTIONS = ("rf", "vlc", "sweep", "mc")
+
+# Each section's keys in file order, as (file key, dataclass field, kind).
+# kind is float, int or str, or "db" for a linear number that the file may
+# give in dB instead, under the key plus "_db".
+_TOP_KEYS = (("outage_threshold", "outage_threshold", "db"),)
+_RF_KEYS = (
+    ("k_factor", "k_factor", "db"),
+    ("branches", "branches", int),
+    ("avg_snr", "avg_snr", "db"),
+)
+# The optical power is given directly, or as the product of the LED pair.
+_POWER, _LED_COUNT, _LED_POWER = "optical_power_w", "led_count", "led_power_w"
+_VLC_KEYS = (
+    ("semi_angle_deg", "semi_angle", float),
+    ("height_m", "height", float),
+    ("area_m2", "area", float),
+    ("fov_deg", "fov", float),
+    ("refractive_index", "refractive_index", float),
+    ("filter_gain", "filter_gain", float),
+    ("responsivity", "responsivity", float),
+    ("conv_efficiency", "conv_efficiency", float),
+    ("noise_psd", "noise_psd", float),
+    ("bandwidth_hz", "bandwidth", float),
+    (_POWER, "optical_power", float),
+)
+_SWEEP_KEYS = (
+    ("axis", "axis", str),
+    ("start", "start", float),
+    ("stop", "stop", float),
+    ("points", "points", int),
+    ("scale", "scale", str),
+    ("quantity", "quantity", str),
+)
+_MC_KEYS = (
+    ("trials", "trials", int),
+    ("seed", "seed", int),
+    ("workers", "workers", int),
+)
 
 
 def _tokenize(text: str) -> dict[str, dict[str, tuple[str, int]]]:
@@ -157,69 +210,78 @@ class _Section:
     """Typed key extraction with consumed-key tracking."""
 
     def __init__(self, name: str, table: dict[str, tuple[str, int]]):
-        self.name = name
+        self.label = f"[{name}]" if name else "top level"
         self.table = dict(table)
 
-    def _label(self) -> str:
-        return f"[{self.name}]" if self.name else "top level"
-
-    def take(self, key: str):
-        return self.table.pop(key, None)
-
-    def _convert(self, key, kind):
-        item = self.take(key)
+    def value(self, key: str, kind):
+        """The key's value as `kind` (float, int or str), or None if absent."""
+        item = self.table.pop(key, None)
         if item is None:
             return None
         value, lineno = item
+        if kind is str:
+            return value
         try:
-            if kind is float:
-                out = float(value)
-                if not math.isfinite(out):
-                    raise ValueError
+            if kind is int:
+                return int(value, 10)
+            out = float(value)
+            if math.isfinite(out):
                 return out
-            return int(value, 10)
         except ValueError:
-            raise ConfigError(
-                f"line {lineno}: key {key!r} needs a {kind.__name__}, got {value!r}"
-            ) from None
+            pass
+        raise ConfigError(
+            f"line {lineno}: key {key!r} needs a {kind.__name__}, got {value!r}"
+        )
 
-    def number(self, key: str):
-        return self._convert(key, float)
-
-    def integer(self, key: str):
-        return self._convert(key, int)
-
-    def word(self, key: str):
-        item = self.take(key)
-        return None if item is None else item[0]
-
-    def require(self, key: str, got):
-        if got is None:
-            raise ConfigError(f"{self._label()}: missing required key {key!r}")
-        return got
-
-    def linear_or_db(self, key: str, required: bool = True):
-        plain = self.number(key)
-        db = self.number(key + "_db")
+    def linear_or_db(self, key: str):
+        plain = self.value(key, float)
+        db = self.value(key + "_db", float)
         if plain is not None and db is not None:
-            raise ConfigError(f"{self._label()}: give {key!r} or '{key}_db', not both")
-        if plain is None and db is None:
-            if required:
-                raise ConfigError(
-                    f"{self._label()}: missing required key {key!r} (or '{key}_db')"
-                )
-            return None
-        if plain is not None:
+            raise ConfigError(f"{self.label}: give {key!r} or '{key}_db', not both")
+        if db is None:
             return plain
         try:
             return db_to_linear(db)
         except ValueError as exc:
-            raise ConfigError(f"{self._label()}: key '{key}_db': {exc}") from None
+            raise ConfigError(f"{self.label}: key '{key}_db': {exc}") from None
+
+    def read(self, keys, cls, optional=()) -> dict:
+        """Keyword arguments for `cls` from the `keys` table, absent keys
+        left out.  A key is required unless its field has a default or is
+        named in `optional`."""
+        defaults = {f.name for f in dataclasses.fields(cls)
+                    if f.default is not dataclasses.MISSING}
+        values = {}
+        for key, field, kind in keys:
+            got = self.linear_or_db(key) if kind == "db" else self.value(key, kind)
+            if got is not None:
+                values[field] = got
+            elif field not in defaults and field not in optional:
+                twin = f" (or '{key}_db')" if kind == "db" else ""
+                raise ConfigError(f"{self.label}: missing required key {key!r}{twin}")
+        return values
 
     def finish(self):
         if self.table:
             key, (_, lineno) = next(iter(self.table.items()))
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in {self._label()}")
+            raise ConfigError(f"line {lineno}: unknown key {key!r} in {self.label}")
+
+
+def _required(tokens, name: str) -> _Section:
+    if name not in tokens:
+        raise ConfigError(f"missing required section [{name}]")
+    return _Section(name, tokens[name])
+
+
+def _build(tokens, name: str, keys, cls):
+    """`cls` from the optional section `name`."""
+    section = _Section(name, tokens.get(name, {}))
+    values = section.read(keys, cls)
+    section.finish()
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"[{name}]: {exc}") from None
 
 
 def parse_config(text: str) -> ParsedConfig:
@@ -227,94 +289,39 @@ def parse_config(text: str) -> ParsedConfig:
     line/key or the violated invariant."""
     tokens = _tokenize(text)
 
-    top = _Section("", tokens.get("", {}))
-    threshold = top.linear_or_db("outage_threshold")
+    top = _Section("", tokens[""])
+    link = top.read(_TOP_KEYS, SystemConfig)
     top.finish()
 
-    if "rf" not in tokens:
-        raise ConfigError("missing required section [rf]")
-    rf_sec = _Section("rf", tokens["rf"])
-    k_factor = rf_sec.linear_or_db("k_factor")
-    branches = rf_sec.require("branches", rf_sec.integer("branches"))
-    avg_snr = rf_sec.linear_or_db("avg_snr")
+    rf_sec = _required(tokens, "rf")
+    rf = rf_sec.read(_RF_KEYS, RfParams)
     rf_sec.finish()
 
-    if "vlc" not in tokens:
-        raise ConfigError("missing required section [vlc]")
-    vlc_sec = _Section("vlc", tokens["vlc"])
-    vlc_values = {
-        "semi_angle": vlc_sec.require("semi_angle_deg", vlc_sec.number("semi_angle_deg")),
-        "height": vlc_sec.require("height_m", vlc_sec.number("height_m")),
-        "area": vlc_sec.require("area_m2", vlc_sec.number("area_m2")),
-        "fov": vlc_sec.require("fov_deg", vlc_sec.number("fov_deg")),
-        "refractive_index": vlc_sec.require(
-            "refractive_index", vlc_sec.number("refractive_index")
-        ),
-        "filter_gain": vlc_sec.require("filter_gain", vlc_sec.number("filter_gain")),
-        "responsivity": vlc_sec.require("responsivity", vlc_sec.number("responsivity")),
-        "conv_efficiency": vlc_sec.require(
-            "conv_efficiency", vlc_sec.number("conv_efficiency")
-        ),
-        "noise_psd": vlc_sec.require("noise_psd", vlc_sec.number("noise_psd")),
-        "bandwidth": vlc_sec.require("bandwidth_hz", vlc_sec.number("bandwidth_hz")),
-    }
-    power = vlc_sec.number("optical_power_w")
-    led_count = vlc_sec.integer("led_count")
-    led_power = vlc_sec.number("led_power_w")
+    vlc_sec = _required(tokens, "vlc")
+    vlc = vlc_sec.read(_VLC_KEYS, VlcParams, optional=("optical_power",))
+    led_count = vlc_sec.value(_LED_COUNT, int)
+    led_power = vlc_sec.value(_LED_POWER, float)
     vlc_sec.finish()
-    if power is not None:
+    if "optical_power" in vlc:
         if led_count is not None or led_power is not None:
             raise ConfigError(
-                "[vlc]: give optical_power_w or the led_count/led_power_w pair, not both"
+                f"[vlc]: give {_POWER} or the {_LED_COUNT}/{_LED_POWER} pair, not both"
             )
     else:
         if led_count is None or led_power is None:
             raise ConfigError(
-                "[vlc]: missing optical power; give optical_power_w or both "
-                "led_count and led_power_w"
+                f"[vlc]: missing optical power; give {_POWER} or both "
+                f"{_LED_COUNT} and {_LED_POWER}"
             )
         if led_count < 1:
-            raise ConfigError(f"[vlc]: led_count must be >= 1, got {led_count}")
-        power = led_count * led_power
+            raise ConfigError(f"[vlc]: {_LED_COUNT} must be >= 1, got {led_count}")
+        vlc["optical_power"] = led_count * led_power
 
-    sweep = None
-    if "sweep" in tokens:
-        sw = _Section("sweep", tokens["sweep"])
-        axis = sw.require("axis", sw.word("axis"))
-        start = sw.require("start", sw.number("start"))
-        stop = sw.require("stop", sw.number("stop"))
-        points = sw.require("points", sw.integer("points"))
-        quantity = sw.require("quantity", sw.word("quantity"))
-        scale = sw.word("scale") or "linear"
-        sw.finish()
-        try:
-            sweep = SweepSpec(
-                axis=axis, start=start, stop=stop, points=points,
-                quantity=quantity, scale=scale,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[sweep]: {exc}") from None
-
-    mc_sec = _Section("mc", tokens.get("mc", {}))
-    trials = mc_sec.integer("trials")
-    seed = mc_sec.integer("seed")
-    workers = mc_sec.integer("workers")
-    mc_sec.finish()
-    try:
-        mc = McOptions(
-            trials=trials if trials is not None else 1_000_000,
-            seed=seed if seed is not None else 0,
-            workers=workers if workers is not None else 1,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[mc]: {exc}") from None
+    sweep = _build(tokens, "sweep", _SWEEP_KEYS, SweepSpec) if "sweep" in tokens else None
+    mc = _build(tokens, "mc", _MC_KEYS, McOptions)
 
     try:
-        system = SystemConfig(
-            rf=RfParams(k_factor=k_factor, branches=branches, avg_snr=avg_snr),
-            vlc=VlcParams(optical_power=power, **vlc_values),
-            outage_threshold=threshold,
-        )
+        system = SystemConfig(rf=RfParams(**rf), vlc=VlcParams(**vlc), **link)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return ParsedConfig(system=system, sweep=sweep, mc=mc)
@@ -324,47 +331,15 @@ def emit_config(parsed: ParsedConfig) -> str:
     """Serialize back to the config format; parse(emit(parse(doc))) equals
     parse(doc).  Values are written in linear units at full precision."""
     cfg = parsed.system
-    rf, vlc = cfg.rf, cfg.vlc
-    lines = [
-        f"outage_threshold = {cfg.outage_threshold!r}",
-        "",
-        "[rf]",
-        f"k_factor = {rf.k_factor!r}",
-        f"branches = {rf.branches}",
-        f"avg_snr = {rf.avg_snr!r}",
-        "",
-        "[vlc]",
-        f"semi_angle_deg = {vlc.semi_angle!r}",
-        f"height_m = {vlc.height!r}",
-        f"area_m2 = {vlc.area!r}",
-        f"fov_deg = {vlc.fov!r}",
-        f"refractive_index = {vlc.refractive_index!r}",
-        f"filter_gain = {vlc.filter_gain!r}",
-        f"responsivity = {vlc.responsivity!r}",
-        f"conv_efficiency = {vlc.conv_efficiency!r}",
-        f"noise_psd = {vlc.noise_psd!r}",
-        f"bandwidth_hz = {vlc.bandwidth!r}",
-        f"optical_power_w = {vlc.optical_power!r}",
-    ]
+    sections = [("", _TOP_KEYS, cfg), ("rf", _RF_KEYS, cfg.rf), ("vlc", _VLC_KEYS, cfg.vlc)]
     if parsed.sweep is not None:
-        s = parsed.sweep
-        lines += [
-            "",
-            "[sweep]",
-            f"axis = {s.axis}",
-            f"start = {s.start!r}",
-            f"stop = {s.stop!r}",
-            f"points = {s.points}",
-            f"scale = {s.scale}",
-            f"quantity = {s.quantity}",
-        ]
-    mc = parsed.mc
-    lines += [
-        "",
-        "[mc]",
-        f"trials = {mc.trials}",
-        f"seed = {mc.seed}",
-        f"workers = {mc.workers}",
-        "",
-    ]
-    return "\n".join(lines)
+        sections.append(("sweep", _SWEEP_KEYS, parsed.sweep))
+    sections.append(("mc", _MC_KEYS, parsed.mc))
+    blocks = []
+    for name, keys, values in sections:
+        lines = [f"[{name}]"] if name else []
+        for key, field, kind in keys:
+            value = getattr(values, field)
+            lines.append(f"{key} = {value!r}" if kind in (float, "db") else f"{key} = {value}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"

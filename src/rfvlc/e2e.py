@@ -2,7 +2,8 @@
 
 The relay decodes the radio hop and re-encodes onto the optical hop, so the
 equivalent SNR is the minimum of the two hop SNRs and a bit is wrong end to
-end when exactly one hop flips it.
+end when exactly one hop flips it.  The single-config metrics are batches
+of one: `outage_batch` and `ber_batch` take any list of configs.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from .rf_channel import (
     rf_avg_ber,
     rf_avg_ber_batch,
 )
-from .specfun import Accuracy, DEFAULT_ACCURACY
 from .vlc_channel import VlcParams, vlc_avg_ber, vlc_snr_cdf
 
 __all__ = [
@@ -49,11 +49,11 @@ class SystemConfig:
             )
 
 
-def e2e_cdf(gamma, cfg: SystemConfig, acc: Accuracy = DEFAULT_ACCURACY):
+def e2e_cdf(gamma, cfg: SystemConfig):
     """Distribution of min(snr_rf, snr_vlc) for independent hops:
     F = F_rf + F_vlc - F_rf * F_vlc.  Vectorized."""
     d = vlc_channel.derive(cfg.vlc)
-    f_rf = mrc_snr_cdf(gamma, cfg.rf, acc)
+    f_rf = mrc_snr_cdf(gamma, cfg.rf)
     f_vlc = vlc_snr_cdf(gamma, d)
     # sum-minus-product keeps relative accuracy for tiny tails; rounding
     # can overshoot 1 by an ulp once a factor saturates, so clamp
@@ -61,24 +61,24 @@ def e2e_cdf(gamma, cfg: SystemConfig, acc: Accuracy = DEFAULT_ACCURACY):
     return float(out) if np.ndim(gamma) == 0 else out
 
 
-def outage_probability(cfg: SystemConfig, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def outage_probability(cfg: SystemConfig) -> float:
     """Probability that the equivalent SNR falls below the threshold."""
-    (p,), _, error = outage_batch([cfg], acc)
+    (p,), _, error = outage_batch([cfg])
     if error is not None:
         raise error
     return float(p)
 
 
-def outage_batch(cfgs, acc: Accuracy = DEFAULT_ACCURACY):
+def outage_batch(cfgs):
     """Outage probability and outage floor of every config, from one radio
-    series pass.
+    series pass per distinct (rf.k_factor, rf.branches).
 
-    The configs must share rf.k_factor and rf.branches.  Each optical cell
-    is derived once, and each value equals the single-config call's bit for
-    bit.  Returns (outage, floor, error) with error as in `mrc_cdf_batch`.
+    The configs may differ in every field.  Each optical cell is derived
+    once, and each value equals the single-config call's bit for bit.
+    Returns (outage, floor, error) with error as in `mrc_cdf_batch`.
     """
     thresholds = [c.outage_threshold for c in cfgs]
-    f_rf, error = mrc_cdf_batch(thresholds, [c.rf for c in cfgs], acc)
+    f_rf, error = mrc_cdf_batch(thresholds, [c.rf for c in cfgs])
     f_vlc = _per_cell(cfgs, lambda c, d: vlc_snr_cdf(c.outage_threshold, d),
                       key=lambda c: (c.vlc, c.outage_threshold))
     # sum-minus-product keeps relative accuracy for tiny tails; rounding
@@ -86,19 +86,19 @@ def outage_batch(cfgs, acc: Accuracy = DEFAULT_ACCURACY):
     return np.minimum(f_rf + f_vlc - f_rf * f_vlc, 1.0), f_vlc, error
 
 
-def e2e_avg_ber(cfg: SystemConfig, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def e2e_avg_ber(cfg: SystemConfig) -> float:
     """End-to-end average BER of the decode-and-forward chain:
     P = P_rf (1 - P_vlc) + P_vlc (1 - P_rf)."""
-    (p,), _, error = ber_batch([cfg], acc)
+    (p,), _, error = ber_batch([cfg])
     if error is not None:
         raise error
     return float(p)
 
 
-def ber_batch(cfgs, acc: Accuracy = DEFAULT_ACCURACY):
+def ber_batch(cfgs):
     """End-to-end BER and BER floor (the radio hop's own BER) of every
-    config, from one radio series pass; as `outage_batch` otherwise."""
-    p_rf, error = rf_avg_ber_batch([c.rf for c in cfgs], acc)
+    config; as `outage_batch` otherwise."""
+    p_rf, error = rf_avg_ber_batch([c.rf for c in cfgs])
     p_vlc = _per_cell(cfgs, lambda c, d: vlc_avg_ber(d), key=lambda c: c.vlc)
     return p_rf + p_vlc - 2.0 * p_rf * p_vlc, p_rf, error
 
@@ -123,7 +123,7 @@ def outage_floor(cfg: SystemConfig) -> float:
     return float(vlc_snr_cdf(cfg.outage_threshold, vlc_channel.derive(cfg.vlc)))
 
 
-def ber_floor(cfg: SystemConfig, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def ber_floor(cfg: SystemConfig) -> float:
     """BER limit as the optical hop becomes error-free: the radio hop's own
     average BER."""
-    return rf_avg_ber(cfg.rf, acc)
+    return rf_avg_ber(cfg.rf)

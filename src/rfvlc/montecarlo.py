@@ -60,12 +60,11 @@ class EstimateWithError:
 
 @dataclass(frozen=True)
 class McOptions:
-    """Simulation settings carried alongside a config."""
+    """Simulation settings carried alongside a config: the [mc] keys."""
 
     trials: int = 1_000_000
     seed: int = 0
     workers: int = 1
-    enabled: bool = True
 
     def __post_init__(self):
         _validate_run(self.trials, self.seed, self.workers)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SweepSpec, db_to_linear
+from .config import SWEEP_AXES, SweepSpec
 from .e2e import SystemConfig, ber_batch, outage_batch
 from .montecarlo import McOptions, simulate
 from .specfun import ConvergenceError
@@ -46,34 +46,28 @@ def axis_grid(spec: SweepSpec) -> np.ndarray:
 
 
 def apply_axis(cfg: SystemConfig, axis: str, value: float) -> SystemConfig:
-    """Return cfg with one swept parameter replaced."""
-    if axis == "rf_avg_snr_db":
-        rf = dataclasses.replace(cfg.rf, avg_snr=db_to_linear(value))
-        return dataclasses.replace(cfg, rf=rf)
-    if axis == "branches":
-        rf = dataclasses.replace(cfg.rf, branches=int(round(value)))
-        return dataclasses.replace(cfg, rf=rf)
-    if axis == "optical_power_w":
-        return dataclasses.replace(cfg, vlc=dataclasses.replace(cfg.vlc, optical_power=value))
-    if axis == "semi_angle_deg":
-        return dataclasses.replace(cfg, vlc=dataclasses.replace(cfg.vlc, semi_angle=value))
-    raise ValueError(f"unknown sweep axis {axis!r}")
+    """Return cfg with one swept parameter replaced, as `SWEEP_AXES` maps
+    the axis to it."""
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}")
+    hop, field, convert = SWEEP_AXES[axis]
+    part = dataclasses.replace(getattr(cfg, hop), **{field: convert(value)})
+    return dataclasses.replace(cfg, **{hop: part})
 
 
-def run_sweep(cfg: SystemConfig, spec: SweepSpec, mc: McOptions) -> list[ResultRecord]:
-    """Evaluate the swept quantity over the grid.
+def run_sweep(cfg: SystemConfig, spec: SweepSpec, mc: McOptions | None) -> list[ResultRecord]:
+    """Evaluate the swept quantity over the grid; `mc` None skips Monte
+    Carlo.
 
-    Points that share the radio series rate (branches and K factor) form
-    a group: every point on the rf_avg_snr_db, optical_power_w and
-    semi_angle_deg axes, one point per group on branches.  The closed forms
-    run first, one radio series pass per group, each point keeping the
-    value a lone call would give.  The first failing grid point raises,
-    its error gaining the axis value without losing its type.  Monte Carlo
-    then runs once for the whole grid, which no axis moves off one K
-    factor: its chunks are drawn once, so the points see common random
-    numbers; every point still uses the same (trials, seed) and gets the
-    estimate a lone run would give, and the sweep is a pure function of
-    (cfg, spec, mc) regardless of worker count.
+    The closed forms run first, in one batch call over the grid, which
+    runs one radio series pass per distinct branch count and K factor;
+    each point keeps the value a lone call would give.  The first failing
+    grid point raises, its error gaining the axis value without losing its
+    type.  Monte Carlo then runs once for the whole grid, which no axis
+    moves off one K factor: its chunks are drawn once, so the points see
+    common random numbers; every point still uses the same (trials, seed)
+    and gets the estimate a lone run would give, and the sweep is a pure
+    function of (cfg, spec, mc) regardless of worker count.
     """
     ber = spec.quantity == "ber"
     values, points, failure = [], [], None
@@ -86,39 +80,27 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec, mc: McOptions) -> list[ResultR
             break
         values.append(value)
 
-    groups = {}
-    for i, point in enumerate(points):
-        groups.setdefault((point.rf.branches, point.rf.k_factor), []).append(i)
-
-    batch = ber_batch if ber else outage_batch
-    closed = [None] * len(points)
-    first_failed = len(points)
-    for idx in groups.values():
-        analytic, floor, error = batch([points[i] for i in idx])
-        if error is not None:
-            i = idx[int(np.argmax(error.unconverged))]
-            if i < first_failed:
-                first_failed = i
-                failure = ConvergenceError(f"at {spec.axis} = {values[i]:g}: {error}")
-        for i, a, f in zip(idx, analytic.tolist(), floor.tolist()):
-            closed[i] = (a, f)
+    analytic, floor, error = (ber_batch if ber else outage_batch)(points)
+    if error is not None:
+        i = int(np.argmax(error.unconverged))
+        failure = ConvergenceError(f"at {spec.axis} = {values[i]:g}: {error}")
     if failure is not None:
         raise failure
 
     estimates = [None] * len(points)
-    if mc.enabled:
+    if mc is not None:
         pairs = simulate(points, mc.trials, mc.seed, workers=mc.workers, ber=ber)
         estimates = [ber_est if ber else outage for outage, ber_est in pairs]
 
     return [
         ResultRecord(
             axis_value=value,
-            analytic=analytic,
+            analytic=a,
             mc_estimate=est.estimate if est is not None else None,
             mc_std_error=est.std_error if est is not None else None,
-            floor=floor,
+            floor=f,
         )
-        for value, (analytic, floor), est in zip(values, closed, estimates)
+        for value, a, f, est in zip(values, analytic.tolist(), floor.tolist(), estimates)
     ]
 
 

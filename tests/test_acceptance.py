@@ -159,7 +159,7 @@ def test_criterion_6_floors(capsys):
 
 def test_criterion_7_figure_trends(capsys):
     with verdict(capsys, 7, "sweep trends: snr and power help, wider beams hurt"):
-        no_mc = McOptions(enabled=False)
+        no_mc = None
 
         # outage falls with radio snr and more branches never hurt
         spec = SweepSpec(axis="rf_avg_snr_db", start=0.0, stop=40.0, points=21,

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rfvlc.cli as cli
 import rfvlc.rf_channel as rf_channel
@@ -151,6 +153,35 @@ class TestParse:
             (lambda t: t.replace("k_factor_db = 5", "k_factor_db = 4000"), "'k_factor_db'"),
             (lambda t: t.replace("avg_snr_db = 7", "avg_snr_db = 4000"), "'avg_snr_db'"),
             (lambda t: t.replace("semi_angle_deg = 60", "semi_angle_deg = 1e-9"), "too small"),
+            # the first problem in key order is the one reported
+            (
+                lambda t: t.replace("semi_angle_deg = 60\n", "").replace("height_m = 2", "height_m = tall"),
+                "[vlc]: missing required key 'semi_angle_deg'",
+            ),
+            (
+                lambda t: t.replace("area_m2 = 1e-4\n", "").replace("height_m = 2", "height_m = tall"),
+                "key 'height_m' needs a float",
+            ),
+            (
+                lambda t: t.replace("[rf]\n", "[rf]\nk_factor = 3.162\n").replace("branches = 2\n", ""),
+                "give 'k_factor' or 'k_factor_db', not both",
+            ),
+            (
+                lambda t: t.replace("[rf]\n", "[rf]\nweird_key = 3\n").replace("height_m = 2", "height_m = tall"),
+                "unknown key 'weird_key' in [rf]",
+            ),
+            (
+                lambda t: t.replace("optical_power_w = 0.25", "led_count = 4").replace("points = 5", "points = 1"),
+                "[vlc]: missing optical power",
+            ),
+            (
+                lambda t: t.replace("k_factor_db = 5", "k_factor = -1").replace("trials = 20000", "trials = 50"),
+                "[mc]: trials",
+            ),
+            (
+                lambda t: t.replace("points = 5", "points = 1").replace("trials = 20000", "trials = 50"),
+                "[sweep]: points",
+            ),
         ],
     )
     def test_rejections_name_the_problem(self, mangle, needle):
@@ -173,7 +204,81 @@ class TestParse:
         assert "log" in str(ei.value)
 
 
+def _number(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _documents(draw):
+    """A valid config document, its keys in any order within each section,
+    SNR-like values spelled linear or in dB, the optical power given
+    directly or as the LED pair, and [sweep]/[mc] present or not."""
+
+    def linear_or_db(key, lo_db, hi_db):
+        x_db = draw(_number(lo_db, hi_db))
+        if draw(st.booleans()):
+            return f"{key}_db = {x_db!r}"
+        return f"{key} = {10.0 ** (x_db / 10.0)!r}"
+
+    def section(name, lines):
+        header = [f"[{name}]"] if name else []
+        return "\n".join(header + draw(st.permutations(lines)))
+
+    blocks = [section("", [linear_or_db("outage_threshold", -20.0, 20.0)])]
+    blocks.append(section("rf", [
+        linear_or_db("k_factor", -10.0, 20.0),
+        f"branches = {draw(st.integers(1, 8))}",
+        linear_or_db("avg_snr", -10.0, 40.0),
+    ]))
+    vlc = [
+        f"semi_angle_deg = {draw(_number(20.0, 80.0))!r}",
+        f"height_m = {draw(_number(1.0, 5.0))!r}",
+        f"area_m2 = {draw(_number(1e-5, 1e-3))!r}",
+        f"fov_deg = {draw(_number(30.0, 90.0))!r}",
+        f"refractive_index = {draw(_number(1.0, 2.0))!r}",
+        f"filter_gain = {draw(_number(0.5, 2.0))!r}",
+        f"responsivity = {draw(_number(0.1, 1.0))!r}",
+        f"conv_efficiency = {draw(_number(0.1, 1.0))!r}",
+        f"noise_psd = {draw(_number(1e-22, 1e-20))!r}",
+        f"bandwidth_hz = {draw(_number(1e6, 1e8))!r}",
+    ]
+    if draw(st.booleans()):
+        vlc.append(f"optical_power_w = {draw(_number(0.01, 10.0))!r}")
+    else:
+        vlc += [f"led_count = {draw(st.integers(1, 50))}",
+                f"led_power_w = {draw(_number(1e-3, 0.5))!r}"]
+    blocks.append(section("vlc", vlc))
+    if draw(st.booleans()):
+        start = draw(_number(0.1, 10.0))
+        sweep = [
+            f"axis = {draw(st.sampled_from(['rf_avg_snr_db', 'optical_power_w', 'semi_angle_deg', 'branches']))}",
+            f"start = {start!r}",
+            f"stop = {start + draw(_number(0.5, 30.0))!r}",
+            f"points = {draw(st.integers(2, 50))}",
+            f"quantity = {draw(st.sampled_from(['outage', 'ber']))}",
+        ]
+        if draw(st.booleans()):
+            sweep.append(f"scale = {draw(st.sampled_from(['linear', 'log']))}")
+        blocks.append(section("sweep", sweep))
+    if draw(st.booleans()):
+        mc = draw(st.lists(st.sampled_from([
+            f"trials = {draw(st.integers(1000, 10**7))}",
+            f"seed = {draw(st.integers(0, 2**64 - 1))}",
+            f"workers = {draw(st.integers(1, 8))}",
+        ]), unique=True))
+        blocks.append(section("mc", mc))
+    return "\n\n".join(blocks) + "\n"
+
+
 class TestEmit:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(doc=_documents())
+    def test_round_trip_property(self, doc):
+        parsed = parse_config(doc)
+        text = emit_config(parsed)
+        assert parse_config(text) == parsed
+        assert emit_config(parse_config(text)) == text
+
     def test_round_trip_exact(self):
         parsed = parse_config(DOC)
         assert parse_config(emit_config(parsed)) == parsed
@@ -228,9 +333,7 @@ class TestApplyAxis:
 class TestRunSweep:
     def test_analytic_only(self):
         parsed = parse_config(DOC)
-        mc = parsed.mc.__class__(trials=parsed.mc.trials, seed=parsed.mc.seed,
-                                 workers=1, enabled=False)
-        records = run_sweep(parsed.system, parsed.sweep, mc)
+        records = run_sweep(parsed.system, parsed.sweep, None)
         assert len(records) == 5
         vals = [r.analytic for r in records]
         assert all(x > y for x, y in zip(vals, vals[1:]))  # outage falls with snr
@@ -248,9 +351,8 @@ class TestRunSweep:
         from rfvlc.specfun import ConvergenceError
 
         parsed = parse_config(doc_with(k_factor_db="50", branches="4"))
-        mc = parsed.mc.__class__(trials=1000, seed=0, workers=1, enabled=False)
         with pytest.raises(ConvergenceError) as ei:
-            run_sweep(parsed.system, parsed.sweep, mc)
+            run_sweep(parsed.system, parsed.sweep, None)
         assert "rf_avg_snr_db = 0" in str(ei.value)
 
     @pytest.mark.parametrize("quantity", ["outage", "ber"])
@@ -260,23 +362,21 @@ class TestRunSweep:
         from rfvlc.specfun import ConvergenceError
 
         parsed = parse_config(doc_with(k_factor_db="20", branches="4"))
-        mc = parsed.mc.__class__(trials=1000, seed=0, workers=1, enabled=False)
         spec = SweepSpec("rf_avg_snr_db", 0.0, 4000.0, 5, quantity)
         with pytest.raises(ConvergenceError, match="^at rf_avg_snr_db = 1000: "):
-            run_sweep(parsed.system, spec, mc)
+            run_sweep(parsed.system, spec, None)
         # with every series converging, the later failure is the first one
         with pytest.raises(ValueError, match="^at rf_avg_snr_db = 4000: "):
-            run_sweep(parse_config(DOC).system, spec, mc)
+            run_sweep(parse_config(DOC).system, spec, None)
         spec = SweepSpec("semi_angle_deg", 30.0, 90.0, 3, quantity)
         with pytest.raises(ValueError, match="^at semi_angle_deg = 90: "):
-            run_sweep(parse_config(DOC).system, spec, mc)
+            run_sweep(parse_config(DOC).system, spec, None)
 
     def test_degenerate_span(self):
         # a two-point grid over a vanishing span gives twin records
         parsed = parse_config(DOC)
         spec = SweepSpec("rf_avg_snr_db", 10.0, 10.0 + 1e-9, 2, "outage")
-        mc = parsed.mc.__class__(trials=1000, seed=0, workers=1, enabled=False)
-        a, b = run_sweep(parsed.system, spec, mc)
+        a, b = run_sweep(parsed.system, spec, None)
         assert a.analytic == pytest.approx(b.analytic, rel=1e-8)
         assert a.floor == b.floor
 
@@ -285,8 +385,7 @@ class TestRunSweep:
 
         parsed = parse_config(DOC)
         spec = SweepSpec("optical_power_w", 0.05, 0.5, 4, "ber", scale="log")
-        mc = parsed.mc.__class__(trials=1000, seed=0, workers=1, enabled=False)
-        records = run_sweep(parsed.system, spec, mc)
+        records = run_sweep(parsed.system, spec, None)
         want = rf_avg_ber(parsed.system.rf)
         assert all(r.floor == want for r in records)
 
@@ -322,8 +421,7 @@ class TestCsv:
 
     def test_disabled_mc_leaves_cells_empty(self):
         parsed = parse_config(DOC)
-        mc = parsed.mc.__class__(trials=1000, seed=0, workers=1, enabled=False)
-        text = emit_csv(run_sweep(parsed.system, parsed.sweep, mc))
+        text = emit_csv(run_sweep(parsed.system, parsed.sweep, None))
         row = text.split("\n")[1].split(",")
         assert row[2] == "" and row[3] == ""
         assert row[1] != "" and row[4] != ""

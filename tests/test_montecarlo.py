@@ -23,7 +23,7 @@ from test_e2e import make_cfg
 class TestOptionsAndValidation:
     def test_defaults(self):
         o = McOptions()
-        assert (o.trials, o.seed, o.workers, o.enabled) == (1_000_000, 0, 1, True)
+        assert (o.trials, o.seed, o.workers) == (1_000_000, 0, 1)
 
     @pytest.mark.parametrize(
         "kw",

@@ -355,10 +355,27 @@ class TestBatch:
         with pytest.raises(ConvergenceError, match="rate=400"):
             mrc_snr_cdf(1.0, params[1])
 
-    def test_rejects_mixed_fading(self):
-        mixed = [RfParams(k_factor=1.0, branches=1, avg_snr=1.0),
-                 RfParams(k_factor=1.0, branches=2, avg_snr=1.0)]
-        with pytest.raises(ValueError, match="share"):
-            mrc_cdf_batch([1.0, 1.0], mixed)
-        with pytest.raises(ValueError, match="share"):
-            rf_avg_ber_batch(mixed)
+    def test_mixed_fading_matches_lone_calls(self):
+        # interleaved fading groups; K = 1000 (rate 1000) fails at 30 dB and
+        # converges at 0 dB, K = 100 with M = 4 (rate 400) fails the CDF at
+        # 20 dB, and the rate-400 group comes first on the array but fails
+        # later than the rate-1000 one
+        cells = [(1.0, 1, 3.0, 1.0), (100.0, 4, 0.0, 1.0), (1000.0, 1, 30.0, 1.0),
+                 (100.0, 4, 20.0, 1.0), (0.0, 3, 0.0, 0.0), (1.0, 2, 7.0, 2.0),
+                 (1000.0, 1, 0.0, 1.0), (1.0, 1, 3.0, 0.5)]
+        params = [RfParams(k_factor=k, branches=m, avg_snr=10.0 ** (s / 10.0))
+                  for k, m, s, _ in cells]
+        gammas = [g for *_, g in cells]
+        cdf, cdf_error = mrc_cdf_batch(gammas, params)
+        ber, ber_error = rf_avg_ber_batch(params)
+        for values, error, lone in (
+            (cdf, cdf_error, lambda i: mrc_snr_cdf(gammas[i], params[i])),
+            (ber, ber_error, lambda i: rf_avg_ber(params[i])),
+        ):
+            lones = [_scalar_or_failed(lambda: lone(i)) for i in range(len(cells))]
+            assert _flags(error, len(cells)) == [v is None for v in lones]
+            assert "rate=1000," in str(error)
+            for got, want in zip(values.tolist(), lones):
+                assert want is None or got == want
+        assert _flags(cdf_error, len(cells))[3] and not _flags(ber_error, len(cells))[3]
+        assert cdf[4] == 0.0
