@@ -15,7 +15,6 @@ what a call for that point alone would do.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special as sc
 
 from .rf_channel import mrc_gains
 
@@ -63,6 +62,13 @@ def chunk_stats(bitgen, n, k_factor, points, ber):
 
 def _moments(snr):
     """Sum and sum of squares of the conditional BPSK bit error
-    probability erfc(sqrt(snr))/2 over the chunk."""
-    x = 0.5 * sc.erfc(np.sqrt(snr))
-    return float(x.sum()), float((x * x).sum())
+    probability erfc(sqrt(snr))/2 over the chunk.  Works in one scratch
+    array: each extra chunk-sized temporary costs page faults."""
+    from scipy.special import erfc
+
+    x = np.sqrt(snr)
+    erfc(x, out=x)
+    x *= 0.5
+    total = float(x.sum())
+    x *= x
+    return total, float(x.sum())

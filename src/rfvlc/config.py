@@ -315,7 +315,12 @@ def parse_config(text: str) -> ParsedConfig:
             )
         if led_count < 1:
             raise ConfigError(f"[vlc]: {_LED_COUNT} must be >= 1, got {led_count}")
-        vlc["optical_power"] = led_count * led_power
+        try:
+            vlc["optical_power"] = led_count * led_power
+        except OverflowError:
+            raise ConfigError(
+                f"[vlc]: key '{_LED_COUNT}': {_LED_COUNT} * {_LED_POWER} overflows a float"
+            ) from None
 
     sweep = _build(tokens, "sweep", _SWEEP_KEYS, SweepSpec) if "sweep" in tokens else None
     mc = _build(tokens, "mc", _MC_KEYS, McOptions)

@@ -6,7 +6,9 @@ noncentrality 2*k_factor*branches, which is what every formula below
 evaluates in one stable form or another.  Its CDF and average BER are
 Poisson mixtures; the batch forms take params with any K and branch count
 and sum them in one series pass per distinct (K, branches), under the one
-accuracy budget `specfun.DEFAULT_ACCURACY`.
+accuracy budget `specfun.DEFAULT_ACCURACY`.  The CDF's terms come from
+`specfun.GammaTerms`, numpy alone; scipy is imported only by the density
+and the average BER, when they are first called.
 """
 from __future__ import annotations
 
@@ -14,9 +16,14 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special as sc
 
-from .specfun import DEFAULT_ACCURACY, poisson_weighted_sum, series_error, validate_snr
+from .specfun import (
+    DEFAULT_ACCURACY,
+    GammaTerms,
+    poisson_weighted_sum,
+    series_error,
+    validate_snr,
+)
 
 __all__ = [
     "RfParams",
@@ -71,6 +78,8 @@ def rician_snr_pdf(gamma, params: RfParams):
 
 def mrc_snr_pdf(gamma, params: RfParams):
     """Density of the combined SNR after maximal-ratio combining, vectorized."""
+    from scipy.special import ive
+
     g = validate_snr(gamma)
     k, m, mu = params.k_factor, params.branches, params.avg_snr
     if k * m < 1e-12:
@@ -86,7 +95,7 @@ def mrc_snr_pdf(gamma, params: RfParams):
         (k + 1.0)
         / mu
         * base ** (0.5 * (m - 1))
-        * sc.ive(m - 1, x)
+        * ive(m - 1, x)
         * np.exp(-np.square(np.sqrt((k + 1.0) * g / mu) - math.sqrt(k * m)))
     )
     return _scalar_like(gamma, out)
@@ -98,8 +107,9 @@ def mrc_snr_cdf(gamma, params: RfParams):
     Equals 1 - Q_m(sqrt(2*k*m), sqrt(2*(k+1)*gamma/avg_snr)), Q_m being
     the generalized Marcum Q function of order m = branches, but is
     evaluated as the complementary Poisson mixture of regularized lower
-    incomplete gammas: every term is positive, so the deep left tail keeps
-    full relative accuracy instead of cancelling against 1.
+    incomplete gammas (`specfun.GammaTerms`): every term is positive, so the
+    deep left tail keeps full relative accuracy instead of cancelling
+    against 1.
 
     Every entry of an array `gamma` is its own series under its own
     truncation budget, so it equals the scalar call at that entry bit for
@@ -109,15 +119,16 @@ def mrc_snr_cdf(gamma, params: RfParams):
     g = validate_snr(gamma)
     k, m, mu = params.k_factor, params.branches, params.avg_snr
     y = (k + 1.0) * g / mu
-    out, error = _mixture({(k, m): y > 0.0}, y, sc.gammainc)
+    out, error = _mixture({(k, m): y > 0.0}, y, GammaTerms)
     if error is not None:
         raise error
     return _scalar_like(gamma, out)
 
 
-def _mixture(groups, x, term):
-    """The Poisson mixture sum_j pois(j; k*m) * term(m + j, x[i]) at every
-    entry i of `x`.
+def _mixture(groups, x, terms):
+    """The Poisson mixture sum_j pois(j; k*m) * terms(m, x)(j)[i] at every
+    entry i of `x`, terms(m, part) being the term function of one series
+    pass over the entries `part`.
 
     `groups` maps each fading (k, m) = (K, branches) to the index of its
     entries in `x`; entries in no group are 0.  Each group is one
@@ -132,9 +143,7 @@ def _mixture(groups, x, term):
     for (k, m), idx in groups.items():
         part = x[idx]
         if part.size:
-            out[idx], unconverged[idx] = poisson_weighted_sum(
-                k * m, lambda j, m=m, part=part: term(m + j, part)
-            )
+            out[idx], unconverged[idx] = poisson_weighted_sum(k * m, terms(m, part))
             rate[idx] = k * m
     if not unconverged.any():
         return out, None
@@ -164,7 +173,7 @@ def mrc_cdf_batch(gammas, params):
     k = np.array([p.k_factor for p in params], dtype=float)
     mu = np.array([p.avg_snr for p in params], dtype=float)
     y = (k + 1.0) * validate_snr(gammas) / mu
-    return _mixture(_by_fading(params, np.flatnonzero(y > 0.0)), y, sc.gammainc)
+    return _mixture(_by_fading(params, np.flatnonzero(y > 0.0)), y, GammaTerms)
 
 
 def mrc_gains(k_factor, z, exps, branch_counts):
@@ -243,8 +252,10 @@ def rf_avg_ber_batch(params):
     """`rf_avg_ber` of every params, each its own sum, one series pass per
     distinct (k_factor, branches).  Returns (values, error) as
     `mrc_cdf_batch` does."""
+    from scipy.special import betainc
+
     w = np.array([(p.k_factor + 1.0) / (p.k_factor + 1.0 + p.avg_snr) for p in params],
                  dtype=float)
     total, error = _mixture(_by_fading(params, range(len(params))), w,
-                            lambda a, x: sc.betainc(a, 0.5, x))
+                            lambda m, x: lambda j: betainc(m + j, 0.5, x))
     return 0.5 * total, error

@@ -5,8 +5,11 @@ its average BER are both Poisson mixtures of bounded terms.
 `poisson_weighted_sum` evaluates such a mixture elementwise under an
 explicit accuracy budget (`Accuracy`); entries that run out of terms are
 reported through `series_error` as a `ConvergenceError`, never returned as
-silently wrong numbers.  `validate_snr` is the one argument check shared
-by the SNR distributions of both hops.
+silently wrong numbers.  The CDF's terms are regularized incomplete gammas
+of integer order, which `GammaTerms` evaluates with numpy alone, as Poisson
+tails, one multiply-add per term after an anchor series; so the outage
+path needs no scipy.  `validate_snr` is the one argument check shared by
+the SNR distributions of both hops.
 """
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ __all__ = [
     "ConvergenceError",
     "series_error",
     "poisson_weighted_sum",
+    "GammaTerms",
     "validate_snr",
 ]
 
@@ -137,3 +141,114 @@ def poisson_weighted_sum(lam, term, acc=DEFAULT_ACCURACY):
 
     frozen[open_] = total[open_]
     return frozen, open_
+
+
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_EPS = 2.0**-53
+_BIG = np.finfo(float).max
+
+
+def _stirling_correction(a):
+    """log(a!) - (a + 1/2) log(a) + a - log(2 pi)/2 for an integer a >= 1."""
+    if a < 16:
+        return math.lgamma(a + 1.0) - (a + 0.5) * math.log(a) + a - _HALF_LOG_2PI
+    # Stirling series; the first omitted term is below 2e-16 at a = 16
+    r = 1.0 / (a * a)
+    return (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r * (
+        1.0 / 1680.0 - r / 1188.0)))) / a
+
+
+def _pois(a, y):
+    """The Poisson mass pois(a; y) = y^a e^-y / a! of an integer a >= 0 at
+    every entry of the array y > 0.
+
+    Evaluated as exp(a (log u - u + 1) - log(2 pi a)/2 - stirling(a)) with
+    u = y/a: log1p carries log u - u + 1 where u is near 1, so the exponent
+    is accurate to a few ulp of itself plus eps |y - a|, the conditioning
+    of the mass in y.  It is never formed as a running product, which
+    would underflow long before the tails it multiplies do.
+    """
+    if a == 0:
+        return np.exp(-y)
+    s = (y - a) / a
+    # log(0) and a * -huge only send the mass to its 0 limit
+    with np.errstate(divide="ignore", over="ignore"):
+        log_u = np.where(s < -0.5, np.log(y / a), np.log1p(np.maximum(s, -0.5)))
+        return np.exp(a * (log_u - s) - (_HALF_LOG_2PI + 0.5 * math.log(a)
+                                            + _stirling_correction(a)))
+
+
+def _anchor(a, y):
+    """P(a, y) at every entry of y > 0, for an integer order a >= 1.
+
+    Where a > y, P = pois(a; y) S with
+    S = 1 + y/(a+1) + y^2/((a+1)(a+2)) + ...; where a <= y,
+    P = 1 - pois(a-1; y) R with R = 1 + (a-1)/y + (a-1)(a-2)/y^2 + ...,
+    so P is summed directly where it is below about 1/2 and through its
+    complement where it is above.  Both series have positive terms with
+    falling ratios below 1, and each entry stops on its own once the
+    geometric bound on its tail is below eps of its partial sum, so its
+    value does not depend on the other entries.
+    """
+    direct = y < a
+
+    def ratio(n):
+        return np.where(direct, y / (a + n), max(a - n, 0) / y)
+
+    term = np.ones_like(y)
+    total = np.ones_like(y)
+    open_ = np.ones(y.shape, dtype=bool)
+    r = ratio(1)
+    n = 1
+    while True:
+        open_ &= term * r > _EPS * total * (1.0 - r)
+        if not open_.any():
+            break
+        term = term * r
+        total = np.where(open_, total + term, total)
+        n += 1
+        r = ratio(n)
+    return np.where(direct, _pois(a, y) * total, 1.0 - _pois(a - 1, y) * total)
+
+
+class GammaTerms:
+    """term(j) = P(m + j, y) for the orders `poisson_weighted_sum` asks
+    for, P(a, y) being the regularized lower incomplete gamma at every
+    entry of the array y > 0.
+
+    For an integer order a, P(a, y) = Pr(N >= a) with N ~ Poisson(y).  The
+    first call anchors the walk at its order a0 (`_anchor`, one positive
+    series per entry); after that only the neighbours of the two frontier
+    orders may be asked for, each one multiply-add away:
+
+        P(a - 1) = P(a) + pois(a - 1; y)             (left, positive)
+        P(a + 1) = max(P(a) - pois(a; y), 0)         (right)
+
+    A right step cancels, but its absolute error stays a few ulp of
+    P(a0) per step.  That is small against the mixture it feeds: P falls
+    in a and the Poisson weight at or below the mode a0 - m is about 1/2,
+    so the mixture is at least about P(a0)/2, and after the O(sqrt(lam))
+    steps of the walk its relative error stays about sqrt(lam) eps.
+    Arguments above the float range are clamped to it, where P is 1.
+    """
+
+    def __init__(self, m, y):
+        self._m = m
+        self._y = np.minimum(np.asarray(y, dtype=float), _BIG)
+        self._lo = self._hi = None  # (order, value) at each frontier
+
+    def __call__(self, j):
+        a = self._m + j
+        if self._lo is None:
+            p = _anchor(a, self._y)
+            self._lo = self._hi = (a, p)
+        elif a == self._lo[0] - 1:
+            p = self._lo[1] + _pois(a, self._y)
+            self._lo = (a, p)
+        elif a == self._hi[0] + 1:
+            p = np.maximum(self._hi[1] - _pois(a - 1, self._y), 0.0)
+            self._hi = (a, p)
+        else:
+            raise ValueError(f"order {a} is not next to the walked orders "
+                             f"{self._lo[0]}..{self._hi[0]}")
+        return p

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sc
 
 from .specfun import validate_snr
 
@@ -244,6 +243,8 @@ def vlc_avg_ber(d: VlcDerived) -> float:
     where h(g) is beta times the upper tail integral of t^(-beta-1)
     erfc(sqrt t), hence positive and decreasing.
     """
+    from scipy import special as sc
+
     m = d.lambert_order
     beta = 1.0 / (m + 3.0)
     q = (m + 1.0) / (2.0 * m + 6.0)

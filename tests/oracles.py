@@ -63,6 +63,34 @@ def mrc_cdf_ref(snr, k_factor, branches, avg_snr):
     return stats.ncx2.cdf(y, 2 * branches, 2.0 * k_factor * branches)
 
 
+def regularized_gamma_mp(a, y, dps=40):
+    """P(a, y), the regularized lower incomplete gamma, by mpmath."""
+    with mpmath.workdps(dps):
+        return float(mpmath.gammainc(a, 0, mpmath.mpf(float(y)), regularized=True))
+
+
+def mrc_cdf_mp(snr, k_factor, branches, avg_snr, dps=40):
+    """Diversity-combined SNR CDF by mpmath at `dps` digits: the Poisson
+    mixture sum_j pois(j; K M) P(M + j, y), y = (K+1) snr / avg_snr, summed
+    from j = 0 until its remainder, at most P(M + j, y) times the Poisson
+    tail past j, is below 10^-dps of the sum."""
+    with mpmath.workdps(dps):
+        lam = mpmath.mpf(k_factor) * branches
+        y = (mpmath.mpf(k_factor) + 1) * mpmath.mpf(float(snr)) / mpmath.mpf(avg_snr)
+        total, j = mpmath.mpf(0), 0
+        while True:
+            if lam:
+                weight = mpmath.exp(j * mpmath.log(lam) - lam - mpmath.loggamma(j + 1))
+            else:
+                weight = mpmath.mpf(j == 0)
+            term = mpmath.gammainc(branches + j, 0, y, regularized=True)
+            total += weight * term
+            ratio = lam / (j + 2)
+            if ratio < 1 and weight * term * ratio / (1 - ratio) <= mpmath.mpf(10) ** -dps * total:
+                return float(total)
+            j += 1
+
+
 def mrc_ppf_ref(q, k_factor, branches, avg_snr):
     """Quantiles of the diversity-combined SNR through scipy.stats.ncx2."""
     scale = avg_snr / (2.0 * (k_factor + 1.0))

@@ -153,6 +153,10 @@ class TestParse:
             (lambda t: t.replace("k_factor_db = 5", "k_factor_db = 4000"), "'k_factor_db'"),
             (lambda t: t.replace("avg_snr_db = 7", "avg_snr_db = 4000"), "'avg_snr_db'"),
             (lambda t: t.replace("semi_angle_deg = 60", "semi_angle_deg = 1e-9"), "too small"),
+            (
+                lambda t: t.replace("optical_power_w = 0.25", f"led_count = {'9' * 400}\nled_power_w = 0.01"),
+                "[vlc]: key 'led_count': led_count * led_power_w overflows a float",
+            ),
             # the first problem in key order is the one reported
             (
                 lambda t: t.replace("semi_angle_deg = 60\n", "").replace("height_m = 2", "height_m = tall"),
@@ -427,6 +431,14 @@ class TestCsv:
         assert row[1] != "" and row[4] != ""
 
 
+def _child_env():
+    """The environment of a child interpreter that imports the package this
+    test imported, installed or not."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
 @pytest.fixture()
 def cfg_file(tmp_path):
     def write(text, name="link.cfg"):
@@ -612,16 +624,61 @@ class TestCli:
         assert "convergence error" in err
 
     def test_console_script_entry_point(self, cfg_file):
-        # the child imports the package this test imported, installed or not
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
         proc = subprocess.run(
             [sys.executable, "-m", "rfvlc.cli", "ber", "--config", cfg_file(DOC), "--no-mc"],
             capture_output=True,
             text=True,
             timeout=120,
-            env=env,
+            env=_child_env(),
         )
         assert proc.returncode == 0
         assert "analytic = " in proc.stdout
+
+
+def _fresh_interpreter(code):
+    """The last stdout line of `code` run in a new interpreter."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+class TestScipyImport:
+    """Outage work, closed form or Monte Carlo, never imports scipy; the
+    BER closed forms and erfc import it when they first run."""
+
+    @pytest.mark.parametrize("module", ["rfvlc", "rfvlc.cli"])
+    def test_import_leaves_scipy_out(self, module):
+        assert _fresh_interpreter(f"import sys, {module}; print('scipy' in sys.modules)") == "False"
+
+    @pytest.mark.parametrize(
+        "args, loaded",
+        [
+            (["outage"], False),
+            (["outage", "--no-mc"], False),
+            (["sweep"], False),
+            (["sweep", "--no-mc"], False),
+            (["ber", "--no-mc"], True),
+            (["ber"], True),
+            (["validate"], True),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+    )
+    def test_commands(self, cfg_file, args, loaded):
+        argv = args[:1] + ["--config", cfg_file(DOC), "--trials", "20000"] + args[1:]
+        code = ("import sys, rfvlc.cli; rc = rfvlc.cli.main(%r); "
+                "print(rc, 'scipy' in sys.modules)" % argv)
+        assert _fresh_interpreter(code) == f"0 {loaded}"
+
+    def test_first_import_in_worker_threads(self, cfg_file):
+        # both workers reach the first erfc at once, so scipy is imported
+        # inside the pool; the estimate must not notice
+        code = (
+            "import sys; from rfvlc import parse_config, simulate_ber\n"
+            f"cfg = parse_config(open({cfg_file(DOC)!r}).read()).system\n"
+            "before = 'scipy' in sys.modules\n"
+            "two = simulate_ber(cfg, 3 * 65536 + 17, 5, workers=2)\n"
+            "one = simulate_ber(cfg, 3 * 65536 + 17, 5, workers=1)\n"
+            "print(before, two == one, 'scipy' in sys.modules)"
+        )
+        assert _fresh_interpreter(code) == "False True True"

@@ -178,7 +178,7 @@ class TestSharedStream:
     def test_outage_only_never_reaches_erfc(self, monkeypatch):
         import scipy.special
 
-        def erfc(x):
+        def erfc(x, out=None):
             raise ErfcCalled
 
         monkeypatch.setattr(scipy.special, "erfc", erfc)

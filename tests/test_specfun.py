@@ -9,6 +9,7 @@ from oracles import erfc_moment, marcum_q, meijer_g_2122
 from rfvlc.specfun import (
     Accuracy,
     ConvergenceError,
+    GammaTerms,
     poisson_weighted_sum,
     series_error,
     validate_snr,
@@ -204,6 +205,90 @@ class TestPoissonWeightedSum:
         got, unconverged = poisson_weighted_sum(5000.0, lambda k: np.ones(3), acc)
         assert unconverged.tolist() == [True, True, True]
         assert np.all((got > 0.0) & (got < 1.0))  # partial sums
+
+
+# measured worst over these tests: 1.9e-13 relative at the anchors,
+# 1.5e-13 on the left walk, 4.3e-14 of P(a0) on the right walk
+GAMMA_REL = 5e-13
+GAMMA_YS = np.geomspace(1e-3, 1e3, 25)
+
+
+class TestGammaTerms:
+    """P(a, y) of integer order against mpmath at 40 digits, for a in
+    [1, 1200] and y in [1e-3, 1e3]: values near 1 (a << y) down to the
+    float range (a >> y)."""
+
+    @staticmethod
+    def check_relative(got, a):
+        for y, value in zip(GAMMA_YS, got):
+            want = oracles.regularized_gamma_mp(a, y)
+            if want >= 1e-300:
+                assert value == pytest.approx(want, rel=GAMMA_REL, abs=0.0), (a, y)
+            else:
+                assert value <= 1e-300, (a, y)  # at the float range's edge
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 5, 8, 15, 16, 17, 40, 99, 204, 401, 700, 1000, 1178, 1200])
+    def test_anchor(self, a):
+        self.check_relative(GammaTerms(a, GAMMA_YS)(0), a)
+
+    @pytest.mark.parametrize("a0", [1, 30, 204, 700, 1200])
+    def test_walk(self, a0):
+        # the orders poisson_weighted_sum asks for: the anchor, then right
+        # and left neighbours in turn; left values keep relative accuracy,
+        # right values an absolute error within GAMMA_REL of P(a0), which
+        # includes the anchor's own error
+        term = GammaTerms(1, GAMMA_YS)
+        anchor = term(a0 - 1)
+        lo = hi = a0
+        for step in range(300):
+            hi += 1
+            right = term(hi - 1)
+            assert np.all(right >= 0.0), hi
+            if step % 9 == 0:
+                want = np.array([oracles.regularized_gamma_mp(hi, y) for y in GAMMA_YS])
+                assert np.all(np.abs(right - want) <= GAMMA_REL * anchor + 1e-300), hi
+            if lo > 1:
+                lo -= 1
+                left = term(lo - 1)
+                if step % 9 == 0 or lo == 1:
+                    self.check_relative(left, lo)
+
+    def test_underflowing_anchor(self):
+        # the last point of a 600-point K = 17 dB, M = 4 sweep: the anchor
+        # P(204, y) ~ 1e-648 is 0 in floats, the orders the walk reaches on
+        # its left are not
+        k = 10.0**1.7
+        y = np.array([(k + 1.0) * 1.0 / 1000.0])
+        term = GammaTerms(4, y)
+        assert term(200)[0] == 0.0
+        for a in range(203, 3, -1):
+            got = term(a - 4)[0]
+            if a % 20 == 0 or a == 4:
+                want = oracles.regularized_gamma_mp(a, y[0])
+                if want >= 1e-300:
+                    assert got == pytest.approx(want, rel=GAMMA_REL, abs=0.0), a
+                else:
+                    assert got <= 1e-300, a
+
+    def test_entries_equal_lone_calls(self):
+        # the anchor series of each entry stops on its own; near y = a0 they
+        # run longest, and a term past an entry's stop can move it an ulp
+        ys = np.concatenate([GAMMA_YS, 50.0 + np.linspace(-21.0, 21.0, 41)])
+        term = GammaTerms(3, ys)
+        lones = [GammaTerms(3, ys[i:i + 1]) for i in range(ys.size)]
+        for j in (47, 48, 46, 49, 45):
+            got = term(j)
+            assert got.tolist() == [lone(j)[0] for lone in lones]
+
+    def test_rejects_orders_off_the_walk(self):
+        term = GammaTerms(2, GAMMA_YS)
+        term(10)
+        term(11)
+        with pytest.raises(ValueError, match="not next to"):
+            term(13)
+
+    def test_saturates_above_the_float_range(self):
+        assert GammaTerms(3, np.array([np.inf, 1e308]))(5).tolist() == [1.0, 1.0]
 
 
 class TestValidateSnr:
