@@ -75,11 +75,7 @@ def _load(args) -> ParsedConfig:
     if args.workers is not None:
         overrides["workers"] = args.workers
     if overrides:
-        try:
-            mc = dataclasses.replace(parsed.mc, **overrides)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        parsed = dataclasses.replace(parsed, mc=mc)
+        parsed = dataclasses.replace(parsed, mc=dataclasses.replace(parsed.mc, **overrides))
     return parsed
 
 
@@ -96,9 +92,7 @@ def _point_report(quantity: str, cfg: SystemConfig, mc: McOptions | None) -> str
         batch, runner = outage_batch, simulate_outage
     else:
         batch, runner = ber_batch, simulate_ber
-    (analytic,), (floor,), error = batch([cfg])
-    if error is not None:
-        raise error
+    (analytic,), (floor,) = batch([cfg])
     lines = [
         f"quantity = {quantity}",
         f"analytic = {analytic:.12g}",
@@ -157,9 +151,6 @@ def main(argv=None) -> int:
             _write(args, report)
             if not ok:
                 return EXIT_VALIDATION
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ConvergenceError as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE

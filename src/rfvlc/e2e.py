@@ -3,7 +3,8 @@
 The relay decodes the radio hop and re-encodes onto the optical hop, so the
 equivalent SNR is the minimum of the two hop SNRs and a bit is wrong end to
 end when exactly one hop flips it.  The single-config metrics are batches
-of one: `outage_batch` and `ber_batch` take any list of configs.
+of one: `outage_batch` and `ber_batch` take any list of configs, and
+return every value or raise `ConvergenceError` for the whole list.
 """
 from __future__ import annotations
 
@@ -53,19 +54,21 @@ def e2e_cdf(gamma, cfg: SystemConfig):
     """Distribution of min(snr_rf, snr_vlc) for independent hops:
     F = F_rf + F_vlc - F_rf * F_vlc.  Vectorized."""
     d = vlc_channel.derive(cfg.vlc)
-    f_rf = mrc_snr_cdf(gamma, cfg.rf)
-    f_vlc = vlc_snr_cdf(gamma, d)
+    out = _either(mrc_snr_cdf(gamma, cfg.rf), vlc_snr_cdf(gamma, d))
+    return float(out) if np.ndim(gamma) == 0 else out
+
+
+def _either(f_rf, f_vlc):
+    """Probability that either independent hop falls below, from the hop
+    probabilities f_rf and f_vlc."""
     # sum-minus-product keeps relative accuracy for tiny tails; rounding
     # can overshoot 1 by an ulp once a factor saturates, so clamp
-    out = np.minimum(f_rf + f_vlc - f_rf * f_vlc, 1.0)
-    return float(out) if np.ndim(gamma) == 0 else out
+    return np.minimum(f_rf + f_vlc - f_rf * f_vlc, 1.0)
 
 
 def outage_probability(cfg: SystemConfig) -> float:
     """Probability that the equivalent SNR falls below the threshold."""
-    (p,), _, error = outage_batch([cfg])
-    if error is not None:
-        raise error
+    (p,), _ = outage_batch([cfg])
     return float(p)
 
 
@@ -75,32 +78,29 @@ def outage_batch(cfgs):
 
     The configs may differ in every field.  Each optical cell is derived
     once, and each value equals the single-config call's bit for bit.
-    Returns (outage, floor, error) with error as in `mrc_cdf_batch`.
+    Returns (outage, floor), or raises ConvergenceError as `mrc_cdf_batch`
+    does.
     """
     thresholds = [c.outage_threshold for c in cfgs]
-    f_rf, error = mrc_cdf_batch(thresholds, [c.rf for c in cfgs])
+    f_rf = mrc_cdf_batch(thresholds, [c.rf for c in cfgs])
     f_vlc = _per_cell(cfgs, lambda c, d: vlc_snr_cdf(c.outage_threshold, d),
                       key=lambda c: (c.vlc, c.outage_threshold))
-    # sum-minus-product keeps relative accuracy for tiny tails; rounding
-    # can overshoot 1 by an ulp once a factor saturates, so clamp
-    return np.minimum(f_rf + f_vlc - f_rf * f_vlc, 1.0), f_vlc, error
+    return _either(f_rf, f_vlc), f_vlc
 
 
 def e2e_avg_ber(cfg: SystemConfig) -> float:
     """End-to-end average BER of the decode-and-forward chain:
     P = P_rf (1 - P_vlc) + P_vlc (1 - P_rf)."""
-    (p,), _, error = ber_batch([cfg])
-    if error is not None:
-        raise error
+    (p,), _ = ber_batch([cfg])
     return float(p)
 
 
 def ber_batch(cfgs):
     """End-to-end BER and BER floor (the radio hop's own BER) of every
     config; as `outage_batch` otherwise."""
-    p_rf, error = rf_avg_ber_batch([c.rf for c in cfgs])
+    p_rf = rf_avg_ber_batch([c.rf for c in cfgs])
     p_vlc = _per_cell(cfgs, lambda c, d: vlc_avg_ber(d), key=lambda c: c.vlc)
-    return p_rf + p_vlc - 2.0 * p_rf * p_vlc, p_rf, error
+    return p_rf + p_vlc - 2.0 * p_rf * p_vlc, p_rf
 
 
 def _per_cell(cfgs, hop, key):

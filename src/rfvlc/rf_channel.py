@@ -6,7 +6,8 @@ noncentrality 2*k_factor*branches, which is what every formula below
 evaluates in one stable form or another.  Its CDF and average BER are
 Poisson mixtures; the batch forms take params with any K and branch count
 and sum them in one series pass per distinct (K, branches), under the one
-accuracy budget `specfun.DEFAULT_ACCURACY`.  The CDF's terms come from
+accuracy budget `specfun.DEFAULT_ACCURACY`.  Every closed form returns
+values that meet it or raises `ConvergenceError`.  The CDF's terms come from
 `specfun.GammaTerms`, numpy alone; scipy is imported only by the density
 and the average BER, when they are first called.
 """
@@ -119,10 +120,7 @@ def mrc_snr_cdf(gamma, params: RfParams):
     g = validate_snr(gamma)
     k, m, mu = params.k_factor, params.branches, params.avg_snr
     y = (k + 1.0) * g / mu
-    out, error = _mixture({(k, m): y > 0.0}, y, GammaTerms)
-    if error is not None:
-        raise error
-    return _scalar_like(gamma, out)
+    return _scalar_like(gamma, _mixture({(k, m): y > 0.0}, y, GammaTerms))
 
 
 def _mixture(groups, x, terms):
@@ -133,9 +131,8 @@ def _mixture(groups, x, terms):
     `groups` maps each fading (k, m) = (K, branches) to the index of its
     entries in `x`; entries in no group are 0.  Each group is one
     `poisson_weighted_sum` pass, in which every entry is its own series.
-    Returns (values, error): error is None, or the ConvergenceError of the
-    first entry that ran out of terms, naming its series rate, with an
-    `unconverged` mask over all of `x`.
+    Raises the ConvergenceError of the first entry that ran out of terms,
+    naming its series rate, with an `unconverged` mask over all of `x`.
     """
     out = np.zeros_like(x)
     unconverged = np.zeros(x.shape, dtype=bool)
@@ -145,10 +142,10 @@ def _mixture(groups, x, terms):
         if part.size:
             out[idx], unconverged[idx] = poisson_weighted_sum(k * m, terms(m, part))
             rate[idx] = k * m
-    if not unconverged.any():
-        return out, None
-    first = rate.flat[np.argmax(unconverged)]
-    return out, series_error(float(first), DEFAULT_ACCURACY, unconverged)
+    if unconverged.any():
+        first = rate.flat[np.argmax(unconverged)]
+        raise series_error(float(first), DEFAULT_ACCURACY, unconverged)
+    return out
 
 
 def _by_fading(params, entries):
@@ -164,11 +161,9 @@ def mrc_cdf_batch(gammas, params):
 
     The params may differ in every field.  Params that share k_factor and
     branches (the series rate) share one series pass, and every point gets
-    exactly the value of `mrc_snr_cdf(gammas[i], params[i])`.  Returns
-    (values, error): error is None, or a ConvergenceError whose
-    `unconverged` mask names the points that ran out of terms (their
-    values are partial sums) and whose message names the series rate of
-    the first of them.
+    exactly the value of `mrc_snr_cdf(gammas[i], params[i])`.  Raises
+    ConvergenceError if any point runs out of terms: its `unconverged`
+    mask names those points and its message the series rate of the first.
     """
     k = np.array([p.k_factor for p in params], dtype=float)
     mu = np.array([p.avg_snr for p in params], dtype=float)
@@ -242,20 +237,16 @@ def rf_avg_ber(params: RfParams) -> float:
     bounded by 1, so the series is evaluated to relative accuracy even when
     the result is many orders below 1.
     """
-    (p,), error = rf_avg_ber_batch([params])
-    if error is not None:
-        raise error
+    (p,) = rf_avg_ber_batch([params])
     return float(p)
 
 
 def rf_avg_ber_batch(params):
     """`rf_avg_ber` of every params, each its own sum, one series pass per
-    distinct (k_factor, branches).  Returns (values, error) as
-    `mrc_cdf_batch` does."""
+    distinct (k_factor, branches).  Raises as `mrc_cdf_batch` does."""
     from scipy.special import betainc
 
     w = np.array([(p.k_factor + 1.0) / (p.k_factor + 1.0 + p.avg_snr) for p in params],
                  dtype=float)
-    total, error = _mixture(_by_fading(params, range(len(params))), w,
-                            lambda m, x: lambda j: betainc(m + j, 0.5, x))
-    return 0.5 * total, error
+    return 0.5 * _mixture(_by_fading(params, range(len(params))), w,
+                          lambda m, x: lambda j: betainc(m + j, 0.5, x))

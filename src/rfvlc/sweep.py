@@ -80,10 +80,11 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec, mc: McOptions | None) -> list[
             break
         values.append(value)
 
-    analytic, floor, error = (ber_batch if ber else outage_batch)(points)
-    if error is not None:
-        i = int(np.argmax(error.unconverged))
-        failure = ConvergenceError(f"at {spec.axis} = {values[i]:g}: {error}")
+    try:
+        analytic, floor = (ber_batch if ber else outage_batch)(points)
+    except ConvergenceError as exc:
+        i = int(np.argmax(exc.unconverged))
+        raise ConvergenceError(f"at {spec.axis} = {values[i]:g}: {exc}") from None
     if failure is not None:
         raise failure
 

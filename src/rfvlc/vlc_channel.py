@@ -223,11 +223,12 @@ def vlc_snr_cdf(gamma, d: VlcDerived):
 def sample_vlc_snr(d: VlcDerived, rng: np.random.Generator, size=None):
     """Draw SNR samples by placing the user uniformly in the disc:
     r^2 = cell_radius^2 * U puts the squared radius uniform on [0, r_f^2]."""
-    n = 1 if size is None else int(size)
-    u = rng.random(n)
+    u = rng.random(size)
     m = d.lambert_order
-    snr = d.mu_vlc * d.upsilon**2 * (d.cell_radius**2 * u + d.height**2) ** (-(m + 3.0))
-    return float(snr[0]) if size is None else snr
+    # np.power, not **: a lone draw is a Python float, and float ** can
+    # differ by an ulp from the ufunc that raises an array
+    snr = d.mu_vlc * d.upsilon**2 * np.power(d.cell_radius**2 * u + d.height**2, -(m + 3.0))
+    return float(snr) if size is None else snr
 
 
 def vlc_avg_ber(d: VlcDerived) -> float:

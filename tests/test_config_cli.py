@@ -614,8 +614,11 @@ class TestCli:
         assert "validation passed" in capsys.readouterr().out
 
     def test_bad_override_exit_code(self, cfg_file, capsys):
-        rc = cli.main(["outage", "--config", cfg_file(DOC), "--trials", "10"])
-        assert rc == 2
+        for extra in ([], ["--no-mc"]):
+            rc = cli.main(["outage", "--config", cfg_file(DOC), "--trials", "10"] + extra)
+            captured = capsys.readouterr()
+            assert (rc, captured.out) == (2, "")
+            assert captured.err == "config error: trials must be an integer >= 1000, got 10\n"
 
     def test_convergence_exit_code(self, cfg_file, capsys):
         rc = cli.main(["outage", "--config", cfg_file(doc_with(k_factor_db="50", branches="4")), "--no-mc"])

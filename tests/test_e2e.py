@@ -3,8 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from rfvlc.e2e import SystemConfig, ber_floor, e2e_avg_ber, e2e_cdf, outage_floor, outage_probability
+from rfvlc.e2e import (
+    SystemConfig,
+    ber_batch,
+    ber_floor,
+    e2e_avg_ber,
+    e2e_cdf,
+    outage_batch,
+    outage_floor,
+    outage_probability,
+)
 from rfvlc.rf_channel import RfParams, mrc_snr_cdf, rf_avg_ber
+from rfvlc.specfun import ConvergenceError
 from rfvlc.vlc_channel import VlcParams, derive, vlc_avg_ber, vlc_snr_cdf
 
 
@@ -157,3 +167,52 @@ class TestE2eBer:
     def test_monotone_in_radio_snr(self):
         vals = [e2e_avg_ber(make_cfg(avg_snr=mu)) for mu in np.geomspace(0.1, 100.0, 10)]
         assert all(x > y for x, y in zip(vals, vals[1:]))
+
+
+def _lone_or_error(fn):
+    try:
+        return fn()
+    except ConvergenceError as exc:
+        return exc
+
+
+class TestBatches:
+    """`outage_batch` and `ber_batch` give every config its lone value and
+    floor, or raise for the configs whose radio series fail."""
+
+    # K, branches, radio SNR, optical power and threshold all vary, and two
+    # configs repeat an optical cell and a fading group
+    CONVERGING = [
+        make_cfg(),
+        make_cfg(threshold=0.1, avg_snr=50.0, optical_power=5.0, branches=1, k_factor=0.0),
+        make_cfg(threshold=3.0, avg_snr=2.0, optical_power=0.01, branches=4, k_factor=50.0),
+        make_cfg(threshold=1e-3, avg_snr=0.5, branches=3, k_factor=1.0),
+        make_cfg(avg_snr=20.0, optical_power=5.0),
+        make_cfg(threshold=2.0, avg_snr=1.0, optical_power=1.0, branches=1, k_factor=1000.0),
+    ]
+
+    def test_values_and_floors_match_lone_calls(self):
+        cfgs = self.CONVERGING
+        for batch, lone, floor in ((outage_batch, outage_probability, outage_floor),
+                                   (ber_batch, e2e_avg_ber, ber_floor)):
+            values, floors = batch(cfgs)
+            assert values.tolist() == [lone(c) for c in cfgs]
+            assert floors.tolist() == [floor(c) for c in cfgs]
+
+    def test_failing_entries_raise_for_the_batch(self):
+        # K = 20 dB with M = 4 (rate 400) fails the outage at 10 dB but not
+        # the BER; K = 30 dB with M = 1 (rate 1000) fails both at 30 dB.  The
+        # rate-1000 group comes first in the list but fails later.
+        cfgs = self.CONVERGING[:3] + [
+            make_cfg(avg_snr=1.0, branches=1, k_factor=1000.0),
+            make_cfg(avg_snr=10.0, branches=4, k_factor=100.0),
+            make_cfg(avg_snr=1000.0, branches=1, k_factor=1000.0),
+        ]
+        for batch, lone, rate in ((outage_batch, outage_probability, "rate=400,"),
+                                  (ber_batch, e2e_avg_ber, "rate=1000,")):
+            lones = [_lone_or_error(lambda: lone(c)) for c in cfgs]
+            with pytest.raises(ConvergenceError, match=rate) as info:
+                batch(cfgs)
+            failed = [isinstance(v, ConvergenceError) for v in lones]
+            assert info.value.unconverged.tolist() == failed
+            assert str(info.value) == str(lones[failed.index(True)])

@@ -315,12 +315,41 @@ def _scalar_or_failed(fn):
         return None
 
 
-def _flags(error, n):
-    return [False] * n if error is None else error.unconverged.tolist()
+def _check_batch(batch, lone, n):
+    """Check batch(indices) against the lone calls lone(i), i < n: equal
+    values bit for bit where every lone call converges, else a
+    ConvergenceError masking exactly the lone failures, whose message is
+    the first failure's; the converging entries, batched alone, then keep
+    their lone values.  Returns (values, error): the values of the
+    converging entries (NaN elsewhere), and the error or None."""
+    lones = [_scalar_or_failed(lambda: lone(i)) for i in range(n)]
+    ok = [i for i, v in enumerate(lones) if v is not None]
+    values, error = np.full(n, np.nan), None
+    try:
+        values[:] = batch(range(n))
+    except ConvergenceError as exc:
+        error = exc
+        assert exc.unconverged.tolist() == [v is None for v in lones]
+        with pytest.raises(ConvergenceError) as first:
+            lone(lones.index(None))
+        assert str(exc) == str(first.value)
+        values[ok] = batch(ok)
+    assert len(ok) == n or error is not None
+    assert values[ok].tolist() == [lones[i] for i in ok]
+    return values, error
+
+
+def _cdf_batch(gammas, params):
+    return lambda idx: mrc_cdf_batch([gammas[i] for i in idx], [params[i] for i in idx])
+
+
+def _ber_batch(params):
+    return lambda idx: rf_avg_ber_batch([params[i] for i in idx])
 
 
 class TestBatch:
-    """One series pass per fading group gives each point its lone value."""
+    """One series pass per fading group gives each point its lone value,
+    or raises for the points that fail."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -337,27 +366,26 @@ class TestBatch:
         k = 10.0 ** (k_db / 10.0)
         params = [RfParams(k_factor=k, branches=m, avg_snr=10.0 ** (s / 10.0)) for s, _ in points]
         gammas = [10.0 ** (t / 10.0) for _, t in points]
-        cdf, cdf_error = mrc_cdf_batch(gammas, params)
-        ber, ber_error = rf_avg_ber_batch(params)
-        cdf_flags, ber_flags = _flags(cdf_error, len(params)), _flags(ber_error, len(params))
-        for i, (p, g) in enumerate(zip(params, gammas)):
+        n = len(params)
+        _check_batch(_cdf_batch(gammas, params), lambda i: mrc_snr_cdf(gammas[i], params[i]), n)
+        _check_batch(_ber_batch(params), lambda i: rf_avg_ber(params[i]), n)
+        for p, g in zip(params, gammas):
             y = (k + 1.0) * g / p.avg_snr
             w = (k + 1.0) / (k + 1.0 + p.avg_snr)
             lone = _scalar_or_failed(lambda: mrc_snr_cdf(g, p))
             ref = _scalar_or_failed(lambda: float(oracles.poisson_weighted_sum(
                 k * m, lambda j: sc.gammainc(m + j, y))))
-            assert cdf_flags[i] == (lone is None) == (ref is None)
+            assert (lone is None) == (ref is None)
             if lone is not None:
                 # the oracle's terms are scipy's gammainc, the library's
                 # its own Poisson tails: equal within the truncation budget
-                assert cdf[i] == lone
                 assert lone == pytest.approx(ref, rel=DEFAULT_ACCURACY.rel_tol, abs=0.0)
             lone = _scalar_or_failed(lambda: rf_avg_ber(p))
             ref = _scalar_or_failed(lambda: 0.5 * oracles.poisson_weighted_sum(
                 k * m, lambda j: float(sc.betainc(m + j, 0.5, w))))
-            assert ber_flags[i] == (lone is None) == (ref is None)
+            assert (lone is None) == (ref is None)
             if lone is not None:
-                assert ber[i] == lone == ref
+                assert lone == ref
             # the array form gives every entry its lone value, or names the
             # entries that fail
             lones = [_scalar_or_failed(lambda: mrc_snr_cdf(g, p)) for g in gammas]
@@ -371,11 +399,12 @@ class TestBatch:
     def test_failure_names_the_points(self):
         params = [RfParams(k_factor=100.0, branches=4, avg_snr=10.0 ** (s / 10.0))
                   for s in (0.0, 10.0, 5.0)]
-        _, error = mrc_cdf_batch([1.0] * 3, params)
-        assert error.unconverged.tolist() == [False, True, False]
-        assert "rate=400" in str(error)
+        with pytest.raises(ConvergenceError, match="rate=400") as info:
+            mrc_cdf_batch([1.0] * 3, params)
+        assert info.value.unconverged.tolist() == [False, True, False]
         with pytest.raises(ConvergenceError, match="rate=400"):
             mrc_snr_cdf(1.0, params[1])
+        _check_batch(_cdf_batch([1.0] * 3, params), lambda i: mrc_snr_cdf(1.0, params[i]), 3)
 
     def test_mixed_fading_matches_lone_calls(self):
         # interleaved fading groups; K = 1000 (rate 1000) fails at 30 dB and
@@ -388,16 +417,11 @@ class TestBatch:
         params = [RfParams(k_factor=k, branches=m, avg_snr=10.0 ** (s / 10.0))
                   for k, m, s, _ in cells]
         gammas = [g for *_, g in cells]
-        cdf, cdf_error = mrc_cdf_batch(gammas, params)
-        ber, ber_error = rf_avg_ber_batch(params)
-        for values, error, lone in (
-            (cdf, cdf_error, lambda i: mrc_snr_cdf(gammas[i], params[i])),
-            (ber, ber_error, lambda i: rf_avg_ber(params[i])),
-        ):
-            lones = [_scalar_or_failed(lambda: lone(i)) for i in range(len(cells))]
-            assert _flags(error, len(cells)) == [v is None for v in lones]
+        n = len(cells)
+        cdf, cdf_error = _check_batch(
+            _cdf_batch(gammas, params), lambda i: mrc_snr_cdf(gammas[i], params[i]), n)
+        _, ber_error = _check_batch(_ber_batch(params), lambda i: rf_avg_ber(params[i]), n)
+        for error in (cdf_error, ber_error):
             assert "rate=1000," in str(error)
-            for got, want in zip(values.tolist(), lones):
-                assert want is None or got == want
-        assert _flags(cdf_error, len(cells))[3] and not _flags(ber_error, len(cells))[3]
+        assert cdf_error.unconverged[3] and not ber_error.unconverged[3]
         assert cdf[4] == 0.0

@@ -277,6 +277,15 @@ class TestSampling:
         assert a.min() >= d.snr_min * (1.0 - 1e-12)
         assert a.max() <= d.snr_max * (1.0 + 1e-12)
 
+    def test_scalar_and_shape(self):
+        d = derive(cell())
+        one = sample_vlc_snr(d, np.random.default_rng(5))
+        assert isinstance(one, float)
+        assert one == sample_vlc_snr(d, np.random.default_rng(5), size=1)[0]
+        grid = sample_vlc_snr(d, np.random.default_rng(5), size=(2, 3))
+        assert grid.shape == (2, 3)
+        np.testing.assert_array_equal(grid.ravel(), sample_vlc_snr(d, np.random.default_rng(5), size=6))
+
     def test_distribution_ks(self):
         d = derive(cell())
         draws = sample_vlc_snr(d, np.random.default_rng(77), size=1_000_000)
