@@ -30,7 +30,7 @@ from .rf_channel import (
     rician_snr_pdf,
     sample_mrc_snr,
 )
-from .specfun import Accuracy, ConvergenceError
+from .specfun import ConvergenceError
 from .sweep import ResultRecord, apply_axis, axis_grid, emit_csv, run_sweep
 from .vlc_channel import (
     VlcDerived,
@@ -47,7 +47,6 @@ from .vlc_channel import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Accuracy",
     "ConfigError",
     "ConvergenceError",
     "EstimateWithError",

@@ -23,8 +23,8 @@ def chunk_stats(bitgen, n, k_factor, points, ber):
     """Simulate one chunk of n trials and evaluate every point on it.
 
     `k_factor` fixes the radio fading, which all points share.  Each point
-    is `(branches, rf_mu, vlc, gamma_th)` with `vlc = (scale, expo, r2, l2)`,
-    the optical SNR being `scale * (r2 * u + l2) ** expo`.  Returns one
+    is `(branches, rf_mu, vlc, gamma_th)` with `vlc` the optical SNR law
+    `(scale, expo, r2, l2)` of `vlc_channel.snr_law`.  Returns one
     tuple of chunk partials per point: the outage count, followed when
     `ber` is true by the sum and sum of squares of each hop's conditional
     bit error probability (radio, then optical).  erfc runs only when `ber`

@@ -5,11 +5,14 @@ Subcommands:
                plus a Monte Carlo estimate unless --no-mc
     ber        same for the end-to-end average bit error rate
     sweep      run the [sweep] section, emit CSV
-    validate   compare analytic against Monte Carlo for both quantities
-               and fail (exit 4) on disagreement beyond 4 standard errors
+    validate   compare analytic against Monte Carlo for both quantities:
+               a row FAILs on disagreement beyond 4 standard errors, and
+               is INCONCLUSIVE when it agrees on an estimate whose
+               relative standard error is above 10% (no evidence)
 
 Exit codes: 0 success, 2 configuration error, 3 series convergence
-failure, 4 validation gate failure.
+failure, 4 validation gate failure, 5 validation inconclusive (no row
+failed, but some estimate was unreliable).
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
 EXIT_VALIDATION = 4
+EXIT_INCONCLUSIVE = 5
 
 # |analytic - estimate| beyond this many standard errors fails validation
 VALIDATION_GATE_SE = 4.0
@@ -108,30 +112,37 @@ def _point_report(quantity: str, cfg: SystemConfig, mc: McOptions | None) -> str
         ]
         if not est.reliable:
             lines.append(
-                "mc_warning = fewer than 100 expected events; estimate unreliable"
+                "mc_warning = relative standard error above 10%; estimate unreliable"
             )
     return "\n".join(lines) + "\n"
 
 
-def _validate_report(parsed: ParsedConfig) -> tuple[str, bool]:
+def _validate_report(parsed: ParsedConfig) -> tuple[str, int]:
+    """The validate report and its exit code."""
     cfg, mc = parsed.system, parsed.mc
     closed = outage_probability(cfg), e2e_avg_ber(cfg)
     [estimates] = simulate([cfg], mc.trials, mc.seed, workers=mc.workers, ber=True)
-    lines, all_ok = [], True
+    lines, verdicts = [], set()
     for name, analytic, est in zip(("outage", "ber"), closed, estimates):
         diff = abs(analytic - est.estimate)
         gate = VALIDATION_GATE_SE * est.std_error + VALIDATION_GATE_ABS
-        ok = diff <= gate
-        all_ok &= ok
+        verdict = "FAIL" if diff > gate else "OK" if est.reliable else "INCONCLUSIVE"
+        verdicts.add(verdict)
         z = diff / est.std_error if est.std_error > 0.0 else 0.0
         lines.append(
             f"{name}: analytic = {analytic:.12g}, mc = {est.estimate:.12g}, "
-            f"se = {est.std_error:.12g}, z = {z:.2f} -> {'OK' if ok else 'FAIL'}"
+            f"se = {est.std_error:.12g}, z = {z:.2f} -> {verdict}"
         )
-    lines.append(f"validation {'passed' if all_ok else 'FAILED'} "
+    if "FAIL" in verdicts:
+        summary, code = "FAILED", EXIT_VALIDATION
+    elif "INCONCLUSIVE" in verdicts:
+        summary, code = "inconclusive", EXIT_INCONCLUSIVE
+    else:
+        summary, code = "passed", EXIT_OK
+    lines.append(f"validation {summary} "
                  f"(gate: {VALIDATION_GATE_SE:g} standard errors, "
                  f"trials = {mc.trials}, seed = {mc.seed})")
-    return "\n".join(lines) + "\n", all_ok
+    return "\n".join(lines) + "\n", code
 
 
 def main(argv=None) -> int:
@@ -147,10 +158,9 @@ def main(argv=None) -> int:
         elif args.command in ("outage", "ber"):
             _write(args, _point_report(args.command, parsed.system, mc))
         else:
-            report, ok = _validate_report(parsed)
+            report, code = _validate_report(parsed)
             _write(args, report)
-            if not ok:
-                return EXIT_VALIDATION
+            return code
     except ConvergenceError as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE

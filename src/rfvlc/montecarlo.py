@@ -54,8 +54,11 @@ class EstimateWithError:
 
     @property
     def reliable(self) -> bool:
-        """False when fewer than ~100 expected events back the estimate."""
-        return self.estimate * self.trials >= 100.0
+        """True when the relative standard error is at most 10%: about 100
+        events for a Bernoulli estimate, and a rule that fits the
+        conditional BER estimator as well.  An estimate with no spread
+        (say, no events at all) carries no evidence and is unreliable."""
+        return 0.0 < self.std_error <= 0.1 * self.estimate
 
 
 @dataclass(frozen=True)
@@ -81,13 +84,7 @@ def _validate_run(trials, seed, workers):
 
 def _point_args(cfg: SystemConfig):
     """The per-point kernel arguments: (branches, rf_mu, vlc, gamma_th)."""
-    d = vlc_channel.derive(cfg.vlc)
-    vlc = (
-        d.mu_vlc * d.upsilon**2,
-        -(d.lambert_order + 3.0),
-        d.cell_radius**2,
-        d.height**2,
-    )
+    vlc = vlc_channel.snr_law(vlc_channel.derive(cfg.vlc))
     return cfg.rf.branches, cfg.rf.avg_snr, vlc, cfg.outage_threshold
 
 

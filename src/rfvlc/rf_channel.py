@@ -6,10 +6,10 @@ noncentrality 2*k_factor*branches, which is what every formula below
 evaluates in one stable form or another.  Its CDF and average BER are
 Poisson mixtures; the batch forms take params with any K and branch count
 and sum them in one series pass per distinct (K, branches), under the one
-accuracy budget `specfun.DEFAULT_ACCURACY`.  Every closed form returns
-values that meet it or raises `ConvergenceError`.  The CDF's terms come from
-`specfun.GammaTerms`, numpy alone; scipy is imported only by the density
-and the average BER, when they are first called.
+truncation budget `specfun.REL_TOL`/`specfun.MAX_TERMS`.  Every closed
+form returns values that meet it or raises `ConvergenceError`.  The CDF's
+terms come from `specfun.GammaTerms`, numpy alone; scipy is imported only
+by the density and the average BER, when they are first called.
 """
 from __future__ import annotations
 
@@ -18,13 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .specfun import (
-    DEFAULT_ACCURACY,
-    GammaTerms,
-    poisson_weighted_sum,
-    series_error,
-    validate_snr,
-)
+from . import specfun
+from .specfun import ConvergenceError, GammaTerms, poisson_weighted_sum, validate_snr
 
 __all__ = [
     "RfParams",
@@ -144,7 +139,11 @@ def _mixture(groups, x, terms):
             rate[idx] = k * m
     if unconverged.any():
         first = rate.flat[np.argmax(unconverged)]
-        raise series_error(float(first), DEFAULT_ACCURACY, unconverged)
+        raise ConvergenceError(
+            f"Poisson-weighted series did not converge: rate={first:g}, "
+            f"max_terms={specfun.MAX_TERMS}, rel_tol={specfun.REL_TOL:g}",
+            unconverged,
+        )
     return out
 
 

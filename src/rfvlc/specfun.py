@@ -2,73 +2,47 @@
 
 The combined radio SNR is a noncentral chi-square variable, so its CDF and
 its average BER are both Poisson mixtures of bounded terms.
-`poisson_weighted_sum` evaluates such a mixture elementwise under an
-explicit accuracy budget (`Accuracy`); entries that run out of terms are
-reported through `series_error` as a `ConvergenceError`, never returned as
-silently wrong numbers.  The CDF's terms are regularized incomplete gammas
-of integer order, which `GammaTerms` evaluates with numpy alone, as Poisson
-tails, one multiply-add per term after an anchor series; so the outage
-path needs no scipy.  `validate_snr` is the one argument check shared by
-the SNR distributions of both hops.
+`poisson_weighted_sum` evaluates such a mixture elementwise under one
+fixed truncation budget (`REL_TOL`, `MAX_TERMS`) and flags the entries
+that run out of terms; the closed forms raise them as a `ConvergenceError`
+and never return silently wrong numbers.  The CDF's terms are regularized
+incomplete gammas of integer order, which `GammaTerms` evaluates with
+numpy alone, as Poisson tails, one multiply-add per term after an anchor
+series; so the outage path needs no scipy.  `validate_snr` is the one
+argument check shared by the SNR distributions of both hops.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Accuracy",
-    "DEFAULT_ACCURACY",
+    "REL_TOL",
+    "MAX_TERMS",
     "ConvergenceError",
-    "series_error",
     "poisson_weighted_sum",
     "GammaTerms",
     "validate_snr",
 ]
 
 
+# The truncation budget of every Poisson-weighted series: the target
+# relative error of the truncation, and the cap on the number of terms.
+REL_TOL = 1e-10
+MAX_TERMS = 512
+
+
 class ConvergenceError(RuntimeError):
-    """A truncated series failed to reach its tolerance within max_terms.
+    """A truncated series failed to reach its tolerance within MAX_TERMS.
 
-    `unconverged` is the boolean mask of the failing elements (see
-    `series_error`).
+    `unconverged` is the boolean mask of the failing elements, or None
+    when the failure names no array.
     """
 
-    unconverged = None
-
-
-@dataclass(frozen=True)
-class Accuracy:
-    """Truncation budget for series evaluation.
-
-    rel_tol is the target relative error contributed by truncation,
-    max_terms caps the number of series terms considered.
-    """
-
-    rel_tol: float = 1e-10
-    max_terms: int = 512
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol <= 1e-3):
-            raise ValueError(f"rel_tol must be in (0, 1e-3], got {self.rel_tol}")
-        if self.max_terms < 16:
-            raise ValueError(f"max_terms must be >= 16, got {self.max_terms}")
-
-
-DEFAULT_ACCURACY = Accuracy()
-
-
-def series_error(lam, acc, unconverged):
-    """The ConvergenceError of a Poisson-weighted series at rate `lam` that
-    ran out of terms; `unconverged` masks the failing elements."""
-    exc = ConvergenceError(
-        f"Poisson-weighted series did not converge: rate={lam:g}, "
-        f"max_terms={acc.max_terms}, rel_tol={acc.rel_tol:g}"
-    )
-    exc.unconverged = unconverged
-    return exc
+    def __init__(self, message, unconverged=None):
+        super().__init__(message)
+        self.unconverged = unconverged
 
 
 def validate_snr(gamma):
@@ -79,7 +53,7 @@ def validate_snr(gamma):
     return g
 
 
-def poisson_weighted_sum(lam, term, acc=DEFAULT_ACCURACY):
+def poisson_weighted_sum(lam, term):
     """Evaluate sum_{k>=0} pois(k; lam) * term(k) for term values in [0, 1],
     each entry of the 1-D array term(k) its own series sharing the rate.
 
@@ -88,11 +62,11 @@ def poisson_weighted_sum(lam, term, acc=DEFAULT_ACCURACY):
     underflow prematurely.  The remaining tail is bounded through the
     frontier weights themselves (geometric-ratio bound), which keeps the
     stopping rule meaningful even when a sum is many orders of magnitude
-    below 1.  An entry stops once the bound is within acc.rel_tol of its
+    below 1.  An entry stops once the bound is within REL_TOL of its
     own partial sum and is frozen from then on, so its value does not
     depend on the other entries.
 
-    Returns (sums, unconverged): entries still open after acc.max_terms are
+    Returns (sums, unconverged): entries still open after MAX_TERMS are
     flagged in the boolean mask (their sums are partial).
     """
     if lam < 0.0:
@@ -109,7 +83,7 @@ def poisson_weighted_sum(lam, term, acc=DEFAULT_ACCURACY):
     frozen = np.empty(np.shape(total))
     open_ = np.ones(frozen.shape, dtype=bool)
 
-    for _ in range(acc.max_terms):
+    for _ in range(MAX_TERMS):
         # Tail bound: remaining right terms decay at least geometrically with
         # ratio lam/(k_hi+2) once that ratio is < 1; the left side similarly
         # with ratio k_lo/lam, and terminates at k = 0 regardless.
@@ -124,7 +98,7 @@ def poisson_weighted_sum(lam, term, acc=DEFAULT_ACCURACY):
                 else:
                     bound = math.inf
         if bound < math.inf:
-            stop = (bound <= acc.rel_tol * np.abs(total)) | (bound < 1e-300)
+            stop = (bound <= REL_TOL * np.abs(total)) | (bound < 1e-300)
             newly = open_ & stop
             frozen[newly] = total[newly]
             open_ &= ~newly

@@ -63,11 +63,12 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec, mc: McOptions | None) -> list[
     runs one radio series pass per distinct branch count and K factor;
     each point keeps the value a lone call would give.  The first failing
     grid point raises, its error gaining the axis value without losing its
-    type.  Monte Carlo then runs once for the whole grid, which no axis
-    moves off one K factor: its chunks are drawn once, so the points see
-    common random numbers; every point still uses the same (trials, seed)
-    and gets the estimate a lone run would give, and the sweep is a pure
-    function of (cfg, spec, mc) regardless of worker count.
+    type; a ConvergenceError keeps its `unconverged` mask, whose entry i
+    is grid point i.  Monte Carlo then runs once for the whole grid, which
+    no axis moves off one K factor: its chunks are drawn once, so the
+    points see common random numbers; every point still uses the same
+    (trials, seed) and gets the estimate a lone run would give, and the
+    sweep is a pure function of (cfg, spec, mc) regardless of worker count.
     """
     ber = spec.quantity == "ber"
     values, points, failure = [], [], None
@@ -84,7 +85,8 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec, mc: McOptions | None) -> list[
         analytic, floor = (ber_batch if ber else outage_batch)(points)
     except ConvergenceError as exc:
         i = int(np.argmax(exc.unconverged))
-        raise ConvergenceError(f"at {spec.axis} = {values[i]:g}: {exc}") from None
+        raise ConvergenceError(f"at {spec.axis} = {values[i]:g}: {exc}",
+                               exc.unconverged) from None
     if failure is not None:
         raise failure
 

@@ -22,6 +22,7 @@ __all__ = [
     "check_snr_scale",
     "derive",
     "channel_gain",
+    "snr_law",
     "vlc_snr_pdf",
     "vlc_snr_cdf",
     "sample_vlc_snr",
@@ -220,14 +221,26 @@ def vlc_snr_cdf(gamma, d: VlcDerived):
     return float(out) if np.ndim(gamma) == 0 else out
 
 
+def snr_law(d: VlcDerived):
+    """(scale, expo, r2, l2) of the optical SNR as a function of the
+    user's squared-radius fraction u in [0, 1]: the SNR at squared emitter
+    distance r2 * u + l2 is scale * (r2 * u + l2) ** expo."""
+    return (
+        d.mu_vlc * d.upsilon**2,
+        -(d.lambert_order + 3.0),
+        d.cell_radius**2,
+        d.height**2,
+    )
+
+
 def sample_vlc_snr(d: VlcDerived, rng: np.random.Generator, size=None):
     """Draw SNR samples by placing the user uniformly in the disc:
     r^2 = cell_radius^2 * U puts the squared radius uniform on [0, r_f^2]."""
     u = rng.random(size)
-    m = d.lambert_order
+    scale, expo, r2, l2 = snr_law(d)
     # np.power, not **: a lone draw is a Python float, and float ** can
     # differ by an ulp from the ufunc that raises an array
-    snr = d.mu_vlc * d.upsilon**2 * np.power(d.cell_radius**2 * u + d.height**2, -(m + 3.0))
+    snr = scale * np.power(r2 * u + l2, expo)
     return float(snr) if size is None else snr
 
 

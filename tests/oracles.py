@@ -13,7 +13,7 @@ import numpy as np
 from scipy import integrate, stats
 from scipy import special as sc
 
-from rfvlc.specfun import DEFAULT_ACCURACY, Accuracy, ConvergenceError
+from rfvlc.specfun import MAX_TERMS, REL_TOL, ConvergenceError
 from rfvlc.vlc_channel import VlcParams, derive
 
 
@@ -145,13 +145,13 @@ def meijer_ref(shift, z, dps=50):
 _SQRT_PI = math.sqrt(math.pi)
 
 
-def marcum_q(order: int, a: float, b, acc: Accuracy = DEFAULT_ACCURACY):
+def marcum_q(order: int, a: float, b, *, rel_tol=REL_TOL, max_terms=MAX_TERMS):
     """Generalized Marcum Q-function Q_order(a, b), vectorized over b.
 
     Evaluated as the noncentral chi-square survival probability,
     sum_k pois(k; a^2/2) * Q(order+k, b^2/2) with Q the regularized upper
     incomplete gamma. The result is a probability; truncation keeps the
-    absolute error below acc.rel_tol.  Q_order(a, 0) is exactly 1.
+    absolute error below rel_tol.  Q_order(a, 0) is exactly 1.
     """
     if not isinstance(order, (int, np.integer)) or order < 1:
         raise ValueError(f"order must be an integer >= 1, got {order!r}")
@@ -166,7 +166,8 @@ def marcum_q(order: int, a: float, b, acc: Accuracy = DEFAULT_ACCURACY):
         out = sc.gammaincc(order, y)
     else:
         out = poisson_weighted_sum(
-            0.5 * a * a, lambda k: sc.gammaincc(order + k, y), acc, absolute=True
+            0.5 * a * a, lambda k: sc.gammaincc(order + k, y),
+            rel_tol=rel_tol, max_terms=max_terms, absolute=True,
         )
     out = np.where(b_arr == 0.0, 1.0, out)  # exact at b = 0
     return float(out) if np.ndim(b) == 0 else out
@@ -358,7 +359,7 @@ def per_point_mc(cfg, trials, seed, chunk_size=65536):
 
 # The scalar Poisson-mixture summation as it stood before the library
 # gained its batched mode, kept verbatim as the reference for one series.
-def poisson_weighted_sum(lam, term, acc=DEFAULT_ACCURACY, absolute=False):
+def poisson_weighted_sum(lam, term, *, rel_tol=REL_TOL, max_terms=MAX_TERMS, absolute=False):
     """Evaluate sum_{k>=0} pois(k; lam) * term(k) for term values in [0, 1].
 
     Terms are accumulated outward from the Poisson mode, so large `lam`
@@ -366,9 +367,9 @@ def poisson_weighted_sum(lam, term, acc=DEFAULT_ACCURACY, absolute=False):
     underflow prematurely.  The remaining tail is bounded through the
     frontier weights themselves (geometric-ratio bound), which keeps the
     stopping rule meaningful even when the sum is many orders of magnitude
-    below 1.  With absolute=True the bound is compared against acc.rel_tol
+    below 1.  With absolute=True the bound is compared against rel_tol
     directly (suitable for probabilities); otherwise against
-    acc.rel_tol * |partial sum|.
+    rel_tol * |partial sum|.
 
     term(k) may return a float or an ndarray of a fixed shape.
     """
@@ -383,7 +384,7 @@ def poisson_weighted_sum(lam, term, acc=DEFAULT_ACCURACY, absolute=False):
     k_lo = k_hi = k0
     p_lo = p_hi = p0
 
-    for _ in range(acc.max_terms):
+    for _ in range(max_terms):
         # Tail bound: remaining right terms decay at least geometrically with
         # ratio lam/(k_hi+2) once that ratio is < 1; the left side similarly
         # with ratio k_lo/lam, and terminates at k = 0 regardless.
@@ -399,11 +400,11 @@ def poisson_weighted_sum(lam, term, acc=DEFAULT_ACCURACY, absolute=False):
                     bound = math.inf
         if bound < math.inf:
             if absolute:
-                scale = acc.rel_tol
+                scale = rel_tol
             else:
                 mags = np.atleast_1d(np.abs(np.asarray(total, dtype=float)))
                 nonzero = mags[mags > 0.0]
-                scale = acc.rel_tol * float(nonzero.min()) if nonzero.size else 0.0
+                scale = rel_tol * float(nonzero.min()) if nonzero.size else 0.0
             if bound <= scale or bound < 1e-300:
                 return total
 
@@ -417,5 +418,5 @@ def poisson_weighted_sum(lam, term, acc=DEFAULT_ACCURACY, absolute=False):
 
     raise ConvergenceError(
         f"Poisson-weighted series did not converge: rate={lam:g}, "
-        f"max_terms={acc.max_terms}, rel_tol={acc.rel_tol:g}"
+        f"max_terms={max_terms}, rel_tol={rel_tol:g}"
     )

@@ -351,6 +351,16 @@ class TestRunSweep:
             assert r.mc_estimate is not None
             assert abs(r.mc_estimate - r.analytic) < 6.0 * r.mc_std_error + 1e-9
 
+    def test_convergence_error_carries_grid_mask(self):
+        # K = 20 dB with M = 4 over 0..20 dB: the series runs out of terms
+        # from 10 dB on, and entry i of the mask is grid point i
+        from rfvlc.specfun import ConvergenceError
+
+        parsed = parse_config(doc_with(k_factor_db="20", branches="4"))
+        with pytest.raises(ConvergenceError) as ei:
+            run_sweep(parsed.system, parsed.sweep, None)
+        assert ei.value.unconverged.tolist() == [False, False, True, True, True]
+
     def test_error_carries_axis_context(self):
         from rfvlc.specfun import ConvergenceError
 
@@ -551,7 +561,10 @@ class TestCli:
         assert reports[0] == reports[1]
         rc, out, err = reports[0]
         assert rc == 3 and out == ""
-        assert "convergence error: at rf_avg_snr_db = 10:" in err
+        assert err == (
+            "convergence error: at rf_avg_snr_db = 10: Poisson-weighted series did not "
+            "converge: rate=400, max_terms=512, rel_tol=1e-10\n"
+        )
 
     def test_missing_file_is_config_error(self, tmp_path, capsys):
         rc = cli.main(["outage", "--config", str(tmp_path / "absent.cfg")])
@@ -608,10 +621,26 @@ class TestCli:
         # a threshold inside the optical SNR range: at 3 degrees the Monte
         # Carlo saw an infinite optical SNR and reported no outage where the
         # closed form gives 0.39; at 3.5 degrees both agree
+        # on the outage; the BER estimate has no spread, so it carries no
+        # evidence and its row is inconclusive
         doc = doc_with(semi_angle_deg="3.5", avg_snr_db="90")
         path = cfg_file(doc.replace("outage_threshold = 1.0", "outage_threshold = 5e6"))
-        assert cli.main(["validate", "--config", path]) == 0
-        assert "validation passed" in capsys.readouterr().out
+        assert cli.main(["validate", "--config", path]) == 5
+        outage, ber, summary = capsys.readouterr().out.splitlines()
+        assert outage.startswith("outage:") and outage.endswith("-> OK")
+        assert ber.startswith("ber:") and ber.endswith("-> INCONCLUSIVE")
+        assert summary.startswith("validation inconclusive ")
+
+    def test_validate_without_evidence_is_inconclusive(self, cfg_file, capsys):
+        # at 5 W both hops almost never fail: no outage event and a BER
+        # estimate many orders below the closed form sit inside the absolute
+        # gate slack, so they agree, but neither is evidence
+        path = cfg_file(doc_with(branches="4", avg_snr_db="25", optical_power_w="5"))
+        assert cli.main(["validate", "--config", path, "--trials", "200000"]) == 5
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.rsplit(" -> ", 1)[-1] for line in lines[:2]] == ["INCONCLUSIVE"] * 2
+        assert lines[2].startswith("validation inconclusive ")
+        assert not any("validation passed" in line for line in lines)
 
     def test_bad_override_exit_code(self, cfg_file, capsys):
         for extra in ([], ["--no-mc"]):

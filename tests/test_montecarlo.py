@@ -67,6 +67,12 @@ class TestEstimateWithError:
         assert good.reliable  # 1000 expected events
         rare = EstimateWithError(estimate=1e-6, std_error=1e-6, trials=10_000, seed=0)
         assert not rare.reliable
+        # a precise estimate of a rare quantity, as the conditional BER
+        # estimator gives, is reliable with far fewer than 100 events
+        precise = EstimateWithError(estimate=1e-6, std_error=1e-8, trials=100_000, seed=0)
+        assert precise.reliable
+        # no spread at all is no evidence
+        assert not EstimateWithError(estimate=0.0, std_error=0.0, trials=10_000, seed=0).reliable
 
 
 class TestDeterminism:

@@ -18,7 +18,7 @@ from rfvlc.rf_channel import (
     rician_snr_pdf,
     sample_mrc_snr,
 )
-from rfvlc.specfun import DEFAULT_ACCURACY, ConvergenceError
+from rfvlc.specfun import REL_TOL, ConvergenceError
 GRID = [
     (0.0, 1, 1.0),
     (0.0, 2, 0.5),
@@ -141,7 +141,7 @@ class TestMrcCdf:
         got = mrc_snr_cdf(g, RfParams(k_factor=k, branches=m, avg_snr=mu))
         want = [oracles.mrc_cdf_mp(x, k, m, mu) for x in g]
         assert min(want) > 1e-300
-        np.testing.assert_allclose(got, want, rtol=DEFAULT_ACCURACY.rel_tol, atol=0.0)
+        np.testing.assert_allclose(got, want, rtol=REL_TOL, atol=0.0)
 
     def test_deep_left_tail_keeps_relative_accuracy(self):
         p = RfParams(k_factor=3.162, branches=4, avg_snr=10.0)
@@ -379,7 +379,7 @@ class TestBatch:
             if lone is not None:
                 # the oracle's terms are scipy's gammainc, the library's
                 # its own Poisson tails: equal within the truncation budget
-                assert lone == pytest.approx(ref, rel=DEFAULT_ACCURACY.rel_tol, abs=0.0)
+                assert lone == pytest.approx(ref, rel=REL_TOL, abs=0.0)
             lone = _scalar_or_failed(lambda: rf_avg_ber(p))
             ref = _scalar_or_failed(lambda: 0.5 * oracles.poisson_weighted_sum(
                 k * m, lambda j: float(sc.betainc(m + j, 0.5, w))))
