@@ -34,8 +34,9 @@ EXIT_INCONCLUSIVE = 5
 
 # |analytic - estimate| beyond this many standard errors fails validation
 VALIDATION_GATE_SE = 4.0
-# absolute slack so a zero-variance exact match (e.g. both probabilities 0)
-# does not divide by a zero standard error
+# absolute slack added to the gate, which never divides by the standard
+# error: it keeps a zero-event row, such as analytic 4.1e-15 against mc = 0,
+# se = 0, INCONCLUSIVE instead of FAIL
 VALIDATION_GATE_ABS = 1e-12
 
 

@@ -52,6 +52,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .e2e import SystemConfig
 from .montecarlo import McOptions
 from .rf_channel import RfParams
@@ -62,8 +64,8 @@ __all__ = [
     "SweepSpec",
     "ParsedConfig",
     "SWEEP_AXES",
+    "axis_grid",
     "db_to_linear",
-    "linear_to_db",
     "parse_config",
     "emit_config",
 ]
@@ -79,12 +81,6 @@ def db_to_linear(x_db: float) -> float:
         return 10.0 ** (x_db / 10.0)
     except OverflowError:
         raise ValueError(f"{x_db:g} dB overflows a float in linear units") from None
-
-
-def linear_to_db(x: float) -> float:
-    if x <= 0.0:
-        raise ValueError(f"dB conversion needs a positive value, got {x}")
-    return 10.0 * math.log10(x)
 
 
 # axis -> (hop of SystemConfig, field of that hop, conversion of a grid value)
@@ -128,6 +124,24 @@ class SweepSpec:
             raise ValueError(f"points must be an integer >= 2, got {self.points!r}")
         if self.scale == "log" and self.start <= 0.0:
             raise ValueError("log scale requires start > 0")
+        if self.axis == "branches":
+            axis_grid(self)  # the branches-grid rule lives there; no other grid can fail
+
+
+def axis_grid(spec: SweepSpec) -> np.ndarray:
+    """Ascending evaluation grid; geometric for log scale."""
+    if spec.scale == "log":
+        grid = np.geomspace(spec.start, spec.stop, spec.points)
+    else:
+        grid = np.linspace(spec.start, spec.stop, spec.points)
+    if spec.axis == "branches":
+        rounded = np.round(grid)
+        if np.any(np.abs(grid - rounded) > 1e-9) or np.any(rounded < 1):
+            raise ValueError(
+                "branches axis requires a grid of integers >= 1; "
+                f"start={spec.start}, stop={spec.stop}, points={spec.points} does not"
+            )
+    return grid
 
 
 @dataclass(frozen=True)

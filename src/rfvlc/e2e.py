@@ -76,8 +76,9 @@ def outage_batch(cfgs):
     """Outage probability and outage floor of every config, from one radio
     series pass per distinct (rf.k_factor, rf.branches).
 
-    The configs may differ in every field.  Each optical cell is derived
-    once, and each value equals the single-config call's bit for bit.
+    The configs may differ in every field.  Each distinct (optical cell,
+    threshold) pair is derived and evaluated once, and each value equals
+    the single-config call's bit for bit.
     Returns (outage, floor), or raises ConvergenceError as `mrc_cdf_batch`
     does.
     """
@@ -105,14 +106,12 @@ def ber_batch(cfgs):
 
 def _per_cell(cfgs, hop, key):
     """hop(cfg, derived cell) for every config, as an array; each distinct
-    optical cell is derived once and each distinct key evaluated once."""
-    cells, values, out = {}, {}, []
+    key is derived and evaluated once."""
+    values, out = {}, []
     for c in cfgs:
         k = key(c)
         if k not in values:
-            if c.vlc not in cells:
-                cells[c.vlc] = vlc_channel.derive(c.vlc)
-            values[k] = hop(c, cells[c.vlc])
+            values[k] = hop(c, vlc_channel.derive(c.vlc))
         out.append(values[k])
     return np.array(out, dtype=float)
 

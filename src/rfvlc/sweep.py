@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SWEEP_AXES, SweepSpec
+from .config import SWEEP_AXES, SweepSpec, axis_grid
 from .e2e import SystemConfig, ber_batch, outage_batch
 from .montecarlo import McOptions, simulate
 from .specfun import ConvergenceError
@@ -27,22 +27,6 @@ class ResultRecord:
     mc_estimate: float | None
     mc_std_error: float | None
     floor: float
-
-
-def axis_grid(spec: SweepSpec) -> np.ndarray:
-    """Ascending evaluation grid; geometric for log scale."""
-    if spec.scale == "log":
-        grid = np.geomspace(spec.start, spec.stop, spec.points)
-    else:
-        grid = np.linspace(spec.start, spec.stop, spec.points)
-    if spec.axis == "branches":
-        rounded = np.round(grid)
-        if np.any(np.abs(grid - rounded) > 1e-9) or np.any(rounded < 1):
-            raise ValueError(
-                "branches axis requires a grid of integers >= 1; "
-                f"start={spec.start}, stop={spec.stop}, points={spec.points} does not"
-            )
-    return grid
 
 
 def apply_axis(cfg: SystemConfig, axis: str, value: float) -> SystemConfig:

@@ -19,7 +19,6 @@ __all__ = [
     "VlcParams",
     "VlcDerived",
     "lambertian_order",
-    "check_snr_scale",
     "derive",
     "channel_gain",
     "snr_law",
@@ -74,7 +73,7 @@ class VlcParams:
                 raise ValueError(f"{name} must be finite and > 0, got {v}")
         if self.optical_power is None or not (self.optical_power > 0.0):
             raise ValueError(f"optical_power must be > 0, got {self.optical_power}")
-        check_snr_scale(self)  # the rule on how the parameters combine lives there
+        derive(self)  # the rule on how the parameters combine lives there
 
 
 @dataclass(frozen=True)
@@ -110,67 +109,68 @@ def lambertian_order(semi_angle: float) -> float:
     return -math.log(2.0) / log_cos
 
 
-def _gain_factors(params: VlcParams):
-    """(m, concentrator, upsilon, noise_var, mu_vlc) of the cell; raises
-    OverflowError when height ** (m + 1) or the squared power overflows."""
-    m = lambertian_order(params.semi_angle)
-    psi = math.radians(params.fov)
-    conc = params.refractive_index**2 / math.sin(psi) ** 2
-    upsilon = (
-        params.area
-        * (m + 1.0)
-        * params.responsivity
-        / (2.0 * math.pi)
-        * params.filter_gain
-        * conc
-        * params.height ** (m + 1.0)
-    )
-    noise_var = params.noise_psd * params.bandwidth
-    mu_vlc = (params.optical_power * params.conv_efficiency) ** 2 / noise_var
-    return m, conc, upsilon, noise_var, mu_vlc
-
-
-def check_snr_scale(params: VlcParams) -> None:
-    """Reject a cell whose SNR scale mu_vlc * upsilon^2 is not a finite
-    float > 0.
-
-    The SNR at emitter distance D is that scale times D^-(2m + 6), and the
-    Monte Carlo kernel forms it as a float.  A narrow beam gives a high
-    Lambertian order m, and upsilon's factor height ** (m + 1) then
-    overflows above 1 m or underflows below it.  Raises ValueError."""
-    m = lambertian_order(params.semi_angle)
-    try:
-        _, _, upsilon, _, mu_vlc = _gain_factors(params)
-        scale = mu_vlc * upsilon**2
-    except OverflowError:
-        scale = math.inf
-    if not (0.0 < scale < math.inf):
-        raise ValueError(
-            f"the optical SNR scale mu_vlc * upsilon^2 = {scale:g} is not a finite "
-            f"float > 0 (optical_power {params.optical_power:g} W; semi_angle "
-            f"{params.semi_angle:g} degrees gives Lambertian order {m:.6g}, so "
-            f"height {params.height:g} m enters as height ** {m + 1.0:.6g})"
-        )
-
-
 def derive(params: VlcParams) -> VlcDerived:
-    """Compute the derived optical-cell quantities."""
-    m, conc, upsilon, noise_var, mu_vlc = _gain_factors(params)
-    radius = params.height * math.tan(math.radians(params.semi_angle))
-    gain_max = upsilon / params.height ** (m + 3.0)
-    gain_min = upsilon / (radius**2 + params.height**2) ** (0.5 * (m + 3.0))
-    return VlcDerived(
-        lambert_order=m,
-        cell_radius=radius,
-        height=params.height,
-        concentrator=conc,
-        upsilon=upsilon,
-        gain_min=gain_min,
-        gain_max=gain_max,
-        snr_min=mu_vlc * gain_min**2,
-        snr_max=mu_vlc * gain_max**2,
-        mu_vlc=mu_vlc,
-        noise_var=noise_var,
+    """Compute the derived optical-cell quantities, and check that floats
+    can hold them; VlcParams runs this when it is built.
+
+    The SNR at emitter distance D is mu_vlc * upsilon^2 * D^-(2m + 6), and
+    the Monte Carlo kernel forms it as a float.  A narrow beam gives a high
+    Lambertian order m, and upsilon's factor height ** (m + 1) then
+    overflows above 1 m or underflows below it.  Raises ValueError when
+    that scale is not a finite float > 0, or when the SNR cannot be
+    evaluated as a float > 0 over the cell, out to its edge."""
+    m = lambertian_order(params.semi_angle)
+    # an error before the scale is formed is an overflow, or a divisor that
+    # underflowed to 0: either way the scale is past the float range
+    scale = math.inf
+    try:
+        psi = math.radians(params.fov)
+        conc = params.refractive_index**2 / math.sin(psi) ** 2
+        upsilon = (
+            params.area
+            * (m + 1.0)
+            * params.responsivity
+            / (2.0 * math.pi)
+            * params.filter_gain
+            * conc
+            * params.height ** (m + 1.0)
+        )
+        noise_var = params.noise_psd * params.bandwidth
+        mu_vlc = (params.optical_power * params.conv_efficiency) ** 2 / noise_var
+        scale = mu_vlc * upsilon**2
+        if 0.0 < scale < math.inf:
+            radius = params.height * math.tan(math.radians(params.semi_angle))
+            gain_max = upsilon / params.height ** (m + 3.0)
+            gain_min = upsilon / (radius**2 + params.height**2) ** (0.5 * (m + 3.0))
+            snr_min = mu_vlc * gain_min**2
+            if snr_min > 0.0:
+                return VlcDerived(
+                    lambert_order=m,
+                    cell_radius=radius,
+                    height=params.height,
+                    concentrator=conc,
+                    upsilon=upsilon,
+                    gain_min=gain_min,
+                    gain_max=gain_max,
+                    snr_min=snr_min,
+                    snr_max=mu_vlc * gain_max**2,
+                    mu_vlc=mu_vlc,
+                    noise_var=noise_var,
+                )
+    except (OverflowError, ZeroDivisionError):
+        pass
+    if 0.0 < scale < math.inf:
+        problem, power = (
+            "the optical SNR mu_vlc * (upsilon / D ** (m + 3))^2 cannot be evaluated "
+            "as a float > 0 at every emitter distance D in the cell", m + 3.0)
+    else:
+        problem, power = (
+            f"the optical SNR scale mu_vlc * upsilon^2 = {scale:g} is not a finite "
+            "float > 0", m + 1.0)
+    raise ValueError(
+        f"{problem} (optical_power {params.optical_power:g} W; semi_angle "
+        f"{params.semi_angle:g} degrees gives Lambertian order {m:.6g}, so "
+        f"height {params.height:g} m enters as height ** {power:.6g})"
     )
 
 

@@ -15,7 +15,6 @@ from rfvlc.config import (
     SweepSpec,
     db_to_linear,
     emit_config,
-    linear_to_db,
     parse_config,
 )
 from rfvlc.montecarlo import EstimateWithError
@@ -79,7 +78,7 @@ def doc_with(**edits):
 class TestUnits:
     def test_db_round_trip(self):
         for x in [0.01, 1.0, 3.162, 1e4]:
-            assert db_to_linear(linear_to_db(x)) == pytest.approx(x, rel=1e-14)
+            assert db_to_linear(10.0 * math.log10(x)) == pytest.approx(x, rel=1e-14)
         assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-15)
         assert db_to_linear(0.0) == 1.0
 
@@ -186,6 +185,12 @@ class TestParse:
                 lambda t: t.replace("points = 5", "points = 1").replace("trials = 20000", "trials = 50"),
                 "[sweep]: points",
             ),
+            (
+                lambda t: t.replace("axis = rf_avg_snr_db", "axis = branches")
+                .replace("start = 0", "start = 1.5").replace("stop = 20", "stop = 4")
+                .replace("points = 5", "points = 3"),
+                "[sweep]: branches axis requires a grid of integers >= 1",
+            ),
         ],
     )
     def test_rejections_name_the_problem(self, mangle, needle):
@@ -253,16 +258,25 @@ def _documents(draw):
                 f"led_power_w = {draw(_number(1e-3, 0.5))!r}"]
     blocks.append(section("vlc", vlc))
     if draw(st.booleans()):
-        start = draw(_number(0.1, 10.0))
+        axis = draw(st.sampled_from(['rf_avg_snr_db', 'optical_power_w', 'semi_angle_deg', 'branches']))
+        if axis == "branches":
+            # a linear grid of integers >= 1, as the spec requires
+            start, points = draw(st.integers(1, 8)), draw(st.integers(2, 8))
+            stop = start + draw(st.integers(1, 4)) * (points - 1)
+            scales = ["linear"]
+        else:
+            start, points = draw(_number(0.1, 10.0)), draw(st.integers(2, 50))
+            stop = start + draw(_number(0.5, 30.0))
+            scales = ["linear", "log"]
         sweep = [
-            f"axis = {draw(st.sampled_from(['rf_avg_snr_db', 'optical_power_w', 'semi_angle_deg', 'branches']))}",
-            f"start = {start!r}",
-            f"stop = {start + draw(_number(0.5, 30.0))!r}",
-            f"points = {draw(st.integers(2, 50))}",
+            f"axis = {axis}",
+            f"start = {float(start)!r}",
+            f"stop = {float(stop)!r}",
+            f"points = {points}",
             f"quantity = {draw(st.sampled_from(['outage', 'ber']))}",
         ]
         if draw(st.booleans()):
-            sweep.append(f"scale = {draw(st.sampled_from(['linear', 'log']))}")
+            sweep.append(f"scale = {draw(st.sampled_from(scales))}")
         blocks.append(section("sweep", sweep))
     if draw(st.booleans()):
         mc = draw(st.lists(st.sampled_from([
@@ -309,8 +323,9 @@ class TestAxisGrid:
     def test_branch_grid_must_be_integral(self):
         grid = axis_grid(SweepSpec("branches", 1.0, 4.0, 4, "outage"))
         np.testing.assert_allclose(grid, [1, 2, 3, 4])
+        # the spec checks its own grid when it is built
         with pytest.raises(ValueError) as ei:
-            axis_grid(SweepSpec("branches", 1.0, 4.0, 5, "outage"))
+            SweepSpec("branches", 1.0, 4.0, 5, "outage")
         assert "integer" in str(ei.value)
 
 
@@ -608,6 +623,20 @@ class TestCli:
         assert (rc, captured.out) == (2, "")
         assert captured.err.startswith("config error: the optical SNR scale")
         assert f"semi_angle {angle} degrees" in captured.err
+
+    @pytest.mark.parametrize("command", [["outage", "--no-mc"], ["outage"], ["validate"]])
+    @pytest.mark.parametrize(
+        "edits",
+        [dict(semi_angle_deg="2.11", area_m2="1e-200"),  # height ** (m + 3) overflowed
+         dict(height_m="1e-160", area_m2="1e300")],      # ... underflowed to 0
+        ids=["2.11deg-1e-200m2", "1e-160m-1e300m2"],
+    )
+    def test_snr_outside_float_range_is_config_error(self, cfg_file, capsys, command, edits):
+        rc = cli.main(command + ["--config", cfg_file(doc_with(**edits))])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err.startswith("config error: the optical SNR mu_vlc * (upsilon")
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("extra", [[], ["--no-mc"]])
     def test_narrow_beam_sweep_names_the_grid_point(self, cfg_file, capsys, extra):

@@ -8,7 +8,6 @@ import oracles
 from rfvlc.vlc_channel import (
     VlcParams,
     channel_gain,
-    check_snr_scale,
     derive,
     lambertian_order,
     sample_vlc_snr,
@@ -85,8 +84,11 @@ class TestParams:
 
 
 class TestCheckSnrScale:
+    """The float-range rules that derive applies when VlcParams is built."""
+
     # height ** (m + 1) overflows, underflows to 0; upsilon ** 2 overflows;
-    # mu_vlc * upsilon ** 2 overflows; the squared power overflows
+    # mu_vlc * upsilon ** 2 overflows; the squared power overflows; the
+    # concentrator's sin(fov)^2 and the noise variance underflow to 0
     @pytest.mark.parametrize(
         "kw",
         [
@@ -95,6 +97,8 @@ class TestCheckSnrScale:
             dict(semi_angle=2.5),
             dict(semi_angle=3.0),
             dict(optical_power=1e200),
+            dict(fov=1e-200),
+            dict(noise_psd=1e-200, bandwidth=1e-200),
         ],
     )
     def test_rejects_scale_outside_float_range(self, kw):
@@ -102,11 +106,28 @@ class TestCheckSnrScale:
         with pytest.raises(ValueError, match="mu_vlc \\* upsilon\\^2 = (inf|0) is not"):
             cell(**kw)
 
+    # the scale is finite, but height ** (m + 3) overflows (2.11 degrees)
+    # or underflows to 0 (1e-160 m) in the channel gain, or the SNR at the
+    # cell edge underflows to 0 (the closed-form BER divided by it)
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(semi_angle=2.11, area=1e-200),
+            dict(height=1e-160, area=1e300),
+            dict(height=1.5e37, area=1e-144),
+        ],
+    )
+    def test_rejects_snr_outside_float_range(self, kw):
+        with pytest.raises(ValueError) as ei:
+            cell(**kw)
+        msg = str(ei.value)
+        assert msg.startswith("the optical SNR mu_vlc * (upsilon / D ** (m + 3))^2 "
+                              "cannot be evaluated as a float > 0")
+        assert "= inf" not in msg
+
     @pytest.mark.parametrize("angle,height", [(3.5, 2.0), (60.0, 2.0), (1.0, 1.0), (5.0, 0.5)])
     def test_accepts_representable_scale(self, angle, height):
-        p = cell(semi_angle=angle, height=height)
-        assert check_snr_scale(p) is None
-        d = derive(p)
+        d = derive(cell(semi_angle=angle, height=height))
         assert 0.0 < d.mu_vlc * d.upsilon**2 < math.inf
         assert 0.0 < d.snr_min < d.snr_max < math.inf
 
