@@ -6,9 +6,12 @@ Subcommands:
     ber        same for the end-to-end average bit error rate
     sweep      run the [sweep] section, emit CSV
     validate   compare analytic against Monte Carlo for both quantities:
-               a row FAILs on disagreement beyond 4 standard errors, and
-               is INCONCLUSIVE when it agrees on an estimate whose
-               relative standard error is above 10% (no evidence)
+               a row FAILs on disagreement beyond 4 standard errors (plus
+               an absolute 1e-12), is OK when its estimate is reliable
+               (relative standard error at most 10%) and within 4
+               standard errors, and is INCONCLUSIVE otherwise: agreement
+               on an unreliable estimate is no evidence, and neither is a
+               precise estimate that missed the events carrying the value
 
 Exit codes: 0 success, 2 configuration error, 3 series convergence
 failure, 4 validation gate failure, 5 validation inconclusive (no row
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from .config import ConfigError, ParsedConfig, parse_config
@@ -32,11 +36,12 @@ EXIT_CONVERGENCE = 3
 EXIT_VALIDATION = 4
 EXIT_INCONCLUSIVE = 5
 
-# |analytic - estimate| beyond this many standard errors fails validation
+# |analytic - estimate| beyond this many standard errors fails validation,
+# and a row is OK only within it
 VALIDATION_GATE_SE = 4.0
-# absolute slack added to the gate, which never divides by the standard
-# error: it keeps a zero-event row, such as analytic 4.1e-15 against mc = 0,
-# se = 0, INCONCLUSIVE instead of FAIL
+# absolute slack added to the failure gate, which never divides by the
+# standard error: it keeps a zero-event row, such as analytic 4.1e-15
+# against mc = 0, se = 0, INCONCLUSIVE instead of FAIL
 VALIDATION_GATE_ABS = 1e-12
 
 
@@ -126,10 +131,17 @@ def _validate_report(parsed: ParsedConfig) -> tuple[str, int]:
     lines, verdicts = [], set()
     for name, analytic, est in zip(("outage", "ber"), closed, estimates):
         diff = abs(analytic - est.estimate)
-        gate = VALIDATION_GATE_SE * est.std_error + VALIDATION_GATE_ABS
-        verdict = "FAIL" if diff > gate else "OK" if est.reliable else "INCONCLUSIVE"
+        if est.std_error > 0.0:
+            z = diff / est.std_error
+        else:  # no spread: any gap is infinitely many standard errors
+            z = 0.0 if diff == 0.0 else math.inf
+        if diff > VALIDATION_GATE_SE * est.std_error + VALIDATION_GATE_ABS:
+            verdict = "FAIL"
+        elif est.reliable and z <= VALIDATION_GATE_SE:
+            verdict = "OK"
+        else:
+            verdict = "INCONCLUSIVE"
         verdicts.add(verdict)
-        z = diff / est.std_error if est.std_error > 0.0 else 0.0
         lines.append(
             f"{name}: analytic = {analytic:.12g}, mc = {est.estimate:.12g}, "
             f"se = {est.std_error:.12g}, z = {z:.2f} -> {verdict}"

@@ -8,8 +8,9 @@ Poisson mixtures; the batch forms take params with any K and branch count
 and sum them in one series pass per distinct (K, branches), under the one
 truncation budget `specfun.REL_TOL`/`specfun.MAX_TERMS`.  Every closed
 form returns values that meet it or raises `ConvergenceError`.  The CDF's
-terms come from `specfun.GammaTerms`, numpy alone; scipy is imported only
-by the density and the average BER, when they are first called.
+terms come from `specfun.GammaTerms` and the average BER's from
+`specfun.BetaTerms`, numpy alone; scipy is imported only by the density
+(`mrc_snr_pdf`, and so `rician_snr_pdf`), when it is first called.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import specfun
-from .specfun import ConvergenceError, GammaTerms, poisson_weighted_sum, validate_snr
+from .specfun import BetaTerms, ConvergenceError, GammaTerms, poisson_weighted_sum, validate_snr
 
 __all__ = [
     "RfParams",
@@ -232,9 +233,9 @@ def rf_avg_ber(params: RfParams) -> float:
 
     Poisson mixture over the noncentral expansion: each conditional term is
     half a regularized incomplete beta, P_k = I(m+k, 1/2; w) / 2 with
-    w = (k_factor+1)/(k_factor+1+avg_snr).  All terms are positive and
-    bounded by 1, so the series is evaluated to relative accuracy even when
-    the result is many orders below 1.
+    w = (k_factor+1)/(k_factor+1+avg_snr), from `specfun.BetaTerms`.  All
+    terms are positive and bounded by 1, so the series is evaluated to
+    relative accuracy even when the result is many orders below 1.
     """
     (p,) = rf_avg_ber_batch([params])
     return float(p)
@@ -243,9 +244,6 @@ def rf_avg_ber(params: RfParams) -> float:
 def rf_avg_ber_batch(params):
     """`rf_avg_ber` of every params, each its own sum, one series pass per
     distinct (k_factor, branches).  Raises as `mrc_cdf_batch` does."""
-    from scipy.special import betainc
-
     w = np.array([(p.k_factor + 1.0) / (p.k_factor + 1.0 + p.avg_snr) for p in params],
                  dtype=float)
-    return 0.5 * _mixture(_by_fading(params, range(len(params))), w,
-                          lambda m, x: lambda j: betainc(m + j, 0.5, x))
+    return 0.5 * _mixture(_by_fading(params, range(len(params))), w, BetaTerms)

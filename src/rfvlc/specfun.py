@@ -1,4 +1,5 @@
-"""The Poisson-mixture series behind the radio-hop closed forms.
+"""The special functions behind the closed forms and the Monte Carlo
+kernel, in numpy and the standard library alone.
 
 The combined radio SNR is a noncentral chi-square variable, so its CDF and
 its average BER are both Poisson mixtures of bounded terms.
@@ -6,9 +7,11 @@ its average BER are both Poisson mixtures of bounded terms.
 fixed truncation budget (`REL_TOL`, `MAX_TERMS`) and flags the entries
 that run out of terms; the closed forms raise them as a `ConvergenceError`
 and never return silently wrong numbers.  The CDF's terms are regularized
-incomplete gammas of integer order, which `GammaTerms` evaluates with
-numpy alone, as Poisson tails, one multiply-add per term after an anchor
-series; so the outage path needs no scipy.  `validate_snr` is the one
+incomplete gammas of integer order (`GammaTerms`) and the BER's are
+regularized incomplete betas I_w(a, 1/2) (`BetaTerms`); each walk costs
+one anchor per entry and then one multiply-add per term.  `upper_gamma`
+is the scalar Gamma(q, g) of the optical BER, and `erfc_sqrt` the
+erfc(sqrt(snr)) of the Monte Carlo BER.  `validate_snr` is the one
 argument check shared by the SNR distributions of both hops.
 """
 from __future__ import annotations
@@ -23,6 +26,9 @@ __all__ = [
     "ConvergenceError",
     "poisson_weighted_sum",
     "GammaTerms",
+    "BetaTerms",
+    "upper_gamma",
+    "erfc_sqrt",
     "validate_snr",
 ]
 
@@ -119,6 +125,7 @@ def poisson_weighted_sum(lam, term):
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _EPS = 2.0**-53
+_TINY = 1e-300
 _BIG = np.finfo(float).max
 
 
@@ -185,44 +192,263 @@ def _anchor(a, y):
     return np.where(direct, _pois(a, y) * total, 1.0 - _pois(a - 1, y) * total)
 
 
-class GammaTerms:
-    """term(j) = P(m + j, y) for the orders `poisson_weighted_sum` asks
-    for, P(a, y) being the regularized lower incomplete gamma at every
-    entry of the array y > 0.
+class _TermWalk:
+    """term(j) = T(m + j) for the orders `poisson_weighted_sum` asks for,
+    T(a) being an array of terms that fall in the integer order a, with
+    known steps d(a) = T(a) - T(a + 1) >= 0.
 
-    For an integer order a, P(a, y) = Pr(N >= a) with N ~ Poisson(y).  The
-    first call anchors the walk at its order a0 (`_anchor`, one positive
-    series per entry); after that only the neighbours of the two frontier
-    orders may be asked for, each one multiply-add away:
+    The first call anchors the walk at its order a0 (`_start`); after that
+    only the neighbours of the two frontier orders may be asked for, each
+    one multiply-add away:
 
-        P(a - 1) = P(a) + pois(a - 1; y)             (left, positive)
-        P(a + 1) = max(P(a) - pois(a; y), 0)         (right)
+        T(a - 1) = T(a) + d(a - 1)               (left, positive)
+        T(a + 1) = max(T(a) - d(a), 0)           (right)
 
     A right step cancels, but its absolute error stays a few ulp of
-    P(a0) per step.  That is small against the mixture it feeds: P falls
+    T(a0) per step.  That is small against the mixture it feeds: T falls
     in a and the Poisson weight at or below the mode a0 - m is about 1/2,
-    so the mixture is at least about P(a0)/2, and after the O(sqrt(lam))
+    so the mixture is at least about T(a0)/2, and after the O(sqrt(lam))
     steps of the walk its relative error stays about sqrt(lam) eps.
-    Arguments above the float range are clamped to it, where P is 1.
+    Subclasses give `_start(a)` = T(a) and `_step(a)` = d(a).
     """
 
-    def __init__(self, m, y):
+    def __init__(self, m):
         self._m = m
-        self._y = np.minimum(np.asarray(y, dtype=float), _BIG)
         self._lo = self._hi = None  # (order, value) at each frontier
 
     def __call__(self, j):
         a = self._m + j
         if self._lo is None:
-            p = _anchor(a, self._y)
+            p = self._start(a)
             self._lo = self._hi = (a, p)
         elif a == self._lo[0] - 1:
-            p = self._lo[1] + _pois(a, self._y)
+            p = self._lo[1] + self._step(a)
             self._lo = (a, p)
         elif a == self._hi[0] + 1:
-            p = np.maximum(self._hi[1] - _pois(a - 1, self._y), 0.0)
+            p = np.maximum(self._hi[1] - self._step(a - 1), 0.0)
             self._hi = (a, p)
         else:
             raise ValueError(f"order {a} is not next to the walked orders "
                              f"{self._lo[0]}..{self._hi[0]}")
         return p
+
+
+class GammaTerms(_TermWalk):
+    """term(j) = P(m + j, y), P(a, y) being the regularized lower
+    incomplete gamma at every entry of the array y > 0: the terms of the
+    radio CDF, walked as `_TermWalk` describes.
+
+    For an integer order a, P(a, y) = Pr(N >= a) with N ~ Poisson(y), so
+    the step is d(a) = pois(a; y), and the anchor is `_anchor`'s positive
+    series.  Arguments above the float range are clamped to it, where P
+    is 1.
+    """
+
+    def __init__(self, m, y):
+        super().__init__(m)
+        self._y = np.minimum(np.asarray(y, dtype=float), _BIG)
+
+    def _start(self, a):
+        return _anchor(a, self._y)
+
+    def _step(self, a):
+        return _pois(a, self._y)
+
+
+def _log_a_beta_half(a):
+    """log(a B(a, 1/2)) for an integer a >= 1.
+
+    a B(a, 1/2) = 4^a / C(2a, a), which is sqrt(pi a) times
+    exp(2 stirling(a) - stirling(2a)); below 16, where `_stirling_correction`
+    cancels, the integer quotient is rounded once instead."""
+    if a < 16:
+        return math.log(4**a / math.comb(2 * a, a))
+    return (0.5 * math.log(math.pi * a) + 2.0 * _stirling_correction(a)
+            - _stirling_correction(2 * a))
+
+
+def _beta_anchor(a, w, front):
+    """I_w(a, 1/2) at every entry of w in [0, 1], for an integer order
+    a >= 1, given front = w^a (1 - w)^(1/2) / (a B(a, 1/2)).
+
+    The continued fraction of DLMF 8.17.22,
+
+        I_x(p, q) = x^p (1-x)^q / (p B(p, q)) / (1 + d1/(1 + d2/(1 + ...))),
+        d(2k+1) = -(p+k)(p+q+k) x / ((p+2k)(p+2k+1)),
+        d(2k) = k (q-k) x / ((p+2k-1)(p+2k)),
+
+    converges fast where x < (p+1)/(p+q+2).  Entries above that use
+    I_w(a, 1/2) = 1 - I_{1-w}(1/2, a), whose value is then above 0.083
+    (its limit at the switch for large a), so the complement loses at most
+    about one digit; its prefactor is 2 a front.
+    Modified Lentz, as Numerical Recipes' betacf; each entry stops on its
+    own once a factor is within eps of 1, so its value does not depend on
+    the other entries.
+    """
+    direct = w < (a + 1.0) / (a + 2.5)
+    p = np.where(direct, float(a), 0.5)
+    q = np.where(direct, 0.5, float(a))
+    x = np.where(direct, w, 1.0 - w)
+
+    def guard(v):
+        return np.where(np.abs(v) < _TINY, _TINY, v)
+
+    c = np.ones_like(x)
+    d = 1.0 / guard(1.0 - (p + q) * x / (p + 1.0))
+    h = d
+    open_ = np.ones(x.shape, dtype=bool)
+    k = 0
+    while open_.any():
+        k += 1
+        odd = -(p + k) * (p + q + k) * x / ((p + 2 * k) * (p + 2 * k + 1))
+        even = k * (q - k) * x / ((p + 2 * k - 1) * (p + 2 * k))
+        for coef in (even, odd):
+            d = 1.0 / guard(1.0 + coef * d)
+            c = guard(1.0 + coef / c)
+            step = d * c
+            h = np.where(open_, h * step, h)
+        open_ &= np.abs(step - 1.0) > 2.0 * _EPS
+    return np.where(direct, front * h, 1.0 - 2.0 * a * front * h)
+
+
+class BetaTerms(_TermWalk):
+    """term(j) = I_w(m + j, 1/2), I being the regularized incomplete beta
+    at every entry of the array w in [0, 1]: the terms of the radio BER,
+    walked as `_TermWalk` describes.
+
+    The step is d(a) = w^a (1 - w)^(1/2) / (a B(a, 1/2)) (DLMF 8.17.20),
+    formed from logs, so it never underflows before the value it changes
+    does, and the anchor is `_beta_anchor`'s continued fraction.
+    """
+
+    def __init__(self, m, w):
+        super().__init__(m)
+        self._w = np.asarray(w, dtype=float)
+        with np.errstate(divide="ignore"):  # log(0) sends d to its 0 limit
+            self._log_w = np.log(self._w)
+            self._half_log_1mw = 0.5 * np.log1p(-self._w)
+
+    def _start(self, a):
+        return _beta_anchor(a, self._w, self._step(a))
+
+    def _step(self, a):
+        return np.exp(a * self._log_w + self._half_log_1mw - _log_a_beta_half(a))
+
+
+def upper_gamma(q, g):
+    """Gamma(q, g), the (unregularized) upper incomplete gamma, for
+    0 < q < 1 and g > 0: the scalar of the optical BER, where q lies in
+    (1/6, 1/2).
+
+    Below g = q + 1 it is Gamma(q) - gamma(q, g), with the lower function
+    from its positive series g^q e^-g sum_n g^n / (q (q+1) ... (q+n))
+    (DLMF 8.7.1); the difference loses at most about one digit there.
+    Above, Legendre's continued fraction (DLMF 8.9.2) by modified Lentz,
+    as Numerical Recipes' gcf.
+    """
+    front = math.exp(-g) * g**q
+    if g < q + 1.0:
+        term = total = 1.0 / q
+        n = 0
+        while term > _EPS * total:
+            n += 1
+            term *= g / (q + n)
+            total += term
+        return math.gamma(q) - front * total
+    b = g + 1.0 - q
+    c = 1.0 / _TINY
+    d = 1.0 / b
+    h = d
+    n = 0
+    while True:
+        n += 1
+        an = -n * (n - q)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= _TINY else _TINY)
+        c = b + an / c
+        if abs(c) < _TINY:
+            c = _TINY
+        step = d * c
+        h *= step
+        if abs(step - 1.0) <= 2.0 * _EPS:
+            return front * h
+
+
+# erfc(x) by the rational approximations of cephes (ndtr.c), written in the
+# SNR s = x^2: 1 - x T(s)/U(s) below s = 1, exp(-s) P(x)/Q(x) on [1, 64)
+# and exp(-s) R(x)/S(x) from 64 on.  Each table holds (numerator,
+# denominator) coefficient pairs, highest power first; the shorter
+# polynomial is padded with leading zeros, which Horner's rule passes
+# through exactly.
+def _rational_table(num, den):
+    num = [0.0] * (len(den) - len(num)) + num
+    return np.array([num, den]).T[:, :, None]
+
+
+_ERF_LOW = _rational_table(
+    [9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+     7.00332514112805075473e3, 5.55923013010394962768e4],
+    [1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+     2.26290000613890934246e4, 4.92673942608635921086e4])
+_ERFC_MID = _rational_table(
+    [2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+     4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+     9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2],
+    [1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+     9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+     1.65666309194161350182e3, 5.57535340817727675546e2])
+_ERFC_HIGH = _rational_table(
+    [5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+     6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0],
+    [1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+     1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0])
+_MAXLOG = 7.09782712893383996843e2  # log of the largest float
+
+
+def _horner(table, x, work):
+    """The numerator and denominator of a `_rational_table` at x, both by
+    Horner's rule at once in the (2, n) scratch `work`."""
+    np.multiply(x, table[0], out=work)
+    for coef in table[1:-1]:
+        work += coef
+        work *= x
+    work += table[-1]
+    return work
+
+
+def erfc_sqrt(s, out=None, work=None):
+    """erfc(sqrt(s)) at every entry of the 1-D array s >= 0: the
+    conditional BPSK bit error probability is half of it.
+
+    The factor exp(-x^2) of cephes' rationals is taken from s itself: the
+    square of a rounded sqrt(s) would carry a relative error of about
+    s eps into it.  The relative error is within 4e-15 wherever the value
+    is a normal float; past log(DBL_MAX) the value is 0.
+
+    `out` (n,) receives the result and `work` is (2, n) scratch; both are
+    allocated when not given, and `out` must not share memory with `s`.
+    The middle rational is evaluated on every entry, in `out` and `work`
+    alone, and the other two regions are patched on their index sets.
+    """
+    if out is None:
+        out = np.empty_like(s)
+    if work is None:
+        work = np.empty((2,) + s.shape)
+    # entries from 64 on may overflow here; they are patched below
+    with np.errstate(over="ignore", invalid="ignore"):
+        num, den = _horner(_ERFC_MID, np.sqrt(s, out=out), work)
+        den *= np.exp(s, out=out)
+        np.divide(num, den, out=out)
+
+    low = np.flatnonzero(s < 1.0)
+    if low.size:
+        s_low = s[low]
+        num, den = _horner(_ERF_LOW, s_low, np.empty((2, low.size)))
+        out[low] = 1.0 - np.sqrt(s_low) * num / den
+    high = np.flatnonzero(s >= 64.0)
+    if high.size:
+        s_high = np.minimum(s[high], _MAXLOG)
+        num, den = _horner(_ERFC_HIGH, np.sqrt(s_high), np.empty((2, high.size)))
+        out[high] = np.where(s[high] <= _MAXLOG, np.exp(-s_high) * num / den, 0.0)
+    return out

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import integrate, stats
 from scipy import special as sc
 
-from rfvlc.specfun import MAX_TERMS, REL_TOL, ConvergenceError
+from rfvlc.specfun import MAX_TERMS, REL_TOL, ConvergenceError, erfc_sqrt
 from rfvlc.vlc_channel import VlcParams, derive
 
 
@@ -67,6 +67,24 @@ def regularized_gamma_mp(a, y, dps=40):
     """P(a, y), the regularized lower incomplete gamma, by mpmath."""
     with mpmath.workdps(dps):
         return float(mpmath.gammainc(a, 0, mpmath.mpf(float(y)), regularized=True))
+
+
+def regularized_beta_mp(a, b, w, dps=40):
+    """I_w(a, b), the regularized incomplete beta, by mpmath."""
+    with mpmath.workdps(dps):
+        return float(mpmath.betainc(a, b, 0, mpmath.mpf(float(w)), regularized=True))
+
+
+def upper_gamma_mp(q, g, dps=40):
+    """Gamma(q, g), the unregularized upper incomplete gamma, by mpmath."""
+    with mpmath.workdps(dps):
+        return float(mpmath.gammainc(mpmath.mpf(float(q)), mpmath.mpf(float(g))))
+
+
+def erfc_sqrt_mp(s, dps=40):
+    """erfc(sqrt(s)) by mpmath, from the float s itself."""
+    with mpmath.workdps(dps):
+        return float(mpmath.erfc(mpmath.sqrt(mpmath.mpf(float(s)))))
 
 
 def mrc_cdf_mp(snr, k_factor, branches, avg_snr, dps=40):
@@ -282,6 +300,25 @@ def vlc_ber_quad(params: VlcParams, dps=60):
         return float(mpmath.quad(f, pts))
 
 
+def vlc_ber_closed_mp(derived, dps=60):
+    """The optical-hop BER closed form of `vlc_avg_ber`, evaluated by
+    mpmath at `dps` digits from the derived floats: the reference for its
+    floating-point evaluation, where `vlc_ber_quad` checks the formula."""
+    d = derived
+    with mpmath.workdps(dps):
+        m = mpmath.mpf(d.lambert_order)
+        beta, q = 1 / (m + 3), (m + 1) / (2 * m + 6)
+
+        def h(g):
+            g = mpmath.mpf(g)
+            return (g ** -beta * mpmath.erfc(mpmath.sqrt(g))
+                    - mpmath.gammainc(q, g) / mpmath.sqrt(mpmath.pi))
+
+        scale = mpmath.mpf(d.mu_vlc) * mpmath.mpf(d.upsilon) ** 2
+        pref = scale**beta / (2 * mpmath.mpf(d.cell_radius) ** 2)
+        return float(pref * (h(d.snr_min) - h(d.snr_max)))
+
+
 def bitflip_ber_mc(sample_rf, sample_vlc, trials, seed):
     """Plain bit-flip Monte Carlo estimator for end-to-end BER.
 
@@ -314,7 +351,9 @@ def per_point_mc(cfg, trials, seed, chunk_size=65536):
     sum: (sqrt(M) los + sd Z1)^2 + (sd Z2)^2 plus the exponential rows,
     each scaled by 1/(K+1), summed in row order.  The per-trial arithmetic
     and the reductions are written out here for this config alone, so the
-    library must match it bit for bit.  Returns ((outage, se), (ber, se)).
+    library must match it bit for bit.  erfc is the library's `erfc_sqrt`,
+    which test_specfun checks against mpmath: this loop checks the stream
+    layout and the reductions.  Returns ((outage, se), (ber, se)).
     """
     rf, d = cfg.rf, derive(cfg.vlc)
     los = math.sqrt(rf.k_factor / (rf.k_factor + 1.0))
@@ -339,8 +378,8 @@ def per_point_mc(cfg, trials, seed, chunk_size=65536):
         scale = d.mu_vlc * d.upsilon**2
         snr_vlc = scale * (d.cell_radius**2 * u + d.height**2) ** -(d.lambert_order + 3.0)
         count += int(np.count_nonzero(np.minimum(snr_rf, snr_vlc) < cfg.outage_threshold))
-        x_rf = 0.5 * sc.erfc(np.sqrt(snr_rf))
-        x_vlc = 0.5 * sc.erfc(np.sqrt(snr_vlc))
+        x_rf = 0.5 * erfc_sqrt(snr_rf)
+        x_vlc = 0.5 * erfc_sqrt(snr_vlc)
         partials.append([float(x_rf.sum()), float((x_rf * x_rf).sum()),
                          float(x_vlc.sum()), float((x_vlc * x_vlc).sum())])
     p = count / trials

@@ -182,12 +182,12 @@ class TestSharedStream:
             assert (ber.estimate, ber.std_error) == (b, b_se)
 
     def test_outage_only_never_reaches_erfc(self, monkeypatch):
-        import scipy.special
+        import rfvlc._mc_numpy
 
-        def erfc(x, out=None):
+        def erfc_sqrt(s, out=None, work=None):
             raise ErfcCalled
 
-        monkeypatch.setattr(scipy.special, "erfc", erfc)
+        monkeypatch.setattr(rfvlc._mc_numpy, "erfc_sqrt", erfc_sqrt)
         cfgs = [make_cfg(avg_snr=a) for a in (1.0, 5.0)]
         assert simulate_outage(cfgs[0], trials=70_000, seed=1).trials == 70_000
         assert all(ber is None for _, ber in simulate(cfgs, 70_000, 1, workers=2))

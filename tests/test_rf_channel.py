@@ -385,7 +385,9 @@ class TestBatch:
                 k * m, lambda j: float(sc.betainc(m + j, 0.5, w))))
             assert (lone is None) == (ref is None)
             if lone is not None:
-                assert lone == ref
+                # the oracle's terms are scipy's betainc, the library's its
+                # own incomplete-beta walk: equal within the truncation budget
+                assert lone == pytest.approx(ref, rel=REL_TOL, abs=0.0)
             # the array form gives every entry its lone value, or names the
             # entries that fail
             lones = [_scalar_or_failed(lambda: mrc_snr_cdf(g, p)) for g in gammas]

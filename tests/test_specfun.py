@@ -9,9 +9,12 @@ from oracles import erfc_moment, marcum_q, meijer_g_2122
 from rfvlc import specfun
 from rfvlc.rf_channel import RfParams, mrc_snr_cdf
 from rfvlc.specfun import (
+    BetaTerms,
     ConvergenceError,
     GammaTerms,
+    erfc_sqrt,
     poisson_weighted_sum,
+    upper_gamma,
     validate_snr,
 )
 
@@ -284,6 +287,147 @@ class TestGammaTerms:
 
     def test_saturates_above_the_float_range(self):
         assert GammaTerms(3, np.array([np.inf, 1e308]))(5).tolist() == [1.0, 1.0]
+
+
+# measured worst over these tests: 1.3e-13 relative at the anchors,
+# 1.2e-13 on the left walk, 9.5e-14 of I(a0) on the right walk
+BETA_REL = 5e-13
+BETA_WS = np.concatenate([np.geomspace(1e-4, 0.5, 13), 1.0 - np.geomspace(0.3, 1e-5, 12)])
+
+
+class TestBetaTerms:
+    """I_w(a, 1/2) of integer order against mpmath at 40 digits, for a in
+    [1, 1200] and w in [1e-4, 1 - 1e-5]: values near 1 (w near 1) down to
+    the float range (a large, w small), on both sides of the switch to
+    the complement at w = (a + 1)/(a + 5/2)."""
+
+    @staticmethod
+    def check_relative(got, a):
+        for w, value in zip(BETA_WS, got):
+            want = oracles.regularized_beta_mp(a, 0.5, w)
+            if want >= 1e-300:
+                assert value == pytest.approx(want, rel=BETA_REL, abs=0.0), (a, w)
+            else:
+                assert value <= 1e-300, (a, w)  # at the float range's edge
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 5, 8, 15, 16, 17, 40, 99, 204, 401, 700, 1000, 1200])
+    def test_anchor(self, a):
+        self.check_relative(BetaTerms(a, BETA_WS)(0), a)
+
+    @pytest.mark.parametrize("a0", [1, 30, 204, 700, 1200])
+    def test_walk(self, a0):
+        # as GammaTerms' walk: left values keep relative accuracy, right
+        # values an absolute error within BETA_REL of I(a0)
+        term = BetaTerms(1, BETA_WS)
+        anchor = term(a0 - 1)
+        lo = hi = a0
+        for step in range(300):
+            hi += 1
+            right = term(hi - 1)
+            assert np.all(right >= 0.0), hi
+            if step % 9 == 0:
+                want = np.array([oracles.regularized_beta_mp(hi, 0.5, w) for w in BETA_WS])
+                assert np.all(np.abs(right - want) <= BETA_REL * anchor + 1e-300), hi
+            if lo > 1:
+                lo -= 1
+                left = term(lo - 1)
+                if step % 9 == 0 or lo == 1:
+                    self.check_relative(left, lo)
+
+    def test_underflowing_anchor(self):
+        # I_w(208, 1/2) ~ 1e-416 is 0 in floats; the orders the walk
+        # reaches on its left are not
+        w = np.array([0.01])
+        term = BetaTerms(4, w)
+        assert term(204)[0] == 0.0
+        for a in range(207, 3, -1):
+            got = term(a - 4)[0]
+            if a % 20 == 0 or a == 4:
+                want = oracles.regularized_beta_mp(a, 0.5, w[0])
+                if want >= 1e-300:
+                    assert got == pytest.approx(want, rel=BETA_REL, abs=0.0), a
+                else:
+                    assert got <= 1e-300, a
+
+    def test_entries_equal_lone_calls(self):
+        # each entry's continued fraction stops on its own; entries on
+        # both sides of the switch, near it, run longest
+        switch = 48.0 / 49.5  # the anchor's order is 3 + 44
+        ws = np.concatenate([BETA_WS, switch + np.linspace(-0.02, 0.02, 41)])
+        term = BetaTerms(3, ws)
+        lones = [BetaTerms(3, ws[i:i + 1]) for i in range(ws.size)]
+        for j in (44, 45, 43, 46, 42):
+            got = term(j)
+            assert got.tolist() == [lone(j)[0] for lone in lones]
+
+    def test_rejects_orders_off_the_walk(self):
+        term = BetaTerms(2, BETA_WS)
+        term(10)
+        term(11)
+        with pytest.raises(ValueError, match="not next to"):
+            term(13)
+
+    def test_limits_at_the_ends(self):
+        # w = 0 (no radio SNR is this high) and w = 1 (nor this low)
+        term = BetaTerms(1, np.array([0.0, 1.0]))
+        for j in (3, 4, 2, 5, 1):
+            assert term(j).tolist() == [0.0, 1.0]
+
+
+class TestUpperGamma:
+    """Gamma(q, g) against mpmath at 40 digits, at both ends of the
+    optical BER's q range (1/6, 1/2), on both sides of the switch from
+    the series to the continued fraction at g = q + 1."""
+
+    @pytest.mark.parametrize("q", [1.0 / 6.0 + 1e-12, 0.2, 0.3, 0.4, 0.5 - 1e-12])
+    def test_matches_mpmath(self, q):
+        gs = np.concatenate([np.geomspace(1e-300, 1e-3, 7), np.linspace(0.01, 3.0, 30),
+                             [q + 1.0 - 1e-9, q + 1.0, q + 1.0 + 1e-9],
+                             np.geomspace(3.0, 740.0, 20)])
+        for g in gs:
+            want = oracles.upper_gamma_mp(q, g)
+            got = upper_gamma(q, float(g))
+            if want >= 1e-300:
+                assert got == pytest.approx(want, rel=2e-14, abs=0.0), g
+            else:
+                assert got <= 1e-300, g  # at the float range's edge
+
+    def test_vanishes_past_the_float_range(self):
+        assert upper_gamma(0.3, 1e300) == 0.0
+
+
+class TestErfcSqrt:
+    """erfc(sqrt(s)) against mpmath from the float s itself, over the SNRs
+    the Monte Carlo kernel sees: every region of the rational fit and its
+    edges, and the underflow from about s = 704 to 745."""
+
+    S = np.concatenate([
+        [0.0, 1e-300, 1e-20, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, 64.0 - 2.0**-46, 64.0,
+         64.0 + 2.0**-46, 700.0, 704.0, 705.0, 708.0, 709.0, 709.78, 709.79, 745.0, 746.0],
+        np.geomspace(1e-12, 1.0, 60),
+        np.linspace(0.0, 760.0, 1521),
+        np.random.default_rng(3).uniform(0.0, 80.0, 400),
+    ])
+
+    def test_matches_mpmath(self):
+        got = erfc_sqrt(self.S)
+        tiny = np.finfo(float).tiny
+        for s, value in zip(self.S, got):
+            want = oracles.erfc_sqrt_mp(s)
+            if want >= tiny:
+                assert value == pytest.approx(want, rel=4e-15, abs=0.0), s
+            else:
+                assert 0.0 <= value < tiny, s  # 0 or subnormal
+
+    def test_scratch_gives_the_same_values(self):
+        n = self.S.size
+        out, work = np.full(n, np.nan), np.full((2, n), np.nan)
+        got = erfc_sqrt(self.S, out=out, work=work)
+        assert got is out
+        assert got.tolist() == erfc_sqrt(self.S).tolist()
+
+    def test_beyond_the_float_range(self):
+        assert erfc_sqrt(np.array([1e80, 1e300, np.inf])).tolist() == [0.0, 0.0, 0.0]
 
 
 class TestValidateSnr:

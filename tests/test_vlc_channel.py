@@ -315,13 +315,30 @@ class TestSampling:
 
 
 class TestAvgBer:
-    @pytest.mark.parametrize("semi_angle", [30.0, 45.0, 60.0])
+    # 10 and 80 degrees put q = (m+1)/(2m+6) near each end of (1/6, 1/2)
+    @pytest.mark.parametrize("semi_angle", [10.0, 30.0, 45.0, 60.0, 80.0])
     @pytest.mark.parametrize("height", [2.0, 3.0])
     def test_matches_quadrature(self, semi_angle, height):
         for power in np.geomspace(0.003, 3.0, 7):
             p = cell(semi_angle=semi_angle, height=height, optical_power=float(power))
             want = oracles.vlc_ber_quad(p)
             assert vlc_avg_ber(derive(p)) == pytest.approx(want, rel=1e-10), (semi_angle, height, power)
+
+    @pytest.mark.parametrize("semi_angle", [5.0, 10.0, 30.0, 60.0, 80.0, 89.0])
+    def test_evaluates_the_closed_form_to_working_precision(self, semi_angle):
+        # from q near 1/6 (wide beams) to q near 1/2 (narrow ones), and
+        # lower SNR edges up to the hundreds, where the two terms of h cancel
+        # to (1/2 - q)/g of either: erfc must be taken from the SNR itself
+        # there (measured worst 1.4e-11, at 5 degrees, 1 m, 2.6 mW)
+        for height in (1.0, 3.0):
+            for power in np.geomspace(1e-3, 30.0, 12):
+                d = derive(cell(semi_angle=semi_angle, height=height, optical_power=float(power)))
+                want = oracles.vlc_ber_closed_mp(d)
+                got = vlc_avg_ber(d)
+                if want >= 1e-300:
+                    assert got == pytest.approx(want, rel=1e-10, abs=0.0), (height, power)
+                else:
+                    assert 0.0 <= got <= 1e-300, (height, power)
 
     def test_vanishing_power_approaches_half(self):
         val = vlc_avg_ber(derive(cell(optical_power=1e-9)))
