@@ -91,8 +91,11 @@ def _load(args) -> ParsedConfig:
 
 def _write(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -144,7 +147,7 @@ def _validate_report(parsed: ParsedConfig) -> tuple[str, int]:
         verdicts.add(verdict)
         lines.append(
             f"{name}: analytic = {analytic:.12g}, mc = {est.estimate:.12g}, "
-            f"se = {est.std_error:.12g}, z = {z:.2f} -> {verdict}"
+            f"se = {est.std_error:.12g}, z = {z:.6g} -> {verdict}"
         )
     if "FAIL" in verdicts:
         summary, code = "FAILED", EXIT_VALIDATION

@@ -154,16 +154,16 @@ class ParsedConfig:
 _SECTIONS = ("rf", "vlc", "sweep", "mc")
 
 # Each section's keys in file order, as (file key, dataclass field, kind).
-# kind is float, int or str, or "db" for a linear number that the file may
-# give in dB instead, under the key plus "_db".
+# kind is float, int or str; "db" for a linear number that the file may
+# give in dB instead, under the key plus "_db"; or "led" for a float that
+# the file may give instead as the product led_count * led_power_w.
 _TOP_KEYS = (("outage_threshold", "outage_threshold", "db"),)
 _RF_KEYS = (
     ("k_factor", "k_factor", "db"),
     ("branches", "branches", int),
     ("avg_snr", "avg_snr", "db"),
 )
-# The optical power is given directly, or as the product of the LED pair.
-_POWER, _LED_COUNT, _LED_POWER = "optical_power_w", "led_count", "led_power_w"
+_LED_COUNT, _LED_POWER = "led_count", "led_power_w"
 _VLC_KEYS = (
     ("semi_angle_deg", "semi_angle", float),
     ("height_m", "height", float),
@@ -175,7 +175,7 @@ _VLC_KEYS = (
     ("conv_efficiency", "conv_efficiency", float),
     ("noise_psd", "noise_psd", float),
     ("bandwidth_hz", "bandwidth", float),
-    (_POWER, "optical_power", float),
+    ("optical_power_w", "optical_power", "led"),
 )
 _SWEEP_KEYS = (
     ("axis", "axis", str),
@@ -259,18 +259,43 @@ class _Section:
         except ValueError as exc:
             raise ConfigError(f"{self.label}: key '{key}_db': {exc}") from None
 
-    def read(self, keys, cls, optional=()) -> dict:
+    def power_or_led_pair(self, key: str):
+        """The key's float, or `led_count * led_power_w` given instead."""
+        power = self.value(key, float)
+        count = self.value(_LED_COUNT, int)
+        each = self.value(_LED_POWER, float)
+        if power is not None:
+            if count is not None or each is not None:
+                raise ConfigError(
+                    f"{self.label}: give {key} or the {_LED_COUNT}/{_LED_POWER} pair, not both"
+                )
+            return power
+        if count is None or each is None:
+            raise ConfigError(
+                f"{self.label}: missing optical power; give {key} or both "
+                f"{_LED_COUNT} and {_LED_POWER}"
+            )
+        if count < 1:
+            raise ConfigError(f"{self.label}: {_LED_COUNT} must be >= 1, got {count}")
+        try:
+            return count * each
+        except OverflowError:
+            raise ConfigError(
+                f"{self.label}: key '{_LED_COUNT}': {_LED_COUNT} * {_LED_POWER} overflows a float"
+            ) from None
+
+    def read(self, keys, cls) -> dict:
         """Keyword arguments for `cls` from the `keys` table, absent keys
-        left out.  A key is required unless its field has a default or is
-        named in `optional`."""
+        left out.  A key is required unless its field has a default."""
         defaults = {f.name for f in dataclasses.fields(cls)
                     if f.default is not dataclasses.MISSING}
+        readers = {"db": self.linear_or_db, "led": self.power_or_led_pair}
         values = {}
         for key, field, kind in keys:
-            got = self.linear_or_db(key) if kind == "db" else self.value(key, kind)
+            got = readers[kind](key) if kind in readers else self.value(key, kind)
             if got is not None:
                 values[field] = got
-            elif field not in defaults and field not in optional:
+            elif field not in defaults:
                 twin = f" (or '{key}_db')" if kind == "db" else ""
                 raise ConfigError(f"{self.label}: missing required key {key!r}{twin}")
         return values
@@ -281,21 +306,17 @@ class _Section:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in {self.label}")
 
 
-def _required(tokens, name: str) -> _Section:
-    if name not in tokens:
+def _build(tokens, name: str, keys, cls, required: bool = False):
+    """`cls` from the section `name`, which may be absent unless `required`."""
+    if required and name not in tokens:
         raise ConfigError(f"missing required section [{name}]")
-    return _Section(name, tokens[name])
-
-
-def _build(tokens, name: str, keys, cls):
-    """`cls` from the optional section `name`."""
     section = _Section(name, tokens.get(name, {}))
     values = section.read(keys, cls)
     section.finish()
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"[{name}]: {exc}") from None
+        raise ConfigError(f"{section.label}: {exc}") from None
 
 
 def parse_config(text: str) -> ParsedConfig:
@@ -306,43 +327,14 @@ def parse_config(text: str) -> ParsedConfig:
     top = _Section("", tokens[""])
     link = top.read(_TOP_KEYS, SystemConfig)
     top.finish()
-
-    rf_sec = _required(tokens, "rf")
-    rf = rf_sec.read(_RF_KEYS, RfParams)
-    rf_sec.finish()
-
-    vlc_sec = _required(tokens, "vlc")
-    vlc = vlc_sec.read(_VLC_KEYS, VlcParams, optional=("optical_power",))
-    led_count = vlc_sec.value(_LED_COUNT, int)
-    led_power = vlc_sec.value(_LED_POWER, float)
-    vlc_sec.finish()
-    if "optical_power" in vlc:
-        if led_count is not None or led_power is not None:
-            raise ConfigError(
-                f"[vlc]: give {_POWER} or the {_LED_COUNT}/{_LED_POWER} pair, not both"
-            )
-    else:
-        if led_count is None or led_power is None:
-            raise ConfigError(
-                f"[vlc]: missing optical power; give {_POWER} or both "
-                f"{_LED_COUNT} and {_LED_POWER}"
-            )
-        if led_count < 1:
-            raise ConfigError(f"[vlc]: {_LED_COUNT} must be >= 1, got {led_count}")
-        try:
-            vlc["optical_power"] = led_count * led_power
-        except OverflowError:
-            raise ConfigError(
-                f"[vlc]: key '{_LED_COUNT}': {_LED_COUNT} * {_LED_POWER} overflows a float"
-            ) from None
-
+    rf = _build(tokens, "rf", _RF_KEYS, RfParams, required=True)
+    vlc = _build(tokens, "vlc", _VLC_KEYS, VlcParams, required=True)
     sweep = _build(tokens, "sweep", _SWEEP_KEYS, SweepSpec) if "sweep" in tokens else None
     mc = _build(tokens, "mc", _MC_KEYS, McOptions)
-
     try:
-        system = SystemConfig(rf=RfParams(**rf), vlc=VlcParams(**vlc), **link)
+        system = SystemConfig(rf=rf, vlc=vlc, **link)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{top.label}: {exc}") from None
     return ParsedConfig(system=system, sweep=sweep, mc=mc)
 
 
@@ -359,6 +351,6 @@ def emit_config(parsed: ParsedConfig) -> str:
         lines = [f"[{name}]"] if name else []
         for key, field, kind in keys:
             value = getattr(values, field)
-            lines.append(f"{key} = {value!r}" if kind in (float, "db") else f"{key} = {value}")
+            lines.append(f"{key} = {value}" if kind in (int, str) else f"{key} = {value!r}")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"

@@ -2,6 +2,7 @@ import ast
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -181,7 +182,13 @@ class TestParse:
             ),
             (
                 lambda t: t.replace("k_factor_db = 5", "k_factor = -1").replace("trials = 20000", "trials = 50"),
-                "[mc]: trials",
+                "[rf]: k_factor",
+            ),
+            # the LED-pair rule is applied while the key table is read, so
+            # it comes before the check for unknown keys
+            (
+                lambda t: t.replace("optical_power_w = 0.25", "led_count = 4\nmystery = 1"),
+                "[vlc]: missing optical power; give optical_power_w",
             ),
             (
                 lambda t: t.replace("points = 5", "points = 1").replace("trials = 20000", "trials = 50"),
@@ -199,6 +206,9 @@ class TestParse:
         with pytest.raises(ConfigError) as ei:
             parse_config(mangle(DOC))
         assert needle in str(ei.value)
+        # every message says where the problem is
+        assert re.match(r"(line \d+|\[(rf|vlc|sweep|mc)\]|top level): |missing required section ",
+                        str(ei.value))
 
     def test_error_reports_line_number(self):
         bad = DOC.replace("branches = 2", "branches = two")
@@ -308,6 +318,14 @@ class TestEmit:
         again = parse_config(emit_config(parsed))
         assert again == parsed
         assert again.sweep is None
+
+    def test_led_pair_round_trip(self):
+        # the pair is written back as its product, under optical_power_w
+        doc = DOC.replace("optical_power_w = 0.25", "led_count = 3\nled_power_w = 0.1")
+        parsed = parse_config(doc)
+        text = emit_config(parsed)
+        assert "optical_power_w = 0.30000000000000004\n" in text and "led_" not in text
+        assert parse_config(text) == parsed
 
     def test_emitted_values_are_linear(self):
         text = emit_config(parse_config(DOC))
@@ -583,6 +601,15 @@ class TestCli:
             "converge: rate=400, max_terms=512, rel_tol=1e-10\n"
         )
 
+    @pytest.mark.parametrize("command", ["outage", "sweep"])
+    def test_unwritable_out_is_config_error(self, cfg_file, tmp_path, capsys, command):
+        dest = tmp_path / "missing" / "x"
+        rc = cli.main([command, "--config", cfg_file(DOC), "--no-mc", "--out", str(dest)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err.startswith("config error: cannot write output file: ")
+        assert not dest.parent.exists()
+
     def test_missing_file_is_config_error(self, tmp_path, capsys):
         rc = cli.main(["outage", "--config", str(tmp_path / "absent.cfg")])
         assert rc == 2
@@ -623,7 +650,7 @@ class TestCli:
         rc = cli.main(command + ["--config", path])
         captured = capsys.readouterr()
         assert (rc, captured.out) == (2, "")
-        assert captured.err.startswith("config error: the optical SNR scale")
+        assert captured.err.startswith("config error: [vlc]: the optical SNR scale")
         assert f"semi_angle {angle} degrees" in captured.err
 
     @pytest.mark.parametrize("command", [["outage", "--no-mc"], ["outage"], ["validate"]])
@@ -637,7 +664,7 @@ class TestCli:
         rc = cli.main(command + ["--config", cfg_file(doc_with(**edits))])
         captured = capsys.readouterr()
         assert (rc, captured.out) == (2, "")
-        assert captured.err.startswith("config error: the optical SNR mu_vlc * (upsilon")
+        assert captured.err.startswith("config error: [vlc]: the optical SNR mu_vlc * (upsilon")
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("extra", [[], ["--no-mc"]])
@@ -672,6 +699,11 @@ class TestCli:
         assert [line.rsplit(" -> ", 1)[-1] for line in lines[:2]] == ["INCONCLUSIVE"] * 2
         assert lines[2].startswith("validation inconclusive ")
         assert not any("validation passed" in line for line in lines)
+        # the BER row's z is some 1e44 standard errors: six significant
+        # digits of it, not the float's noise as a 45-digit integer
+        for line in lines[:2]:
+            z = re.search(r", z = (\S+) -> ", line).group(1)
+            assert len(re.sub(r"e.*|\D", "", z).lstrip("0")) <= 6, line
 
     def test_precise_estimate_far_from_the_closed_form_is_inconclusive(self, cfg_file, capsys):
         # at 2 W the radio BER is carried by deep fades that 2e5 plain
@@ -684,7 +716,7 @@ class TestCli:
         assert outage == ("outage: analytic = 4.10692739275e-15, mc = 0, se = 0, "
                           "z = inf -> INCONCLUSIVE")
         assert ber == ("ber: analytic = 1.45746260321e-14, mc = 4.46913421755e-24, "
-                       "se = 8.51599786519e-26, z = 171144077984.98 -> INCONCLUSIVE")
+                       "se = 8.51599786519e-26, z = 1.71144e+11 -> INCONCLUSIVE")
         assert summary.startswith("validation inconclusive ")
 
     def test_bad_override_exit_code(self, cfg_file, capsys):
