@@ -6,7 +6,8 @@ SFC64 seeded with SeedSequence(seed, spawn_key=(i,)), in the consume order
 of `_mc_numpy` (normal pairs, uniforms, one exponential row per extra radio
 branch), and chunk partials are reduced in chunk order with exact
 summation.  The worker count only changes how chunks are scheduled, never
-the result.
+the result.  A run gets at most one thread per chunk, and a run on one
+thread makes no pool.
 
 Shared-stream contract: `simulate` draws each chunk once and evaluates
 every config it is given on those draws (common random numbers), and one
@@ -18,11 +19,15 @@ bit-identical to a single-config call.  The estimates of different configs
 in one call are correlated: neighbouring sweep points move together, and
 a simulated curve comes out smoother than independent runs would make it,
 while each point on its own is unchanged.
+
+Outage-only runs count the points that differ only in one hop's SNR
+scale, as a radio SNR or optical power sweep does, from one sort per
+chunk and a binary search per point (`_mc_numpy.shared_groups`); the
+counts are the direct counts, so this changes no estimate.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +105,9 @@ def simulate(cfgs, trials: int, seed: int, *, workers: int = 1,
 
     Returns one `(outage, ber)` pair per config, in order; `ber` is None
     unless `ber=True` (the erfc work is skipped then).  Each pair is
-    bit-identical to a call with that config alone.
+    bit-identical to a call with that config alone.  The sort groups are
+    chosen once per call, and only when `ber` is false: a BER pass forms
+    every point's SNR arrays for erfc anyway.
     """
     _validate_run(trials, seed, workers)
     cfgs = list(cfgs)
@@ -110,19 +117,25 @@ def simulate(cfgs, trials: int, seed: int, *, workers: int = 1,
     if any(c.rf.k_factor != k_factor for c in cfgs):
         raise ValueError("configs simulated together must share rf.k_factor")
     points = [_point_args(c) for c in cfgs]
+    groups = () if ber else _mc_numpy.shared_groups(points)
 
     def run_chunk(idx_size):
         idx, size = idx_size
         bitgen = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(idx,)))
-        return _mc_numpy.chunk_stats(bitgen, size, k_factor, points, ber)
+        return _mc_numpy.chunk_stats(bitgen, size, k_factor, points, ber, groups)
 
     sizes = [CHUNK_SIZE] * (trials // CHUNK_SIZE)
     if trials % CHUNK_SIZE:
         sizes.append(trials % CHUNK_SIZE)
-    if workers == 1:
+    # a thread beyond one per chunk would have nothing to do, and a single
+    # thread needs no pool (nor the import of one)
+    threads = min(workers, len(sizes))
+    if threads == 1:
         partials = [run_chunk(t) for t in enumerate(sizes)]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             partials = list(pool.map(run_chunk, enumerate(sizes)))
 
     # reduce each point's partials in chunk order, with exact summation

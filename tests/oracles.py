@@ -344,7 +344,7 @@ def bitflip_ber_mc(sample_rf, sample_vlc, trials, seed):
     return p, se
 
 
-def per_point_mc(cfg, trials, seed, chunk_size=65536):
+def per_point_mc(cfg, trials, seed, chunk_size=65536, ber=True):
     """Monte Carlo outage and BER of one config, chunk by chunk, as a
     reference loop for the library's shared-stream kernel.
 
@@ -357,7 +357,8 @@ def per_point_mc(cfg, trials, seed, chunk_size=65536):
     and the reductions are written out here for this config alone, so the
     library must match it bit for bit.  erfc is the library's `erfc_sqrt`,
     which test_specfun checks against mpmath: this loop checks the stream
-    layout and the reductions.  Returns ((outage, se), (ber, se)).
+    layout and the reductions.  Returns ((outage, se), (ber, se)), or
+    ((outage, se), None) without the erfc work when `ber` is false.
     """
     rf, d = cfg.rf, derive(cfg.vlc)
     los = math.sqrt(rf.k_factor / (rf.k_factor + 1.0))
@@ -382,12 +383,16 @@ def per_point_mc(cfg, trials, seed, chunk_size=65536):
         scale = d.mu_vlc * d.upsilon**2
         snr_vlc = scale * (d.cell_radius**2 * u + d.height**2) ** -(d.lambert_order + 3.0)
         count += int(np.count_nonzero(np.minimum(snr_rf, snr_vlc) < cfg.outage_threshold))
+        if not ber:
+            continue
         x_rf = 0.5 * erfc_sqrt(snr_rf)
         x_vlc = 0.5 * erfc_sqrt(snr_vlc)
         partials.append([float(x_rf.sum()), float((x_rf * x_rf).sum()),
                          float(x_vlc.sum()), float((x_vlc * x_vlc).sum())])
     p = count / trials
     outage = (p, math.sqrt(p * (1.0 - p) / trials))
+    if not ber:
+        return outage, None
     s_rf, q_rf, s_vlc, q_vlc = (math.fsum(c[j] for c in partials) for j in range(4))
     m_rf, m_vlc = s_rf / trials, s_vlc / trials
     var_rf = max(q_rf - trials * m_rf * m_rf, 0.0) / (trials - 1)

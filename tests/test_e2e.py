@@ -135,7 +135,7 @@ class TestE2eBer:
         p1 = rf_avg_ber(cfg.rf)
         p2 = vlc_avg_ber(derive(cfg.vlc))
         want = p1 + p2 - 2.0 * p1 * p2
-        assert e2e_avg_ber(cfg) == pytest.approx(want, rel=1e-13)
+        assert e2e_avg_ber(cfg) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_spot_value(self):
         assert e2e_avg_ber(make_cfg()) == pytest.approx(0.02282710950834901, rel=1e-11)

@@ -7,14 +7,17 @@ import oracles
 from rfvlc.e2e import e2e_avg_ber, outage_probability
 from rfvlc.config import SweepSpec
 from rfvlc.e2e import ber_floor, outage_floor
+from rfvlc import _mc_numpy
 from rfvlc.montecarlo import (
+    CHUNK_SIZE,
     EstimateWithError,
     McOptions,
+    _point_args,
     simulate,
     simulate_ber,
     simulate_outage,
 )
-from rfvlc.rf_channel import sample_mrc_snr
+from rfvlc.rf_channel import mrc_gains, sample_mrc_snr
 from rfvlc.sweep import ResultRecord, apply_axis, axis_grid, emit_csv, run_sweep
 from rfvlc.vlc_channel import derive, sample_vlc_snr
 from test_e2e import make_cfg
@@ -199,6 +202,180 @@ class TestSharedStream:
             simulate_ber(cfgs[0], trials=70_000, seed=1)
 
 
+def chunk_zero_gains(seed, branches, k_factor=3.162, n=CHUNK_SIZE):
+    """The radio gains of chunk 0 of a `simulate` run with this seed, drawn
+    by the stream contract."""
+    gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0,))))
+    z = gen.standard_normal((n, 2))
+    gen.random(n)
+    exps = gen.standard_exponential((branches - 1, n))
+    return mrc_gains(k_factor, z, exps, [branches])[branches]
+
+
+def scales_landing_on(x, gamma_th):
+    """Scales s with gamma_th / s equal to x and to each float next to x,
+    or None when the division reaches one of the three from no scale."""
+    found = []
+    for target in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)):
+        lo = hi = gamma_th / target
+        near = [lo]
+        for _ in range(8):
+            lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)
+            near += [lo, hi]
+        hits = [float(s) for s in near if gamma_th / s == target]
+        if not hits:
+            return None
+        found += hits
+    return found
+
+
+def scales_landing_near(values, gamma_th, picks):
+    """`scales_landing_on` for the first value, from each pick on, of the
+    sorted `values` that some scale lands on."""
+    ordered = np.sort(values)
+    found = []
+    for i in picks:
+        while (scales := scales_landing_on(ordered[i], gamma_th)) is None:
+            i += 1
+        found += scales
+    return found
+
+
+def assert_grouped_exact(cfgs, trials, seed, groups):
+    """An outage pass over `cfgs`, at 1 and 3 workers, forms the groups
+    `groups` of `(rf_axis, size)` and gives each config exactly its lone
+    `simulate_outage` call and the reference loop."""
+    points = [_point_args(c) for c in cfgs]
+    formed = _mc_numpy.shared_groups(points)
+    assert sorted((rf_axis, len(m)) for rf_axis, m in formed) == sorted(groups)
+    lone = [simulate_outage(c, trials, seed) for c in cfgs]
+    for cfg, est in zip(cfgs, lone):
+        (p, se), _ = oracles.per_point_mc(cfg, trials, seed, ber=False)
+        assert (est.estimate, est.std_error) == (p, se)
+    for workers in (1, 3):
+        pairs = simulate(cfgs, trials, seed, workers=workers)
+        assert [outage for outage, _ in pairs] == lone
+
+
+class TestSortedCount:
+    """Points that differ only in one hop's scale share one sort per chunk;
+    their counts must be the direct counts, trial for trial."""
+
+    def test_scales_landing_on_drawn_gains(self):
+        gains = chunk_zero_gains(seed=4, branches=2)
+        mus = scales_landing_near(gains, 1.0, [0, 20_000, 32_768, 60_000])
+        cfgs = [make_cfg(avg_snr=mu) for mu in mus]
+        assert_grouped_exact(cfgs, SHARED_TRIALS, 4, [(True, len(mus))])
+
+    def test_repeated_and_descending_scales(self):
+        # at 0.05 W the optical hop alone puts a share of trials in outage
+        mus = [5.0, 5.0, 2.0, 5.0, 2.0] + list(np.logspace(3, -1, 9))
+        cfgs = [make_cfg(avg_snr=float(mu), optical_power=0.05) for mu in mus]
+        assert_grouped_exact(cfgs, SHARED_TRIALS, 6, [(True, len(mus))])
+
+    def test_scales_across_the_float_range(self):
+        mus = np.logspace(-300, 300, 13)
+        cfgs = [make_cfg(avg_snr=float(mu)) for mu in np.concatenate([mus, mus[::-2]])]
+        assert_grouped_exact(cfgs, SHARED_TRIALS, 7, [(True, len(cfgs))])
+
+    def test_optical_power_group(self):
+        cfgs = [make_cfg(optical_power=float(p)) for p in np.logspace(-2, 0.5, 7)]
+        assert_grouped_exact(cfgs, SHARED_TRIALS, 8, [(False, 7)])
+
+    def test_groups_mixed_with_singletons_and_branch_counts(self):
+        radio = [make_cfg(avg_snr=float(mu), branches=3) for mu in (0.5, 1.0, 2.0, 4.0, 8.0)]
+        optical = [make_cfg(optical_power=p, branches=1) for p in (0.02, 0.05, 0.1, 0.2)]
+        single = [make_cfg(branches=4), make_cfg(avg_snr=2.0, threshold=0.5),
+                  make_cfg(optical_power=0.05, avg_snr=8.0, branches=3)]
+        cfgs = [single[0], *radio[:2], optical[0], single[1], *radio[2:], *optical[1:], single[2]]
+        assert_grouped_exact(cfgs, SHARED_TRIALS, 9, [(True, 5), (False, 4)])
+        # a BER pass shares no sort, and gives the same outage estimates
+        pairs = simulate(cfgs, SHARED_TRIALS, 9, workers=3, ber=True)
+        assert [o for o, _ in pairs] == [o for o, _ in simulate(cfgs, SHARED_TRIALS, 9)]
+        for cfg, (_, ber) in zip(cfgs, pairs):
+            assert ber == simulate_ber(cfg, SHARED_TRIALS, 9)
+
+    def test_two_hundred_point_grid(self):
+        spec = SweepSpec(axis="rf_avg_snr_db", start=-10.0, stop=30.0, points=200,
+                         quantity="outage")
+        cfgs = [apply_axis(make_cfg(), spec.axis, float(v)) for v in axis_grid(spec)]
+        assert_grouped_exact(cfgs, CHUNK_SIZE + 999, 10, [(True, 200)])
+
+    def test_optical_scales_landing_on_drawn_powers(self):
+        # kernel level, where the optical scale can be set directly
+        n, seed = 5000, 12
+        _, expo, r2, l2 = _point_args(make_cfg())[2]
+        gen = np.random.Generator(np.random.SFC64(seed))
+        gen.standard_normal((n, 2))
+        power = (r2 * gen.random(n) + l2) ** expo
+        scales = scales_landing_near(power, 1.0, [0, n // 2, n - 100])
+        points = [(2, 5.0, (s, expo, r2, l2), 1.0) for s in scales]
+        groups = _mc_numpy.shared_groups(points)
+        assert groups == [(False, list(range(len(points))))]
+        grouped = _mc_numpy.chunk_stats(np.random.SFC64(seed), n, 3.162, points, False, groups)
+        direct = _mc_numpy.chunk_stats(np.random.SFC64(seed), n, 3.162, points, False)
+        assert grouped == direct
+
+    def test_zero_threshold(self):
+        # kernel level, since a config's threshold is > 0: no SNR is below
+        # 0, on either axis
+        _, *law = _point_args(make_cfg())[2]
+        points = ([(2, mu, (1e3, *law), 0.0) for mu in (1e-300, 1.0, 1e300, 5.0)]
+                  + [(1, 5.0, (s, *law), 0.0) for s in (1e-300, 1.0, 1e300, 5.0)])
+        groups = _mc_numpy.shared_groups(points)
+        assert sorted(rf_axis for rf_axis, _ in groups) == [False, True]
+        stats = _mc_numpy.chunk_stats(np.random.SFC64(13), 4000, 3.162, points, False, groups)
+        assert stats == [(0,)] * len(points)
+
+    def test_runs_of_equal_keys(self):
+        # the draws hold no ties; the search must still step over whole
+        # runs of equal keys, and over the keys of trials whose fixed hop
+        # is below the threshold
+        values = np.random.default_rng(14).random(40) * 4.0
+        base = np.repeat(np.append(values, 0.0), 50)
+        fixed = np.tile([0.1, 1.0, 3.0], base.size // 3 + 1)[:base.size]
+        factors = scales_landing_near(values, 1.0, [0, 10, 20, 30]) + [1e-300, 1e300]
+        want = [int(np.count_nonzero(np.minimum(fixed, base * f) < 1.0)) for f in factors]
+        assert _mc_numpy._sorted_counts(fixed.copy(), base, factors, 1.0) == want
+
+
+class RecordingPool:
+    """A stand-in for ThreadPoolExecutor that records its size and runs
+    the chunks on the calling thread."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestThreads:
+    @pytest.mark.parametrize(
+        "workers, trials, sizes",
+        [(10**6, SHARED_TRIALS, [4]), (2, SHARED_TRIALS, [2]), (10**6, 65536, []),
+         (1, SHARED_TRIALS, [])],
+    )
+    def test_pool_holds_at_most_one_thread_per_chunk(self, monkeypatch, workers, trials, sizes):
+        import concurrent.futures
+
+        monkeypatch.setattr(RecordingPool, "sizes", [])
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        cfg = make_cfg()
+        got = simulate([cfg], trials, 3, workers=workers)
+        assert RecordingPool.sizes == sizes
+        monkeypatch.undo()
+        assert got == simulate([cfg], trials, 3)
+
+
 class TestAgainstAnalytic:
     def test_outage_within_error_bars(self):
         for cfg, seed in [(make_cfg(), 11), (make_cfg(avg_snr=2.0, branches=1), 12)]:
@@ -207,7 +384,7 @@ class TestAgainstAnalytic:
             assert abs(got.estimate - want) < 4.0 * got.std_error
             # binomial error bar sanity
             assert got.std_error == pytest.approx(
-                math.sqrt(got.estimate * (1 - got.estimate) / got.trials), rel=1e-12
+                math.sqrt(got.estimate * (1 - got.estimate) / got.trials), rel=1e-12, abs=0.0
             )
 
     def test_ber_within_error_bars(self):

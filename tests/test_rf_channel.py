@@ -262,18 +262,18 @@ class TestAvgBer:
     def test_spot_value(self):
         # frozen from quadrature against the ncx2 density (epsabs 1e-300)
         p = RfParams(k_factor=3.162, branches=2, avg_snr=5.0)
-        assert rf_avg_ber(p) == pytest.approx(0.0010730749659135978, rel=1e-10)
+        assert rf_avg_ber(p) == pytest.approx(0.0010730749659135978, rel=1e-10, abs=0.0)
 
     def test_rayleigh_closed_form(self):
         for mu in [0.1, 1.0, 10.0, 1000.0]:
             p = RfParams(k_factor=0.0, branches=1, avg_snr=mu)
-            assert rf_avg_ber(p) == pytest.approx(oracles.rayleigh_ber(mu), rel=1e-12)
+            assert rf_avg_ber(p) == pytest.approx(oracles.rayleigh_ber(mu), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("k,m,mu", GRID)
     def test_matches_quadrature(self, k, m, mu):
         p = RfParams(k_factor=k, branches=m, avg_snr=mu)
         want = oracles.rf_ber_quad(k, m, mu)
-        assert rf_avg_ber(p) == pytest.approx(want, rel=1e-8)
+        assert rf_avg_ber(p) == pytest.approx(want, rel=1e-8, abs=0.0)
 
     def test_extreme_diversity_stays_finite(self):
         # forces series indices past the Gamma overflow point of naive forms
@@ -294,7 +294,7 @@ class TestAvgBer:
                 return meijer_g_2122(1 - (m + j), z) / (math.sqrt(math.pi) * math.gamma(m + j))
 
             want = 0.5 * poisson_weighted_sum(k * m, term)
-            assert rf_avg_ber(p) == pytest.approx(want, rel=1e-10)
+            assert rf_avg_ber(p) == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_vanishing_snr_limit(self):
         # series truncation budget is 1e-10 relative on a value of 1/2

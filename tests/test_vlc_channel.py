@@ -159,15 +159,15 @@ class TestDerive:
     def test_reference_cell_frozen_values(self):
         d = derive(cell())
         assert d.lambert_order == pytest.approx(1.0, abs=1e-12)
-        assert d.cell_radius == pytest.approx(2.0 * math.sqrt(3.0), rel=1e-13)
-        assert d.concentrator == pytest.approx(3.0, rel=1e-13)
-        assert d.upsilon == pytest.approx(0.00015278874536821957, rel=1e-12)
-        assert d.gain_max == pytest.approx(9.549296585513723e-06, rel=1e-12)
-        assert d.gain_min == pytest.approx(5.968310365946082e-07, rel=1e-12)
-        assert d.mu_vlc == pytest.approx(3.2e13, rel=1e-12)
-        assert d.noise_var == pytest.approx(2e-14, rel=1e-13)
-        assert d.snr_min == pytest.approx(11.39863315976303, rel=1e-11)
-        assert d.snr_max == pytest.approx(2918.0500888993306, rel=1e-11)
+        assert d.cell_radius == pytest.approx(2.0 * math.sqrt(3.0), rel=1e-13, abs=0.0)
+        assert d.concentrator == pytest.approx(3.0, rel=1e-13, abs=0.0)
+        assert d.upsilon == pytest.approx(0.00015278874536821957, rel=1e-12, abs=0.0)
+        assert d.gain_max == pytest.approx(9.549296585513723e-06, rel=1e-12, abs=0.0)
+        assert d.gain_min == pytest.approx(5.968310365946082e-07, rel=1e-12, abs=0.0)
+        assert d.mu_vlc == pytest.approx(3.2e13, rel=1e-12, abs=0.0)
+        assert d.noise_var == pytest.approx(2e-14, rel=1e-13, abs=0.0)
+        assert d.snr_min == pytest.approx(11.39863315976303, rel=1e-11, abs=0.0)
+        assert d.snr_max == pytest.approx(2918.0500888993306, rel=1e-11, abs=0.0)
 
     def test_concentrator_formula(self):
         # n^2 / sin^2(fov)
@@ -193,8 +193,8 @@ class TestChannelGain:
     def test_endpoints_match_derived(self):
         p = cell()
         d = derive(p)
-        assert channel_gain(0.0, d) == pytest.approx(d.gain_max, rel=1e-13)
-        assert channel_gain(d.cell_radius, d) == pytest.approx(d.gain_min, rel=1e-13)
+        assert channel_gain(0.0, d) == pytest.approx(d.gain_max, rel=1e-13, abs=0.0)
+        assert channel_gain(d.cell_radius, d) == pytest.approx(d.gain_min, rel=1e-13, abs=0.0)
 
     def test_matches_unreduced_geometry(self):
         # textbook Lambertian LOS gain, coded from scratch
@@ -210,7 +210,7 @@ class TestChannelGain:
                 p.area * (m + 1.0) * p.responsivity / (2.0 * math.pi * dist * dist)
                 * cos_t**m * p.filter_gain * d.concentrator * cos_t
             )
-            assert channel_gain(r, d) == pytest.approx(want, rel=1e-12)
+            assert channel_gain(r, d) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_monotone_decreasing_in_radius(self):
         d = derive(cell())
