@@ -13,10 +13,18 @@ call share common random numbers), and each point's outage count and BER
 sums are exactly what a call for that point alone would give.
 
 Outage counts.  A point alone is counted directly, one pass over the
-chunk.  Points that differ only in one hop's SNR scale (a sweep over the
-radio SNR or the optical power) share one sort of that hop's unscaled
-draws per chunk, and each point then costs a binary search: see
-`shared_groups`.  Both give the same count, trial for trial.
+chunk.  Points that differ only in the radio SNR scale, as on an
+`rf_avg_snr_db` sweep, share one sort of the radio gains per chunk, and
+each point then costs a binary search: see `shared_groups`.  Both give the
+same count, trial for trial.
+
+Scratch.  A caller that runs many chunks passes each one the same
+`scratch` dict, one per thread, and the kernel draws into and computes in
+the arrays it holds.  The C allocator may give a freed chunk-sized array
+back to the system, and a fresh one then costs a page fault per 4 KiB
+page on every chunk: a 16-chunk, 21-point outage sweep took about 9100
+minor faults with fresh arrays and about 600 with reused ones (2 vCPUs,
+Python 3.11, numpy 2.4).
 
 The conditional bit error probabilities take erfc(sqrt(snr)) from
 `specfun.erfc_sqrt`, numpy alone, in scratch the chunk already owns, so
@@ -29,41 +37,28 @@ import numpy as np
 from .rf_channel import mrc_gains
 from .specfun import erfc_sqrt
 
-# the smallest group whose sort clearly pays: on 65536-trial chunks,
-# sorting a group of two was no faster than counting its points directly,
-# and sorting a group of four was faster on both axes in about 4 of 5
-# interleaved chunk pairs
-MIN_GROUP = 4
+# the smallest group whose sort pays: on 65536-trial chunks with reused
+# arrays, one sort costs about what counting 7 or 8 points directly does
+# (the sort won 33 and 34 of 60 interleaved chunks at 7 and 8 points, 53
+# of 60 at 10)
+MIN_GROUP = 8
 
 
 def shared_groups(points):
-    """Split off the points whose outage counts can share one sort per chunk.
+    """The groups of points whose outage counts share one sort per chunk.
 
-    Points that share branches, the optical law and the threshold differ
-    only in the radio scale rf_mu: a radio group.  Of the points left,
-    those that share branches, rf_mu, the optical power law and the
-    threshold differ only in the optical scale: an optical group.  Only
-    groups of at least MIN_GROUP points are formed; every other point is
-    counted directly.  Returns a list of `(rf_axis, members)`, `members`
-    being point indices and `rf_axis` true for a radio group.
+    Points with the same branches, optical law and threshold differ only
+    in the radio scale rf_mu; each such set of at least MIN_GROUP points is
+    a group, returned as a list of point indices.  Every other point is
+    counted directly.
     """
-    groups, left = [], range(len(points))
-    for rf_axis in (True, False):
-        by_key = {}
-        for i in left:
-            branches, rf_mu, (scale, *law), gamma_th = points[i]
-            shared = scale if rf_axis else rf_mu
-            by_key.setdefault((branches, shared, *law, gamma_th), []).append(i)
-        left = []
-        for members in by_key.values():
-            if len(members) >= MIN_GROUP:
-                groups.append((rf_axis, members))
-            else:
-                left += members
-    return groups
+    by_key = {}
+    for i, (branches, _, vlc, gamma_th) in enumerate(points):
+        by_key.setdefault((branches, vlc, gamma_th), []).append(i)
+    return [members for members in by_key.values() if len(members) >= MIN_GROUP]
 
 
-def chunk_stats(bitgen, n, k_factor, points, ber, groups=()):
+def chunk_stats(bitgen, n, k_factor, points, ber, groups=(), scratch=None):
     """Simulate one chunk of n trials and evaluate every point on it.
 
     `k_factor` fixes the radio fading, which all points share.  Each point
@@ -74,24 +69,41 @@ def chunk_stats(bitgen, n, k_factor, points, ber, groups=()):
     bit error probability (radio, then optical).  erfc runs only when `ber`
     is true.  `groups`, from `shared_groups(points)`, is for outage runs
     alone: its points get their counts from one sort per group and no BER
-    sums.
+    sums.  `scratch` is a dict of arrays reused from the caller's previous
+    chunk on this thread, grown and filled here; None draws into fresh
+    arrays.  The results do not depend on it.
     """
-    gen = np.random.Generator(bitgen)
-    z = gen.standard_normal((n, 2))
-    u = gen.random(n)
-    counts = {p[0] for p in points}
-    exps = gen.standard_exponential((max(counts) - 1, n))
-    gains = mrc_gains(k_factor, z, exps, counts)
-    # the normal pairs are spent once the gains are formed: their buffer is
-    # the erfc's (2, n) Horner scratch, and every point reuses it with one
-    # result array, since each fresh chunk-sized array costs page faults
-    work = (z.reshape(2, n), np.empty(n)) if ber else None
-    del z, exps
+    if scratch is None:
+        scratch = {}
 
-    # the optical power law (r2 u + l2)^expo, formed in one buffer and only
-    # when the cell geometry changes (an optical power sweep changes the
-    # scale alone)
-    power_buf, power_key = np.empty(n), None
+    def buffer(name, size):
+        array = scratch.get(name)
+        if array is None or array.size < size:
+            array = scratch[name] = np.empty(size)
+        return array[:size]
+
+    gen = np.random.Generator(bitgen)
+    counts = {p[0] for p in points}
+    normals = buffer("normals", 2 * n)
+    z = gen.standard_normal(out=normals.reshape(n, 2))
+    u = gen.random(out=buffer("uniforms", n))
+    rows = max(counts) - 1
+    exps = gen.standard_exponential(out=buffer("exponentials", rows * n).reshape(rows, n))
+    gains = mrc_gains(k_factor, z, exps, counts)
+    del z, exps
+    # the normal pairs are spent once the gains are formed: a BER pass uses
+    # their buffer as the erfc's (2, n) Horner scratch, with one result
+    # array for every point, and an outage pass forms the optical power law
+    # and SNR in its two halves
+    if ber:
+        work = (normals.reshape(2, n), buffer("erfc", n))
+        power_buf, vlc_buf = buffer("power", n), buffer("vlc", n)
+    else:
+        work, (power_buf, vlc_buf) = None, normals.reshape(2, n)
+
+    # the optical power law (r2 u + l2)^expo, formed only when the cell
+    # geometry changes (an optical power sweep changes the scale alone)
+    power_key = None
 
     def power(law):
         nonlocal power_key
@@ -103,62 +115,60 @@ def chunk_stats(bitgen, n, k_factor, points, ber, groups=()):
         return power_buf
 
     out = [None] * len(points)
-    for rf_axis, members in groups:
-        branches, rf_mu, vlc, gamma_th = points[members[0]]
-        if rf_axis:
-            fixed, base = vlc[0] * power(vlc[1:]), gains[branches]
-            factors = [points[i][1] for i in members]
-        else:
-            fixed, base = gains[branches] * rf_mu, power(vlc[1:])
-            factors = [points[i][2][0] for i in members]
-        for i, count in zip(members, _sorted_counts(fixed, base, factors, gamma_th)):
+    for members in groups:
+        branches, _, vlc, gamma_th = points[members[0]]
+        snr_vlc = np.multiply(power(vlc[1:]), vlc[0], out=vlc_buf)
+        mus = [points[i][1] for i in members]
+        for i, count in zip(members, _sorted_counts(snr_vlc, gains[branches], mus, gamma_th)):
             out[i] = (count,)
 
     # consecutive points often share one hop (a sweep varies only the
     # other), so each hop's SNR is recomputed only when its parameters
-    # change
+    # change; the sort groups leave vlc_buf holding sorted keys
     rf_key = vlc_key = None
     for i, (branches, rf_mu, vlc, gamma_th) in enumerate(points):
         if out[i] is not None:
             continue
         if (branches, rf_mu) != rf_key:
-            rf_key, snr_rf = (branches, rf_mu), gains[branches] * rf_mu
+            rf_key = branches, rf_mu
+            snr_rf = np.multiply(gains[branches], rf_mu, out=buffer("rf", n))
             rf_moments = _moments(snr_rf, work) if ber else ()
         if vlc != vlc_key:
-            vlc_key, snr_vlc = vlc, vlc[0] * power(vlc[1:])
+            vlc_key = vlc
+            snr_vlc = np.multiply(power(vlc[1:]), vlc[0], out=vlc_buf)
             vlc_moments = _moments(snr_vlc, work) if ber else ()
-        count = int(np.count_nonzero(np.minimum(snr_rf, snr_vlc) < gamma_th))
+        below = np.minimum(snr_rf, snr_vlc, out=buffer("min", n))
+        count = int(np.count_nonzero(below < gamma_th))
         out[i] = (count, *rf_moments, *vlc_moments)
     return out
 
 
-def _sorted_counts(fixed, base, factors, gamma_th):
-    """The count of trials with min(fixed, f * base) < gamma_th for every
-    factor f in `factors`, all finite and > 0, from one sort.
+def _sorted_counts(snr_vlc, gains, mus, gamma_th):
+    """The count of trials with min(snr_vlc, mu * gains) < gamma_th for
+    every radio scale mu in `mus`, all finite and > 0, from one sort.
 
-    A trial whose fixed hop is below the threshold gets the key -base,
-    which is below it for every factor (key * f <= 0 < gamma_th; at
-    gamma_th = 0 no trial is below); every other trial keeps its base
-    value.  The sign of fixed - gamma_th is
-    exactly the comparison, so one subtraction and one copysign build the
-    keys without a masked pass.  Rounding is monotone, so for each f the
-    keys with key * f < gamma_th are a prefix of the sorted keys.  The
-    search for its end starts at gamma_th / f, which is itself rounded, and
-    then steps over whole runs of equal keys until the exact product test
-    holds at the edge: keys[k - 1] * f < gamma_th <= keys[k] * f.  Each
-    count therefore equals the direct count, trial for trial.  `fixed` is
-    overwritten.
+    A trial whose optical SNR is below the threshold gets the key -gain,
+    which is below it for every scale (key * mu <= 0 < gamma_th; at
+    gamma_th = 0 no trial is below); every other trial keeps its gain.
+    The sign of snr_vlc - gamma_th is exactly the comparison, so one
+    subtraction and one copysign build the keys without a masked pass.
+    Rounding is monotone, so for each mu the keys with key * mu < gamma_th
+    are a prefix of the sorted keys.  The search for its end starts at
+    gamma_th / mu, which is itself rounded, and then steps over whole runs
+    of equal keys until the exact product test holds at the edge:
+    keys[k - 1] * mu < gamma_th <= keys[k] * mu.  Each count therefore
+    equals the direct count, trial for trial.  `snr_vlc` is overwritten.
     """
-    keys = np.subtract(fixed, gamma_th, out=fixed)
-    np.copysign(base, keys, out=keys)
+    keys = np.subtract(snr_vlc, gamma_th, out=snr_vlc)
+    np.copysign(gains, keys, out=keys)
     keys.sort()
-    f = np.array(factors, dtype=float)
+    mu = np.array(mus, dtype=float)
     last = keys.size - 1
     with np.errstate(over="ignore"):
-        k = np.searchsorted(keys, gamma_th / f)
+        k = np.searchsorted(keys, gamma_th / mu)
     while True:
-        ahead = (k <= last) & (keys[np.minimum(k, last)] * f < gamma_th)
-        behind = (k > 0) & (keys[np.maximum(k - 1, 0)] * f >= gamma_th)
+        ahead = (k <= last) & (keys[np.minimum(k, last)] * mu < gamma_th)
+        behind = (k > 0) & (keys[np.maximum(k - 1, 0)] * mu >= gamma_th)
         if not (ahead.any() or behind.any()):
             return k.tolist()
         k[ahead] = np.searchsorted(keys, keys[k[ahead]], side="right")
@@ -168,9 +178,9 @@ def _sorted_counts(fixed, base, factors, gamma_th):
 def _moments(snr, work):
     """Sum and sum of squares of the conditional BPSK bit error
     probability erfc(sqrt(snr))/2 over the chunk, computed in the chunk's
-    `work = (scratch, out)` alone."""
-    scratch, out = work
-    x = erfc_sqrt(snr, out=out, work=scratch)
+    `work = (horner, out)` alone."""
+    horner, out = work
+    x = erfc_sqrt(snr, out=out, work=horner)
     x *= 0.5
     total = float(x.sum())
     x *= x

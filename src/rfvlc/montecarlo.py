@@ -6,8 +6,9 @@ SFC64 seeded with SeedSequence(seed, spawn_key=(i,)), in the consume order
 of `_mc_numpy` (normal pairs, uniforms, one exponential row per extra radio
 branch), and chunk partials are reduced in chunk order with exact
 summation.  The worker count only changes how chunks are scheduled, never
-the result.  A run gets at most one thread per chunk, and a run on one
-thread makes no pool.
+the result.  Thread t of a run on `threads` threads takes chunks t,
+t + threads, t + 2 threads, ... and the calling thread is thread 0, so a
+run uses at most one thread per chunk and a one-thread run starts none.
 
 Shared-stream contract: `simulate` draws each chunk once and evaluates
 every config it is given on those draws (common random numbers), and one
@@ -20,14 +21,16 @@ in one call are correlated: neighbouring sweep points move together, and
 a simulated curve comes out smoother than independent runs would make it,
 while each point on its own is unchanged.
 
-Outage-only runs count the points that differ only in one hop's SNR
-scale, as a radio SNR or optical power sweep does, from one sort per
-chunk and a binary search per point (`_mc_numpy.shared_groups`); the
-counts are the direct counts, so this changes no estimate.
+Outage-only runs count the points that differ only in the radio SNR
+scale, as an `rf_avg_snr_db` sweep does, from one sort per chunk and a
+binary search per point (`_mc_numpy.shared_groups`); the counts are the
+direct counts, so this changes no estimate.  A thread's chunks reuse one
+set of arrays (`chunk_stats`'s `scratch`), which changes no draw.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,24 +122,35 @@ def simulate(cfgs, trials: int, seed: int, *, workers: int = 1,
     points = [_point_args(c) for c in cfgs]
     groups = () if ber else _mc_numpy.shared_groups(points)
 
-    def run_chunk(idx_size):
-        idx, size = idx_size
-        bitgen = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(idx,)))
-        return _mc_numpy.chunk_stats(bitgen, size, k_factor, points, ber, groups)
-
     sizes = [CHUNK_SIZE] * (trials // CHUNK_SIZE)
     if trials % CHUNK_SIZE:
         sizes.append(trials % CHUNK_SIZE)
-    # a thread beyond one per chunk would have nothing to do, and a single
-    # thread needs no pool (nor the import of one)
+    # a thread beyond one per chunk would have nothing to do
     threads = min(workers, len(sizes))
-    if threads == 1:
-        partials = [run_chunk(t) for t in enumerate(sizes)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    partials, failures = [None] * len(sizes), []
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run_chunk, enumerate(sizes)))
+    def run_share(first):
+        """Every threads-th chunk from `first` on, in one set of arrays."""
+        scratch = {}
+        try:
+            for idx in range(first, len(sizes), threads):
+                bitgen = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(idx,)))
+                partials[idx] = _mc_numpy.chunk_stats(bitgen, sizes[idx], k_factor, points,
+                                                      ber, groups, scratch)
+        except Exception as exc:
+            failures.append(exc)
+
+    # the calling thread runs the first share, so a one-thread run starts
+    # no thread; plain threads spare the import of concurrent.futures and
+    # logging, about 10 ms
+    helpers = [threading.Thread(target=run_share, args=(t,)) for t in range(1, threads)]
+    for helper in helpers:
+        helper.start()
+    run_share(0)
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise failures[0]
 
     # reduce each point's partials in chunk order, with exact summation
     results = []

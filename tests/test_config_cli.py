@@ -832,21 +832,17 @@ class TestScipyImport:
 
 
 class TestPoolImport:
-    """A run on one thread, or on one chunk, starts no pool and does not
-    import the module that makes one."""
+    """The Monte Carlo runs its chunks on plain threads and never imports
+    concurrent.futures, with one thread or with several."""
 
-    def test_one_thread_commands_leave_the_pool_out(self, cfg_file):
+    def test_commands_leave_concurrent_futures_out(self, cfg_file):
         path = cfg_file(DOC)  # [mc] workers = 2, trials = 20000: one chunk
         code = (
             "import sys, rfvlc.cli\n"
             f"a = rfvlc.cli.main(['validate', '--config', {path!r}, '--workers', '1'])\n"
             f"b = rfvlc.cli.main(['sweep', '--config', {path!r}, '--no-mc'])\n"
             f"c = rfvlc.cli.main(['outage', '--config', {path!r}])\n"
-            "print(a, b, c, 'concurrent.futures' in sys.modules)"
+            f"d = rfvlc.cli.main(['outage', '--config', {path!r}, '--trials', '70000'])\n"
+            "print(a, b, c, d, 'concurrent.futures' in sys.modules)"
         )
-        assert _fresh_interpreter(code) == "0 0 0 False"
-        # the control: two chunks on two workers do start a pool
-        code = ("import sys, rfvlc.cli; "
-                f"rc = rfvlc.cli.main(['outage', '--config', {path!r}, '--trials', '70000']); "
-                "print(rc, 'concurrent.futures' in sys.modules)")
-        assert _fresh_interpreter(code) == "0 True"
+        assert _fresh_interpreter(code) == "0 0 0 0 False"

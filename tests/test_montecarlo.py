@@ -241,13 +241,13 @@ def scales_landing_near(values, gamma_th, picks):
     return found
 
 
-def assert_grouped_exact(cfgs, trials, seed, groups):
-    """An outage pass over `cfgs`, at 1 and 3 workers, forms the groups
-    `groups` of `(rf_axis, size)` and gives each config exactly its lone
+def assert_grouped_exact(cfgs, trials, seed, sizes):
+    """An outage pass over `cfgs`, at 1 and 3 workers, forms sort groups
+    of the given sizes and gives each config exactly its lone
     `simulate_outage` call and the reference loop."""
     points = [_point_args(c) for c in cfgs]
     formed = _mc_numpy.shared_groups(points)
-    assert sorted((rf_axis, len(m)) for rf_axis, m in formed) == sorted(groups)
+    assert sorted(len(m) for m in formed) == sorted(sizes)
     lone = [simulate_outage(c, trials, seed) for c in cfgs]
     for cfg, est in zip(cfgs, lone):
         (p, se), _ = oracles.per_point_mc(cfg, trials, seed, ber=False)
@@ -258,37 +258,37 @@ def assert_grouped_exact(cfgs, trials, seed, groups):
 
 
 class TestSortedCount:
-    """Points that differ only in one hop's scale share one sort per chunk;
+    """Points that differ only in the radio scale share one sort per chunk;
     their counts must be the direct counts, trial for trial."""
 
     def test_scales_landing_on_drawn_gains(self):
         gains = chunk_zero_gains(seed=4, branches=2)
         mus = scales_landing_near(gains, 1.0, [0, 20_000, 32_768, 60_000])
         cfgs = [make_cfg(avg_snr=mu) for mu in mus]
-        assert_grouped_exact(cfgs, SHARED_TRIALS, 4, [(True, len(mus))])
+        assert_grouped_exact(cfgs, SHARED_TRIALS, 4, [len(mus)])
 
     def test_repeated_and_descending_scales(self):
         # at 0.05 W the optical hop alone puts a share of trials in outage
         mus = [5.0, 5.0, 2.0, 5.0, 2.0] + list(np.logspace(3, -1, 9))
         cfgs = [make_cfg(avg_snr=float(mu), optical_power=0.05) for mu in mus]
-        assert_grouped_exact(cfgs, SHARED_TRIALS, 6, [(True, len(mus))])
+        assert_grouped_exact(cfgs, SHARED_TRIALS, 6, [len(mus)])
 
     def test_scales_across_the_float_range(self):
         mus = np.logspace(-300, 300, 13)
         cfgs = [make_cfg(avg_snr=float(mu)) for mu in np.concatenate([mus, mus[::-2]])]
-        assert_grouped_exact(cfgs, SHARED_TRIALS, 7, [(True, len(cfgs))])
+        assert_grouped_exact(cfgs, SHARED_TRIALS, 7, [len(cfgs)])
 
-    def test_optical_power_group(self):
+    def test_optical_power_sweep_is_counted_directly(self):
         cfgs = [make_cfg(optical_power=float(p)) for p in np.logspace(-2, 0.5, 7)]
-        assert_grouped_exact(cfgs, SHARED_TRIALS, 8, [(False, 7)])
+        assert_grouped_exact(cfgs, SHARED_TRIALS, 8, [])
 
     def test_groups_mixed_with_singletons_and_branch_counts(self):
-        radio = [make_cfg(avg_snr=float(mu), branches=3) for mu in (0.5, 1.0, 2.0, 4.0, 8.0)]
+        radio = [make_cfg(avg_snr=float(mu), branches=3) for mu in np.logspace(-0.5, 1.5, 8)]
         optical = [make_cfg(optical_power=p, branches=1) for p in (0.02, 0.05, 0.1, 0.2)]
         single = [make_cfg(branches=4), make_cfg(avg_snr=2.0, threshold=0.5),
                   make_cfg(optical_power=0.05, avg_snr=8.0, branches=3)]
         cfgs = [single[0], *radio[:2], optical[0], single[1], *radio[2:], *optical[1:], single[2]]
-        assert_grouped_exact(cfgs, SHARED_TRIALS, 9, [(True, 5), (False, 4)])
+        assert_grouped_exact(cfgs, SHARED_TRIALS, 9, [8])
         # a BER pass shares no sort, and gives the same outage estimates
         pairs = simulate(cfgs, SHARED_TRIALS, 9, workers=3, ber=True)
         assert [o for o, _ in pairs] == [o for o, _ in simulate(cfgs, SHARED_TRIALS, 9)]
@@ -299,81 +299,106 @@ class TestSortedCount:
         spec = SweepSpec(axis="rf_avg_snr_db", start=-10.0, stop=30.0, points=200,
                          quantity="outage")
         cfgs = [apply_axis(make_cfg(), spec.axis, float(v)) for v in axis_grid(spec)]
-        assert_grouped_exact(cfgs, CHUNK_SIZE + 999, 10, [(True, 200)])
-
-    def test_optical_scales_landing_on_drawn_powers(self):
-        # kernel level, where the optical scale can be set directly
-        n, seed = 5000, 12
-        _, expo, r2, l2 = _point_args(make_cfg())[2]
-        gen = np.random.Generator(np.random.SFC64(seed))
-        gen.standard_normal((n, 2))
-        power = (r2 * gen.random(n) + l2) ** expo
-        scales = scales_landing_near(power, 1.0, [0, n // 2, n - 100])
-        points = [(2, 5.0, (s, expo, r2, l2), 1.0) for s in scales]
-        groups = _mc_numpy.shared_groups(points)
-        assert groups == [(False, list(range(len(points))))]
-        grouped = _mc_numpy.chunk_stats(np.random.SFC64(seed), n, 3.162, points, False, groups)
-        direct = _mc_numpy.chunk_stats(np.random.SFC64(seed), n, 3.162, points, False)
-        assert grouped == direct
+        assert_grouped_exact(cfgs, CHUNK_SIZE + 999, 10, [200])
 
     def test_zero_threshold(self):
-        # kernel level, since a config's threshold is > 0: no SNR is below
-        # 0, on either axis
+        # kernel level, since a config's threshold is > 0: no SNR is below 0
         _, *law = _point_args(make_cfg())[2]
-        points = ([(2, mu, (1e3, *law), 0.0) for mu in (1e-300, 1.0, 1e300, 5.0)]
-                  + [(1, 5.0, (s, *law), 0.0) for s in (1e-300, 1.0, 1e300, 5.0)])
+        scales = (1e-300, 1e-100, 1.0, 1e300, 5.0, 1e100, 0.5, 2.0)
+        points = ([(2, mu, (1e3, *law), 0.0) for mu in scales]
+                  + [(1, 5.0, (s, *law), 0.0) for s in scales])
         groups = _mc_numpy.shared_groups(points)
-        assert sorted(rf_axis for rf_axis, _ in groups) == [False, True]
+        assert groups == [list(range(8))]
         stats = _mc_numpy.chunk_stats(np.random.SFC64(13), 4000, 3.162, points, False, groups)
         assert stats == [(0,)] * len(points)
 
     def test_runs_of_equal_keys(self):
         # the draws hold no ties; the search must still step over whole
-        # runs of equal keys, and over the keys of trials whose fixed hop
-        # is below the threshold
+        # runs of equal keys, and over the keys of trials whose optical
+        # SNR is below the threshold
         values = np.random.default_rng(14).random(40) * 4.0
-        base = np.repeat(np.append(values, 0.0), 50)
-        fixed = np.tile([0.1, 1.0, 3.0], base.size // 3 + 1)[:base.size]
-        factors = scales_landing_near(values, 1.0, [0, 10, 20, 30]) + [1e-300, 1e300]
-        want = [int(np.count_nonzero(np.minimum(fixed, base * f) < 1.0)) for f in factors]
-        assert _mc_numpy._sorted_counts(fixed.copy(), base, factors, 1.0) == want
+        gains = np.repeat(np.append(values, 0.0), 50)
+        snr_vlc = np.tile([0.1, 1.0, 3.0], gains.size // 3 + 1)[:gains.size]
+        mus = scales_landing_near(values, 1.0, [0, 10, 20, 30]) + [1e-300, 1e300]
+        want = [int(np.count_nonzero(np.minimum(snr_vlc, gains * mu) < 1.0)) for mu in mus]
+        assert _mc_numpy._sorted_counts(snr_vlc.copy(), gains, mus, 1.0) == want
 
 
-class RecordingPool:
-    """A stand-in for ThreadPoolExecutor that records its size and runs
-    the chunks on the calling thread."""
+class TestScratch:
+    def test_reused_arrays_give_the_fresh_results(self):
+        # one scratch dict through chunks that grow and shrink it, change
+        # the branch count and switch between BER, direct and sorted counts
+        _, *law = _point_args(make_cfg())[2]
+        sweep = [(2, float(mu), (1e3, *law), 1.0) for mu in np.logspace(-0.5, 1.5, 8)]
+        mixed = [(3, 2.0, (1e3, *law), 1.0), (1, 5.0, (40.0, *law), 2.0)]
+        scratch = {}
+        for seed, n, points, ber in [(1, 5000, mixed, True), (2, 9000, sweep, False),
+                                     (3, 3000, mixed, False), (4, 7000, sweep[:1], True),
+                                     (5, 9000, [(1, 5.0, (40.0, *law), 2.0)], True)]:
+            groups = () if ber else _mc_numpy.shared_groups(points)
+            fresh = _mc_numpy.chunk_stats(np.random.SFC64(seed), n, 3.162, points, ber, groups)
+            reused = _mc_numpy.chunk_stats(np.random.SFC64(seed), n, 3.162, points, ber,
+                                           groups, scratch)
+            assert reused == fresh
+        assert scratch["normals"].size == 2 * 9000
 
-    sizes = []
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+class RecordingThread:
+    """A stand-in for threading.Thread that records each thread started and
+    runs its target on the calling thread."""
 
-    def __enter__(self):
-        return self
+    started = []
 
-    def __exit__(self, *exc):
-        return False
+    def __init__(self, target, args):
+        self.target, self.args = target, args
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def start(self):
+        self.started.append(self.args)
+        self.target(*self.args)
+
+    def join(self):
+        pass
 
 
 class TestThreads:
     @pytest.mark.parametrize(
-        "workers, trials, sizes",
-        [(10**6, SHARED_TRIALS, [4]), (2, SHARED_TRIALS, [2]), (10**6, 65536, []),
-         (1, SHARED_TRIALS, [])],
+        "workers, trials, started",
+        [(10**6, SHARED_TRIALS, [(1,), (2,), (3,)]), (2, SHARED_TRIALS, [(1,)]),
+         (10**6, 65536, []), (1, SHARED_TRIALS, [])],
     )
-    def test_pool_holds_at_most_one_thread_per_chunk(self, monkeypatch, workers, trials, sizes):
-        import concurrent.futures
+    def test_at_most_one_thread_per_chunk(self, monkeypatch, workers, trials, started):
+        # SHARED_TRIALS is four chunks; the calling thread runs the first share
+        import threading
 
-        monkeypatch.setattr(RecordingPool, "sizes", [])
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(RecordingThread, "started", [])
+        monkeypatch.setattr(threading, "Thread", RecordingThread)
+        chunk_stats, drawn = _mc_numpy.chunk_stats, []
+
+        def counting(bitgen, *args):
+            drawn.append(bitgen.seed_seq.spawn_key)
+            return chunk_stats(bitgen, *args)
+
+        monkeypatch.setattr(_mc_numpy, "chunk_stats", counting)
         cfg = make_cfg()
         got = simulate([cfg], trials, 3, workers=workers)
-        assert RecordingPool.sizes == sizes
+        assert RecordingThread.started == started
+        assert sorted(drawn) == [(i,) for i in range(-(-trials // CHUNK_SIZE))]
         monkeypatch.undo()
         assert got == simulate([cfg], trials, 3)
+
+    @pytest.mark.parametrize("failing", [0, 1, 3])
+    def test_a_chunk_error_reaches_the_caller(self, monkeypatch, failing):
+        # chunk 0 runs on the calling thread, chunks 1 and 3 on the other
+        chunk_stats = _mc_numpy.chunk_stats
+
+        def flaky(bitgen, *args):
+            if bitgen.seed_seq.spawn_key == (failing,):
+                raise MemoryError(f"chunk {failing}")
+            return chunk_stats(bitgen, *args)
+
+        monkeypatch.setattr(_mc_numpy, "chunk_stats", flaky)
+        with pytest.raises(MemoryError, match=f"chunk {failing}"):
+            simulate([make_cfg()], SHARED_TRIALS, 3, workers=2)
 
 
 class TestAgainstAnalytic:
