@@ -4,9 +4,10 @@ The combiner output SNR over `branches` i.i.d. Rician branches is a scaled
 noncentral chi-square variable with 2*branches degrees of freedom and
 noncentrality 2*k_factor*branches, which is what every formula below
 evaluates in one stable form or another.  Its CDF and average BER are
-Poisson mixtures; the batch forms take params with any K and branch count
-and sum them in one series pass per distinct (K, branches), under the one
-truncation budget `specfun.REL_TOL`/`specfun.MAX_TERMS`.  Every closed
+Poisson mixtures, which `_mixture` alone evaluates: it takes per-entry K
+and branch counts and sums one series pass per distinct (K, branches),
+under the one truncation budget `specfun.REL_TOL`/`specfun.MAX_TERMS`, so
+the batch forms take params with any K and branch count.  Every closed
 form returns values that meet it or raises `ConvergenceError`.  The CDF's
 terms come from `specfun.GammaTerms` and the average BER's from
 `specfun.BetaTerms`, numpy alone; scipy is imported only by the density
@@ -113,47 +114,38 @@ def mrc_snr_cdf(gamma, params: RfParams):
     bit.  Raises ConvergenceError, whose `unconverged` mask names the
     entries that ran out of terms.
     """
-    g = validate_snr(gamma)
     k, m, mu = params.k_factor, params.branches, params.avg_snr
-    y = (k + 1.0) * g / mu
-    return _scalar_like(gamma, _mixture({(k, m): y > 0.0}, y, GammaTerms))
+    return _scalar_like(gamma, _mixture(k, m, (k + 1.0) * validate_snr(gamma) / mu, GammaTerms))
 
 
-def _mixture(groups, x, terms):
-    """The Poisson mixture sum_j pois(j; k*m) * terms(m, x)(j)[i] at every
-    entry i of `x`, terms(m, part) being the term function of one series
-    pass over the entries `part`.
+def _mixture(k, m, x, terms):
+    """The Poisson mixture sum_j pois(j; k*m) * terms(m, x)(j) at every
+    entry of `x`, each entry with its own Rician K `k` and branch count `m`
+    (arrays over `x`, or scalars for all of it), terms(m, part) being the
+    term function of one series pass over the entries `part`.
 
-    `groups` maps each fading (k, m) = (K, branches) to the index of its
-    entries in `x`; entries in no group are 0.  Each group is one
-    `poisson_weighted_sum` pass, in which every entry is its own series.
-    Raises the ConvergenceError of the first entry that ran out of terms,
-    naming its series rate, with an `unconverged` mask over all of `x`.
+    This is where the radio series are grouped: one `poisson_weighted_sum`
+    pass per distinct (K, branches), in order of first appearance, over the
+    entries with x > 0; every entry is its own series in its pass, and the
+    entries with x = 0 are 0.  Raises the ConvergenceError of the first
+    entry that ran out of terms, naming its series rate k*m, with an
+    `unconverged` mask over all of `x`.
     """
+    k, m, _ = np.broadcast_arrays(k, m, x)
     out = np.zeros_like(x)
     unconverged = np.zeros(x.shape, dtype=bool)
-    rate = np.zeros(x.shape)
-    for (k, m), idx in groups.items():
-        part = x[idx]
-        if part.size:
-            out[idx], unconverged[idx] = poisson_weighted_sum(k * m, terms(m, part))
-            rate[idx] = k * m
+    live = x > 0.0
+    for kk, mm in dict.fromkeys(zip(k[live].tolist(), m[live].tolist())):
+        idx = live & (k == kk) & (m == mm)
+        out[idx], unconverged[idx] = poisson_weighted_sum(kk * mm, terms(mm, x[idx]))
     if unconverged.any():
-        first = rate.flat[np.argmax(unconverged)]
+        i = np.argmax(unconverged)
         raise ConvergenceError(
-            f"Poisson-weighted series did not converge: rate={first:g}, "
+            f"Poisson-weighted series did not converge: rate={k.flat[i] * m.flat[i]:g}, "
             f"max_terms={specfun.MAX_TERMS}, rel_tol={specfun.REL_TOL:g}",
             unconverged,
         )
     return out
-
-
-def _by_fading(params, entries):
-    """{(k_factor, branches): [index, ...]} over the given params entries."""
-    groups = {}
-    for i in entries:
-        groups.setdefault((params[i].k_factor, params[i].branches), []).append(i)
-    return groups
 
 
 def mrc_cdf_batch(gammas, params):
@@ -166,9 +158,9 @@ def mrc_cdf_batch(gammas, params):
     mask names those points and its message the series rate of the first.
     """
     k = np.array([p.k_factor for p in params], dtype=float)
+    m = np.array([p.branches for p in params])
     mu = np.array([p.avg_snr for p in params], dtype=float)
-    y = (k + 1.0) * validate_snr(gammas) / mu
-    return _mixture(_by_fading(params, np.flatnonzero(y > 0.0)), y, GammaTerms)
+    return _mixture(k, m, (k + 1.0) * validate_snr(gammas) / mu, GammaTerms)
 
 
 def mrc_gains(k_factor, z, exps, branch_counts):
@@ -214,12 +206,7 @@ def sample_mrc_snr(params: RfParams, rng: np.random.Generator, size=None):
     """Draw combined-SNR samples: avg_snr times the combined gain of
     `mrc_gains`, from `size` pairs of standard normals followed by
     (branches - 1) x `size` standard exponentials."""
-    if size is None:
-        shape = ()
-    elif isinstance(size, tuple):
-        shape = tuple(int(s) for s in size)
-    else:
-        shape = (int(size),)
+    shape = () if size is None else tuple(map(int, size if isinstance(size, tuple) else (size,)))
     m = params.branches
     z = rng.standard_normal(shape + (2,))
     exps = rng.standard_exponential((m - 1,) + shape)
@@ -244,6 +231,7 @@ def rf_avg_ber(params: RfParams) -> float:
 def rf_avg_ber_batch(params):
     """`rf_avg_ber` of every params, each its own sum, one series pass per
     distinct (k_factor, branches).  Raises as `mrc_cdf_batch` does."""
-    w = np.array([(p.k_factor + 1.0) / (p.k_factor + 1.0 + p.avg_snr) for p in params],
-                 dtype=float)
-    return 0.5 * _mixture(_by_fading(params, range(len(params))), w, BetaTerms)
+    k = np.array([p.k_factor for p in params], dtype=float)
+    m = np.array([p.branches for p in params])
+    mu = np.array([p.avg_snr for p in params], dtype=float)
+    return 0.5 * _mixture(k, m, (k + 1.0) / (k + 1.0 + mu), BetaTerms)

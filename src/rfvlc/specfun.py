@@ -90,20 +90,15 @@ def poisson_weighted_sum(lam, term):
     open_ = np.ones(frozen.shape, dtype=bool)
 
     for _ in range(MAX_TERMS):
-        # Tail bound: remaining right terms decay at least geometrically with
-        # ratio lam/(k_hi+2) once that ratio is < 1; the left side similarly
-        # with ratio k_lo/lam, and terminates at k = 0 regardless.
+        # Tail bound: the right terms fall at least geometrically with ratio
+        # lam/(k_hi+2), below 1 as k_hi >= floor(lam) unless k_hi + 2 rounds
+        # to lam (past 2**53); the left ones with ratio k_lo/lam, 1 on the
+        # first step for an integer lam, and the left side ends at k = 0.
         ratio_hi = lam / (k_hi + 2.0)
-        bound = math.inf
-        if ratio_hi < 1.0:
-            bound = p_hi * (lam / (k_hi + 1.0)) / (1.0 - ratio_hi)
-            if k_lo > 0:
-                ratio_lo = k_lo / lam
-                if ratio_lo < 1.0:
-                    bound += p_lo * ratio_lo / (1.0 - ratio_lo)
-                else:
-                    bound = math.inf
-        if bound < math.inf:
+        ratio_lo = k_lo / lam if k_lo > 0 else 0.0
+        if ratio_hi < 1.0 and ratio_lo < 1.0:
+            bound = (p_hi * (lam / (k_hi + 1.0)) / (1.0 - ratio_hi)
+                     + p_lo * ratio_lo / (1.0 - ratio_lo))
             stop = (bound <= REL_TOL * np.abs(total)) | (bound < 1e-300)
             newly = open_ & stop
             frozen[newly] = total[newly]
@@ -195,7 +190,9 @@ def _anchor(a, y):
 class _TermWalk:
     """term(j) = T(m + j) for the orders `poisson_weighted_sum` asks for,
     T(a) being an array of terms that fall in the integer order a, with
-    known steps d(a) = T(a) - T(a + 1) >= 0.
+    known steps d(a) = T(a) - T(a + 1) >= 0.  Both term families are tails
+    Pr(N >= a) of a count N, Poisson for `GammaTerms` and negative binomial
+    for `BetaTerms`, so d(a) is the mass Pr(N = a) of that count.
 
     The first call anchors the walk at its order a0 (`_start`); after that
     only the neighbours of the two frontier orders may be asked for, each
@@ -316,9 +313,11 @@ class BetaTerms(_TermWalk):
     at every entry of the array w in [0, 1]: the terms of the radio BER,
     walked as `_TermWalk` describes.
 
-    The step is d(a) = w^a (1 - w)^(1/2) / (a B(a, 1/2)) (DLMF 8.17.20),
-    formed from logs, so it never underflows before the value it changes
-    does, and the anchor is `_beta_anchor`'s continued fraction.
+    The twin of `GammaTerms`: I_w(a, 1/2) = Pr(N >= a) with N negative
+    binomial of shape 1/2 and failure probability w, so the step is its
+    mass d(a) = w^a (1 - w)^(1/2) / (a B(a, 1/2)) (DLMF 8.17.20), formed
+    from logs, so it never underflows before the value it changes does.
+    The anchor is `_beta_anchor`'s continued fraction.
     """
 
     def __init__(self, m, w):

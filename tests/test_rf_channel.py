@@ -308,6 +308,53 @@ class TestAvgBer:
         assert all(x > y for x, y in zip(by_m, by_m[1:]))
 
 
+class TestDiversityOrder:
+    """At high average SNR mu the radio hop falls as mu^-M, M being the
+    branch count, toward limits that need no series:
+
+        F_rf(g) ~ e^(-KM) ((K+1) g/mu)^M / M!
+        P_rf    ~ e^(-KM) ((K+1)/mu)^M Gamma(M + 1/2) / (2 sqrt(pi) M!)
+
+    At g = 1 the closed forms over these limits are 1 + c (K-1) y + O(y^2),
+    y = (K+1)/mu, c = M/(M+1) for the CDF and M(M+1/2)/(M+1) for the BER,
+    so their gap to 1 falls about 100x per +20 dB, or about 10^4x at K = 1
+    (0 dB), down to the rounding of both sides: each is an exponential of
+    a log of size |L|, so a few |L| eps."""
+
+    @staticmethod
+    def gaps(k, m, mu_db):
+        """|closed form / limit - 1| of the CDF at threshold 1 and of the
+        BER, and the rounding floor of the comparison."""
+        mu = 10.0 ** (mu_db / 10.0)
+        p = RfParams(k_factor=k, branches=m, avg_snr=mu)
+        log_cdf = -k * m + m * math.log((k + 1.0) / mu) - math.lgamma(m + 1.0)
+        log_ber = log_cdf + math.lgamma(m + 0.5) - math.log(2.0 * math.sqrt(math.pi))
+        gaps = (abs(mrc_snr_cdf(1.0, p) / math.exp(log_cdf) - 1.0),
+                abs(rf_avg_ber(p) / math.exp(log_ber) - 1.0))
+        return gaps, 4.0 * 2.0**-52 * max(abs(log_cdf), abs(log_ber))
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    @pytest.mark.parametrize("k_db", [0.0, 5.0, 10.0])
+    def test_closed_forms_reach_their_limits(self, k_db, m):
+        k = 10.0 ** (k_db / 10.0)
+        fall = 1e-4 if k == 1.0 else 1e-2
+        steps = [self.gaps(k, m, mu_db) for mu_db in (40.0, 60.0, 80.0, 100.0)]
+        for (before, _), (after, floor) in zip(steps, steps[1:]):
+            for b, a in zip(before, after):
+                assert a <= floor or fall / 2.0 < a / b < fall * 2.0, (k_db, m, b, a)
+        last, floor = steps[-1]
+        assert max(last) < max(1e-7, floor)
+
+    @pytest.mark.parametrize("closed_form", ["cdf", "ber"])
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                       reason="rate 253 fails from 50 dB up: the walk starts at "
+                              "the Poisson mode, far from the deep left tail")
+    def test_deep_left_tail_at_rate_253(self, closed_form):
+        p = RfParams(k_factor=10.0 ** 1.5, branches=8, avg_snr=1e6)
+        value = mrc_snr_cdf(1.0, p) if closed_form == "cdf" else rf_avg_ber(p)
+        assert value > 0.0
+
+
 def _scalar_or_failed(fn):
     try:
         return fn()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import special as sc
+from scipy import stats
 
 import oracles
 from oracles import erfc_moment, marcum_q, meijer_g_2122
@@ -204,6 +205,12 @@ class TestPoissonWeightedSum:
         assert unconverged.tolist() == [True, True, True]
         assert np.all((got > 0.0) & (got < 1.0))  # partial sums
 
+    def test_rate_past_the_float_integers_is_flagged(self):
+        # past 2**53 the right frontier's k + 2 rounds to the rate, so the
+        # tail bound's ratio reaches 1: no bound, no stop, no division by 0
+        _, unconverged = poisson_weighted_sum(1e17, lambda k: np.ones(2))
+        assert unconverged.tolist() == [True, True]
+
 
 # measured worst over these tests: 1.9e-13 relative at the anchors,
 # 1.5e-13 on the left walk, 4.3e-14 of P(a0) on the right walk
@@ -366,6 +373,18 @@ class TestBetaTerms:
         term(11)
         with pytest.raises(ValueError, match="not next to"):
             term(13)
+
+    def test_step_is_the_negative_binomial_mass(self):
+        # I_w(a, 1/2) = Pr(N >= a) for N negative binomial with shape 1/2
+        # and failure probability w, so the step I(a) - I(a + 1) is
+        # Pr(N = a).  scipy's mass is up to 2e-11 off where it is tiny
+        # (a = 80, w = 2e-4, against a step within 1.1e-13 of mpmath)
+        law = stats.nbinom(0.5, 1.0 - BETA_WS)
+        for a in range(1, 1201):
+            want = law.pmf(a)
+            shown = want > 1e-300
+            got = BetaTerms(1, BETA_WS)._step(a)
+            np.testing.assert_allclose(got[shown], want[shown], rtol=3e-11, atol=0.0)
 
     def test_limits_at_the_ends(self):
         # w = 0 (no radio SNR is this high) and w = 1 (nor this low)
