@@ -58,7 +58,7 @@ def shared_groups(points):
     return [members for members in by_key.values() if len(members) >= MIN_GROUP]
 
 
-def chunk_stats(bitgen, n, k_factor, points, ber, groups=(), scratch=None):
+def chunk_stats(bitgen, n, k_factor, points, ber, groups, scratch):
     """Simulate one chunk of n trials and evaluate every point on it.
 
     `k_factor` fixes the radio fading, which all points share.  Each point
@@ -68,14 +68,11 @@ def chunk_stats(bitgen, n, k_factor, points, ber, groups=(), scratch=None):
     `ber` is true by the sum and sum of squares of each hop's conditional
     bit error probability (radio, then optical).  erfc runs only when `ber`
     is true.  `groups`, from `shared_groups(points)`, is for outage runs
-    alone: its points get their counts from one sort per group and no BER
-    sums.  `scratch` is a dict of arrays reused from the caller's previous
-    chunk on this thread, grown and filled here; None draws into fresh
-    arrays.  The results do not depend on it.
+    alone (pass () otherwise): its points get their counts from one sort
+    per group and no BER sums.  `scratch` is the dict of arrays of the
+    calling thread, reused from its previous chunk and grown and filled
+    here; {} draws into fresh arrays.  The results do not depend on it.
     """
-    if scratch is None:
-        scratch = {}
-
     def buffer(name, size):
         array = scratch.get(name)
         if array is None or array.size < size:

@@ -306,35 +306,30 @@ class _Section:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in {self.label}")
 
 
-def _build(tokens, name: str, keys, cls, required: bool = False):
-    """`cls` from the section `name`, which may be absent unless `required`."""
+def _build(tokens, name: str, keys, cls, required: bool = False, **given):
+    """`cls` from the section `name` ("" for the top level), which may be
+    absent unless `required`, and the fields `given` from elsewhere."""
     if required and name not in tokens:
         raise ConfigError(f"missing required section [{name}]")
     section = _Section(name, tokens.get(name, {}))
     values = section.read(keys, cls)
     section.finish()
     try:
-        return cls(**values)
+        return cls(**values, **given)
     except ValueError as exc:
         raise ConfigError(f"{section.label}: {exc}") from None
 
 
 def parse_config(text: str) -> ParsedConfig:
     """Parse a config document; raises ConfigError naming the offending
-    line/key or the violated invariant."""
+    line/key or the violated invariant, in the first block with a problem
+    in the order [rf], [vlc], top level, [sweep], [mc]."""
     tokens = _tokenize(text)
-
-    top = _Section("", tokens[""])
-    link = top.read(_TOP_KEYS, SystemConfig)
-    top.finish()
     rf = _build(tokens, "rf", _RF_KEYS, RfParams, required=True)
     vlc = _build(tokens, "vlc", _VLC_KEYS, VlcParams, required=True)
+    system = _build(tokens, "", _TOP_KEYS, SystemConfig, rf=rf, vlc=vlc)
     sweep = _build(tokens, "sweep", _SWEEP_KEYS, SweepSpec) if "sweep" in tokens else None
     mc = _build(tokens, "mc", _MC_KEYS, McOptions)
-    try:
-        system = SystemConfig(rf=rf, vlc=vlc, **link)
-    except ValueError as exc:
-        raise ConfigError(f"{top.label}: {exc}") from None
     return ParsedConfig(system=system, sweep=sweep, mc=mc)
 
 

@@ -127,9 +127,13 @@ def _mixture(k, m, x, terms):
     This is where the radio series are grouped: one `poisson_weighted_sum`
     pass per distinct (K, branches), in order of first appearance, over the
     entries with x > 0; every entry is its own series in its pass, and the
-    entries with x = 0 are 0.  Raises the ConvergenceError of the first
-    entry that ran out of terms, naming its series rate k*m, with an
-    `unconverged` mask over all of `x`.
+    entries with x = 0 are 0.  A pass whose rate the budget cannot cover is
+    not run: every tail bound it forms is at least the weight
+    pois(floor(rate) + MAX_TERMS; rate), and where that is above
+    2 REL_TOL no sum of terms in [0, 1] can stop, so its entries are
+    flagged as the pass would flag them, without a term built.  Raises the
+    ConvergenceError of the first entry that ran out of terms, naming its
+    series rate k*m, with an `unconverged` mask over all of `x`.
     """
     k, m, _ = np.broadcast_arrays(k, m, x)
     out = np.zeros_like(x)
@@ -137,11 +141,17 @@ def _mixture(k, m, x, terms):
     live = x > 0.0
     for kk, mm in dict.fromkeys(zip(k[live].tolist(), m[live].tolist())):
         idx = live & (k == kk) & (m == mm)
-        out[idx], unconverged[idx] = poisson_weighted_sum(kk * mm, terms(mm, x[idx]))
+        lam = kk * mm
+        if lam >= 2.0**53 or (specfun._pois(int(lam) + specfun.MAX_TERMS, lam)
+                              > 2.0 * specfun.REL_TOL):
+            unconverged[idx] = True
+        else:
+            out[idx], unconverged[idx] = poisson_weighted_sum(lam, terms(mm, x[idx]))
     if unconverged.any():
         i = np.argmax(unconverged)
+        rate = float(k.flat[i]) * int(m.flat[i])  # inf past the float range, with no warning
         raise ConvergenceError(
-            f"Poisson-weighted series did not converge: rate={k.flat[i] * m.flat[i]:g}, "
+            f"Poisson-weighted series did not converge: rate={rate:g}, "
             f"max_terms={specfun.MAX_TERMS}, rel_tol={specfun.REL_TOL:g}",
             unconverged,
         )

@@ -69,25 +69,21 @@ def poisson_weighted_sum(lam, term):
     frontier weights themselves (geometric-ratio bound), which keeps the
     stopping rule meaningful even when a sum is many orders of magnitude
     below 1.  An entry stops once the bound is within REL_TOL of its
-    own partial sum and is frozen from then on, so its value does not
-    depend on the other entries.
+    own partial sum, and later terms are added only to the entries still
+    open, so its value does not depend on the other entries.  At lam = 0
+    the first bound is 0 and the sum is term(0).
 
     Returns (sums, unconverged): entries still open after MAX_TERMS are
     flagged in the boolean mask (their sums are partial).
     """
     if lam < 0.0:
         raise ValueError(f"Poisson rate must be >= 0, got {lam}")
-    if lam == 0.0:
-        first = term(0)
-        return first, np.zeros(np.shape(first), dtype=bool)
-
     k0 = int(lam)
-    p0 = math.exp(k0 * math.log(lam) - lam - math.lgamma(k0 + 1))
-    total = p0 * term(k0)
+    p0 = math.exp(-lam) if k0 == 0 else math.exp(k0 * math.log(lam) - lam - math.lgamma(k0 + 1))
+    total = p0 * term(k0)  # a fresh array, so adding in place never writes into a term
     k_lo = k_hi = k0
     p_lo = p_hi = p0
-    frozen = np.empty(np.shape(total))
-    open_ = np.ones(frozen.shape, dtype=bool)
+    open_ = np.ones(total.shape, dtype=bool)
 
     for _ in range(MAX_TERMS):
         # Tail bound: the right terms fall at least geometrically with ratio
@@ -99,23 +95,18 @@ def poisson_weighted_sum(lam, term):
         if ratio_hi < 1.0 and ratio_lo < 1.0:
             bound = (p_hi * (lam / (k_hi + 1.0)) / (1.0 - ratio_hi)
                      + p_lo * ratio_lo / (1.0 - ratio_lo))
-            stop = (bound <= REL_TOL * np.abs(total)) | (bound < 1e-300)
-            newly = open_ & stop
-            frozen[newly] = total[newly]
-            open_ &= ~newly
+            open_ &= ~((bound <= REL_TOL * np.abs(total)) | (bound < 1e-300))
             if not open_.any():
-                return frozen, open_
+                break
 
         p_hi = p_hi * lam / (k_hi + 1.0)
         k_hi += 1
-        total = total + p_hi * term(k_hi)
+        np.add(total, p_hi * term(k_hi), out=total, where=open_)
         if k_lo > 0:
             p_lo = p_lo * k_lo / lam
             k_lo -= 1
-            total = total + p_lo * term(k_lo)
-
-    frozen[open_] = total[open_]
-    return frozen, open_
+            np.add(total, p_lo * term(k_lo), out=total, where=open_)
+    return total, open_
 
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)

@@ -194,6 +194,23 @@ class TestParse:
                 lambda t: t.replace("points = 5", "points = 1").replace("trials = 20000", "trials = 50"),
                 "[sweep]: points",
             ),
+            # the blocks are built in the order [rf], [vlc], top level,
+            # [sweep], [mc], the top level's keys and values together
+            (
+                lambda t: t.replace("outage_threshold = 1.0", "outage_threshold = 1.0\nmystery = 1")
+                .replace("branches = 2", "branches = 0"),
+                "[rf]: branches must be an integer >= 1, got 0",
+            ),
+            (
+                lambda t: t.replace("outage_threshold = 1.0", "outage_threshold = -1")
+                .replace("axis = rf_avg_snr_db", "axis = voltage"),
+                "top level: outage_threshold must be finite and > 0, got -1.0",
+            ),
+            (lambda t: t.replace("[rf]", "[rf"), "malformed section header '[rf'"),
+            (
+                lambda t: t.replace("optical_power_w = 0.25", "led_count = 0\nled_power_w = 0.1"),
+                "[vlc]: led_count must be >= 1, got 0",
+            ),
             (
                 lambda t: t.replace("axis = rf_avg_snr_db", "axis = branches")
                 .replace("start = 0", "start = 1.5").replace("stop = 20", "stop = 4")
@@ -600,6 +617,30 @@ class TestCli:
             "convergence error: at rf_avg_snr_db = 10: Poisson-weighted series did not "
             "converge: rate=400, max_terms=512, rel_tol=1e-10\n"
         )
+
+    @pytest.mark.parametrize("command", ["outage", "ber"])
+    @pytest.mark.parametrize("k_line, branches, rate", [
+        ("k_factor_db = 100", 1, "1e+10"),
+        ("k_factor = 1e20", 1, "1e+20"),
+        ("k_factor = 1e300", 1, "1e+300"),
+        ("k_factor = 1e308", 2, "inf"),  # K * M overflows
+    ])
+    def test_rate_beyond_the_budget_is_refused_unbuilt(self, cfg_file, capsys, monkeypatch,
+                                                      command, k_line, branches, rate):
+        # no term is built for a rate no sum could converge at, where an
+        # anchor would run for minutes or a float overflow
+        def unbuilt(*args):
+            raise AssertionError("a series term was built")
+
+        monkeypatch.setattr(rf_channel, "GammaTerms", unbuilt)
+        monkeypatch.setattr(rf_channel, "BetaTerms", unbuilt)
+        doc = (DOC.replace("k_factor_db = 5", k_line).replace("branches = 2", f"branches = {branches}")
+               .replace("avg_snr_db = 7", "avg_snr_db = 0"))
+        rc = cli.main([command, "--no-mc", "--config", cfg_file(doc)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (3, "")
+        assert captured.err == ("convergence error: Poisson-weighted series did not converge: "
+                                f"rate={rate}, max_terms=512, rel_tol=1e-10\n")
 
     @pytest.mark.parametrize("command", ["outage", "sweep"])
     def test_unwritable_out_is_config_error(self, cfg_file, tmp_path, capsys, command):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import ENVELOPE
 from rfvlc.e2e import (
     SystemConfig,
     ber_batch,
@@ -14,7 +17,7 @@ from rfvlc.e2e import (
     outage_probability,
 )
 from rfvlc.rf_channel import RfParams, mrc_snr_cdf, rf_avg_ber
-from rfvlc.specfun import ConvergenceError
+from rfvlc.specfun import REL_TOL, ConvergenceError
 from rfvlc.vlc_channel import VlcParams, derive, vlc_avg_ber, vlc_snr_cdf
 
 
@@ -216,3 +219,32 @@ class TestBatches:
             failed = [isinstance(v, ConvergenceError) for v in lones]
             assert info.value.unconverged.tolist() == failed
             assert str(info.value) == str(lones[failed.index(True)])
+
+
+_SNR_DB = ENVELOPE["avg_snr_db"]
+_LOG_THRESHOLD = tuple(math.log10(t) for t in ENVELOPE["outage_threshold"])
+
+
+class TestEnvelope:
+    """Over `oracles.ENVELOPE`, at the reference optical cell, both closed
+    forms converge, lie between their floor and their ceiling, and do not
+    rise with the average radio SNR beyond the series' relative error."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        k_db=st.none() | st.floats(-20.0, ENVELOPE["k_factor_db_max"]),
+        branches=st.integers(*ENVELOPE["branches"]),
+        log_threshold=st.floats(*_LOG_THRESHOLD),
+        snrs_db=st.lists(st.floats(*_SNR_DB), min_size=2, max_size=12, unique=True),
+    )
+    @example(k_db=ENVELOPE["k_factor_db_max"], branches=ENVELOPE["branches"][1],
+             log_threshold=_LOG_THRESHOLD[0], snrs_db=list(np.linspace(*_SNR_DB, 51)))
+    @example(k_db=None, branches=1, log_threshold=_LOG_THRESHOLD[1], snrs_db=list(_SNR_DB))
+    def test_bounded_and_non_increasing_in_snr(self, k_db, branches, log_threshold, snrs_db):
+        k = 0.0 if k_db is None else 10.0 ** (k_db / 10.0)
+        cfgs = [make_cfg(threshold=10.0**log_threshold, avg_snr=10.0 ** (s / 10.0),
+                         branches=branches, k_factor=k) for s in sorted(snrs_db)]
+        # either batch raises ConvergenceError if any point runs out of terms
+        for (values, floor), ceiling in ((outage_batch(cfgs), 1.0), (ber_batch(cfgs), 0.5)):
+            assert np.all((floor <= values) & (values <= ceiling))
+            assert np.all(np.diff(values) <= REL_TOL * values[:-1])

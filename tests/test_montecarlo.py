@@ -59,6 +59,13 @@ class TestOptionsAndValidation:
         with pytest.raises(ValueError, match="share"):
             simulate([make_cfg(k_factor=1.0), make_cfg(k_factor=2.0)], trials=10_000, seed=0)
 
+    def test_no_configs_no_estimates(self, monkeypatch):
+        # an empty list draws nothing, though its run arguments are checked
+        monkeypatch.setattr(_mc_numpy, "chunk_stats", None)
+        assert simulate([], trials=10_000, seed=0, ber=True) == []
+        with pytest.raises(ValueError):
+            simulate([], trials=999, seed=0)
+
     def test_minimum_trials_boundary(self):
         out = simulate_outage(make_cfg(), trials=1000, seed=1)
         assert out.trials == 1000
@@ -309,7 +316,8 @@ class TestSortedCount:
                   + [(1, 5.0, (s, *law), 0.0) for s in scales])
         groups = _mc_numpy.shared_groups(points)
         assert groups == [list(range(8))]
-        stats = _mc_numpy.chunk_stats(np.random.SFC64(13), 4000, 3.162, points, False, groups)
+        stats = _mc_numpy.chunk_stats(np.random.SFC64(13), 4000, 3.162, points, False,
+                                      groups, {})
         assert stats == [(0,)] * len(points)
 
     def test_runs_of_equal_keys(self):
@@ -336,7 +344,8 @@ class TestScratch:
                                      (3, 3000, mixed, False), (4, 7000, sweep[:1], True),
                                      (5, 9000, [(1, 5.0, (40.0, *law), 2.0)], True)]:
             groups = () if ber else _mc_numpy.shared_groups(points)
-            fresh = _mc_numpy.chunk_stats(np.random.SFC64(seed), n, 3.162, points, ber, groups)
+            fresh = _mc_numpy.chunk_stats(np.random.SFC64(seed), n, 3.162, points, ber,
+                                          groups, {})
             reused = _mc_numpy.chunk_stats(np.random.SFC64(seed), n, 3.162, points, ber,
                                            groups, scratch)
             assert reused == fresh

@@ -8,6 +8,7 @@ from scipy import integrate, stats
 from scipy import special as sc
 
 import oracles
+from rfvlc import rf_channel, specfun
 from rfvlc.rf_channel import (
     RfParams,
     mrc_cdf_batch,
@@ -18,7 +19,7 @@ from rfvlc.rf_channel import (
     rician_snr_pdf,
     sample_mrc_snr,
 )
-from rfvlc.specfun import REL_TOL, ConvergenceError
+from rfvlc.specfun import REL_TOL, ConvergenceError, poisson_weighted_sum
 GRID = [
     (0.0, 1, 1.0),
     (0.0, 2, 0.5),
@@ -474,3 +475,30 @@ class TestBatch:
             assert "rate=1000," in str(error)
         assert cdf_error.unconverged[3] and not ber_error.unconverged[3]
         assert cdf[4] == 0.0
+
+
+class TestRefusedRates:
+    @pytest.mark.parametrize("max_terms, first_refused", [(16, 2.52), (40, 28.9), (512, 7575.0)])
+    def test_refused_only_where_no_sum_can_stop(self, monkeypatch, max_terms, first_refused):
+        # a rate gets no series pass only where even the all-ones series,
+        # the largest sum of terms in [0, 1], runs out of terms
+        monkeypatch.setattr(specfun, "MAX_TERMS", max_terms)
+        passes = []
+
+        def counted(lam, term):
+            passes.append(lam)
+            return poisson_weighted_sum(lam, term)
+
+        monkeypatch.setattr(rf_channel, "poisson_weighted_sum", counted)
+        refused = []
+        for lam in np.geomspace(1e-3, 4.0 * first_refused, 300):
+            passes.clear()
+            try:
+                mrc_snr_cdf(1.0, RfParams(k_factor=float(lam), branches=1, avg_snr=1.0))
+            except ConvergenceError:
+                pass
+            if not passes:
+                refused.append(lam)
+                _, flagged = poisson_weighted_sum(float(lam), lambda k: np.ones(1))
+                assert flagged.all()
+        assert refused and refused[0] == pytest.approx(first_refused, rel=0.1)
