@@ -3,14 +3,16 @@
 Stream contract (consume order per chunk): n pairs of standard normals
 laid out as (trial, pair), then n uniforms for the user position, then
 (branches - 1) rows of n standard exponentials, one row per extra radio
-branch, for the largest branch count among the points.  The radio gain is
-formed from these by `rf_channel.mrc_gains`.  A point with M branches
-reads the normals, the uniforms and the first M - 1 exponential rows,
-which is exactly what a chunk drawn for that point alone holds: the draws
-for fewer branches are a prefix of the draws for more.  So every point
-evaluated on a chunk sees the draws it would see alone (the points of one
-call share common random numbers), and each point's outage count and BER
-sums are exactly what a call for that point alone would give.
+branch, for the largest branch count among the points.  None of it
+depends on the Rician K: `rf_channel.mrc_gains` forms each point's radio
+gain from these draws, K and the branch count M entering only as a shift
+and a scale.  A point with M branches reads the normals, the uniforms and
+the first M - 1 exponential rows, which is exactly what a chunk drawn for
+that point alone holds: the draws for fewer branches are a prefix of the
+draws for more.  So every point evaluated on a chunk sees the draws it
+would see alone (the points of one call share common random numbers),
+and each point's outage count and BER sums are exactly what a call for
+that point alone would give.
 
 Outage counts.  A point alone is counted directly, one pass over the
 chunk.  Points that differ only in the radio SNR scale, as on an
@@ -47,22 +49,22 @@ MIN_GROUP = 8
 def shared_groups(points):
     """The groups of points whose outage counts share one sort per chunk.
 
-    Points with the same branches, optical law and threshold differ only
-    in the radio scale rf_mu; each such set of at least MIN_GROUP points is
-    a group, returned as a list of point indices.  Every other point is
-    counted directly.
+    Points with the same K, branches, optical law and threshold differ
+    only in the radio scale rf_mu; each such set of at least MIN_GROUP
+    points is a group, returned as a list of point indices.  Every other
+    point is counted directly.
     """
     by_key = {}
-    for i, (branches, _, vlc, gamma_th) in enumerate(points):
-        by_key.setdefault((branches, vlc, gamma_th), []).append(i)
+    for i, (k_factor, branches, _, vlc, gamma_th) in enumerate(points):
+        by_key.setdefault((k_factor, branches, vlc, gamma_th), []).append(i)
     return [members for members in by_key.values() if len(members) >= MIN_GROUP]
 
 
-def chunk_stats(bitgen, n, k_factor, points, ber, groups, scratch):
+def chunk_stats(bitgen, n, points, ber, groups, scratch):
     """Simulate one chunk of n trials and evaluate every point on it.
 
-    `k_factor` fixes the radio fading, which all points share.  Each point
-    is `(branches, rf_mu, vlc, gamma_th)` with `vlc` the optical SNR law
+    Each point is `(k_factor, branches, rf_mu, vlc, gamma_th)`, the first
+    two fixing its radio fading, with `vlc` the optical SNR law
     `(scale, expo, r2, l2)` of `vlc_channel.snr_law`.  Returns one
     tuple of chunk partials per point: the outage count, followed when
     `ber` is true by the sum and sum of squares of each hop's conditional
@@ -80,23 +82,17 @@ def chunk_stats(bitgen, n, k_factor, points, ber, groups, scratch):
         return array[:size]
 
     gen = np.random.Generator(bitgen)
-    counts = {p[0] for p in points}
+    fading = {p[:2] for p in points}
     normals = buffer("normals", 2 * n)
     z = gen.standard_normal(out=normals.reshape(n, 2))
     u = gen.random(out=buffer("uniforms", n))
-    rows = max(counts) - 1
+    rows = max(m for _, m in fading) - 1
     exps = gen.standard_exponential(out=buffer("exponentials", rows * n).reshape(rows, n))
-    gains = mrc_gains(k_factor, z, exps, counts)
+    gains = mrc_gains(z, exps, fading)
     del z, exps
-    # the normal pairs are spent once the gains are formed: a BER pass uses
-    # their buffer as the erfc's (2, n) Horner scratch, with one result
-    # array for every point, and an outage pass forms the optical power law
-    # and SNR in its two halves
-    if ber:
-        work = (normals.reshape(2, n), buffer("erfc", n))
-        power_buf, vlc_buf = buffer("power", n), buffer("vlc", n)
-    else:
-        work, (power_buf, vlc_buf) = None, normals.reshape(2, n)
+    # the normal pairs are spent once the gains are formed: the optical
+    # power law and SNR are formed in their two halves
+    power_buf, vlc_buf = normals.reshape(2, n)
 
     # the optical power law (r2 u + l2)^expo, formed only when the cell
     # geometry changes (an optical power sweep changes the scale alone)
@@ -113,27 +109,28 @@ def chunk_stats(bitgen, n, k_factor, points, ber, groups, scratch):
 
     out = [None] * len(points)
     for members in groups:
-        branches, _, vlc, gamma_th = points[members[0]]
+        k_factor, branches, _, vlc, gamma_th = points[members[0]]
         snr_vlc = np.multiply(power(vlc[1:]), vlc[0], out=vlc_buf)
-        mus = [points[i][1] for i in members]
-        for i, count in zip(members, _sorted_counts(snr_vlc, gains[branches], mus, gamma_th)):
+        mus = [points[i][2] for i in members]
+        gain = gains[k_factor, branches]
+        for i, count in zip(members, _sorted_counts(snr_vlc, gain, mus, gamma_th)):
             out[i] = (count,)
 
     # consecutive points often share one hop (a sweep varies only the
     # other), so each hop's SNR is recomputed only when its parameters
     # change; the sort groups leave vlc_buf holding sorted keys
     rf_key = vlc_key = None
-    for i, (branches, rf_mu, vlc, gamma_th) in enumerate(points):
+    for i, (k_factor, branches, rf_mu, vlc, gamma_th) in enumerate(points):
         if out[i] is not None:
             continue
-        if (branches, rf_mu) != rf_key:
-            rf_key = branches, rf_mu
-            snr_rf = np.multiply(gains[branches], rf_mu, out=buffer("rf", n))
-            rf_moments = _moments(snr_rf, work) if ber else ()
+        if (k_factor, branches, rf_mu) != rf_key:
+            rf_key = k_factor, branches, rf_mu
+            snr_rf = np.multiply(gains[k_factor, branches], rf_mu, out=buffer("rf", n))
+            rf_moments = _moments(snr_rf, buffer) if ber else ()
         if vlc != vlc_key:
             vlc_key = vlc
             snr_vlc = np.multiply(power(vlc[1:]), vlc[0], out=vlc_buf)
-            vlc_moments = _moments(snr_vlc, work) if ber else ()
+            vlc_moments = _moments(snr_vlc, buffer) if ber else ()
         below = np.minimum(snr_rf, snr_vlc, out=buffer("min", n))
         count = int(np.count_nonzero(below < gamma_th))
         out[i] = (count, *rf_moments, *vlc_moments)
@@ -172,12 +169,13 @@ def _sorted_counts(snr_vlc, gains, mus, gamma_th):
         k[behind] = np.searchsorted(keys, keys[k[behind] - 1], side="left")
 
 
-def _moments(snr, work):
+def _moments(snr, buffer):
     """Sum and sum of squares of the conditional BPSK bit error
     probability erfc(sqrt(snr))/2 over the chunk, computed in the chunk's
-    `work = (horner, out)` alone."""
-    horner, out = work
-    x = erfc_sqrt(snr, out=out, work=horner)
+    arrays `buffer` holds alone: the erfc's (2, n) Horner scratch and one
+    result array, shared by every point."""
+    n = snr.size
+    x = erfc_sqrt(snr, out=buffer("erfc", n), work=buffer("horner", 2 * n).reshape(2, n))
     x *= 0.5
     total = float(x.sum())
     x *= x

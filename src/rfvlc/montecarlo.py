@@ -8,13 +8,14 @@ branch), and chunk partials are reduced in chunk order with exact
 summation.  The worker count only changes how chunks are scheduled, never
 the result.  Thread t of a run on `threads` threads takes chunks t,
 t + threads, t + 2 threads, ... and the calling thread is thread 0, so a
-run uses at most one thread per chunk and a one-thread run starts none.
+run uses at most one thread per chunk and per CPU, and a one-thread run
+starts none.
 
 Shared-stream contract: `simulate` draws each chunk once and evaluates
 every config it is given on those draws (common random numbers), and one
-pass yields both the outage and the BER estimate.  The configs need only
-share the Rician K factor: the draws for fewer radio branches are a prefix
-of the draws for more, so every config, whatever its branch count, sees
+pass yields both the outage and the BER estimate.  The configs may differ
+in every field: no draw depends on the Rician K, and the draws for fewer
+radio branches are a prefix of the draws for more, so every config sees
 the stream it would see alone, and its estimate and standard error are
 bit-identical to a single-config call.  The estimates of different configs
 in one call are correlated: neighbouring sweep points move together, and
@@ -30,6 +31,7 @@ set of arrays (`chunk_stats`'s `scratch`), which changes no draw.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from dataclasses import dataclass
 
@@ -91,20 +93,18 @@ def _validate_run(trials, seed, workers):
 
 
 def _point_args(cfg: SystemConfig):
-    """The per-point kernel arguments: (branches, rf_mu, vlc, gamma_th)."""
+    """The per-point kernel arguments: (k_factor, branches, rf_mu, vlc, gamma_th)."""
     vlc = vlc_channel.snr_law(vlc_channel.derive(cfg.vlc))
-    return cfg.rf.branches, cfg.rf.avg_snr, vlc, cfg.outage_threshold
+    return cfg.rf.k_factor, cfg.rf.branches, cfg.rf.avg_snr, vlc, cfg.outage_threshold
 
 
 def simulate(cfgs, trials: int, seed: int, *, workers: int = 1,
              ber: bool = False) -> list[tuple[EstimateWithError, EstimateWithError | None]]:
     """Estimate every config in `cfgs` from one shared pass over the stream.
 
-    All configs must share `rf.k_factor`, which fixes how the draws become
-    fading; the branch count, the radio SNR scale, the optical hop and the
-    threshold may differ.  Each chunk is drawn once, by one worker, and
-    every config is evaluated on it, so no more than one chunk's draws per
-    worker is held at a time.
+    The configs may differ in every field.  Each chunk is drawn once, by
+    one worker, and every config is evaluated on it, so no more than one
+    chunk's draws per worker is held at a time.
 
     Returns one `(outage, ber)` pair per config, in order; `ber` is None
     unless `ber=True` (the erfc work is skipped then).  Each pair is
@@ -116,17 +116,15 @@ def simulate(cfgs, trials: int, seed: int, *, workers: int = 1,
     cfgs = list(cfgs)
     if not cfgs:
         return []
-    k_factor = cfgs[0].rf.k_factor
-    if any(c.rf.k_factor != k_factor for c in cfgs):
-        raise ValueError("configs simulated together must share rf.k_factor")
     points = [_point_args(c) for c in cfgs]
     groups = () if ber else _mc_numpy.shared_groups(points)
 
     sizes = [CHUNK_SIZE] * (trials // CHUNK_SIZE)
     if trials % CHUNK_SIZE:
         sizes.append(trials % CHUNK_SIZE)
-    # a thread beyond one per chunk would have nothing to do
-    threads = min(workers, len(sizes))
+    # a thread beyond one per chunk would have nothing to do, and one
+    # beyond one per CPU would only hold another chunk's arrays
+    threads = min(workers, len(sizes), os.cpu_count() or 1)
     partials, failures = [None] * len(sizes), []
 
     def run_share(first):
@@ -135,8 +133,8 @@ def simulate(cfgs, trials: int, seed: int, *, workers: int = 1,
         try:
             for idx in range(first, len(sizes), threads):
                 bitgen = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(idx,)))
-                partials[idx] = _mc_numpy.chunk_stats(bitgen, sizes[idx], k_factor, points,
-                                                      ber, groups, scratch)
+                partials[idx] = _mc_numpy.chunk_stats(bitgen, sizes[idx], points, ber, groups,
+                                                      scratch)
         except Exception as exc:
             failures.append(exc)
 

@@ -173,42 +173,44 @@ def mrc_cdf_batch(gammas, params):
     return _mixture(k, m, (k + 1.0) * validate_snr(gammas) / mu, GammaTerms)
 
 
-def mrc_gains(k_factor, z, exps, branch_counts):
+def mrc_gains(z, exps, fading):
     """Unscaled combined gains sum_b |h_b|^2 of unit-mean-power Rician
-    branches, one array per branch count, all from the same draws.
+    branches, one array per (K, branch count) pair, all from the same draws.
 
     The sum over m branches is a noncentral chi-square with 2m degrees of
     freedom, so it is drawn exactly as
 
-        (sqrt(m) los + sd Z1)^2 + (sd Z2)^2 + s E_1 + ... + s E_{m-1}
+        ((Z1/sqrt(2) + sqrt(m K))^2 + (Z2/sqrt(2))^2 + E_1 + ... + E_{m-1}) / (K+1)
 
-    with los = sqrt(K/(K+1)), sd = sqrt(1/(2(K+1))), s = 1/(K+1), the
-    standard normals Z1, Z2 = z[..., 0], z[..., 1] and the standard
-    exponentials E_b = exps[b - 1], the scaled exponentials added in row
-    order.  The gain for m branches reads only the first m - 1 rows of
-    `exps` and is formed by the same operations whatever other counts are
-    asked for, so it equals the gain of a call for m alone bit for bit.
+    with the standard normals Z1, Z2 = z[..., 0], z[..., 1] and the standard
+    exponentials E_b = exps[b - 1], added in row order.  The draws are
+    transformed once, with no K; each pair then only shifts, squares and
+    scales them, reading the first m - 1 rows of `exps`, by the same
+    operations whatever other pairs are asked for, so its gain equals the
+    gain of a call for that pair alone bit for bit.
 
     `z` and `exps` serve as scratch and are overwritten, which spares the
-    chunk kernel fresh temporaries.  Returns {m: gain} for every m in
-    `branch_counts`.
+    chunk kernel fresh temporaries.  Returns {(K, m): gain} for every pair
+    in `fading`.  Raises ValueError where m K is not a finite float, since
+    its square would overflow.
     """
-    los = math.sqrt(k_factor / (k_factor + 1.0))
-    z *= math.sqrt(0.5 / (k_factor + 1.0))
+    z *= math.sqrt(0.5)
     im = z[..., 1]
     im *= im
-    # rows become running sums of the scaled exponentials, in row order
-    exps *= 1.0 / (k_factor + 1.0)
+    # rows become running sums of the exponentials, in row order
     for b in range(1, len(exps)):
         exps[b] += exps[b - 1]
     gains = {}
-    for m in sorted(set(branch_counts)):
-        gain = z[..., 0] + math.sqrt(m) * los
+    for k, m in set(fading):
+        if not math.isfinite(m * k):
+            raise ValueError(f"the Rician rate K*M must be finite, got K={k:g}, M={m}")
+        gain = z[..., 0] + math.sqrt(m * k)
         gain *= gain
         gain += im
         if m > 1:
             gain += exps[m - 2]
-        gains[m] = gain
+        gain *= 1.0 / (k + 1.0)
+        gains[k, m] = gain
     return gains
 
 
@@ -217,10 +219,10 @@ def sample_mrc_snr(params: RfParams, rng: np.random.Generator, size=None):
     `mrc_gains`, from `size` pairs of standard normals followed by
     (branches - 1) x `size` standard exponentials."""
     shape = () if size is None else tuple(map(int, size if isinstance(size, tuple) else (size,)))
-    m = params.branches
+    k, m = params.k_factor, params.branches
     z = rng.standard_normal(shape + (2,))
     exps = rng.standard_exponential((m - 1,) + shape)
-    snr = params.avg_snr * mrc_gains(params.k_factor, z, exps, (m,))[m]
+    snr = params.avg_snr * mrc_gains(z, exps, [(k, m)])[k, m]
     return float(snr) if size is None else snr
 
 

@@ -48,11 +48,11 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec, mc: McOptions | None) -> list[
     each point keeps the value a lone call would give.  The first failing
     grid point raises, its error gaining the axis value without losing its
     type; a ConvergenceError keeps its `unconverged` mask, whose entry i
-    is grid point i.  Monte Carlo then runs once for the whole grid, which
-    no axis moves off one K factor: its chunks are drawn once, so the
-    points see common random numbers; every point still uses the same
-    (trials, seed) and gets the estimate a lone run would give, and the
-    sweep is a pure function of (cfg, spec, mc) regardless of worker count.
+    is grid point i.  Monte Carlo then runs once for the whole grid: its
+    chunks are drawn once, so the points see common random numbers; every
+    point still uses the same (trials, seed) and gets the estimate a lone
+    run would give, and the sweep is a pure function of (cfg, spec, mc)
+    regardless of worker count.
     """
     ber = spec.quantity == "ber"
     values, points, failure = [], [], None

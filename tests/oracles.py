@@ -364,8 +364,8 @@ def per_point_mc(cfg, trials, seed, chunk_size=65536, ber=True):
     with SeedSequence(seed, spawn_key=(i,)), first n pairs of normals, then
     n uniforms, then one row of n exponentials per radio branch beyond the
     first.  The radio gain is the noncentral chi-square form of the branch
-    sum: (sqrt(M) los + sd Z1)^2 + (sd Z2)^2 plus the exponential rows,
-    each scaled by 1/(K+1), summed in row order.  The per-trial arithmetic
+    sum: (Z1/sqrt(2) + sqrt(M K))^2 + (Z2/sqrt(2))^2 plus the exponential
+    rows, summed in row order, all times 1/(K+1).  The per-trial arithmetic
     and the reductions are written out here for this config alone, so the
     library must match it bit for bit.  erfc is the library's `erfc_sqrt`,
     which test_specfun checks against mpmath: this loop checks the stream
@@ -373,8 +373,7 @@ def per_point_mc(cfg, trials, seed, chunk_size=65536, ber=True):
     ((outage, se), None) without the erfc work when `ber` is false.
     """
     rf, d = cfg.rf, derive(cfg.vlc)
-    los = math.sqrt(rf.k_factor / (rf.k_factor + 1.0))
-    sd = math.sqrt(0.5 / (rf.k_factor + 1.0))
+    shift = math.sqrt(rf.branches * rf.k_factor)
     count, partials = 0, []
     for idx, start in enumerate(range(0, trials, chunk_size)):
         n = min(chunk_size, trials - start)
@@ -382,15 +381,15 @@ def per_point_mc(cfg, trials, seed, chunk_size=65536, ber=True):
         z = gen.standard_normal((n, 2))
         u = gen.random(n)
         e = gen.standard_exponential((rf.branches - 1, n))
-        re = math.sqrt(rf.branches) * los + sd * z[:, 0]
-        im = sd * z[:, 1]
+        re = math.sqrt(0.5) * z[:, 0] + shift
+        im = math.sqrt(0.5) * z[:, 1]
         snr_rf = re * re + im * im
         if rf.branches > 1:
-            e = (1.0 / (rf.k_factor + 1.0)) * e
             exp_sum = e[0]
             for row in e[1:]:
                 exp_sum = exp_sum + row
             snr_rf = snr_rf + exp_sum
+        snr_rf = (1.0 / (rf.k_factor + 1.0)) * snr_rf
         snr_rf *= rf.avg_snr
         scale = d.mu_vlc * d.upsilon**2
         snr_vlc = scale * (d.cell_radius**2 * u + d.height**2) ** -(d.lambert_order + 3.0)

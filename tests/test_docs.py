@@ -4,7 +4,7 @@ import re
 import textwrap
 
 import rfvlc.config
-from rfvlc.config import emit_config, parse_config
+from rfvlc.config import SWEEP_AXES, emit_config, parse_config
 
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -20,6 +20,18 @@ def test_readme_config_round_trips():
     text = emit_config(parsed)
     assert parse_config(text) == parsed
     assert emit_config(parse_config(text)) == text
+
+
+def test_readme_lists_every_sweep_axis():
+    # the `axis` comment of the example config, with its continuation lines
+    comments = [line.partition("#")[2] for line in _fenced("ini").splitlines()]
+    i = next(i for i, c in enumerate(comments) if "one of:" in c)
+    listed = comments[i].partition("one of:")[2]
+    for comment in comments[i + 1:]:
+        if not comment.startswith("   "):
+            break
+        listed += comment
+    assert [axis.strip() for axis in listed.split(",")] == list(SWEEP_AXES)
 
 
 def test_config_docstring_example_parses():

@@ -1,7 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from rfvlc.e2e import e2e_avg_ber, outage_probability
@@ -52,12 +55,19 @@ class TestOptionsAndValidation:
         with pytest.raises(ValueError):
             simulate_outage(cfg, trials=10_000, seed=0, workers=0)
 
-    def test_simulate_rejects_mixed_fading(self):
-        # the K factor fixes how draws become fading; branch counts may mix
-        pairs = simulate([make_cfg(branches=1), make_cfg(branches=2)], trials=10_000, seed=0)
-        assert len(pairs) == 2
-        with pytest.raises(ValueError, match="share"):
-            simulate([make_cfg(k_factor=1.0), make_cfg(k_factor=2.0)], trials=10_000, seed=0)
+    def test_simulate_accepts_mixed_fading(self):
+        # no draw depends on K, so K factors and branch counts may mix,
+        # neighbours that differ in K alone included
+        cfgs = [make_cfg(k_factor=1.0), make_cfg(k_factor=2.0), make_cfg(k_factor=2.0, branches=1)]
+        pairs = simulate(cfgs, trials=10_000, seed=0, ber=True)
+        assert pairs == [simulate([c], trials=10_000, seed=0, ber=True)[0] for c in cfgs]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_simulate_rejects_an_overflowing_rate(self, workers):
+        # K M past the float range would square to inf; K M = 8e307 does not
+        cfgs = [make_cfg(k_factor=1e307, branches=8), make_cfg(k_factor=1.7e308, branches=2)]
+        with pytest.raises(ValueError, match="finite"):
+            simulate(cfgs, trials=2 * CHUNK_SIZE, seed=0, workers=workers)
 
     def test_no_configs_no_estimates(self, monkeypatch):
         # an empty list draws nothing, though its run arguments are checked
@@ -174,6 +184,36 @@ class TestSharedStream:
         # every axis, branches included, is one Monte Carlo pass per sweep
         assert calls == [spec.points, spec.points]
 
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(
+        k_db=st.lists(st.floats(0.0, 14.0), min_size=2, max_size=2, unique=True),
+        branches=st.integers(1, 8),
+        mus_db=st.lists(st.floats(-10.0, 40.0), min_size=8, max_size=9),
+        others=st.lists(st.tuples(st.floats(0.0, 14.0), st.integers(1, 8),
+                                  st.floats(-10.0, 40.0), st.sampled_from([0.05, 0.25, 2.0]),
+                                  st.sampled_from([30.0, 60.0, 70.0]), st.floats(0.1, 10.0)),
+                        max_size=6),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_mixed_fading_matches_lone_calls(self, k_db, branches, mus_db, others, order):
+        # an outage sort group at each of two K factors, among configs that
+        # differ in K, branch count, radio scale, optical cell and threshold
+        def cfg(k, m, mu, power=0.25, semi_angle=60.0, threshold=1.0):
+            c = make_cfg(k_factor=10.0 ** (k / 10.0), branches=m, avg_snr=10.0 ** (mu / 10.0),
+                         optical_power=power, threshold=threshold)
+            return apply_axis(c, "semi_angle_deg", semi_angle)
+
+        cfgs = [cfg(k, branches, mu) for k in k_db for mu in mus_db]
+        cfgs += [cfg(*other) for other in others]
+        order.shuffle(cfgs)
+        assert len(_mc_numpy.shared_groups([_point_args(c) for c in cfgs])) == 2
+        trials = 2 * CHUNK_SIZE + 17
+        lone = [simulate([c], trials, 3, ber=True)[0] for c in cfgs]
+        for workers in (1, 3):
+            assert simulate(cfgs, trials, 3, workers=workers, ber=True) == lone
+            pairs = simulate(cfgs, trials, 3, workers=workers)
+            assert [outage for outage, _ in pairs] == [outage for outage, _ in lone]
+
     def test_one_pass_matches_single_config_calls(self):
         # branch counts may mix: fewer branches read a prefix of the draws
         # for more, so each config keeps the stream of its lone call
@@ -216,7 +256,7 @@ def chunk_zero_gains(seed, branches, k_factor=3.162, n=CHUNK_SIZE):
     z = gen.standard_normal((n, 2))
     gen.random(n)
     exps = gen.standard_exponential((branches - 1, n))
-    return mrc_gains(k_factor, z, exps, [branches])[branches]
+    return mrc_gains(z, exps, [(k_factor, branches)])[k_factor, branches]
 
 
 def scales_landing_on(x, gamma_th):
@@ -310,14 +350,13 @@ class TestSortedCount:
 
     def test_zero_threshold(self):
         # kernel level, since a config's threshold is > 0: no SNR is below 0
-        _, *law = _point_args(make_cfg())[2]
+        _, *law = _point_args(make_cfg())[3]
         scales = (1e-300, 1e-100, 1.0, 1e300, 5.0, 1e100, 0.5, 2.0)
-        points = ([(2, mu, (1e3, *law), 0.0) for mu in scales]
-                  + [(1, 5.0, (s, *law), 0.0) for s in scales])
+        points = ([(3.162, 2, mu, (1e3, *law), 0.0) for mu in scales]
+                  + [(3.162, 1, 5.0, (s, *law), 0.0) for s in scales])
         groups = _mc_numpy.shared_groups(points)
         assert groups == [list(range(8))]
-        stats = _mc_numpy.chunk_stats(np.random.SFC64(13), 4000, 3.162, points, False,
-                                      groups, {})
+        stats = _mc_numpy.chunk_stats(np.random.SFC64(13), 4000, points, False, groups, {})
         assert stats == [(0,)] * len(points)
 
     def test_runs_of_equal_keys(self):
@@ -336,18 +375,17 @@ class TestScratch:
     def test_reused_arrays_give_the_fresh_results(self):
         # one scratch dict through chunks that grow and shrink it, change
         # the branch count and switch between BER, direct and sorted counts
-        _, *law = _point_args(make_cfg())[2]
-        sweep = [(2, float(mu), (1e3, *law), 1.0) for mu in np.logspace(-0.5, 1.5, 8)]
-        mixed = [(3, 2.0, (1e3, *law), 1.0), (1, 5.0, (40.0, *law), 2.0)]
+        _, *law = _point_args(make_cfg())[3]
+        sweep = [(3.162, 2, float(mu), (1e3, *law), 1.0) for mu in np.logspace(-0.5, 1.5, 8)]
+        mixed = [(3.162, 3, 2.0, (1e3, *law), 1.0), (3.162, 1, 5.0, (40.0, *law), 2.0)]
         scratch = {}
         for seed, n, points, ber in [(1, 5000, mixed, True), (2, 9000, sweep, False),
                                      (3, 3000, mixed, False), (4, 7000, sweep[:1], True),
-                                     (5, 9000, [(1, 5.0, (40.0, *law), 2.0)], True)]:
+                                     (5, 9000, [(3.162, 1, 5.0, (40.0, *law), 2.0)], True)]:
             groups = () if ber else _mc_numpy.shared_groups(points)
-            fresh = _mc_numpy.chunk_stats(np.random.SFC64(seed), n, 3.162, points, ber,
-                                          groups, {})
-            reused = _mc_numpy.chunk_stats(np.random.SFC64(seed), n, 3.162, points, ber,
-                                           groups, scratch)
+            fresh = _mc_numpy.chunk_stats(np.random.SFC64(seed), n, points, ber, groups, {})
+            reused = _mc_numpy.chunk_stats(np.random.SFC64(seed), n, points, ber, groups,
+                                           scratch)
             assert reused == fresh
         assert scratch["normals"].size == 2 * 9000
 
@@ -379,6 +417,7 @@ class TestThreads:
         # SHARED_TRIALS is four chunks; the calling thread runs the first share
         import threading
 
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(RecordingThread, "started", [])
         monkeypatch.setattr(threading, "Thread", RecordingThread)
         chunk_stats, drawn = _mc_numpy.chunk_stats, []
@@ -394,6 +433,20 @@ class TestThreads:
         assert sorted(drawn) == [(i,) for i in range(-(-trials // CHUNK_SIZE))]
         monkeypatch.undo()
         assert got == simulate([cfg], trials, 3)
+
+    @pytest.mark.parametrize("cpus, started", [(2, [(1,)]), (3, [(1,), (2,)]), (None, [])])
+    def test_at_most_one_thread_per_cpu(self, monkeypatch, cpus, started):
+        # a run of many workers starts no more threads than there are CPUs,
+        # the calling thread among them; an unknown CPU count means one
+        import threading
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(RecordingThread, "started", [])
+        monkeypatch.setattr(threading, "Thread", RecordingThread)
+        got = simulate([make_cfg()], SHARED_TRIALS, 3, workers=10**6)
+        assert RecordingThread.started == started
+        monkeypatch.undo()
+        assert got == simulate([make_cfg()], SHARED_TRIALS, 3)
 
     @pytest.mark.parametrize("failing", [0, 1, 3])
     def test_a_chunk_error_reaches_the_caller(self, monkeypatch, failing):

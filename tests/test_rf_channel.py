@@ -258,6 +258,30 @@ class TestSampling:
         assert draws.mean() == pytest.approx(3 * 1.5, rel=5e-3)
         assert draws.min() > 0.0
 
+    def test_rate_past_the_float_range_is_refused(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="finite"):
+            sample_mrc_snr(RfParams(k_factor=1.7e308, branches=2, avg_snr=1.0), rng, size=4)
+        # K M = 8e307 still squares to a float: the gain is M to rounding
+        draws = sample_mrc_snr(RfParams(k_factor=1e307, branches=8, avg_snr=1.0), rng, size=1000)
+        np.testing.assert_allclose(draws, 8.0, rtol=1e-14)
+
+
+class TestGains:
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(pairs=st.lists(st.tuples(st.floats(0.0, 1e4), st.integers(1, 8)), min_size=1,
+                          max_size=6))
+    def test_a_pair_ignores_the_other_pairs(self, pairs):
+        # each (K, M) gain reads only the first M - 1 exponential rows, by
+        # the same operations whatever else is asked for
+        rng = np.random.default_rng(5)
+        z, exps = rng.standard_normal((500, 2)), rng.standard_exponential((7, 500))
+        together = rf_channel.mrc_gains(z.copy(), exps.copy(), pairs)
+        assert sorted(together) == sorted(set(pairs))
+        for k, m in pairs:
+            alone = rf_channel.mrc_gains(z.copy(), exps[:m - 1].copy(), [(k, m)])
+            np.testing.assert_array_equal(alone[k, m], together[k, m])
+
 
 class TestAvgBer:
     def test_spot_value(self):

@@ -199,6 +199,10 @@ class TestPoissonWeightedSum:
             else:
                 assert not flagged and value == want
 
+    def test_negative_rate_is_refused(self):
+        with pytest.raises(ValueError, match="rate must be >= 0"):
+            poisson_weighted_sum(-1e-300, lambda k: np.ones(1))
+
     def test_unconverged_entries_are_flagged(self, monkeypatch):
         monkeypatch.setattr(specfun, "MAX_TERMS", 16)
         got, unconverged = poisson_weighted_sum(5000.0, lambda k: np.ones(3))
