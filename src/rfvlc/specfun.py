@@ -9,10 +9,17 @@ that run out of terms; the closed forms raise them as a `ConvergenceError`
 and never return silently wrong numbers.  The CDF's terms are regularized
 incomplete gammas of integer order (`GammaTerms`) and the BER's are
 regularized incomplete betas I_w(a, 1/2) (`BetaTerms`); each walk costs
-one anchor per entry and then one multiply-add per term.  `upper_gamma`
-is the scalar Gamma(q, g) of the optical BER, and `erfc_sqrt` the
-erfc(sqrt(snr)) of the Monte Carlo BER.  `validate_snr` is the one
-argument check shared by the SNR distributions of both hops.
+one anchor per entry and then one multiply-add per term.  A walk computes
+its steps a block of orders ahead, one numpy pass per block, and the block
+equals the walk one order per step bit for bit: its values are one
+sequential accumulate of the steps, and the right side's clamp at 0,
+applied once after it, commutes with steps that are all >= 0.  An entry
+whose step is 0.0 beyond the mode of its mass is dead on that side: its
+later steps are 0.0 as well, so its value stays put and no more of its
+steps are computed.  `upper_gamma` is the scalar Gamma(q, g) of the
+optical BER, and `erfc_sqrt` the erfc(sqrt(snr)) of the Monte Carlo BER.
+`validate_snr` is the one argument check shared by the SNR distributions
+of both hops.
 """
 from __future__ import annotations
 
@@ -95,7 +102,9 @@ def poisson_weighted_sum(lam, term):
         if ratio_hi < 1.0 and ratio_lo < 1.0:
             bound = (p_hi * (lam / (k_hi + 1.0)) / (1.0 - ratio_hi)
                      + p_lo * ratio_lo / (1.0 - ratio_lo))
-            open_ &= ~((bound <= REL_TOL * np.abs(total)) | (bound < 1e-300))
+            # the bound is a float, so one array comparison per step; the
+            # terms, so the sums, are >= 0
+            open_ &= bound >= 1e-300 and REL_TOL * total < bound
             if not open_.any():
                 break
 
@@ -114,6 +123,19 @@ _EPS = 2.0**-53
 _TINY = 1e-300
 _BIG = np.finfo(float).max
 
+# A series walk or anchor computes the next block of orders for all its
+# entries in one pass: up to _BLOCK_ORDERS orders, fewer where the block
+# would hold more than _BLOCK_ELEMENTS values, so its temporaries stay
+# small.  The cap bounds the orders a walk computes past its last stop,
+# each of which costs a scalar constant in Python.
+_BLOCK_ELEMENTS = 8192
+_BLOCK_ORDERS = 64
+
+
+def _block_len(entries):
+    """The orders in one block over `entries` >= 1 entries."""
+    return max(1, min(_BLOCK_ORDERS, _BLOCK_ELEMENTS // entries))
+
 
 def _stirling_correction(a):
     """log(a!) - (a + 1/2) log(a) + a - log(2 pi)/2 for an integer a >= 1."""
@@ -125,9 +147,25 @@ def _stirling_correction(a):
         1.0 / 1680.0 - r / 1188.0)))) / a
 
 
+def _log_norm(a):
+    """log(a!) - a log(a) + a = log(2 pi a)/2 + stirling(a), for an integer a >= 1."""
+    return _HALF_LOG_2PI + 0.5 * math.log(a) + _stirling_correction(a)
+
+
+def _orders(a, const):
+    """(a, const(a)) for one integer order a; for a sequence of orders, a
+    float column of them and the column of const at each, so that an array
+    over the entries broadcasts against them to one row per order.  Each
+    const(a) is a scalar Python float either way, so a row is bit for bit
+    the array of its order alone."""
+    if np.ndim(a) == 0:
+        return a, const(a)
+    return np.array(a, dtype=float)[:, None], np.array([[const(k)] for k in a])
+
+
 def _pois(a, y):
     """The Poisson mass pois(a; y) = y^a e^-y / a! of an integer a >= 0 at
-    every entry of the array y > 0.
+    every entry of y > 0; for a sequence of orders a >= 1, one row per order.
 
     Evaluated as exp(a (log u - u + 1) - log(2 pi a)/2 - stirling(a)) with
     u = y/a: log1p carries log u - u + 1 where u is near 1, so the exponent
@@ -135,14 +173,27 @@ def _pois(a, y):
     of the mass in y.  It is never formed as a running product, which
     would underflow long before the tails it multiplies do.
     """
-    if a == 0:
+    if np.ndim(a) == 0 and a == 0:
         return np.exp(-y)
-    s = (y - a) / a
+    a, log_norm = _orders(a, _log_norm)
+    # in place, and y copied in before a broadcast order meets it, since a
+    # binary op on two broadcast operands buffers both
+    s = np.empty(np.shape(a)[:1] + np.shape(y))  # a row per order of a column
+    s[...] = y
+    s -= a
+    s /= a
+    far = s < -0.5
     # log(0) and a * -huge only send the mass to its 0 limit
     with np.errstate(divide="ignore", over="ignore"):
-        log_u = np.where(s < -0.5, np.log(y / a), np.log1p(np.maximum(s, -0.5)))
-        return np.exp(a * (log_u - s) - (_HALF_LOG_2PI + 0.5 * math.log(a)
-                                            + _stirling_correction(a)))
+        log_u = np.empty_like(s)
+        log_u[...] = y
+        log_u /= a
+        np.log(log_u, out=log_u, where=far)
+        np.log1p(s, out=log_u, where=~far)
+        log_u -= s
+        log_u *= a
+        log_u -= log_norm
+        return np.exp(log_u, out=log_u)
 
 
 def _anchor(a, y):
@@ -156,25 +207,34 @@ def _anchor(a, y):
     falling ratios below 1, and each entry stops on its own once the
     geometric bound on its tail is below eps of its partial sum, so its
     value does not depend on the other entries.
+
+    The series run a block of terms at a time over the entries still
+    open: the running products of the block's ratios and the running sums
+    of its terms (`multiply` and `add` accumulate, each as sequential as
+    one term per step), then each entry's first stop in the block.
     """
     direct = y < a
-
-    def ratio(n):
-        return np.where(direct, y / (a + n), max(a - n, 0) / y)
-
-    term = np.ones_like(y)
     total = np.ones_like(y)
-    open_ = np.ones(y.shape, dtype=bool)
-    r = ratio(1)
+    open_ = np.arange(y.size)  # the entries still summing, with
+    sums = np.ones((1, y.size))  # each one's sum so far
+    term = np.ones(y.size)     # and last term
     n = 1
-    while True:
-        open_ &= term * r > _EPS * total * (1.0 - r)
-        if not open_.any():
-            break
-        term = term * r
-        total = np.where(open_, total + term, total)
-        n += 1
-        r = ratio(n)
+    while open_.size:
+        ns = np.arange(n, n + _block_len(open_.size), dtype=float)[:, None]
+        n += len(ns)
+        y_open = y[open_]
+        ratio = y_open / (a + ns)
+        np.divide(np.maximum(a - ns, 0.0), y_open, out=ratio, where=~direct[open_])
+        rest = 1.0 - ratio
+        ratio[0] *= term
+        terms = np.multiply.accumulate(ratio, axis=0, out=ratio)
+        sums = np.add.accumulate(np.concatenate([sums, terms]), axis=0)
+        # an entry stops before its first term t <= eps S (1 - r), S its
+        # sum before t: the geometric bound on the tail from t on
+        stop = terms <= _EPS * sums[:-1] * rest
+        done = stop.any(axis=0)
+        total[open_[done]] = sums[stop[:, done].argmax(axis=0), done]
+        open_, sums, term = open_[~done], sums[-1:, ~done], terms[-1, ~done]
     return np.where(direct, _pois(a, y) * total, 1.0 - _pois(a - 1, y) * total)
 
 
@@ -197,28 +257,78 @@ class _TermWalk:
     in a and the Poisson weight at or below the mode a0 - m is about 1/2,
     so the mixture is at least about T(a0)/2, and after the O(sqrt(lam))
     steps of the walk its relative error stays about sqrt(lam) eps.
-    Subclasses give `_start(a)` = T(a) and `_step(a)` = d(a).
+
+    Each side computes its steps a block of orders ahead (`_block_len`),
+    one row per order in one pass, and serves the calls from that block.
+    The block's values are the per-step walk's bit for bit: one sequential
+    `np.add.accumulate` of the frontier value and the signed steps adds in
+    the same order, and on the right a single max(., 0) after it equals
+    the clamp at each step, since every step is >= 0 (once a partial value
+    is below 0, every later one is too).  An entry whose step is 0.0 at an
+    order beyond its mass's mode, on that side, is dead there: its later
+    steps are all 0.0 too, so its value stays where it is, and the walk
+    computes no more steps for it on that side.
+    Subclasses give `_start(a)` = T(a), `_step(a, live)` = d(a) at the
+    entries `live` (one row per order for a sequence of orders), and
+    `_beyond_mode(a, live, sign)`, whether d falls from a on in the
+    direction `sign` (+1 right, -1 left) at each of those entries.
     """
 
     def __init__(self, m):
         self._m = m
-        self._lo = self._hi = None  # (order, value) at each frontier
+        self._lo = self._hi = None  # the _Frontier of each side
 
     def __call__(self, j):
         a = self._m + j
         if self._lo is None:
             p = self._start(a)
-            self._lo = self._hi = (a, p)
-        elif a == self._lo[0] - 1:
-            p = self._lo[1] + self._step(a)
-            self._lo = (a, p)
-        elif a == self._hi[0] + 1:
-            p = np.maximum(self._hi[1] - self._step(a - 1), 0.0)
-            self._hi = (a, p)
-        else:
-            raise ValueError(f"order {a} is not next to the walked orders "
-                             f"{self._lo[0]}..{self._hi[0]}")
-        return p
+            self._lo, self._hi = _Frontier(-1, a, p), _Frontier(1, a, p)
+            return p
+        for side in (self._lo, self._hi):
+            if a == side.order + side.sign:
+                if not len(side.ahead):
+                    side.ahead, side.live = self._block(side)
+                side.order, side.value, side.ahead = a, side.ahead[0], side.ahead[1:]
+                return side.value
+        raise ValueError(f"order {a} is not next to the walked orders "
+                         f"{self._lo.order}..{self._hi.order}")
+
+    def _block(self, side):
+        """The values of the next block of orders past `side`'s frontier,
+        one row per order, and the entries still live there after it."""
+        a, value, live, sign = side.order, side.value, side.live, side.sign
+        count = _block_len(value.size)
+        if sign > 0:  # T(a + 1) = max(T(a) - d(a), 0)
+            orders = range(a, a + count)
+        else:         # T(a - 1) = T(a) + d(a - 1), down to order m
+            orders = range(a - 1, max(a - 1 - count, self._m - 1), -1)
+        if not live.size:  # the values stay: read-only rows of the last one
+            return np.broadcast_to(value, (len(orders), value.size)), live
+        steps = self._step(orders, live)
+        dead = (steps[-1] == 0.0) & self._beyond_mode(orders[-1], live, sign)
+        if sign > 0:
+            steps *= -1.0
+        steps[0] += value[live]
+        np.add.accumulate(steps, axis=0, out=steps)
+        if sign > 0:
+            np.maximum(steps, 0.0, out=steps)
+        if live.size < value.size:
+            block = np.repeat(value[None], len(orders), axis=0)
+            block[:, live] = steps
+            steps = block
+        return steps, live[~dead]
+
+
+class _Frontier:
+    """One side of a `_TermWalk`: its `sign` (+1 right, -1 left), the
+    order last served and its `value`, the values computed `ahead` of it,
+    one row per order, and the entries `live` whose steps on this side may
+    still be nonzero."""
+
+    def __init__(self, sign, order, value):
+        self.sign, self.order, self.value = sign, order, value
+        self.ahead = value[:0]
+        self.live = np.arange(value.size)
 
 
 class GammaTerms(_TermWalk):
@@ -228,8 +338,9 @@ class GammaTerms(_TermWalk):
 
     For an integer order a, P(a, y) = Pr(N >= a) with N ~ Poisson(y), so
     the step is d(a) = pois(a; y), and the anchor is `_anchor`'s positive
-    series.  Arguments above the float range are clamped to it, where P
-    is 1.
+    series.  The mass falls from a on to the right where a >= y and to the
+    left where a <= y.  Arguments above the float range are clamped to it,
+    where P is 1.
     """
 
     def __init__(self, m, y):
@@ -239,8 +350,12 @@ class GammaTerms(_TermWalk):
     def _start(self, a):
         return _anchor(a, self._y)
 
-    def _step(self, a):
-        return _pois(a, self._y)
+    def _step(self, a, live):
+        return _pois(a, self._y[live])
+
+    def _beyond_mode(self, a, live, sign):
+        y = self._y[live]
+        return a >= y if sign > 0 else a <= y
 
 
 def _log_a_beta_half(a):
@@ -321,8 +436,18 @@ class BetaTerms(_TermWalk):
     def _start(self, a):
         return _beta_anchor(a, self._w, self._step(a))
 
-    def _step(self, a):
-        return np.exp(a * self._log_w + self._half_log_1mw - _log_a_beta_half(a))
+    def _step(self, a, live=slice(None)):
+        a, log_norm = _orders(a, _log_a_beta_half)
+        log_d = np.empty(np.shape(a)[:1] + self._w[live].shape)
+        log_d[...] = self._log_w[live]  # filled in place, as `_pois`
+        log_d *= a
+        log_d += self._half_log_1mw[live]
+        log_d -= log_norm
+        return np.exp(log_d, out=log_d)
+
+    def _beyond_mode(self, a, live, sign):
+        # the mass falls in a everywhere: its mode is at 0
+        return sign > 0
 
 
 def upper_gamma(q, g):

@@ -13,7 +13,19 @@ import numpy as np
 from scipy import integrate, stats
 from scipy import special as sc
 
-from rfvlc.specfun import MAX_TERMS, REL_TOL, ConvergenceError, erfc_sqrt
+from rfvlc import specfun
+from rfvlc.specfun import (
+    _BIG,
+    _EPS,
+    _HALF_LOG_2PI,
+    MAX_TERMS,
+    REL_TOL,
+    ConvergenceError,
+    _beta_anchor,
+    _log_a_beta_half,
+    _stirling_correction,
+    erfc_sqrt,
+)
 from rfvlc.vlc_channel import VlcParams, derive
 
 # The stated envelope of the radio closed forms: inside it every outage
@@ -79,6 +91,20 @@ def regularized_gamma_mp(a, y, dps=40):
     """P(a, y), the regularized lower incomplete gamma, by mpmath."""
     with mpmath.workdps(dps):
         return float(mpmath.gammainc(a, 0, mpmath.mpf(float(y)), regularized=True))
+
+
+def stirling_correction_mp(a, dps=40):
+    """log(a!) - (a + 1/2) log(a) + a - log(2 pi)/2 by mpmath."""
+    with mpmath.workdps(dps):
+        return float(mpmath.loggamma(a + 1) - (a + mpmath.mpf(1) / 2) * mpmath.log(a) + a
+                     - mpmath.log(2 * mpmath.pi) / 2)
+
+
+def pois_mp(a, y, dps=40):
+    """The Poisson mass y^a e^-y / a! by mpmath, from the float y itself."""
+    with mpmath.workdps(dps):
+        y = mpmath.mpf(float(y))
+        return float(mpmath.exp(a * mpmath.log(y) - y - mpmath.loggamma(a + 1)))
 
 
 def regularized_beta_mp(a, b, w, dps=40):
@@ -479,3 +505,202 @@ def poisson_weighted_sum(lam, term, *, rel_tol=REL_TOL, max_terms=MAX_TERMS, abs
         f"Poisson-weighted series did not converge: rate={lam:g}, "
         f"max_terms={max_terms}, rel_tol={rel_tol:g}"
     )
+
+
+# The radio series walked one order per step, as it stood before the walk
+# computed its steps a block of orders ahead, kept word for word (the
+# budget read from `specfun` when a series runs) as the reference the
+# block walk must equal bit for bit.
+def step_weighted_sum(lam, term):
+    """Evaluate sum_{k>=0} pois(k; lam) * term(k) for term values in [0, 1],
+    each entry of the 1-D array term(k) its own series sharing the rate.
+
+    Terms are accumulated outward from the Poisson mode, so large `lam`
+    costs O(sqrt(lam)) evaluations instead of O(lam) and the weights never
+    underflow prematurely.  The remaining tail is bounded through the
+    frontier weights themselves (geometric-ratio bound), which keeps the
+    stopping rule meaningful even when a sum is many orders of magnitude
+    below 1.  An entry stops once the bound is within REL_TOL of its
+    own partial sum, and later terms are added only to the entries still
+    open, so its value does not depend on the other entries.  At lam = 0
+    the first bound is 0 and the sum is term(0).
+
+    Returns (sums, unconverged): entries still open after MAX_TERMS are
+    flagged in the boolean mask (their sums are partial).
+    """
+    if lam < 0.0:
+        raise ValueError(f"Poisson rate must be >= 0, got {lam}")
+    k0 = int(lam)
+    p0 = math.exp(-lam) if k0 == 0 else math.exp(k0 * math.log(lam) - lam - math.lgamma(k0 + 1))
+    total = p0 * term(k0)  # a fresh array, so adding in place never writes into a term
+    k_lo = k_hi = k0
+    p_lo = p_hi = p0
+    open_ = np.ones(total.shape, dtype=bool)
+
+    for _ in range(specfun.MAX_TERMS):
+        # Tail bound: the right terms fall at least geometrically with ratio
+        # lam/(k_hi+2), below 1 as k_hi >= floor(lam) unless k_hi + 2 rounds
+        # to lam (past 2**53); the left ones with ratio k_lo/lam, 1 on the
+        # first step for an integer lam, and the left side ends at k = 0.
+        ratio_hi = lam / (k_hi + 2.0)
+        ratio_lo = k_lo / lam if k_lo > 0 else 0.0
+        if ratio_hi < 1.0 and ratio_lo < 1.0:
+            bound = (p_hi * (lam / (k_hi + 1.0)) / (1.0 - ratio_hi)
+                     + p_lo * ratio_lo / (1.0 - ratio_lo))
+            open_ &= ~((bound <= specfun.REL_TOL * np.abs(total)) | (bound < 1e-300))
+            if not open_.any():
+                break
+
+        p_hi = p_hi * lam / (k_hi + 1.0)
+        k_hi += 1
+        np.add(total, p_hi * term(k_hi), out=total, where=open_)
+        if k_lo > 0:
+            p_lo = p_lo * k_lo / lam
+            k_lo -= 1
+            np.add(total, p_lo * term(k_lo), out=total, where=open_)
+    return total, open_
+
+
+def step_pois(a, y):
+    """The Poisson mass pois(a; y) = y^a e^-y / a! of an integer a >= 0 at
+    every entry of the array y > 0.
+
+    Evaluated as exp(a (log u - u + 1) - log(2 pi a)/2 - stirling(a)) with
+    u = y/a: log1p carries log u - u + 1 where u is near 1, so the exponent
+    is accurate to a few ulp of itself plus eps |y - a|, the conditioning
+    of the mass in y.  It is never formed as a running product, which
+    would underflow long before the tails it multiplies do.
+    """
+    if a == 0:
+        return np.exp(-y)
+    s = (y - a) / a
+    # log(0) and a * -huge only send the mass to its 0 limit
+    with np.errstate(divide="ignore", over="ignore"):
+        log_u = np.where(s < -0.5, np.log(y / a), np.log1p(np.maximum(s, -0.5)))
+        return np.exp(a * (log_u - s) - (_HALF_LOG_2PI + 0.5 * math.log(a)
+                                            + _stirling_correction(a)))
+
+
+def step_anchor(a, y):
+    """P(a, y) at every entry of y > 0, for an integer order a >= 1.
+
+    Where a > y, P = pois(a; y) S with
+    S = 1 + y/(a+1) + y^2/((a+1)(a+2)) + ...; where a <= y,
+    P = 1 - pois(a-1; y) R with R = 1 + (a-1)/y + (a-1)(a-2)/y^2 + ...,
+    so P is summed directly where it is below about 1/2 and through its
+    complement where it is above.  Both series have positive terms with
+    falling ratios below 1, and each entry stops on its own once the
+    geometric bound on its tail is below eps of its partial sum, so its
+    value does not depend on the other entries.
+    """
+    direct = y < a
+
+    def ratio(n):
+        return np.where(direct, y / (a + n), max(a - n, 0) / y)
+
+    term = np.ones_like(y)
+    total = np.ones_like(y)
+    open_ = np.ones(y.shape, dtype=bool)
+    r = ratio(1)
+    n = 1
+    while True:
+        open_ &= term * r > _EPS * total * (1.0 - r)
+        if not open_.any():
+            break
+        term = term * r
+        total = np.where(open_, total + term, total)
+        n += 1
+        r = ratio(n)
+    return np.where(direct, step_pois(a, y) * total, 1.0 - step_pois(a - 1, y) * total)
+
+
+class _StepWalk:
+    """term(j) = T(m + j) for the orders `poisson_weighted_sum` asks for,
+    T(a) being an array of terms that fall in the integer order a, with
+    known steps d(a) = T(a) - T(a + 1) >= 0.  Both term families are tails
+    Pr(N >= a) of a count N, Poisson for `GammaTerms` and negative binomial
+    for `BetaTerms`, so d(a) is the mass Pr(N = a) of that count.
+
+    The first call anchors the walk at its order a0 (`_start`); after that
+    only the neighbours of the two frontier orders may be asked for, each
+    one multiply-add away:
+
+        T(a - 1) = T(a) + d(a - 1)               (left, positive)
+        T(a + 1) = max(T(a) - d(a), 0)           (right)
+
+    A right step cancels, but its absolute error stays a few ulp of
+    T(a0) per step.  That is small against the mixture it feeds: T falls
+    in a and the Poisson weight at or below the mode a0 - m is about 1/2,
+    so the mixture is at least about T(a0)/2, and after the O(sqrt(lam))
+    steps of the walk its relative error stays about sqrt(lam) eps.
+    Subclasses give `_start(a)` = T(a) and `_step(a)` = d(a).
+    """
+
+    def __init__(self, m):
+        self._m = m
+        self._lo = self._hi = None  # (order, value) at each frontier
+
+    def __call__(self, j):
+        a = self._m + j
+        if self._lo is None:
+            p = self._start(a)
+            self._lo = self._hi = (a, p)
+        elif a == self._lo[0] - 1:
+            p = self._lo[1] + self._step(a)
+            self._lo = (a, p)
+        elif a == self._hi[0] + 1:
+            p = np.maximum(self._hi[1] - self._step(a - 1), 0.0)
+            self._hi = (a, p)
+        else:
+            raise ValueError(f"order {a} is not next to the walked orders "
+                             f"{self._lo[0]}..{self._hi[0]}")
+        return p
+
+
+class StepGammaTerms(_StepWalk):
+    """term(j) = P(m + j, y), P(a, y) being the regularized lower
+    incomplete gamma at every entry of the array y > 0: the terms of the
+    radio CDF, walked as `_TermWalk` describes.
+
+    For an integer order a, P(a, y) = Pr(N >= a) with N ~ Poisson(y), so
+    the step is d(a) = pois(a; y), and the anchor is `_anchor`'s positive
+    series.  Arguments above the float range are clamped to it, where P
+    is 1.
+    """
+
+    def __init__(self, m, y):
+        super().__init__(m)
+        self._y = np.minimum(np.asarray(y, dtype=float), _BIG)
+
+    def _start(self, a):
+        return step_anchor(a, self._y)
+
+    def _step(self, a):
+        return step_pois(a, self._y)
+
+
+class StepBetaTerms(_StepWalk):
+    """term(j) = I_w(m + j, 1/2), I being the regularized incomplete beta
+    at every entry of the array w in [0, 1]: the terms of the radio BER,
+    walked as `_TermWalk` describes.
+
+    The twin of `GammaTerms`: I_w(a, 1/2) = Pr(N >= a) with N negative
+    binomial of shape 1/2 and failure probability w, so the step is its
+    mass d(a) = w^a (1 - w)^(1/2) / (a B(a, 1/2)) (DLMF 8.17.20), formed
+    from logs, so it never underflows before the value it changes does.
+    The anchor is `_beta_anchor`'s continued fraction.
+    """
+
+    def __init__(self, m, w):
+        super().__init__(m)
+        self._w = np.asarray(w, dtype=float)
+        with np.errstate(divide="ignore"):  # log(0) sends d to its 0 limit
+            self._log_w = np.log(self._w)
+            self._half_log_1mw = 0.5 * np.log1p(-self._w)
+
+    def _start(self, a):
+        return _beta_anchor(a, self._w, self._step(a))
+
+    def _step(self, a):
+        return np.exp(a * self._log_w + self._half_log_1mw - _log_a_beta_half(a))
+

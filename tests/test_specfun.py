@@ -1,14 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special as sc
 from scipy import stats
 
 import oracles
 from oracles import erfc_moment, marcum_q, meijer_g_2122
-from rfvlc import specfun
-from rfvlc.rf_channel import RfParams, mrc_snr_cdf
+from rfvlc import rf_channel, specfun
+from rfvlc.rf_channel import RfParams, mrc_cdf_batch, mrc_snr_cdf, rf_avg_ber_batch
 from rfvlc.specfun import (
     BetaTerms,
     ConvergenceError,
@@ -395,6 +398,124 @@ class TestBetaTerms:
         term = BetaTerms(1, np.array([0.0, 1.0]))
         for j in (3, 4, 2, 5, 1):
             assert term(j).tolist() == [0.0, 1.0]
+
+
+class TestPoissonMass:
+    """`_stirling_correction` and `_pois` against mpmath at 40 digits."""
+
+    def test_stirling_correction(self):
+        # the Poisson mass carries this absolute error as a relative one.
+        # Below 16 it is lgamma's cancelling difference (measured worst
+        # 7.4e-15); from 16 on the Stirling series, whose first omitted
+        # term is below 2e-16 (measured worst 1.1e-16, at 16), so an error
+        # in its last kept term (2.4e-14 at 16) shows
+        for a in range(1, 2001):
+            want = oracles.stirling_correction_mp(a)
+            assert abs(specfun._stirling_correction(a) - want) <= (1e-14 if a < 16 else 2e-16), a
+
+    def test_pois(self):
+        # within a few eps of the exponent's size plus eps |y - a|, the
+        # mass's own conditioning (measured worst 2.7 such units), or at
+        # the float range's edge; each row of a column of orders is the
+        # array of its order alone, bit for bit
+        ys = np.geomspace(1e-3, 1e5, 41)
+        orders = [1, 2, 3, 7, 15, 16, 17, 40, 99, 204, 700, 1000, 2000, 5000, 20000, 100000]
+        rows = specfun._pois(orders, ys)
+        assert rows.shape == (len(orders), ys.size)
+        for a, row in zip(orders, rows):
+            assert row.tobytes() == specfun._pois(a, ys).tobytes(), a
+            for y, got in zip(ys, row):
+                want = oracles.pois_mp(a, y)
+                if want >= 1e-300:
+                    tol = 8.0 * 2.0**-53 * (1.0 + abs(math.log(want)) + abs(y - a))
+                    assert got == pytest.approx(want, rel=tol, abs=0.0), (a, y)
+                else:
+                    assert got <= 1e-300, (a, y)
+
+
+# Series budgets whose block ends fall before, at and past MAX_TERMS
+BUDGETS = [(1e-10, 512), (1e-3, 40), (1e-10, 16)]
+
+
+def _outcome(fn, *args):
+    """The bytes of fn(*args), or the text and mask of its ConvergenceError."""
+    try:
+        return np.asarray(fn(*args)).tobytes()
+    except ConvergenceError as exc:
+        return str(exc), exc.unconverged.tolist()
+
+
+def _stepwise_outcome(fn, *args):
+    """`_outcome` with the radio series walked one order per step (the
+    rate check of `rf_channel._mixture` on the reference mass too)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rf_channel, "poisson_weighted_sum", oracles.step_weighted_sum)
+        mp.setattr(rf_channel, "GammaTerms", oracles.StepGammaTerms)
+        mp.setattr(rf_channel, "BetaTerms", oracles.StepBetaTerms)
+        mp.setattr(specfun, "_pois", oracles.step_pois)
+        return _outcome(fn, *args)
+
+
+_FADING = st.tuples(st.one_of(st.none(), st.floats(-10.0, 25.0)), st.integers(1, 8))
+# average SNR and threshold in dB, out to where the anchors underflow
+_POINTS = st.lists(st.tuples(st.floats(-10.0, 300.0), st.floats(-300.0, 30.0)),
+                   min_size=1, max_size=12)
+
+
+class TestBlockWalk:
+    """The walk computes its steps a block of orders ahead; what it returns
+    is the one-order-per-step walk's (`oracles.step_weighted_sum` and its
+    term walks), bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(budget=st.sampled_from(BUDGETS),
+           groups=st.lists(st.tuples(_FADING, _POINTS), min_size=1, max_size=3))
+    @example(budget=BUDGETS[0],  # the benchmark's line-of-sight cell
+             groups=[((17.0, 4), [(snr, 0.0) for snr in np.linspace(-10.0, 30.0, 12)])])
+    def test_closed_forms_equal_the_stepwise_walk(self, budget, groups):
+        params, gammas = [], []
+        for (k_db, m), points in groups:
+            k = 0.0 if k_db is None else 10.0 ** (k_db / 10.0)
+            for snr_db, gamma_db in points:
+                params.append(RfParams(k, m, 10.0 ** (snr_db / 10.0)))
+                gammas.append(10.0 ** (gamma_db / 10.0))
+        gammas = np.array(gammas)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(specfun, "REL_TOL", budget[0])
+            mp.setattr(specfun, "MAX_TERMS", budget[1])
+            for fn, args in ((mrc_cdf_batch, (gammas, params)), (rf_avg_ber_batch, (params,))):
+                assert _outcome(fn, *args) == _stepwise_outcome(fn, *args), fn.__name__
+
+    def test_anchor_below_the_float_range_warns_nothing(self):
+        # y < a, so only the direct series' ratios y/(a + n) are formed; the
+        # complement's (a - n)/y would overflow here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert GammaTerms(2, np.array([1e-310, 1.0]))(2)[0] == 0.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(log_y=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=8),
+           a0=st.integers(1, 3000))
+    @example(log_y=[math.log10(1500.0), 1.0], a0=100)  # 0 at a0, not past 1500
+    @example(log_y=[2.0, -2.0], a0=1000)  # 0 at a0, not below 100; w = 0.01 grows
+    def test_dead_entries_stay_dead(self, log_y, a0):
+        # once the reference step of an entry is 0.0 at an order beyond its
+        # mode on a side, every later step on that side is 0.0 too, so the
+        # walk computes no more of them: the Poisson mass on both sides,
+        # the negative binomial mass (w = y/(1 + y)) on the right only
+        y = 10.0 ** np.array(log_y)
+        w = y / (1.0 + y)
+        live = np.arange(y.size)
+        walks = [(GammaTerms(1, y), oracles.StepGammaTerms(1, y)),
+                 (BetaTerms(1, w), oracles.StepBetaTerms(1, w))]
+        for sign in (1, -1):
+            orders = range(a0, max(a0 + 1201 * sign, 0), sign)
+            for walk, reference in walks:
+                steps = np.array([reference._step(a) for a in orders])
+                beyond = np.array([np.broadcast_to(walk._beyond_mode(a, live, sign), y.shape)
+                                   for a in orders])
+                dead = np.logical_or.accumulate((steps == 0.0) & beyond, axis=0)
+                assert not steps[dead].any(), (type(walk).__name__, sign)
 
 
 class TestUpperGamma:
