@@ -7,7 +7,8 @@ evaluates in one stable form or another.  Its CDF and average BER are
 Poisson mixtures, which `_mixture` alone evaluates: it takes per-entry K
 and branch counts and sums one series pass per distinct (K, branches),
 under the one truncation budget `specfun.REL_TOL`/`specfun.MAX_TERMS`, so
-the batch forms take params with any K and branch count.  Every closed
+the batch forms take params with any K and branch count; a rate the
+budget does not cover (`specfun.covers`) gets no pass.  Every closed
 form returns values that meet it or raises `ConvergenceError`.  The CDF's
 terms come from `specfun.GammaTerms` and the average BER's from
 `specfun.BetaTerms`, numpy alone; scipy is imported only by the density
@@ -127,10 +128,8 @@ def _mixture(k, m, x, terms):
     This is where the radio series are grouped: one `poisson_weighted_sum`
     pass per distinct (K, branches), in order of first appearance, over the
     entries with x > 0; every entry is its own series in its pass, and the
-    entries with x = 0 are 0.  A pass whose rate the budget cannot cover is
-    not run: every tail bound it forms is at least the weight
-    pois(floor(rate) + MAX_TERMS; rate), and where that is above
-    2 REL_TOL no sum of terms in [0, 1] can stop, so its entries are
+    entries with x = 0 are 0.  A pass whose rate the budget does not cover
+    (`specfun.covers`) is not run: no sum could stop, so its entries are
     flagged as the pass would flag them, without a term built.  Raises the
     ConvergenceError of the first entry that ran out of terms, naming its
     series rate k*m, with an `unconverged` mask over all of `x`.
@@ -142,11 +141,10 @@ def _mixture(k, m, x, terms):
     for kk, mm in dict.fromkeys(zip(k[live].tolist(), m[live].tolist())):
         idx = live & (k == kk) & (m == mm)
         lam = kk * mm
-        if lam >= 2.0**53 or (specfun._pois(int(lam) + specfun.MAX_TERMS, lam)
-                              > 2.0 * specfun.REL_TOL):
-            unconverged[idx] = True
-        else:
+        if specfun.covers(lam):
             out[idx], unconverged[idx] = poisson_weighted_sum(lam, terms(mm, x[idx]))
+        else:
+            unconverged[idx] = True
     if unconverged.any():
         i = np.argmax(unconverged)
         rate = float(k.flat[i]) * int(m.flat[i])  # inf past the float range, with no warning

@@ -6,20 +6,16 @@ its average BER are both Poisson mixtures of bounded terms.
 `poisson_weighted_sum` evaluates such a mixture elementwise under one
 fixed truncation budget (`REL_TOL`, `MAX_TERMS`) and flags the entries
 that run out of terms; the closed forms raise them as a `ConvergenceError`
-and never return silently wrong numbers.  The CDF's terms are regularized
+and never return silently wrong numbers.  `covers` is the rule for the
+rates that budget can cover at all.  The CDF's terms are regularized
 incomplete gammas of integer order (`GammaTerms`) and the BER's are
 regularized incomplete betas I_w(a, 1/2) (`BetaTerms`); each walk costs
-one anchor per entry and then one multiply-add per term.  A walk computes
-its steps a block of orders ahead, one numpy pass per block, and the block
-equals the walk one order per step bit for bit: its values are one
-sequential accumulate of the steps, and the right side's clamp at 0,
-applied once after it, commutes with steps that are all >= 0.  An entry
-whose step is 0.0 beyond the mode of its mass is dead on that side: its
-later steps are 0.0 as well, so its value stays put and no more of its
-steps are computed.  `upper_gamma` is the scalar Gamma(q, g) of the
-optical BER, and `erfc_sqrt` the erfc(sqrt(snr)) of the Monte Carlo BER.
-`validate_snr` is the one argument check shared by the SNR distributions
-of both hops.
+one anchor per entry and then one multiply-add per term, and each of its
+two sides is one generator (`_TermWalk._side`) that computes its steps a
+block of orders ahead, equal to the walk one order per step bit for bit.
+`upper_gamma` is the scalar Gamma(q, g) of the optical BER, and
+`erfc_sqrt` the erfc(sqrt(snr)) of the Monte Carlo BER.  `validate_snr`
+is the one argument check shared by the SNR distributions of both hops.
 """
 from __future__ import annotations
 
@@ -30,6 +26,7 @@ import numpy as np
 __all__ = [
     "REL_TOL",
     "MAX_TERMS",
+    "covers",
     "ConvergenceError",
     "poisson_weighted_sum",
     "GammaTerms",
@@ -44,6 +41,14 @@ __all__ = [
 # relative error of the truncation, and the cap on the number of terms.
 REL_TOL = 1e-10
 MAX_TERMS = 512
+
+
+def covers(lam):
+    """Whether a sum at the rate lam >= 0 could stop within the budget.
+    Every tail bound of a `poisson_weighted_sum` is at least
+    pois(floor(lam) + MAX_TERMS; lam), so no sum of terms in [0, 1] can stop
+    where that is above 2 REL_TOL, nor from 2**53 on (inf included)."""
+    return lam < 2.0**53 and bool(_pois(int(lam) + MAX_TERMS, lam) <= 2.0 * REL_TOL)
 
 
 class ConvergenceError(RuntimeError):
@@ -258,7 +263,8 @@ class _TermWalk:
     so the mixture is at least about T(a0)/2, and after the O(sqrt(lam))
     steps of the walk its relative error stays about sqrt(lam) eps.
 
-    Each side computes its steps a block of orders ahead (`_block_len`),
+    Each side is one generator (`_side`), which holds that side's
+    frontier and computes its steps a block of orders ahead (`_block_len`),
     one row per order in one pass, and serves the calls from that block.
     The block's values are the per-step walk's bit for bit: one sequential
     `np.add.accumulate` of the frontier value and the signed steps adds in
@@ -276,59 +282,50 @@ class _TermWalk:
 
     def __init__(self, m):
         self._m = m
-        self._lo = self._hi = None  # the _Frontier of each side
+        self._ends = self._sides = None  # [left, right] orders and `_side`s
 
     def __call__(self, j):
         a = self._m + j
-        if self._lo is None:
+        if self._ends is None:
             p = self._start(a)
-            self._lo, self._hi = _Frontier(-1, a, p), _Frontier(1, a, p)
+            self._ends, self._sides = [a, a], [self._side(-1, a, p), self._side(1, a, p)]
             return p
-        for side in (self._lo, self._hi):
-            if a == side.order + side.sign:
-                if not len(side.ahead):
-                    side.ahead, side.live = self._block(side)
-                side.order, side.value, side.ahead = a, side.ahead[0], side.ahead[1:]
-                return side.value
+        for i, sign in enumerate((-1, 1)):
+            if a == self._ends[i] + sign:
+                self._ends[i] = a
+                return next(self._sides[i])
         raise ValueError(f"order {a} is not next to the walked orders "
-                         f"{self._lo.order}..{self._hi.order}")
+                         f"{self._ends[0]}..{self._ends[1]}")
 
-    def _block(self, side):
-        """The values of the next block of orders past `side`'s frontier,
-        one row per order, and the entries still live there after it."""
-        a, value, live, sign = side.order, side.value, side.live, side.sign
-        count = _block_len(value.size)
-        if sign > 0:  # T(a + 1) = max(T(a) - d(a), 0)
-            orders = range(a, a + count)
-        else:         # T(a - 1) = T(a) + d(a - 1), down to order m
-            orders = range(a - 1, max(a - 1 - count, self._m - 1), -1)
-        if not live.size:  # the values stay: read-only rows of the last one
-            return np.broadcast_to(value, (len(orders), value.size)), live
-        steps = self._step(orders, live)
-        dead = (steps[-1] == 0.0) & self._beyond_mode(orders[-1], live, sign)
-        if sign > 0:
-            steps *= -1.0
-        steps[0] += value[live]
-        np.add.accumulate(steps, axis=0, out=steps)
-        if sign > 0:
-            np.maximum(steps, 0.0, out=steps)
-        if live.size < value.size:
-            block = np.repeat(value[None], len(orders), axis=0)
-            block[:, live] = steps
-            steps = block
-        return steps, live[~dead]
-
-
-class _Frontier:
-    """One side of a `_TermWalk`: its `sign` (+1 right, -1 left), the
-    order last served and its `value`, the values computed `ahead` of it,
-    one row per order, and the entries `live` whose steps on this side may
-    still be nonzero."""
-
-    def __init__(self, sign, order, value):
-        self.sign, self.order, self.value = sign, order, value
-        self.ahead = value[:0]
-        self.live = np.arange(value.size)
+    def _side(self, sign, a, value):
+        """The values at the orders past a, whose value is `value`, on the
+        side `sign` (+1 right, -1 left), one order per next().  A block is
+        computed when its first order is asked for; `live` holds the
+        entries whose steps on this side may still be nonzero."""
+        count, live = _block_len(value.size), np.arange(value.size)
+        while True:
+            if sign > 0:  # T(a + 1) = max(T(a) - d(a), 0)
+                orders = range(a, a + count)
+            else:         # T(a - 1) = T(a) + d(a - 1), down to order m
+                orders = range(a - 1, max(a - 1 - count, self._m - 1), -1)
+            if not live.size:  # the values stay: read-only rows of the last one
+                block = np.broadcast_to(value, (len(orders), value.size))
+            else:
+                block = steps = self._step(orders, live)
+                dead = (steps[-1] == 0.0) & self._beyond_mode(orders[-1], live, sign)
+                if sign > 0:
+                    steps *= -1.0
+                steps[0] += value[live]
+                np.add.accumulate(steps, axis=0, out=steps)
+                if sign > 0:
+                    np.maximum(steps, 0.0, out=steps)
+                if live.size < value.size:
+                    block = np.repeat(value[None], len(orders), axis=0)
+                    block[:, live] = steps
+                live = live[~dead]
+            yield from block
+            # a copy, so that the block is freed once the next one is made
+            a, value = a + sign * len(orders), block[-1].copy()
 
 
 class GammaTerms(_TermWalk):
@@ -385,8 +382,8 @@ def _beta_anchor(a, w, front):
     (its limit at the switch for large a), so the complement loses at most
     about one digit; its prefactor is 2 a front.
     Modified Lentz, as Numerical Recipes' betacf; each entry stops on its
-    own once a factor is within eps of 1, so its value does not depend on
-    the other entries.
+    own once a factor is within eps of 1 and leaves the later iterations,
+    so its value does not depend on the other entries.
     """
     direct = w < (a + 1.0) / (a + 2.5)
     p = np.where(direct, float(a), 0.5)
@@ -398,10 +395,11 @@ def _beta_anchor(a, w, front):
 
     c = np.ones_like(x)
     d = 1.0 / guard(1.0 - (p + q) * x / (p + 1.0))
-    h = d
-    open_ = np.ones(x.shape, dtype=bool)
+    h = np.empty_like(x)
+    open_ = np.arange(x.size)  # the entries still converging, and at each
+    f = d                      # the product of its factors so far
     k = 0
-    while open_.any():
+    while open_.size:
         k += 1
         odd = -(p + k) * (p + q + k) * x / ((p + 2 * k) * (p + 2 * k + 1))
         even = k * (q - k) * x / ((p + 2 * k - 1) * (p + 2 * k))
@@ -409,8 +407,11 @@ def _beta_anchor(a, w, front):
             d = 1.0 / guard(1.0 + coef * d)
             c = guard(1.0 + coef / c)
             step = d * c
-            h = np.where(open_, h * step, h)
-        open_ &= np.abs(step - 1.0) > 2.0 * _EPS
+            f = f * step
+        more = np.abs(step - 1.0) > 2.0 * _EPS
+        if not more.all():
+            h[open_[~more]] = f[~more]
+            open_, p, q, x, c, d, f = (v[more] for v in (open_, p, q, x, c, d, f))
     return np.where(direct, front * h, 1.0 - 2.0 * a * front * h)
 
 

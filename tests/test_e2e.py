@@ -223,6 +223,7 @@ class TestBatches:
 
 _SNR_DB = ENVELOPE["avg_snr_db"]
 _LOG_THRESHOLD = tuple(math.log10(t) for t in ENVELOPE["outage_threshold"])
+_BRANCHES = range(ENVELOPE["branches"][0], ENVELOPE["branches"][1] + 1)
 
 
 class TestEnvelope:
@@ -248,3 +249,49 @@ class TestEnvelope:
         for (values, floor), ceiling in ((outage_batch(cfgs), 1.0), (ber_batch(cfgs), 0.5)):
             assert np.all((floor <= values) & (values <= ceiling))
             assert np.all(np.diff(values) <= REL_TOL * values[:-1])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        k_db=st.none() | st.floats(-20.0, ENVELOPE["k_factor_db_max"]),
+        branches=st.integers(*ENVELOPE["branches"]),
+        log_threshold=st.floats(*_LOG_THRESHOLD),
+        snrs_db=st.lists(st.floats(*_SNR_DB), max_size=10, unique=True),
+    )
+    # the slowest approach: F_rf = 1 - exp(-10/mu), ~1e-3 of its start at 40 dB
+    @example(k_db=None, branches=1, log_threshold=_LOG_THRESHOLD[1], snrs_db=[])
+    def test_outage_tends_to_its_floor(self, k_db, branches, log_threshold, snrs_db):
+        # the outage less its floor is F_rf (1 - F_vlc): >= 0 and falling
+        # with the average radio SNR, and at 40 dB at most 1e-2 of its
+        # value at -10 dB
+        k = 0.0 if k_db is None else 10.0 ** (k_db / 10.0)
+        cfgs = [make_cfg(threshold=10.0**log_threshold, avg_snr=10.0 ** (s / 10.0),
+                         branches=branches, k_factor=k) for s in sorted({*snrs_db, *_SNR_DB})]
+        values, floor = outage_batch(cfgs)
+        gap = values - floor
+        assert np.all(gap >= 0.0)
+        assert np.all(np.diff(gap) <= REL_TOL * gap[:-1])
+        if gap[0] > 0.0:
+            assert gap[-1] <= 1e-2 * gap[0]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        k_db=st.none() | st.floats(-20.0, ENVELOPE["k_factor_db_max"]),
+        branches=st.integers(*ENVELOPE["branches"]),
+        snr_db=st.floats(*_SNR_DB),
+        log_thresholds=st.lists(st.floats(*_LOG_THRESHOLD), min_size=2, max_size=10, unique=True),
+    )
+    def test_outage_rises_with_the_threshold_and_falls_with_branches(self, k_db, branches, snr_db,
+                                                                     log_thresholds):
+        # within 2 REL_TOL relative, the truncation error of two sums; the
+        # branches add at a fixed per-branch SNR, so each adds a
+        # nonnegative SNR to the combiner's
+        k = 0.0 if k_db is None else 10.0 ** (k_db / 10.0)
+        avg_snr = 10.0 ** (snr_db / 10.0)
+        thresholds = [10.0**t for t in sorted(log_thresholds)]
+        rising, _ = outage_batch([make_cfg(threshold=t, avg_snr=avg_snr, branches=branches,
+                                           k_factor=k) for t in thresholds])
+        assert np.all(rising[:-1] <= rising[1:] * (1.0 + 2.0 * REL_TOL))
+        for t in (thresholds[0], thresholds[-1]):
+            falling, _ = outage_batch([make_cfg(threshold=t, avg_snr=avg_snr, branches=m,
+                                                k_factor=k) for m in _BRANCHES])
+            assert np.all(falling[1:] <= falling[:-1] * (1.0 + 2.0 * REL_TOL))

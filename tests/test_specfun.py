@@ -219,6 +219,59 @@ class TestPoissonWeightedSum:
         assert unconverged.tolist() == [True, True]
 
 
+# Where the weight pois(floor(lam) + 512; lam) crosses 2e-10 at the
+# default budget: the last covered rate of each crossing; the next float up
+# is refused.  The weight rises in lam between integers and drops where
+# floor(lam) steps, so between the first and the last crossing the covered
+# rates alternate with the refused ones.
+CROSSINGS = [7549.984859638253, 7575.167261901771, 7580.010187196885]
+
+
+class TestCovers:
+    @pytest.mark.parametrize("lam", CROSSINGS)
+    def test_one_float_on_each_side_of_a_crossing(self, lam):
+        above = math.nextafter(lam, math.inf)
+        assert specfun.covers(lam) and not specfun.covers(above)
+        # the crossing is the weight's own, not a rounding artefact of it
+        for rate in (lam, above):
+            assert float(oracles.pois_mp(int(rate) + specfun.MAX_TERMS, rate)) == pytest.approx(
+                2.0 * specfun.REL_TOL, rel=1e-12)
+
+    def test_covered_up_to_the_first_crossing(self):
+        lams = np.concatenate([[0.0, 1e-300, 0.5], np.linspace(1.0, CROSSINGS[0], 500)])
+        assert all(specfun.covers(lam) for lam in lams)
+
+    def test_refused_past_the_last_crossing(self):
+        lams = np.linspace(math.nextafter(CROSSINGS[-1], math.inf), 2e4, 500)
+        assert not any(specfun.covers(lam) for lam in lams)
+
+    @pytest.mark.parametrize("lam", [math.nextafter(2.0**53, 0.0), 2.0**53, 1e300, math.inf])
+    def test_refused_at_and_past_the_float_integers(self, lam):
+        # just below 2**53 by its weight; from 2**53 on without it: past
+        # about 4e18 the weight, about 1/sqrt(2 pi lam), is below 2 REL_TOL
+        # although no 512 terms span the mass, and at inf it has no order
+        assert specfun.covers(lam) is False
+
+    @pytest.mark.parametrize("lam", [*CROSSINGS, *(math.nextafter(c, math.inf) for c in CROSSINGS),
+                                     math.nextafter(2.0**53, 0.0), 2.0**53, math.inf])
+    def test_mixture_refuses_exactly_the_uncovered_rates(self, lam):
+        # `rf_channel._mixture` builds the terms of a rate's pass exactly
+        # where the rule covers the rate, and flags a refused rate's
+        # entries as a pass that ran out of terms would
+        built = []
+
+        def terms(m, x):
+            built.append(m)
+            return lambda j: np.ones(x.shape)  # the largest sum: it cannot stop here
+
+        with pytest.raises(ConvergenceError) as info:
+            rf_channel._mixture(np.array([lam, 1.0]), np.array([1, 2]), np.ones(2), terms)
+        assert built == ([1, 2] if specfun.covers(lam) else [2])
+        assert str(info.value) == ("Poisson-weighted series did not converge: "
+                                   f"rate={lam:g}, max_terms=512, rel_tol=1e-10")
+        assert info.value.unconverged.tolist() == [True, False]
+
+
 # measured worst over these tests: 1.9e-13 relative at the anchors,
 # 1.5e-13 on the left walk, 4.3e-14 of P(a0) on the right walk
 GAMMA_REL = 5e-13
@@ -293,11 +346,15 @@ class TestGammaTerms:
             assert got.tolist() == [lone(j)[0] for lone in lones]
 
     def test_rejects_orders_off_the_walk(self):
+        # after the anchor, only the neighbours of the two frontier orders
         term = GammaTerms(2, GAMMA_YS)
         term(10)
         term(11)
-        with pytest.raises(ValueError, match="not next to"):
-            term(13)
+        term(9)
+        for j in (13, 7, 10):
+            with pytest.raises(ValueError, match=f"^order {2 + j} is not next to the walked "
+                                                 "orders 11..13$"):
+                term(j)
 
     def test_saturates_above_the_float_range(self):
         assert GammaTerms(3, np.array([np.inf, 1e308]))(5).tolist() == [1.0, 1.0]
@@ -374,12 +431,32 @@ class TestBetaTerms:
             got = term(j)
             assert got.tolist() == [lone(j)[0] for lone in lones]
 
+    @pytest.mark.parametrize("a", range(1, 65))
+    def test_anchor_entries_equal_lone_calls(self, a):
+        # the continued fraction runs on over the entries still converging
+        # only; each entry's value is its lone call's, on both sides of the
+        # switch to the complement, at w = 0 and w = 1 included
+        switch = (a + 1.0) / (a + 2.5)
+        ws = np.concatenate([np.linspace(0.0, 1.0, 11), BETA_WS[::3],
+                             switch + np.array([-1e-2, -1e-6, 0.0, 1e-6, 1e-2]),
+                             [math.nextafter(switch, 0.0), math.nextafter(switch, 1.0)]])
+        direct = ws < switch
+        assert direct.any() and not direct.all()
+        front = BetaTerms(1, ws)._step(a)
+        got = specfun._beta_anchor(a, ws, front)
+        for i, value in enumerate(got):
+            assert value == specfun._beta_anchor(a, ws[i:i + 1], front[i:i + 1])[0], ws[i]
+
     def test_rejects_orders_off_the_walk(self):
+        # after the anchor, only the neighbours of the two frontier orders
         term = BetaTerms(2, BETA_WS)
         term(10)
         term(11)
-        with pytest.raises(ValueError, match="not next to"):
-            term(13)
+        term(9)
+        for j in (13, 7, 10):
+            with pytest.raises(ValueError, match=f"^order {2 + j} is not next to the walked "
+                                                 "orders 11..13$"):
+                term(j)
 
     def test_step_is_the_negative_binomial_mass(self):
         # I_w(a, 1/2) = Pr(N >= a) for N negative binomial with shape 1/2
@@ -447,7 +524,7 @@ def _outcome(fn, *args):
 
 def _stepwise_outcome(fn, *args):
     """`_outcome` with the radio series walked one order per step (the
-    rate check of `rf_channel._mixture` on the reference mass too)."""
+    coverage rule `specfun.covers` on the reference mass too)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rf_channel, "poisson_weighted_sum", oracles.step_weighted_sum)
         mp.setattr(rf_channel, "GammaTerms", oracles.StepGammaTerms)
