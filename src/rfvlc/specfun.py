@@ -390,8 +390,10 @@ def _beta_anchor(a, w, front):
     q = np.where(direct, 0.5, float(a))
     x = np.where(direct, w, 1.0 - w)
 
-    def guard(v):
-        return np.where(np.abs(v) < _TINY, _TINY, v)
+    def guard(v):  # v itself, unless an entry is within _TINY of 0
+        if np.fmin.reduce(np.abs(v), initial=np.inf) < _TINY:  # fmin skips NaN
+            return np.where(np.abs(v) < _TINY, _TINY, v)
+        return v
 
     c = np.ones_like(x)
     d = 1.0 / guard(1.0 - (p + q) * x / (p + 1.0))
@@ -401,8 +403,9 @@ def _beta_anchor(a, w, front):
     k = 0
     while open_.size:
         k += 1
-        odd = -(p + k) * (p + q + k) * x / ((p + 2 * k) * (p + 2 * k + 1))
-        even = k * (q - k) * x / ((p + 2 * k - 1) * (p + 2 * k))
+        p2k = p + 2 * k
+        odd = -(p + k) * (p + q + k) * x / (p2k * (p2k + 1))
+        even = k * (q - k) * x / ((p2k - 1) * p2k)
         for coef in (even, odd):
             d = 1.0 / guard(1.0 + coef * d)
             c = guard(1.0 + coef / c)

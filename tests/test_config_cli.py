@@ -887,3 +887,31 @@ class TestPoolImport:
             "print(a, b, c, d, 'concurrent.futures' in sys.modules)"
         )
         assert _fresh_interpreter(code) == "0 0 0 0 False"
+
+
+class TestExit:
+    """The CLI freezes its import graph, so the collections at exit skip it;
+    nothing else about how a command ends may change."""
+
+    def test_only_the_cli_import_freezes(self):
+        code = ("import gc, rfvlc; bare = gc.get_freeze_count(); import rfvlc.cli; "
+                "print(bare, gc.get_freeze_count() > 0, gc.isenabled())")
+        assert _fresh_interpreter(code) == "0 True True"
+
+    @pytest.mark.parametrize("points", [5, 600])
+    def test_output_reaches_a_pipe_in_full(self, cfg_file, tmp_path, points):
+        # a pipe's stdout is block-buffered unless PYTHONUNBUFFERED is set,
+        # so the child runs without it: 5 rows stay in the buffer until the
+        # flush at exit, and 600 rows are several buffers long
+        doc = doc_with(k_factor_db=17, branches=4, start=-10, stop=30, points=points)
+        path, dest = cfg_file(doc), tmp_path / "out.csv"
+        assert cli.main(["sweep", "--config", path, "--no-mc", "--out", str(dest)]) == 0
+        env = _child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "rfvlc.cli", "sweep", "--config", path, "--no-mc"],
+            stdout=subprocess.PIPE, timeout=120, env=env,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == dest.read_bytes()
+        assert proc.stdout.count(b"\n") == points + 1
