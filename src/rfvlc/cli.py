@@ -88,7 +88,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _load(args) -> ParsedConfig:
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None

@@ -4,7 +4,9 @@ Format: UTF-8 text, `key = value` pairs, `#` comments, and the sections
 [rf], [vlc], [sweep], [mc].  The outage threshold lives above the sections
 since it belongs to the link as a whole.  SNR-like quantities accept a
 linear key or a _db twin; angles are given in degrees.  All dB-to-linear
-conversion happens here, nowhere deeper.
+conversion happens here, nowhere deeper.  The CLI reads a file as
+`utf-8-sig`, so a leading byte-order mark is dropped, not read into the
+first key's name.
 
 Each section's keys are declared once, in a table that both
 `parse_config` and `emit_config` read.  A key is optional exactly when
@@ -57,6 +59,7 @@ import numpy as np
 from .e2e import SystemConfig
 from .montecarlo import McOptions
 from .rf_channel import RfParams
+from .specfun import is_integer
 from .vlc_channel import VlcParams
 
 __all__ = [
@@ -120,7 +123,7 @@ class SweepSpec:
             raise ValueError(
                 f"sweep requires start < stop, got start={self.start}, stop={self.stop}"
             )
-        if not isinstance(self.points, int) or self.points < 2:
+        if not is_integer(self.points) or self.points < 2:
             raise ValueError(f"points must be an integer >= 2, got {self.points!r}")
         if self.scale == "log" and self.start <= 0.0:
             raise ValueError("log scale requires start > 0")

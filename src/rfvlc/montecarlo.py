@@ -39,6 +39,7 @@ import numpy as np
 
 from . import _mc_numpy, vlc_channel
 from .e2e import SystemConfig
+from .specfun import is_integer
 
 __all__ = [
     "CHUNK_SIZE",
@@ -84,11 +85,11 @@ class McOptions:
 
 
 def _validate_run(trials, seed, workers):
-    if not isinstance(trials, (int, np.integer)) or trials < MIN_TRIALS:
+    if not is_integer(trials) or trials < MIN_TRIALS:
         raise ValueError(f"trials must be an integer >= {MIN_TRIALS}, got {trials!r}")
-    if not isinstance(seed, (int, np.integer)) or not (0 <= seed < 2**64):
+    if not is_integer(seed) or not (0 <= seed < 2**64):
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
+    if not is_integer(workers) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
 
 

@@ -53,7 +53,7 @@ class RfParams:
     def __post_init__(self):
         if self.k_factor < 0.0 or not math.isfinite(self.k_factor):
             raise ValueError(f"k_factor must be finite and >= 0, got {self.k_factor}")
-        if not isinstance(self.branches, (int, np.integer)) or self.branches < 1:
+        if not specfun.is_integer(self.branches) or self.branches < 1:
             raise ValueError(f"branches must be an integer >= 1, got {self.branches!r}")
         if not (self.avg_snr > 0.0) or not math.isfinite(self.avg_snr):
             raise ValueError(f"avg_snr must be finite and > 0, got {self.avg_snr}")

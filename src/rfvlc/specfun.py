@@ -15,7 +15,8 @@ two sides is one generator (`_TermWalk._side`) that computes its steps a
 block of orders ahead, equal to the walk one order per step bit for bit.
 `upper_gamma` is the scalar Gamma(q, g) of the optical BER, and
 `erfc_sqrt` the erfc(sqrt(snr)) of the Monte Carlo BER.  `validate_snr`
-is the one argument check shared by the SNR distributions of both hops.
+is the one argument check shared by the SNR distributions of both hops,
+and `is_integer` the one rule for a count argument.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ __all__ = [
     "upper_gamma",
     "erfc_sqrt",
     "validate_snr",
+    "is_integer",
 ]
 
 
@@ -69,6 +71,11 @@ def validate_snr(gamma):
     if np.any(g < 0.0) or np.any(np.isnan(g)):
         raise ValueError("snr values must be >= 0")
     return g
+
+
+def is_integer(value):
+    """Whether `value` is an int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def poisson_weighted_sum(lam, term):
@@ -267,21 +274,22 @@ class _TermWalk:
     frontier and computes its steps a block of orders ahead (`_block_len`),
     one row per order in one pass, and serves the calls from that block.
     The block's values are the per-step walk's bit for bit: one sequential
-    `np.add.accumulate` of the frontier value and the signed steps adds in
-    the same order, and on the right a single max(., 0) after it equals
-    the clamp at each step, since every step is >= 0 (once a partial value
-    is below 0, every later one is too).  An entry whose step is 0.0 at an
-    order beyond its mass's mode, on that side, is dead there: its later
-    steps are all 0.0 too, so its value stays where it is, and the walk
-    computes no more steps for it on that side.
-    Subclasses give `_start(a)` = T(a), `_step(a, live)` = d(a) at the
-    entries `live` (one row per order for a sequence of orders), and
-    `_beyond_mode(a, live, sign)`, whether d falls from a on in the
-    direction `sign` (+1 right, -1 left) at each of those entries.
+    accumulate of the frontier value and the steps (`np.add` on the left,
+    `np.subtract` on the right) takes the same steps in the same order,
+    and on the right a single max(., 0) after it equals the clamp at each
+    step, since every step is >= 0 (once a partial value is below 0,
+    every later one is too).
+    The mass d falls away from its mode on both sides, `mode` holding
+    each entry's, so an entry whose step is 0.0 at an order a beyond its
+    mode (a >= mode on the right, a <= mode on the left) is dead on that
+    side: its later steps there are all 0.0 too, so its value stays
+    where it is, and the walk computes no more steps for it there.
+    Subclasses give `_start(a)` = T(a) and `_step(a, live)` = d(a) at the
+    entries `live` (one row per order for a sequence of orders).
     """
 
-    def __init__(self, m):
-        self._m = m
+    def __init__(self, m, mode):
+        self._m, self._mode = m, mode
         self._ends = self._sides = None  # [left, right] orders and `_side`s
 
     def __call__(self, j):
@@ -308,21 +316,19 @@ class _TermWalk:
                 orders = range(a, a + count)
             else:         # T(a - 1) = T(a) + d(a - 1), down to order m
                 orders = range(a - 1, max(a - 1 - count, self._m - 1), -1)
-            if not live.size:  # the values stay: read-only rows of the last one
-                block = np.broadcast_to(value, (len(orders), value.size))
+            block = steps = self._step(orders, live)
+            dead = (steps[-1] == 0.0) & (sign * orders[-1] >= sign * self._mode[live])
+            if sign > 0:
+                steps[0] = value[live] - steps[0]
+                np.subtract.accumulate(steps, axis=0, out=steps)
+                np.maximum(steps, 0.0, out=steps)
             else:
-                block = steps = self._step(orders, live)
-                dead = (steps[-1] == 0.0) & self._beyond_mode(orders[-1], live, sign)
-                if sign > 0:
-                    steps *= -1.0
                 steps[0] += value[live]
                 np.add.accumulate(steps, axis=0, out=steps)
-                if sign > 0:
-                    np.maximum(steps, 0.0, out=steps)
-                if live.size < value.size:
-                    block = np.repeat(value[None], len(orders), axis=0)
-                    block[:, live] = steps
-                live = live[~dead]
+            if live.size < value.size:
+                block = np.repeat(value[None], len(orders), axis=0)
+                block[:, live] = steps
+            live = live[~dead]
             yield from block
             # a copy, so that the block is freed once the next one is made
             a, value = a + sign * len(orders), block[-1].copy()
@@ -335,24 +341,19 @@ class GammaTerms(_TermWalk):
 
     For an integer order a, P(a, y) = Pr(N >= a) with N ~ Poisson(y), so
     the step is d(a) = pois(a; y), and the anchor is `_anchor`'s positive
-    series.  The mass falls from a on to the right where a >= y and to the
-    left where a <= y.  Arguments above the float range are clamped to it,
-    where P is 1.
+    series, and the mode is y.  Arguments above the float range are
+    clamped to it, where P is 1.
     """
 
     def __init__(self, m, y):
-        super().__init__(m)
         self._y = np.minimum(np.asarray(y, dtype=float), _BIG)
+        super().__init__(m, self._y)
 
     def _start(self, a):
         return _anchor(a, self._y)
 
     def _step(self, a, live):
         return _pois(a, self._y[live])
-
-    def _beyond_mode(self, a, live, sign):
-        y = self._y[live]
-        return a >= y if sign > 0 else a <= y
 
 
 def _log_a_beta_half(a):
@@ -427,12 +428,13 @@ class BetaTerms(_TermWalk):
     binomial of shape 1/2 and failure probability w, so the step is its
     mass d(a) = w^a (1 - w)^(1/2) / (a B(a, 1/2)) (DLMF 8.17.20), formed
     from logs, so it never underflows before the value it changes does.
-    The anchor is `_beta_anchor`'s continued fraction.
+    The anchor is `_beta_anchor`'s continued fraction, and the mode is 0,
+    since the mass falls in a everywhere.
     """
 
     def __init__(self, m, w):
-        super().__init__(m)
         self._w = np.asarray(w, dtype=float)
+        super().__init__(m, np.zeros_like(self._w))
         with np.errstate(divide="ignore"):  # log(0) sends d to its 0 limit
             self._log_w = np.log(self._w)
             self._half_log_1mw = 0.5 * np.log1p(-self._w)
@@ -448,10 +450,6 @@ class BetaTerms(_TermWalk):
         log_d += self._half_log_1mw[live]
         log_d -= log_norm
         return np.exp(log_d, out=log_d)
-
-    def _beyond_mode(self, a, live, sign):
-        # the mass falls in a everywhere: its mode is at 0
-        return sign > 0
 
 
 def upper_gamma(q, g):

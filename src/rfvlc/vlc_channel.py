@@ -261,7 +261,10 @@ def vlc_avg_ber(d: VlcDerived) -> float:
     where `specfun.upper_gamma` evaluates Gamma(q, g).  For large g the
     two terms of h nearly cancel (h ~ (1/2 - q)/g of either), so erfc
     comes from `specfun.erfc_sqrt`, which takes exp(-g) from g itself: a
-    rounded sqrt(g) would cost up to about 1e-10 relative there.
+    rounded sqrt(g) would cost up to about 1e-10 relative there.  Where
+    snr_min is near log(DBL_MAX) ~ 709, both h are subnormal and their
+    difference can lose its sign; the value is then below the normal
+    float range, and 0.0 is returned.
     """
     m = d.lambert_order
     beta = 1.0 / (m + 3.0)
@@ -269,4 +272,5 @@ def vlc_avg_ber(d: VlcDerived) -> float:
     ends = np.array([d.snr_min, d.snr_max])
     h = ends ** (-beta) * erfc_sqrt(ends) - [upper_gamma(q, g) / _SQRT_PI for g in ends]
     pref = math.exp(_log_scale(d) * beta) / (2.0 * d.cell_radius**2)
-    return pref * float(h[0] - h[1])
+    diff = float(h[0] - h[1])
+    return pref * diff if diff > 0.0 else 0.0

@@ -28,16 +28,23 @@ from rfvlc.specfun import (
 )
 from rfvlc.vlc_channel import VlcParams, derive
 
-# The stated envelope of the radio closed forms: inside it every outage
-# and BER converges within the series budget.  Rician K from 0 up to
-# 14 dB, 1 to 8 branches, an average SNR per branch over [-10, 40] dB and
-# an outage threshold over [0.1, 10], linear.  Just outside, K = 15 dB
-# with 8 branches at threshold 0.1 runs out of terms from 33 dB up.
+# The stated envelope of the closed forms.  Inside it every outage and BER
+# converges within the series budget: Rician K from 0 up to 14 dB, 1 to 8
+# branches, an average SNR per branch over [-10, 40] dB and an outage
+# threshold over [0.1, 10], linear.  Just outside, K = 15 dB with 8
+# branches at threshold 0.1 runs out of terms from 33 dB up.  The optical
+# cell is the reference one with a semi-angle over [10, 85] degrees, a
+# height over [0.5, 6] m and an optical power over [0.01, 5] W, each
+# anywhere in its range.  `derive` accepts the whole box; it first refuses
+# beams narrower than about 2.9 degrees at 0.5 m and 4.8 degrees at 6 m.
 ENVELOPE = {
     "k_factor_db_max": 14.0,
     "branches": (1, 8),
     "avg_snr_db": (-10.0, 40.0),
     "outage_threshold": (0.1, 10.0),
+    "semi_angle": (10.0, 85.0),
+    "height": (0.5, 6.0),
+    "optical_power": (0.01, 5.0),
 }
 
 

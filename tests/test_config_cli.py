@@ -20,7 +20,7 @@ from rfvlc.config import (
     emit_config,
     parse_config,
 )
-from rfvlc.montecarlo import EstimateWithError
+from rfvlc.montecarlo import EstimateWithError, McOptions
 from rfvlc.sweep import apply_axis, axis_grid, emit_csv, run_sweep
 
 DOC = """\
@@ -350,6 +350,23 @@ class TestEmit:
         assert "k_factor_db" not in text and "avg_snr_db =" not in text
 
 
+@pytest.mark.parametrize("build,value,message", [
+    (lambda v: rf_channel.RfParams(1.0, v, 10.0), 2, "branches must be an integer >= 1"),
+    (lambda v: McOptions(trials=v), 4096, "trials must be an integer >= 1000"),
+    (lambda v: McOptions(seed=v), 1, "seed must be an unsigned 64-bit integer"),
+    (lambda v: McOptions(workers=v), 1, "workers must be an integer >= 1"),
+    (lambda v: SweepSpec("rf_avg_snr_db", 0.0, 20.0, v, "outage"), 2,
+     "points must be an integer >= 2"),
+], ids=["branches", "trials", "seed", "workers", "points"])
+def test_one_integer_rule(build, value, message):
+    # an int or a numpy integer is accepted, a bool or a float is not
+    for accepted in (value, np.int64(value), np.uint16(value)):
+        build(accepted)
+    for refused in (True, float(value)):
+        with pytest.raises(ValueError, match=re.escape(f"{message}, got {refused!r}")):
+            build(refused)
+
+
 class TestAxisGrid:
     def test_linear_and_log(self):
         lin = axis_grid(SweepSpec("rf_avg_snr_db", 0.0, 20.0, 5, "outage"))
@@ -650,6 +667,17 @@ class TestCli:
         assert (rc, captured.out) == (2, "")
         assert captured.err.startswith("config error: cannot write output file: ")
         assert not dest.parent.exists()
+
+    @pytest.mark.parametrize("text", [DOC, DOC.partition("\n")[2]], ids=["comment", "key"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys, text):
+        # the mark would otherwise start the first line's key (or comment)
+        outs = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            path = tmp_path / f"{encoding}.cfg"
+            path.write_text(text, encoding=encoding)
+            assert cli.main(["outage", "--config", str(path)]) == 0
+            outs.append(capsys.readouterr().out.encode())
+        assert outs[0] == outs[1]
 
     def test_missing_file_is_config_error(self, tmp_path, capsys):
         rc = cli.main(["outage", "--config", str(tmp_path / "absent.cfg")])

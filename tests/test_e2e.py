@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -229,7 +230,8 @@ _BRANCHES = range(ENVELOPE["branches"][0], ENVELOPE["branches"][1] + 1)
 class TestEnvelope:
     """Over `oracles.ENVELOPE`, at the reference optical cell, both closed
     forms converge, lie between their floor and their ceiling, and do not
-    rise with the average radio SNR beyond the series' relative error."""
+    rise with the average radio SNR beyond the series' relative error; over
+    its optical cells they move with the cell as its SNR law does."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -295,3 +297,33 @@ class TestEnvelope:
             falling, _ = outage_batch([make_cfg(threshold=t, avg_snr=avg_snr, branches=m,
                                                 k_factor=k) for m in _BRANCHES])
             assert np.all(falling[1:] <= falling[:-1] * (1.0 + 2.0 * REL_TOL))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        axis=st.sampled_from([("semi_angle", 1.0), ("height", 1.0), ("optical_power", -1.0)]),
+        cell=st.fixed_dictionaries({name: st.floats(*ENVELOPE[name])
+                                    for name in ("semi_angle", "height", "optical_power")}),
+        k_db=st.none() | st.floats(-20.0, ENVELOPE["k_factor_db_max"]),
+        branches=st.integers(*ENVELOPE["branches"]),
+        snr_db=st.floats(*_SNR_DB),
+        log_threshold=st.floats(*_LOG_THRESHOLD),
+        data=st.data(),
+    )
+    def test_monotone_in_the_optical_cell(self, axis, cell, k_db, branches, snr_db,
+                                          log_threshold, data):
+        # the outage, its floor (the optical CDF) and the BER rise with the
+        # semi-angle and the height and fall with the optical power, each
+        # step against the trend at most 1e-14 of the value: the sum minus
+        # product of two hop values moves by an ulp or so where one moves
+        name, trend = axis
+        k = 0.0 if k_db is None else 10.0 ** (k_db / 10.0)
+        base = make_cfg(threshold=10.0**log_threshold, avg_snr=10.0 ** (snr_db / 10.0),
+                        branches=branches, k_factor=k)
+        grid = data.draw(st.lists(st.floats(*ENVELOPE[name]), min_size=2, max_size=12,
+                                  unique=True))
+        cfgs = [dataclasses.replace(base, vlc=dataclasses.replace(base.vlc, **{**cell, name: v}))
+                for v in sorted(grid)]
+        outage, floor = outage_batch(cfgs)
+        ber, _ = ber_batch(cfgs)
+        for series in (outage, floor, ber):
+            assert np.all(trend * (series[1:] - series[:-1]) >= -1e-14 * series[:-1])

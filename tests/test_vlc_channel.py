@@ -358,6 +358,16 @@ class TestAvgBer:
                 else:
                     assert 0.0 <= got <= 1e-300, (height, power)
 
+    @pytest.mark.parametrize("name,lo,hi", [("optical_power", 0.01, 50.0), ("height", 0.3, 8.0),
+                                            ("semi_angle", 5.0, 89.0)])
+    def test_never_negative(self, name, lo, hi):
+        # where the cell-edge SNR is near log(DBL_MAX), both ends of h are
+        # subnormal and their difference can lose its sign (at 0.25 W and
+        # 22.25 degrees it is -1.98e-310); each scan crosses such cells
+        vals = [vlc_avg_ber(derive(cell(**{"optical_power": 0.25, name: float(v)})))
+                for v in np.linspace(lo, hi, 2001)]
+        assert min(vals) >= 0.0
+
     def test_vanishing_power_approaches_half(self):
         val = vlc_avg_ber(derive(cell(optical_power=1e-9)))
         assert val == pytest.approx(0.5, abs=1e-6)
