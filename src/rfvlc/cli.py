@@ -28,7 +28,6 @@ stays on for everything made after the import.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import math
 import sys
@@ -101,7 +100,7 @@ def _load(args) -> ParsedConfig:
     if args.workers is not None:
         overrides["workers"] = args.workers
     if overrides:
-        parsed = dataclasses.replace(parsed, mc=dataclasses.replace(parsed.mc, **overrides))
+        parsed = parsed._replace(mc=parsed.mc._replace(**overrides))
     return parsed
 
 

@@ -10,8 +10,8 @@ first key's name.
 
 Each section's keys are declared once, in a table that both
 `parse_config` and `emit_config` read.  A key is optional exactly when
-the dataclass field it fills has a default, and that default is the one
-the dataclass declares.
+the record field it fills has a default, and that default is the one
+the record declares.
 
 Example:
 
@@ -50,16 +50,15 @@ Example:
 """
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .e2e import SystemConfig
 from .montecarlo import McOptions
 from .rf_channel import RfParams
-from .specfun import is_integer
+from .specfun import checked, is_integer
 from .vlc_channel import VlcParams
 
 __all__ = [
@@ -97,8 +96,8 @@ SWEEP_QUANTITIES = ("outage", "ber")
 SWEEP_SCALES = ("linear", "log")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+@checked
+class SweepSpec(NamedTuple):
     """One-dimensional parameter sweep description."""
 
     axis: str
@@ -108,7 +107,7 @@ class SweepSpec:
     quantity: str
     scale: str = "linear"
 
-    def __post_init__(self):
+    def _check(self):
         if self.axis not in SWEEP_AXES:
             raise ValueError(
                 f"axis must be one of {tuple(SWEEP_AXES)}, got {self.axis!r}"
@@ -147,8 +146,7 @@ def axis_grid(spec: SweepSpec) -> np.ndarray:
     return grid
 
 
-@dataclass(frozen=True)
-class ParsedConfig:
+class ParsedConfig(NamedTuple):
     system: SystemConfig
     sweep: SweepSpec | None
     mc: McOptions
@@ -156,7 +154,7 @@ class ParsedConfig:
 
 _SECTIONS = ("rf", "vlc", "sweep", "mc")
 
-# Each section's keys in file order, as (file key, dataclass field, kind).
+# Each section's keys in file order, as (file key, record field, kind).
 # kind is float, int or str; "db" for a linear number that the file may
 # give in dB instead, under the key plus "_db"; or "led" for a float that
 # the file may give instead as the product led_count * led_power_w.
@@ -290,8 +288,7 @@ class _Section:
     def read(self, keys, cls) -> dict:
         """Keyword arguments for `cls` from the `keys` table, absent keys
         left out.  A key is required unless its field has a default."""
-        defaults = {f.name for f in dataclasses.fields(cls)
-                    if f.default is not dataclasses.MISSING}
+        defaults = cls._field_defaults
         readers = {"db": self.linear_or_db, "led": self.power_or_led_pair}
         values = {}
         for key, field, kind in keys:

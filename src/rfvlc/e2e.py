@@ -9,7 +9,7 @@ return every value or raise `ConvergenceError` for the whole list.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .rf_channel import (
     rf_avg_ber,
     rf_avg_ber_batch,
 )
+from .specfun import checked
 from .vlc_channel import VlcParams, vlc_avg_ber, vlc_snr_cdf
 
 __all__ = [
@@ -35,15 +36,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SystemConfig:
+@checked
+class SystemConfig(NamedTuple):
     """Full link description: both hops plus the outage SNR threshold."""
 
     rf: RfParams
     vlc: VlcParams
     outage_threshold: float
 
-    def __post_init__(self):
+    def _check(self):
         if not (self.outage_threshold > 0.0) or not math.isfinite(self.outage_threshold):
             raise ValueError(
                 f"outage_threshold must be finite and > 0, got {self.outage_threshold}"

@@ -33,13 +33,13 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _mc_numpy, vlc_channel
 from .e2e import SystemConfig
-from .specfun import is_integer
+from .specfun import checked, is_integer
 
 __all__ = [
     "CHUNK_SIZE",
@@ -54,8 +54,7 @@ CHUNK_SIZE = 65536
 MIN_TRIALS = 1000
 
 
-@dataclass(frozen=True)
-class EstimateWithError:
+class EstimateWithError(NamedTuple):
     """A Monte Carlo estimate with its standard error and provenance."""
 
     estimate: float
@@ -72,15 +71,15 @@ class EstimateWithError:
         return 0.0 < self.std_error <= 0.1 * self.estimate
 
 
-@dataclass(frozen=True)
-class McOptions:
+@checked
+class McOptions(NamedTuple):
     """Simulation settings carried alongside a config: the [mc] keys."""
 
     trials: int = 1_000_000
     seed: int = 0
     workers: int = 1
 
-    def __post_init__(self):
+    def _check(self):
         _validate_run(self.trials, self.seed, self.workers)
 
 

@@ -17,7 +17,7 @@ terms come from `specfun.GammaTerms` and the average BER's from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RfParams:
+@specfun.checked
+class RfParams(NamedTuple):
     """Radio hop parameters.
 
     k_factor: linear Rician K (ratio of line-of-sight to scattered power), >= 0
@@ -50,7 +50,7 @@ class RfParams:
     branches: int
     avg_snr: float
 
-    def __post_init__(self):
+    def _check(self):
         if self.k_factor < 0.0 or not math.isfinite(self.k_factor):
             raise ValueError(f"k_factor must be finite and >= 0, got {self.k_factor}")
         if not specfun.is_integer(self.branches) or self.branches < 1:
@@ -72,7 +72,7 @@ def rician_snr_pdf(gamma, params: RfParams):
     formula by at most 3e-13 relative wherever the density is a normal
     float.  At K = 0 and at K >= 1e-12 it equals the formula bit for bit.
     """
-    return mrc_snr_pdf(gamma, replace(params, branches=1))
+    return mrc_snr_pdf(gamma, params._replace(branches=1))
 
 
 def mrc_snr_pdf(gamma, params: RfParams):
@@ -216,7 +216,8 @@ def sample_mrc_snr(params: RfParams, rng: np.random.Generator, size=None):
     """Draw combined-SNR samples: avg_snr times the combined gain of
     `mrc_gains`, from `size` pairs of standard normals followed by
     (branches - 1) x `size` standard exponentials."""
-    shape = () if size is None else tuple(map(int, size if isinstance(size, tuple) else (size,)))
+    # numpy's own reading of a shape: an int or a sequence of ints
+    shape = () if size is None else np.broadcast_shapes(size)
     k, m = params.k_factor, params.branches
     z = rng.standard_normal(shape + (2,))
     exps = rng.standard_exponential((m - 1,) + shape)

@@ -16,10 +16,12 @@ block of orders ahead, equal to the walk one order per step bit for bit.
 `upper_gamma` is the scalar Gamma(q, g) of the optical BER, and
 `erfc_sqrt` the erfc(sqrt(snr)) of the Monte Carlo BER.  `validate_snr`
 is the one argument check shared by the SNR distributions of both hops,
-and `is_integer` the one rule for a count argument.
+`is_integer` the one rule for a count argument, and `checked` the one way
+a parameter record runs its field checks.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -36,6 +38,7 @@ __all__ = [
     "erfc_sqrt",
     "validate_snr",
     "is_integer",
+    "checked",
 ]
 
 
@@ -76,6 +79,31 @@ def validate_snr(gamma):
 def is_integer(value):
     """Whether `value` is an int or a numpy integer, and not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def checked(record):
+    """Class decorator: every way of building the named tuple class
+    `record` runs its `_check` method, which raises ValueError on a bad
+    field.  That is the constructor, with keyword or positional arguments,
+    which unpickling and `copy` call too, and `_make`, which `_replace`
+    calls."""
+    new, make = record.__new__, record._make.__func__
+
+    @functools.wraps(new)
+    def __new__(cls, *args, **kwargs):
+        self = new(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @functools.wraps(make)
+    def _make(cls, iterable):
+        self = make(cls, iterable)
+        self._check()
+        return self
+
+    record.__new__ = staticmethod(__new__)
+    record._make = classmethod(_make)
+    return record
 
 
 def poisson_weighted_sum(lam, term):

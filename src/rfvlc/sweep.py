@@ -1,8 +1,7 @@
 """Parameter sweeps over the end-to-end metrics, and their CSV form."""
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,8 +15,7 @@ __all__ = ["ResultRecord", "CSV_HEADER", "axis_grid", "apply_axis", "run_sweep",
 CSV_HEADER = "axis,analytic,mc_estimate,mc_std_error,floor"
 
 
-@dataclass(frozen=True)
-class ResultRecord:
+class ResultRecord(NamedTuple):
     """One sweep point: the axis value, the closed-form value, the Monte
     Carlo estimate when simulation ran (None otherwise), and the limiting
     floor of the swept quantity."""
@@ -35,8 +33,8 @@ def apply_axis(cfg: SystemConfig, axis: str, value: float) -> SystemConfig:
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}")
     hop, field, convert = SWEEP_AXES[axis]
-    part = dataclasses.replace(getattr(cfg, hop), **{field: convert(value)})
-    return dataclasses.replace(cfg, **{hop: part})
+    part = getattr(cfg, hop)._replace(**{field: convert(value)})
+    return cfg._replace(**{hop: part})
 
 
 def run_sweep(cfg: SystemConfig, spec: SweepSpec, mc: McOptions | None) -> list[ResultRecord]:

@@ -11,11 +11,11 @@ BER is an erfc/upper-incomplete-gamma expression, evaluated with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import erfc_sqrt, upper_gamma, validate_snr
+from .specfun import checked, erfc_sqrt, upper_gamma, validate_snr
 
 __all__ = [
     "VlcParams",
@@ -33,8 +33,8 @@ __all__ = [
 _SQRT_PI = math.sqrt(math.pi)
 
 
-@dataclass(frozen=True)
-class VlcParams:
+@checked
+class VlcParams(NamedTuple):
     """Optical hop parameters.
 
     semi_angle: LED half-power semi-angle, degrees, in (0, 90)
@@ -62,7 +62,7 @@ class VlcParams:
     bandwidth: float
     optical_power: float
 
-    def __post_init__(self):
+    def _check(self):
         lambertian_order(self.semi_angle)  # the semi-angle rule lives there
         if not (0.0 < self.fov <= 90.0):
             raise ValueError(f"fov must be in (0, 90] degrees, got {self.fov}")
@@ -78,8 +78,7 @@ class VlcParams:
         derive(self)  # the rule on how the parameters combine lives there
 
 
-@dataclass(frozen=True)
-class VlcDerived:
+class VlcDerived(NamedTuple):
     """Quantities derived from VlcParams; produced by derive()."""
 
     lambert_order: float   # Lambertian mode number m

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -321,7 +320,7 @@ class TestEnvelope:
                         branches=branches, k_factor=k)
         grid = data.draw(st.lists(st.floats(*ENVELOPE[name]), min_size=2, max_size=12,
                                   unique=True))
-        cfgs = [dataclasses.replace(base, vlc=dataclasses.replace(base.vlc, **{**cell, name: v}))
+        cfgs = [base._replace(vlc=base.vlc._replace(**{**cell, name: v}))
                 for v in sorted(grid)]
         outage, floor = outage_batch(cfgs)
         ber, _ = ber_batch(cfgs)

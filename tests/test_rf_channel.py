@@ -223,6 +223,18 @@ class TestSampling:
         assert np.shape(sample_mrc_snr(p, np.random.default_rng(0))) == ()
         assert sample_mrc_snr(p, np.random.default_rng(0), size=(3, 4)).shape == (3, 4)
 
+    @pytest.mark.parametrize("size, shape", [
+        (None, ()), (6, (6,)), (np.int64(6), (6,)), ((2, 3), (2, 3)), ([2, 3], (2, 3)),
+        (np.array([2, 3]), (2, 3)),
+    ], ids=["none", "int", "numpy-int", "tuple", "list", "array"])
+    def test_size_as_numpy_takes_it(self, size, shape):
+        # the draws of a shape are the same whichever way it is given
+        p = RfParams(k_factor=1.0, branches=3, avg_snr=3.0)
+        draws = sample_mrc_snr(p, np.random.default_rng(11), size=size)
+        assert np.shape(draws) == shape
+        same = sample_mrc_snr(p, np.random.default_rng(11), size=shape)
+        np.testing.assert_array_equal(draws, same)
+
     @pytest.mark.parametrize("k,m,mu", [(0.0, 1, 1.0), (1.0, 2, 4.0), (3.162, 4, 2.0)])
     def test_distribution_ks(self, k, m, mu):
         p = RfParams(k_factor=k, branches=m, avg_snr=mu)

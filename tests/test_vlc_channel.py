@@ -307,6 +307,18 @@ class TestSampling:
         assert grid.shape == (2, 3)
         np.testing.assert_array_equal(grid.ravel(), sample_vlc_snr(d, np.random.default_rng(5), size=6))
 
+    @pytest.mark.parametrize("size, shape", [
+        (None, ()), (6, (6,)), (np.int64(6), (6,)), ((2, 3), (2, 3)), ([2, 3], (2, 3)),
+        (np.array([2, 3]), (2, 3)),
+    ], ids=["none", "int", "numpy-int", "tuple", "list", "array"])
+    def test_size_as_numpy_takes_it(self, size, shape):
+        # the draws of a shape are the same whichever way it is given
+        d = derive(cell())
+        draws = sample_vlc_snr(d, np.random.default_rng(11), size=size)
+        assert np.shape(draws) == shape
+        same = sample_vlc_snr(d, np.random.default_rng(11), size=shape)
+        np.testing.assert_array_equal(draws, same)
+
     def test_distribution_ks(self):
         d = derive(cell())
         draws = sample_vlc_snr(d, np.random.default_rng(77), size=1_000_000)
