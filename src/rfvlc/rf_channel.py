@@ -120,10 +120,11 @@ def mrc_snr_cdf(gamma, params: RfParams):
 
 
 def _mixture(k, m, x, terms):
-    """The Poisson mixture sum_j pois(j; k*m) * terms(m, x)(j) at every
-    entry of `x`, each entry with its own Rician K `k` and branch count `m`
-    (arrays over `x`, or scalars for all of it), terms(m, part) being the
-    term function of one series pass over the entries `part`.
+    """The Poisson mixture sum_j pois(j; k*m) * T(m + j) at every entry of
+    `x`, each entry with its own Rician K `k` and branch count `m` (arrays
+    over `x`, or scalars for all of it), terms(m, part) being the term
+    walk of one series pass over the entries `part` (`specfun.GammaTerms`
+    or `specfun.BetaTerms`).
 
     This is where the radio series are grouped: one `poisson_weighted_sum`
     pass per distinct (K, branches), in order of first appearance, over the

@@ -10,9 +10,9 @@ and never return silently wrong numbers.  `covers` is the rule for the
 rates that budget can cover at all.  The CDF's terms are regularized
 incomplete gammas of integer order (`GammaTerms`) and the BER's are
 regularized incomplete betas I_w(a, 1/2) (`BetaTerms`); each walk costs
-one anchor per entry and then one multiply-add per term, and each of its
-two sides is one generator (`_TermWalk._side`) that computes its steps a
-block of orders ahead, equal to the walk one order per step bit for bit.
+one anchor per entry and then one multiply-add per term, and hands the
+sum each of its two sides a block of orders at a time, equal to the walk
+one order per step bit for bit.
 `upper_gamma` is the scalar Gamma(q, g) of the optical BER, and
 `erfc_sqrt` the erfc(sqrt(snr)) of the Monte Carlo BER.  `validate_snr`
 is the one argument check shared by the SNR distributions of both hops,
@@ -107,8 +107,15 @@ def checked(record):
 
 
 def poisson_weighted_sum(lam, term):
-    """Evaluate sum_{k>=0} pois(k; lam) * term(k) for term values in [0, 1],
-    each entry of the 1-D array term(k) its own series sharing the rate.
+    """Evaluate sum_{k>=0} pois(k; lam) * T(k) for term values in [0, 1],
+    each entry of the 1-D array T(k) its own series sharing the rate.
+
+    `term` is called once, at the start order k0 = floor(lam), and returns
+    the block protocol of a `_TermWalk`: (T(k0), right, left), each side
+    an iterator of blocks, one row per order, walking outward (T(k0 + 1),
+    T(k0 + 2), ... on the right, T(k0 - 1) down to T(0) on the left).
+    The two sides' blocks are of one length, the left's last one cut
+    where it reaches order 0.
 
     Terms are accumulated outward from the Poisson mode, so large `lam`
     costs O(sqrt(lam)) evaluations instead of O(lam) and the weights never
@@ -118,43 +125,64 @@ def poisson_weighted_sum(lam, term):
     below 1.  An entry stops once the bound is within REL_TOL of its
     own partial sum, and later terms are added only to the entries still
     open, so its value does not depend on the other entries.  At lam = 0
-    the first bound is 0 and the sum is term(0).
+    the first bound is 0 and the sum is T(0).
+
+    Each block of steps is summed in one pass: the weights and tail
+    bounds are a scalar schedule of Python floats, the weighted rows are
+    interleaved right, left, right, left, one sequential accumulate runs
+    from the current sums (so each partial is the step-by-step one bit for
+    bit), and each open entry's first stop in the block is the first
+    partial the bound column stops.
 
     Returns (sums, unconverged): entries still open after MAX_TERMS are
     flagged in the boolean mask (their sums are partial).
     """
-    if lam < 0.0:
-        raise ValueError(f"Poisson rate must be >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"Poisson rate must be >= 0 and finite, got {lam}")
     k0 = int(lam)
     p0 = math.exp(-lam) if k0 == 0 else math.exp(k0 * math.log(lam) - lam - math.lgamma(k0 + 1))
-    total = p0 * term(k0)  # a fresh array, so adding in place never writes into a term
+    value, right, left = term(k0)
+    total = p0 * value  # a fresh array, so writing into it never writes into a term
+    open_ = np.ones(total.shape, dtype=bool)
     k_lo = k_hi = k0
     p_lo = p_hi = p0
-    open_ = np.ones(total.shape, dtype=bool)
-
-    for _ in range(MAX_TERMS):
-        # Tail bound: the right terms fall at least geometrically with ratio
-        # lam/(k_hi+2), below 1 as k_hi >= floor(lam) unless k_hi + 2 rounds
-        # to lam (past 2**53); the left ones with ratio k_lo/lam, 1 on the
-        # first step for an integer lam, and the left side ends at k = 0.
-        ratio_hi = lam / (k_hi + 2.0)
-        ratio_lo = k_lo / lam if k_lo > 0 else 0.0
-        if ratio_hi < 1.0 and ratio_lo < 1.0:
-            bound = (p_hi * (lam / (k_hi + 1.0)) / (1.0 - ratio_hi)
-                     + p_lo * ratio_lo / (1.0 - ratio_lo))
-            # the bound is a float, so one array comparison per step; the
-            # terms, so the sums, are >= 0
-            open_ &= bound >= 1e-300 and REL_TOL * total < bound
-            if not open_.any():
-                break
-
-        p_hi = p_hi * lam / (k_hi + 1.0)
-        k_hi += 1
-        np.add(total, p_hi * term(k_hi), out=total, where=open_)
-        if k_lo > 0:
-            p_lo = p_lo * k_lo / lam
-            k_lo -= 1
-            np.add(total, p_lo * term(k_lo), out=total, where=open_)
+    while open_.any() and k_hi - k0 < MAX_TERMS:  # a step per right order
+        lo = next(left) if k_lo > 0 else None
+        # (the bound checked on the sum before a row, its weight, the row),
+        # from the sums so far, whose bound is a sentinel (below)
+        schedule = [(-math.inf, 1.0, total)]
+        for i, row in enumerate(next(right)[:MAX_TERMS - (k_hi - k0)]):
+            # Tail bound: the right terms fall at least geometrically with
+            # ratio lam/(k_hi+2), below 1 as k_hi >= floor(lam) unless
+            # k_hi + 2 rounds to lam (past 2**53); the left ones with ratio
+            # k_lo/lam, 1 on the first step for an integer lam, and the
+            # left side ends at k = 0.  Where a step has no bound, and
+            # before a left row, no entry stops (inf); below 1e-300 every
+            # entry stops (-inf).
+            ratio_hi = lam / (k_hi + 2.0)
+            ratio_lo = k_lo / lam if k_lo > 0 else 0.0
+            bound = math.inf
+            if ratio_hi < 1.0 and ratio_lo < 1.0:
+                bound = (p_hi * (lam / (k_hi + 1.0)) / (1.0 - ratio_hi)
+                         + p_lo * ratio_lo / (1.0 - ratio_lo))
+            p_hi = p_hi * lam / (k_hi + 1.0)
+            k_hi += 1
+            schedule.append((bound if bound >= 1e-300 else -math.inf, p_hi, row))
+            if k_lo > 0:
+                p_lo = p_lo * k_lo / lam
+                k_lo -= 1
+                schedule.append((math.inf, p_lo, lo[i]))
+        bounds, weights, rows = zip(*schedule)
+        parts = np.array(rows).compress(open_, axis=1)  # the open entries' sums, then their rows
+        parts *= np.array(weights)[:, None]
+        np.add.accumulate(parts, axis=0, out=parts)
+        # Each partial is checked against the bound before the next row,
+        # the last one against the sums' -inf, rolled round, which stops
+        # every entry still open; an entry's first stop is its sum, and
+        # the terms, so the sums, are >= 0.
+        first = (REL_TOL * parts < np.array(bounds[1:] + bounds[:1])[:, None]).argmin(axis=0)
+        total[open_] = parts[first, np.arange(first.size)]
+        open_[open_] = first == len(parts) - 1
     return total, open_
 
 
@@ -279,15 +307,20 @@ def _anchor(a, y):
 
 
 class _TermWalk:
-    """term(j) = T(m + j) for the orders `poisson_weighted_sum` asks for,
-    T(a) being an array of terms that fall in the integer order a, with
-    known steps d(a) = T(a) - T(a + 1) >= 0.  Both term families are tails
+    """The terms T(a) of a `poisson_weighted_sum`, T(a) being an array
+    of terms that fall in the integer order a, with known steps
+    d(a) = T(a) - T(a + 1) >= 0.  Both term families are tails
     Pr(N >= a) of a count N, Poisson for `GammaTerms` and negative binomial
     for `BetaTerms`, so d(a) is the mass Pr(N = a) of that count.
 
-    The first call anchors the walk at its order a0 (`_start`); after that
-    only the neighbours of the two frontier orders may be asked for, each
-    one multiply-add away:
+    The block protocol: walk(j) anchors the walk at the order a0 = m + j
+    (`_start`) and returns (T(a0), right, left), each side a generator
+    (`_side`) that yields its next block of orders per next(), one row
+    per order, outward from a0: T(a0 + 1), T(a0 + 2), ... on the right and
+    T(a0 - 1) down to T(m) on the left.  Both sides' blocks hold
+    `_block_len` orders, the left's last one cut at order m, so the sum
+    takes the two sides' blocks in step.  Each order is one multiply-add
+    away from its inner neighbour:
 
         T(a - 1) = T(a) + d(a - 1)               (left, positive)
         T(a + 1) = max(T(a) - d(a), 0)           (right)
@@ -298,10 +331,8 @@ class _TermWalk:
     so the mixture is at least about T(a0)/2, and after the O(sqrt(lam))
     steps of the walk its relative error stays about sqrt(lam) eps.
 
-    Each side is one generator (`_side`), which holds that side's
-    frontier and computes its steps a block of orders ahead (`_block_len`),
-    one row per order in one pass, and serves the calls from that block.
-    The block's values are the per-step walk's bit for bit: one sequential
+    A side holds its frontier and computes a block in one pass, and its
+    values are the per-step walk's bit for bit: one sequential
     accumulate of the frontier value and the steps (`np.add` on the left,
     `np.subtract` on the right) takes the same steps in the same order,
     and on the right a single max(., 0) after it equals the clamp at each
@@ -318,26 +349,17 @@ class _TermWalk:
 
     def __init__(self, m, mode):
         self._m, self._mode = m, mode
-        self._ends = self._sides = None  # [left, right] orders and `_side`s
 
     def __call__(self, j):
         a = self._m + j
-        if self._ends is None:
-            p = self._start(a)
-            self._ends, self._sides = [a, a], [self._side(-1, a, p), self._side(1, a, p)]
-            return p
-        for i, sign in enumerate((-1, 1)):
-            if a == self._ends[i] + sign:
-                self._ends[i] = a
-                return next(self._sides[i])
-        raise ValueError(f"order {a} is not next to the walked orders "
-                         f"{self._ends[0]}..{self._ends[1]}")
+        value = self._start(a)
+        return value, self._side(1, a, value), self._side(-1, a, value)
 
     def _side(self, sign, a, value):
-        """The values at the orders past a, whose value is `value`, on the
-        side `sign` (+1 right, -1 left), one order per next().  A block is
-        computed when its first order is asked for; `live` holds the
-        entries whose steps on this side may still be nonzero."""
+        """The blocks of values at the orders past a, whose value is
+        `value`, on the side `sign` (+1 right, -1 left), one per next().
+        A block is computed when it is asked for; `live` holds the entries
+        whose steps on this side may still be nonzero."""
         count, live = _block_len(value.size), np.arange(value.size)
         while True:
             if sign > 0:  # T(a + 1) = max(T(a) - d(a), 0)
@@ -357,15 +379,15 @@ class _TermWalk:
                 block = np.repeat(value[None], len(orders), axis=0)
                 block[:, live] = steps
             live = live[~dead]
-            yield from block
+            yield block
             # a copy, so that the block is freed once the next one is made
             a, value = a + sign * len(orders), block[-1].copy()
 
 
 class GammaTerms(_TermWalk):
-    """term(j) = P(m + j, y), P(a, y) being the regularized lower
-    incomplete gamma at every entry of the array y > 0: the terms of the
-    radio CDF, walked as `_TermWalk` describes.
+    """The terms T(m + j) = P(m + j, y) of the radio CDF, P(a, y) being
+    the regularized lower incomplete gamma at every entry of the array
+    y > 0, walked as `_TermWalk` describes.
 
     For an integer order a, P(a, y) = Pr(N >= a) with N ~ Poisson(y), so
     the step is d(a) = pois(a; y), and the anchor is `_anchor`'s positive
@@ -448,8 +470,8 @@ def _beta_anchor(a, w, front):
 
 
 class BetaTerms(_TermWalk):
-    """term(j) = I_w(m + j, 1/2), I being the regularized incomplete beta
-    at every entry of the array w in [0, 1]: the terms of the radio BER,
+    """The terms T(m + j) = I_w(m + j, 1/2) of the radio BER, I being the
+    regularized incomplete beta at every entry of the array w in [0, 1],
     walked as `_TermWalk` describes.
 
     The twin of `GammaTerms`: I_w(a, 1/2) = Pr(N >= a) with N negative

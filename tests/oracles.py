@@ -6,6 +6,7 @@ quadrature of defining integrals, and mpmath at high precision. Tests
 compare library outputs against these, never against the library itself.
 """
 
+import itertools
 import math
 
 import mpmath
@@ -512,6 +513,37 @@ def poisson_weighted_sum(lam, term, *, rel_tol=REL_TOL, max_terms=MAX_TERMS, abs
         f"Poisson-weighted series did not converge: rate={lam:g}, "
         f"max_terms={max_terms}, rel_tol={rel_tol:g}"
     )
+
+
+def block_terms(term):
+    """A term function of one order, term(k) a 1-D array, in the block
+    protocol of `specfun.poisson_weighted_sum`: called once, at the start
+    order k0, it returns (term(k0), right, left), each side yielding
+    blocks of `specfun._block_len` orders, one row per order, outward from
+    k0, the left's last block cut at order 0, as a `specfun._TermWalk`
+    does."""
+    def walk(k0):
+        value = term(k0)
+        count = specfun._block_len(value.size)
+
+        def side(sign):
+            k = k0
+            while True:
+                if sign > 0:
+                    orders = range(k + 1, k + 1 + count)
+                else:
+                    orders = range(k - 1, max(k - 1 - count, -1), -1)
+                yield np.array([term(a) for a in orders])
+                k = orders[-1]
+
+        return value, side(1), side(-1)
+
+    return walk
+
+
+def rows(side):
+    """The rows of a walk side's blocks, one order per next()."""
+    return itertools.chain.from_iterable(side)
 
 
 # The radio series walked one order per step, as it stood before the walk

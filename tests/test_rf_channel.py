@@ -535,6 +535,7 @@ class TestRefusedRates:
                 pass
             if not passes:
                 refused.append(lam)
-                _, flagged = poisson_weighted_sum(float(lam), lambda k: np.ones(1))
+                term = oracles.block_terms(lambda k: np.ones(1))
+                _, flagged = poisson_weighted_sum(float(lam), term)
                 assert flagged.all()
         assert refused and refused[0] == pytest.approx(first_refused, rel=0.1)

@@ -143,26 +143,28 @@ class TestMeijerG2122:
 
 class TestPoissonWeightedSum:
     def test_zero_rate_is_first_term(self):
-        got, unconverged = poisson_weighted_sum(0.0, lambda k: np.array([k + 7.0, k + 2.0]))
+        term = oracles.block_terms(lambda k: np.array([k + 7.0, k + 2.0]))
+        got, unconverged = poisson_weighted_sum(0.0, term)
         assert got.tolist() == [7.0, 2.0]
         assert unconverged.tolist() == [False, False]
 
     def test_unit_sum(self):
         # sum of the weights is 1 up to the relative truncation budget
         for lam in [0.3, 4.0, 120.0]:
-            (got,), _ = poisson_weighted_sum(lam, lambda k: np.ones(1))
+            (got,), _ = poisson_weighted_sum(lam, oracles.block_terms(lambda k: np.ones(1)))
             assert got == pytest.approx(1.0, abs=3e-10)
 
     def test_known_generating_function(self):
         # E[t^K] = exp(lam (t - 1)), one entry per t
         lam, ts = 5.0, np.array([0.2, 0.7])
-        got, _ = poisson_weighted_sum(lam, lambda k: ts**k)
+        got, _ = poisson_weighted_sum(lam, oracles.block_terms(lambda k: ts**k))
         np.testing.assert_allclose(got, np.exp(lam * (ts - 1.0)), rtol=1e-11)
 
     def test_relative_accuracy_for_tiny_sums(self):
         # terms shrink like e^{-9k}; the sum is ~1e-5 times the largest weight
         lam = 30.0
-        (got,), _ = poisson_weighted_sum(lam, lambda k: np.array([math.exp(-0.5 * k)]))
+        (got,), _ = poisson_weighted_sum(
+            lam, oracles.block_terms(lambda k: np.array([math.exp(-0.5 * k)])))
         want = math.exp(lam * (math.exp(-0.5) - 1.0))
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -191,7 +193,7 @@ class TestPoissonWeightedSum:
         monkeypatch.setattr(specfun, "REL_TOL", 1e-3)
         monkeypatch.setattr(specfun, "MAX_TERMS", 40)
         ts = np.array([1e-30, 1e-3, 0.3, 0.7, 1.0])
-        got, unconverged = poisson_weighted_sum(lam, lambda k: ts**k)
+        got, unconverged = poisson_weighted_sum(lam, oracles.block_terms(lambda k: ts**k))
         assert got.shape == unconverged.shape == ts.shape
         for t, value, flagged in zip(ts, got, unconverged):
             try:
@@ -204,18 +206,60 @@ class TestPoissonWeightedSum:
 
     def test_negative_rate_is_refused(self):
         with pytest.raises(ValueError, match="rate must be >= 0"):
-            poisson_weighted_sum(-1e-300, lambda k: np.ones(1))
+            poisson_weighted_sum(-1e-300, oracles.block_terms(lambda k: np.ones(1)))
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_is_refused(self, lam):
+        # refused by its own check, before a term is asked for, and not as
+        # an error of turning the rate into a start order
+        def unasked(k):
+            raise AssertionError("a term was asked for")
+
+        with pytest.raises(ValueError, match=f"^Poisson rate must be >= 0 and finite, got {lam}$"):
+            poisson_weighted_sum(lam, unasked)
 
     def test_unconverged_entries_are_flagged(self, monkeypatch):
         monkeypatch.setattr(specfun, "MAX_TERMS", 16)
-        got, unconverged = poisson_weighted_sum(5000.0, lambda k: np.ones(3))
+        got, unconverged = poisson_weighted_sum(5000.0, oracles.block_terms(lambda k: np.ones(3)))
         assert unconverged.tolist() == [True, True, True]
         assert np.all((got > 0.0) & (got < 1.0))  # partial sums
+
+    @pytest.mark.parametrize("walk", [lambda: GammaTerms(4, GAMMA_YS),
+                                      lambda: BetaTerms(4, BETA_WS)], ids=["gamma", "beta"])
+    def test_a_walk_sums_the_same_through_a_wrapper(self, walk):
+        # a plain function of one argument around the walk, as a tracer
+        # that counts the calls of `term` puts there, gets the sums bit for
+        # bit, and is called once per pass, at the start order
+        want = poisson_weighted_sum(200.0, walk())
+        inner, calls = walk(), []
+
+        def wrapped(k):
+            calls.append(k)
+            return inner(k)
+
+        got = poisson_weighted_sum(200.0, wrapped)
+        assert calls == [200]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("walk, args", [(GammaTerms, np.geomspace(1e-2, 1e3, 9)),
+                                            (BetaTerms, np.linspace(0.01, 0.99, 9))],
+                             ids=["gamma", "beta"])
+    def test_one_order_blocks_at_an_integer_rate(self, walk, args):
+        # past _BLOCK_ELEMENTS entries a block holds one order, and at an
+        # integer rate the first step has no tail bound (k_lo/lam = 1), so
+        # the first block stops no entry; each entry is its lone call's
+        x = np.tile(args, specfun._BLOCK_ELEMENTS // args.size + 1)
+        assert specfun._block_len(x.size) == 1
+        got, unconverged = poisson_weighted_sum(40.0, walk(2, x))
+        for i in range(args.size):
+            (want,), (flagged,) = poisson_weighted_sum(40.0, walk(2, args[i:i + 1]))
+            assert got[i::args.size].tobytes() == np.full(x.size // args.size, want).tobytes()
+            assert not flagged and not unconverged[i::args.size].any()
 
     def test_rate_past_the_float_integers_is_flagged(self):
         # past 2**53 the right frontier's k + 2 rounds to the rate, so the
         # tail bound's ratio reaches 1: no bound, no stop, no division by 0
-        _, unconverged = poisson_weighted_sum(1e17, lambda k: np.ones(2))
+        _, unconverged = poisson_weighted_sum(1e17, oracles.block_terms(lambda k: np.ones(2)))
         assert unconverged.tolist() == [True, True]
 
 
@@ -262,7 +306,8 @@ class TestCovers:
 
         def terms(m, x):
             built.append(m)
-            return lambda j: np.ones(x.shape)  # the largest sum: it cannot stop here
+            # the largest sum: it cannot stop here
+            return oracles.block_terms(lambda j: np.ones(x.shape))
 
         with pytest.raises(ConvergenceError) as info:
             rf_channel._mixture(np.array([lam, 1.0]), np.array([1, 2]), np.ones(2), terms)
@@ -270,6 +315,15 @@ class TestCovers:
         assert str(info.value) == ("Poisson-weighted series did not converge: "
                                    f"rate={lam:g}, max_terms=512, rel_tol=1e-10")
         assert info.value.unconverged.tolist() == [True, False]
+
+
+def _walked(walk, j, steps):
+    """The values walk(j) gives at its anchor order a0 and `steps` orders
+    out on each side: T(a0), T(a0 + 1), ..., T(a0 + steps), then T(a0 - 1),
+    ..., T(a0 - steps)."""
+    value, right, left = walk(j)
+    right, left = oracles.rows(right), oracles.rows(left)
+    return [value] + [next(right) for _ in range(steps)] + [next(left) for _ in range(steps)]
 
 
 # measured worst over these tests: 1.9e-13 relative at the anchors,
@@ -294,29 +348,28 @@ class TestGammaTerms:
 
     @pytest.mark.parametrize("a", [1, 2, 3, 5, 8, 15, 16, 17, 40, 99, 204, 401, 700, 1000, 1178, 1200])
     def test_anchor(self, a):
-        self.check_relative(GammaTerms(a, GAMMA_YS)(0), a)
+        self.check_relative(GammaTerms(a, GAMMA_YS)(0)[0], a)
 
     @pytest.mark.parametrize("a0", [1, 30, 204, 700, 1200])
     def test_walk(self, a0):
-        # the orders poisson_weighted_sum asks for: the anchor, then right
-        # and left neighbours in turn; left values keep relative accuracy,
-        # right values an absolute error within GAMMA_REL of P(a0), which
-        # includes the anchor's own error
-        term = GammaTerms(1, GAMMA_YS)
-        anchor = term(a0 - 1)
+        # the anchor, then the rows of both sides outward; left values keep
+        # relative accuracy, right values an absolute error within
+        # GAMMA_REL of P(a0), which includes the anchor's own error
+        anchor, right, left = GammaTerms(1, GAMMA_YS)(a0 - 1)
+        right, left = oracles.rows(right), oracles.rows(left)
         lo = hi = a0
         for step in range(300):
             hi += 1
-            right = term(hi - 1)
-            assert np.all(right >= 0.0), hi
+            value = next(right)
+            assert np.all(value >= 0.0), hi
             if step % 9 == 0:
                 want = np.array([oracles.regularized_gamma_mp(hi, y) for y in GAMMA_YS])
-                assert np.all(np.abs(right - want) <= GAMMA_REL * anchor + 1e-300), hi
+                assert np.all(np.abs(value - want) <= GAMMA_REL * anchor + 1e-300), hi
             if lo > 1:
                 lo -= 1
-                left = term(lo - 1)
+                value = next(left)
                 if step % 9 == 0 or lo == 1:
-                    self.check_relative(left, lo)
+                    self.check_relative(value, lo)
 
     def test_underflowing_anchor(self):
         # the last point of a 600-point K = 17 dB, M = 4 sweep: the anchor
@@ -324,10 +377,10 @@ class TestGammaTerms:
         # its left are not
         k = 10.0**1.7
         y = np.array([(k + 1.0) * 1.0 / 1000.0])
-        term = GammaTerms(4, y)
-        assert term(200)[0] == 0.0
-        for a in range(203, 3, -1):
-            got = term(a - 4)[0]
+        anchor, _, left = GammaTerms(4, y)(200)
+        assert anchor[0] == 0.0
+        for a, value in zip(range(203, 3, -1), oracles.rows(left)):
+            got = value[0]
             if a % 20 == 0 or a == 4:
                 want = oracles.regularized_gamma_mp(a, y[0])
                 if want >= 1e-300:
@@ -339,25 +392,12 @@ class TestGammaTerms:
         # the anchor series of each entry stops on its own; near y = a0 they
         # run longest, and a term past an entry's stop can move it an ulp
         ys = np.concatenate([GAMMA_YS, 50.0 + np.linspace(-21.0, 21.0, 41)])
-        term = GammaTerms(3, ys)
-        lones = [GammaTerms(3, ys[i:i + 1]) for i in range(ys.size)]
-        for j in (47, 48, 46, 49, 45):
-            got = term(j)
-            assert got.tolist() == [lone(j)[0] for lone in lones]
-
-    def test_rejects_orders_off_the_walk(self):
-        # after the anchor, only the neighbours of the two frontier orders
-        term = GammaTerms(2, GAMMA_YS)
-        term(10)
-        term(11)
-        term(9)
-        for j in (13, 7, 10):
-            with pytest.raises(ValueError, match=f"^order {2 + j} is not next to the walked "
-                                                 "orders 11..13$"):
-                term(j)
+        lones = [_walked(GammaTerms(3, ys[i:i + 1]), 47, 2) for i in range(ys.size)]
+        for n, got in enumerate(_walked(GammaTerms(3, ys), 47, 2)):
+            assert got.tolist() == [lone[n][0] for lone in lones]
 
     def test_saturates_above_the_float_range(self):
-        assert GammaTerms(3, np.array([np.inf, 1e308]))(5).tolist() == [1.0, 1.0]
+        assert GammaTerms(3, np.array([np.inf, 1e308]))(5)[0].tolist() == [1.0, 1.0]
 
 
 # measured worst over these tests: 1.3e-13 relative at the anchors,
@@ -383,36 +423,36 @@ class TestBetaTerms:
 
     @pytest.mark.parametrize("a", [1, 2, 3, 5, 8, 15, 16, 17, 40, 99, 204, 401, 700, 1000, 1200])
     def test_anchor(self, a):
-        self.check_relative(BetaTerms(a, BETA_WS)(0), a)
+        self.check_relative(BetaTerms(a, BETA_WS)(0)[0], a)
 
     @pytest.mark.parametrize("a0", [1, 30, 204, 700, 1200])
     def test_walk(self, a0):
         # as GammaTerms' walk: left values keep relative accuracy, right
         # values an absolute error within BETA_REL of I(a0)
-        term = BetaTerms(1, BETA_WS)
-        anchor = term(a0 - 1)
+        anchor, right, left = BetaTerms(1, BETA_WS)(a0 - 1)
+        right, left = oracles.rows(right), oracles.rows(left)
         lo = hi = a0
         for step in range(300):
             hi += 1
-            right = term(hi - 1)
-            assert np.all(right >= 0.0), hi
+            value = next(right)
+            assert np.all(value >= 0.0), hi
             if step % 9 == 0:
                 want = np.array([oracles.regularized_beta_mp(hi, 0.5, w) for w in BETA_WS])
-                assert np.all(np.abs(right - want) <= BETA_REL * anchor + 1e-300), hi
+                assert np.all(np.abs(value - want) <= BETA_REL * anchor + 1e-300), hi
             if lo > 1:
                 lo -= 1
-                left = term(lo - 1)
+                value = next(left)
                 if step % 9 == 0 or lo == 1:
-                    self.check_relative(left, lo)
+                    self.check_relative(value, lo)
 
     def test_underflowing_anchor(self):
         # I_w(208, 1/2) ~ 1e-416 is 0 in floats; the orders the walk
         # reaches on its left are not
         w = np.array([0.01])
-        term = BetaTerms(4, w)
-        assert term(204)[0] == 0.0
-        for a in range(207, 3, -1):
-            got = term(a - 4)[0]
+        anchor, _, left = BetaTerms(4, w)(204)
+        assert anchor[0] == 0.0
+        for a, value in zip(range(207, 3, -1), oracles.rows(left)):
+            got = value[0]
             if a % 20 == 0 or a == 4:
                 want = oracles.regularized_beta_mp(a, 0.5, w[0])
                 if want >= 1e-300:
@@ -425,11 +465,9 @@ class TestBetaTerms:
         # both sides of the switch, near it, run longest
         switch = 48.0 / 49.5  # the anchor's order is 3 + 44
         ws = np.concatenate([BETA_WS, switch + np.linspace(-0.02, 0.02, 41)])
-        term = BetaTerms(3, ws)
-        lones = [BetaTerms(3, ws[i:i + 1]) for i in range(ws.size)]
-        for j in (44, 45, 43, 46, 42):
-            got = term(j)
-            assert got.tolist() == [lone(j)[0] for lone in lones]
+        lones = [_walked(BetaTerms(3, ws[i:i + 1]), 44, 2) for i in range(ws.size)]
+        for n, got in enumerate(_walked(BetaTerms(3, ws), 44, 2)):
+            assert got.tolist() == [lone[n][0] for lone in lones]
 
     @pytest.mark.parametrize("a", range(1, 65))
     def test_anchor_entries_equal_lone_calls(self, a):
@@ -447,17 +485,6 @@ class TestBetaTerms:
         for i, value in enumerate(got):
             assert value == specfun._beta_anchor(a, ws[i:i + 1], front[i:i + 1])[0], ws[i]
 
-    def test_rejects_orders_off_the_walk(self):
-        # after the anchor, only the neighbours of the two frontier orders
-        term = BetaTerms(2, BETA_WS)
-        term(10)
-        term(11)
-        term(9)
-        for j in (13, 7, 10):
-            with pytest.raises(ValueError, match=f"^order {2 + j} is not next to the walked "
-                                                 "orders 11..13$"):
-                term(j)
-
     def test_step_is_the_negative_binomial_mass(self):
         # I_w(a, 1/2) = Pr(N >= a) for N negative binomial with shape 1/2
         # and failure probability w, so the step I(a) - I(a + 1) is
@@ -472,9 +499,8 @@ class TestBetaTerms:
 
     def test_limits_at_the_ends(self):
         # w = 0 (no radio SNR is this high) and w = 1 (nor this low)
-        term = BetaTerms(1, np.array([0.0, 1.0]))
-        for j in (3, 4, 2, 5, 1):
-            assert term(j).tolist() == [0.0, 1.0]
+        for value in _walked(BetaTerms(1, np.array([0.0, 1.0])), 3, 2):
+            assert value.tolist() == [0.0, 1.0]
 
 
 class TestPoissonMass:
@@ -568,7 +594,7 @@ class TestBlockWalk:
         # complement's (a - n)/y would overflow here
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert GammaTerms(2, np.array([1e-310, 1.0]))(2)[0] == 0.0
+            assert GammaTerms(2, np.array([1e-310, 1.0]))(2)[0][0] == 0.0
 
     @settings(max_examples=25, deadline=None)
     @given(log_y=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=8),
