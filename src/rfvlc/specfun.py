@@ -22,6 +22,7 @@ a parameter record runs its field checks.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -114,8 +115,8 @@ def poisson_weighted_sum(lam, term):
     the block protocol of a `_TermWalk`: (T(k0), right, left), each side
     an iterator of blocks, one row per order, walking outward (T(k0 + 1),
     T(k0 + 2), ... on the right, T(k0 - 1) down to T(0) on the left).
-    The two sides' blocks are of one length, the left's last one cut
-    where it reaches order 0.
+    The sum takes the blocks' rows one order per step, and asks a side for
+    its next block only once it has summed the rows of the last one.
 
     Terms are accumulated outward from the Poisson mode, so large `lam`
     costs O(sqrt(lam)) evaluations instead of O(lam) and the weights never
@@ -127,13 +128,6 @@ def poisson_weighted_sum(lam, term):
     open, so its value does not depend on the other entries.  At lam = 0
     the first bound is 0 and the sum is T(0).
 
-    Each block of steps is summed in one pass: the weights and tail
-    bounds are a scalar schedule of Python floats, the weighted rows are
-    interleaved right, left, right, left, one sequential accumulate runs
-    from the current sums (so each partial is the step-by-step one bit for
-    bit), and each open entry's first stop in the block is the first
-    partial the bound column stops.
-
     Returns (sums, unconverged): entries still open after MAX_TERMS are
     flagged in the boolean mask (their sums are partial).
     """
@@ -142,47 +136,35 @@ def poisson_weighted_sum(lam, term):
     k0 = int(lam)
     p0 = math.exp(-lam) if k0 == 0 else math.exp(k0 * math.log(lam) - lam - math.lgamma(k0 + 1))
     value, right, left = term(k0)
-    total = p0 * value  # a fresh array, so writing into it never writes into a term
-    open_ = np.ones(total.shape, dtype=bool)
+    total = p0 * value  # a fresh array, so adding in place never writes into a term
+    right, left = itertools.chain.from_iterable(right), itertools.chain.from_iterable(left)
     k_lo = k_hi = k0
     p_lo = p_hi = p0
-    while open_.any() and k_hi - k0 < MAX_TERMS:  # a step per right order
-        lo = next(left) if k_lo > 0 else None
-        # (the bound checked on the sum before a row, its weight, the row),
-        # from the sums so far, whose bound is a sentinel (below)
-        schedule = [(-math.inf, 1.0, total)]
-        for i, row in enumerate(next(right)[:MAX_TERMS - (k_hi - k0)]):
-            # Tail bound: the right terms fall at least geometrically with
-            # ratio lam/(k_hi+2), below 1 as k_hi >= floor(lam) unless
-            # k_hi + 2 rounds to lam (past 2**53); the left ones with ratio
-            # k_lo/lam, 1 on the first step for an integer lam, and the
-            # left side ends at k = 0.  Where a step has no bound, and
-            # before a left row, no entry stops (inf); below 1e-300 every
-            # entry stops (-inf).
-            ratio_hi = lam / (k_hi + 2.0)
-            ratio_lo = k_lo / lam if k_lo > 0 else 0.0
-            bound = math.inf
-            if ratio_hi < 1.0 and ratio_lo < 1.0:
-                bound = (p_hi * (lam / (k_hi + 1.0)) / (1.0 - ratio_hi)
-                         + p_lo * ratio_lo / (1.0 - ratio_lo))
-            p_hi = p_hi * lam / (k_hi + 1.0)
-            k_hi += 1
-            schedule.append((bound if bound >= 1e-300 else -math.inf, p_hi, row))
-            if k_lo > 0:
-                p_lo = p_lo * k_lo / lam
-                k_lo -= 1
-                schedule.append((math.inf, p_lo, lo[i]))
-        bounds, weights, rows = zip(*schedule)
-        parts = np.array(rows).compress(open_, axis=1)  # the open entries' sums, then their rows
-        parts *= np.array(weights)[:, None]
-        np.add.accumulate(parts, axis=0, out=parts)
-        # Each partial is checked against the bound before the next row,
-        # the last one against the sums' -inf, rolled round, which stops
-        # every entry still open; an entry's first stop is its sum, and
-        # the terms, so the sums, are >= 0.
-        first = (REL_TOL * parts < np.array(bounds[1:] + bounds[:1])[:, None]).argmin(axis=0)
-        total[open_] = parts[first, np.arange(first.size)]
-        open_[open_] = first == len(parts) - 1
+    open_ = np.ones(total.shape, dtype=bool)
+
+    for _ in range(MAX_TERMS):
+        # Tail bound: the right terms fall at least geometrically with ratio
+        # lam/(k_hi+2), below 1 as k_hi >= floor(lam) unless k_hi + 2 rounds
+        # to lam (past 2**53); the left ones with ratio k_lo/lam, 1 on the
+        # first step for an integer lam, and the left side ends at k = 0.
+        ratio_hi = lam / (k_hi + 2.0)
+        ratio_lo = k_lo / lam if k_lo > 0 else 0.0
+        if ratio_hi < 1.0 and ratio_lo < 1.0:
+            bound = (p_hi * (lam / (k_hi + 1.0)) / (1.0 - ratio_hi)
+                     + p_lo * ratio_lo / (1.0 - ratio_lo))
+            # the bound is a float, so one array comparison per step; the
+            # terms, so the sums, are >= 0
+            open_ &= bound >= 1e-300 and REL_TOL * total < bound
+            if not open_.any():
+                break
+
+        p_hi = p_hi * lam / (k_hi + 1.0)
+        k_hi += 1
+        np.add(total, p_hi * next(right), out=total, where=open_)
+        if k_lo > 0:
+            p_lo = p_lo * k_lo / lam
+            k_lo -= 1
+            np.add(total, p_lo * next(left), out=total, where=open_)
     return total, open_
 
 

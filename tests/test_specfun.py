@@ -247,7 +247,7 @@ class TestPoissonWeightedSum:
     def test_one_order_blocks_at_an_integer_rate(self, walk, args):
         # past _BLOCK_ELEMENTS entries a block holds one order, and at an
         # integer rate the first step has no tail bound (k_lo/lam = 1), so
-        # the first block stops no entry; each entry is its lone call's
+        # the first block's row stops no entry; each entry is its lone call's
         x = np.tile(args, specfun._BLOCK_ELEMENTS // args.size + 1)
         assert specfun._block_len(x.size) == 1
         got, unconverged = poisson_weighted_sum(40.0, walk(2, x))
