@@ -22,7 +22,7 @@ from .rf_channel import (
     rf_avg_ber_batch,
 )
 from .specfun import checked
-from .vlc_channel import VlcParams, vlc_avg_ber, vlc_snr_cdf
+from .vlc_channel import VlcDerived, VlcParams, vlc_avg_ber, vlc_snr_cdf
 
 __all__ = [
     "SystemConfig",
@@ -77,16 +77,17 @@ def outage_batch(cfgs):
     """Outage probability and outage floor of every config, from one radio
     series pass per distinct (rf.k_factor, rf.branches).
 
-    The configs may differ in every field.  Each distinct (optical cell,
-    threshold) pair is derived and evaluated once, and each value equals
-    the single-config call's bit for bit.
+    The configs may differ in every field.  Each distinct optical cell is
+    derived once, and the optical CDF is one `vlc_snr_cdf` call over the
+    configs' cells and thresholds; each value equals the single-config
+    call's bit for bit.
     Returns (outage, floor), or raises ConvergenceError as `mrc_cdf_batch`
     does.
     """
     thresholds = [c.outage_threshold for c in cfgs]
     f_rf = mrc_cdf_batch(thresholds, [c.rf for c in cfgs])
-    f_vlc = _per_cell(cfgs, lambda c, d: vlc_snr_cdf(c.outage_threshold, d),
-                      key=lambda c: (c.vlc, c.outage_threshold))
+    cells, at = _cells(cfgs)
+    f_vlc = vlc_snr_cdf(thresholds, VlcDerived(*cells[at].T))
     return _either(f_rf, f_vlc), f_vlc
 
 
@@ -99,22 +100,21 @@ def e2e_avg_ber(cfg: SystemConfig) -> float:
 
 def ber_batch(cfgs):
     """End-to-end BER and BER floor (the radio hop's own BER) of every
-    config; as `outage_batch` otherwise."""
+    config; as `outage_batch` otherwise, the optical BER being one
+    `vlc_avg_ber` call over the distinct cells."""
     p_rf = rf_avg_ber_batch([c.rf for c in cfgs])
-    p_vlc = _per_cell(cfgs, lambda c, d: vlc_avg_ber(d), key=lambda c: c.vlc)
+    cells, at = _cells(cfgs)
+    p_vlc = vlc_avg_ber(VlcDerived(*cells.T))[at]
     return p_rf + p_vlc - 2.0 * p_rf * p_vlc, p_rf
 
 
-def _per_cell(cfgs, hop, key):
-    """hop(cfg, derived cell) for every config, as an array; each distinct
-    key is derived and evaluated once."""
-    values, out = {}, []
-    for c in cfgs:
-        k = key(c)
-        if k not in values:
-            values[k] = hop(c, vlc_channel.derive(c.vlc))
-        out.append(values[k])
-    return np.array(out, dtype=float)
+def _cells(cfgs):
+    """The distinct optical cells of the configs, each derived once, as a
+    (cells, fields of `VlcDerived`) array, and the row of each config's."""
+    rows = {}
+    at = [rows.setdefault(c.vlc, len(rows)) for c in cfgs]
+    cells = [vlc_channel.derive(v) for v in rows]
+    return np.array(cells, dtype=float).reshape(-1, len(VlcDerived._fields)), at
 
 
 def outage_floor(cfg: SystemConfig) -> float:

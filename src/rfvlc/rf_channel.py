@@ -80,24 +80,27 @@ def mrc_snr_pdf(gamma, params: RfParams):
     from scipy.special import ive
 
     g = validate_snr(gamma)
+    # the density is 0 at g = inf, where both formulas give inf * 0
+    finite = g < math.inf
+    g = np.where(finite, g, 0.0)
     k, m, mu = params.k_factor, params.branches, params.avg_snr
     if k * m < 1e-12:
         # Noncentrality below any representable effect: gamma density limit.
         # Relative error is O(k*m), far under the working precision.
         out = g ** (m - 1) * np.exp(-g / mu) / (math.factorial(m - 1) * mu**m)
-        return _scalar_like(gamma, out)
-    x = 2.0 * np.sqrt(k * (k + 1.0) * m * g / mu)
-    # (k+1)g/(k m mu) raised to (m-1)/2; neutral 1.0 at g == 0 where the
-    # ive factor is already 0 for m > 1 and the exponent is 0 for m == 1.
-    base = np.where(g > 0.0, (k + 1.0) * g / (k * m * mu), 1.0)
-    out = (
-        (k + 1.0)
-        / mu
-        * base ** (0.5 * (m - 1))
-        * ive(m - 1, x)
-        * np.exp(-np.square(np.sqrt((k + 1.0) * g / mu) - math.sqrt(k * m)))
-    )
-    return _scalar_like(gamma, out)
+    else:
+        x = 2.0 * np.sqrt(k * (k + 1.0) * m * g / mu)
+        # (k+1)g/(k m mu) raised to (m-1)/2; neutral 1.0 at g == 0 where the
+        # ive factor is already 0 for m > 1 and the exponent is 0 for m == 1.
+        base = np.where(g > 0.0, (k + 1.0) * g / (k * m * mu), 1.0)
+        out = (
+            (k + 1.0)
+            / mu
+            * base ** (0.5 * (m - 1))
+            * ive(m - 1, x)
+            * np.exp(-np.square(np.sqrt((k + 1.0) * g / mu) - math.sqrt(k * m)))
+        )
+    return _scalar_like(gamma, np.where(finite, out, 0.0))
 
 
 def mrc_snr_cdf(gamma, params: RfParams):

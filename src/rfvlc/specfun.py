@@ -13,8 +13,10 @@ regularized incomplete betas I_w(a, 1/2) (`BetaTerms`); each walk costs
 one anchor per entry and then one multiply-add per term, and hands the
 sum each of its two sides a block of orders at a time, equal to the walk
 one order per step bit for bit.
-`upper_gamma` is the scalar Gamma(q, g) of the optical BER, and
-`erfc_sqrt` the erfc(sqrt(snr)) of the Monte Carlo BER.  `validate_snr`
+The two continued fractions, the BER anchor's I_w(a, 1/2) and the
+optical BER's Gamma(q, g) (`upper_gamma`, over arrays), run in one
+modified-Lentz loop, `_lentz`.  `erfc_sqrt` is the erfc(sqrt(snr)) of the
+Monte Carlo and optical BERs.  `validate_snr`
 is the one argument check shared by the SNR distributions of both hops,
 `is_integer` the one rule for a count argument, and `checked` the one way
 a parameter record runs its field checks.
@@ -400,6 +402,43 @@ def _log_a_beta_half(a):
             - _stirling_correction(2 * a))
 
 
+def _off_zero(v):
+    """v itself, unless an entry is within _TINY of 0, which becomes _TINY."""
+    if np.fmin.reduce(np.abs(v), initial=np.inf) < _TINY:  # fmin skips NaN
+        return np.where(np.abs(v) < _TINY, _TINY, v)
+    return v
+
+
+def _lentz(c, d, coefs, *params):
+    """A continued fraction at every entry, by modified Lentz (Thompson &
+    Barnett, J. Comput. Phys. 64, 1986), as Numerical Recipes' betacf and
+    gcf: from the arrays c and d of Lentz's ratios after the fraction's
+    first level, whose value is d.
+
+    coefs(k, *params) gives the partial numerators and denominators (a, b)
+    of iteration k = 1, 2, ... as a sequence of pairs, from the per-entry
+    arrays `params`; each pair takes d to 1/(b + a d), c to b + a/c, both
+    kept off 0, and the value f to f c d.  Each entry stops once the last factor of
+    an iteration is within 2 eps of 1 and leaves the later iterations, so
+    its value does not depend on the other entries.
+    """
+    f, out = d, np.empty_like(d)
+    open_ = np.arange(d.size)  # the entries still converging
+    k = 0
+    while open_.size:
+        k += 1
+        for a, b in coefs(k, *params):
+            d = 1.0 / _off_zero(a * d + b)
+            c = _off_zero(b + a / c)
+            step = d * c
+            f = f * step
+        more = np.abs(step - 1.0) > 2.0 * _EPS
+        if not more.all():
+            out[open_[~more]] = f[~more]
+            open_, c, d, f, *params = (v[more] for v in (open_, c, d, f, *params))
+    return out
+
+
 def _beta_anchor(a, w, front):
     """I_w(a, 1/2) at every entry of w in [0, 1], for an integer order
     a >= 1, given front = w^a (1 - w)^(1/2) / (a B(a, 1/2)).
@@ -413,41 +452,21 @@ def _beta_anchor(a, w, front):
     converges fast where x < (p+1)/(p+q+2).  Entries above that use
     I_w(a, 1/2) = 1 - I_{1-w}(1/2, a), whose value is then above 0.083
     (its limit at the switch for large a), so the complement loses at most
-    about one digit; its prefactor is 2 a front.
-    Modified Lentz, as Numerical Recipes' betacf; each entry stops on its
-    own once a factor is within eps of 1 and leaves the later iterations,
-    so its value does not depend on the other entries.
+    about one digit; its prefactor is 2 a front.  `_lentz` evaluates it,
+    an iteration k being the pair of steps d(2k), d(2k+1).
     """
     direct = w < (a + 1.0) / (a + 2.5)
     p = np.where(direct, float(a), 0.5)
     q = np.where(direct, 0.5, float(a))
     x = np.where(direct, w, 1.0 - w)
 
-    def guard(v):  # v itself, unless an entry is within _TINY of 0
-        if np.fmin.reduce(np.abs(v), initial=np.inf) < _TINY:  # fmin skips NaN
-            return np.where(np.abs(v) < _TINY, _TINY, v)
-        return v
-
-    c = np.ones_like(x)
-    d = 1.0 / guard(1.0 - (p + q) * x / (p + 1.0))
-    h = np.empty_like(x)
-    open_ = np.arange(x.size)  # the entries still converging, and at each
-    f = d                      # the product of its factors so far
-    k = 0
-    while open_.size:
-        k += 1
+    def coefs(k, p, q, x):
         p2k = p + 2 * k
-        odd = -(p + k) * (p + q + k) * x / (p2k * (p2k + 1))
-        even = k * (q - k) * x / ((p2k - 1) * p2k)
-        for coef in (even, odd):
-            d = 1.0 / guard(1.0 + coef * d)
-            c = guard(1.0 + coef / c)
-            step = d * c
-            f = f * step
-        more = np.abs(step - 1.0) > 2.0 * _EPS
-        if not more.all():
-            h[open_[~more]] = f[~more]
-            open_, p, q, x, c, d, f = (v[more] for v in (open_, p, q, x, c, d, f))
+        return ((k * (q - k) * x / ((p2k - 1) * p2k), 1.0),
+                (-(p + k) * (p + q + k) * x / (p2k * (p2k + 1)), 1.0))
+
+    d = 1.0 / _off_zero(1.0 - (p + q) * x / (p + 1.0))
+    h = _lentz(np.ones_like(x), d, coefs, p, q, x)
     return np.where(direct, front * h, 1.0 - 2.0 * a * front * h)
 
 
@@ -485,43 +504,38 @@ class BetaTerms(_TermWalk):
 
 
 def upper_gamma(q, g):
-    """Gamma(q, g), the (unregularized) upper incomplete gamma, for
-    0 < q < 1 and g > 0: the scalar of the optical BER, where q lies in
-    (1/6, 1/2).
+    """Gamma(q, g), the (unregularized) upper incomplete gamma, at every
+    entry of the broadcast arrays 0 < q < 1 and g > 0: the optical BER
+    takes it at the cell-edge SNRs, where q lies in (1/6, 1/2).
 
     Below g = q + 1 it is Gamma(q) - gamma(q, g), with the lower function
     from its positive series g^q e^-g sum_n g^n / (q (q+1) ... (q+n))
-    (DLMF 8.7.1); the difference loses at most about one digit there.
-    Above, Legendre's continued fraction (DLMF 8.9.2) by modified Lentz,
-    as Numerical Recipes' gcf.
+    (DLMF 8.7.1), each entry stopping once its term is below eps of its
+    sum; the difference loses at most about one digit there.  Above,
+    Legendre's continued fraction (DLMF 8.9.2) by `_lentz`.  Each entry's
+    value does not depend on the other entries.
     """
-    front = math.exp(-g) * g**q
-    if g < q + 1.0:
-        term = total = 1.0 / q
-        n = 0
-        while term > _EPS * total:
-            n += 1
-            term *= g / (q + n)
-            total += term
-        return math.gamma(q) - front * total
-    b = g + 1.0 - q
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
+    q, g = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(g, dtype=float))
+    shape, q, g = g.shape, q.ravel(), g.ravel()
+    out = np.exp(-g) * g**q
+    series = g < q + 1.0
+    qs, gs = q[series], g[series]
+    total = np.empty_like(gs)
+    open_ = np.arange(gs.size)  # the entries still summing
+    term = sums = 1.0 / qs
     n = 0
-    while True:
+    while open_.size:
         n += 1
-        an = -n * (n - q)
-        b += 2.0
-        d = an * d + b
-        d = 1.0 / (d if abs(d) >= _TINY else _TINY)
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        step = d * c
-        h *= step
-        if abs(step - 1.0) <= 2.0 * _EPS:
-            return front * h
+        term = term * (gs / (qs + n))
+        sums = sums + term
+        more = term > _EPS * sums
+        total[open_[~more]] = sums[~more]
+        open_, qs, gs, term, sums = (v[more] for v in (open_, qs, gs, term, sums))
+    out[series] = [math.gamma(v) for v in q[series]] - out[series] * total
+    b0 = g[~series] + 1.0 - q[~series]
+    out[~series] *= _lentz(np.full_like(b0, 1.0 / _TINY), 1.0 / b0,
+                           lambda n, q, b0: ((-n * (n - q), b0 + 2.0 * n),), q[~series], b0)
+    return out.reshape(shape)[()]
 
 
 # erfc(x) by the rational approximations of cephes (ndtr.c), written in the

@@ -7,6 +7,11 @@ SNR proportional to the square of the optical channel gain, which turns the
 uniform position into a bounded power-law SNR distribution.  Its average
 BER is an erfc/upper-incomplete-gamma expression, evaluated with
 `specfun.erfc_sqrt` and `specfun.upper_gamma`, without scipy.
+
+`derive` computes one cell.  The SNR density, distribution and average
+BER also take a `VlcDerived` whose fields are arrays over cells, and then
+evaluate every cell in one numpy pass, each equal to its lone call bit
+for bit.
 """
 from __future__ import annotations
 
@@ -66,20 +71,22 @@ class VlcParams(NamedTuple):
         lambertian_order(self.semi_angle)  # the semi-angle rule lives there
         if not (0.0 < self.fov <= 90.0):
             raise ValueError(f"fov must be in (0, 90] degrees, got {self.fov}")
-        if self.refractive_index < 1.0:
-            raise ValueError(f"refractive_index must be >= 1, got {self.refractive_index}")
+        if not (1.0 <= self.refractive_index < math.inf):
+            raise ValueError(
+                f"refractive_index must be finite and >= 1, got {self.refractive_index}")
         for name in ("height", "area", "filter_gain", "responsivity",
                      "conv_efficiency", "noise_psd", "bandwidth"):
             v = getattr(self, name)
             if not (v > 0.0) or not math.isfinite(v):
                 raise ValueError(f"{name} must be finite and > 0, got {v}")
-        if self.optical_power is None or not (self.optical_power > 0.0):
-            raise ValueError(f"optical_power must be > 0, got {self.optical_power}")
+        if self.optical_power is None or not (0.0 < self.optical_power < math.inf):
+            raise ValueError(f"optical_power must be finite and > 0, got {self.optical_power}")
         derive(self)  # the rule on how the parameters combine lives there
 
 
 class VlcDerived(NamedTuple):
-    """Quantities derived from VlcParams; produced by derive()."""
+    """Quantities derived from VlcParams; produced by derive().  The
+    closed forms also take one whose fields are arrays over cells."""
 
     lambert_order: float   # Lambertian mode number m
     cell_radius: float     # illuminated disc radius, m
@@ -179,7 +186,7 @@ def channel_gain(radial_distance, d: VlcDerived):
     """DC optical channel gain at horizontal distance r from the cell
     center, for r in [0, cell_radius].  Vectorized."""
     r = np.asarray(radial_distance, dtype=float)
-    if np.any(r < 0.0) or np.any(r > d.cell_radius * (1.0 + 1e-12)):
+    if not np.all((r >= 0.0) & (r <= d.cell_radius * (1.0 + 1e-12))):  # NaN fails both
         raise ValueError(
             f"radial_distance must lie in [0, cell_radius={d.cell_radius:g}]"
         )
@@ -187,27 +194,29 @@ def channel_gain(radial_distance, d: VlcDerived):
     return float(out) if np.ndim(radial_distance) == 0 else out
 
 
-def _log_scale(d: VlcDerived) -> float:
+def _log_scale(d: VlcDerived):
     # log of (mu_vlc * upsilon^2); shared by the pdf/cdf/ber closed forms
-    return math.log(d.mu_vlc) + 2.0 * math.log(d.upsilon)
+    return np.log(d.mu_vlc) + 2.0 * np.log(d.upsilon)
 
 
 def vlc_snr_pdf(gamma, d: VlcDerived):
     """Density of the optical-hop electrical SNR: a power law on
-    [snr_min, snr_max], zero outside.  Vectorized."""
+    [snr_min, snr_max], zero outside.  Vectorized over the SNRs and the
+    cells of `d`, which broadcast."""
     g = validate_snr(gamma)
     m = d.lambert_order
     expo = 1.0 / (m + 3.0)
-    coeff = math.exp(_log_scale(d) * expo) / (d.cell_radius**2 * (m + 3.0))
+    coeff = np.exp(_log_scale(d) * expo) / (d.cell_radius**2 * (m + 3.0))
     inside = (g >= d.snr_min) & (g <= d.snr_max)
     safe = np.where(inside, g, 1.0)
     out = np.where(inside, coeff * safe ** (-(m + 4.0) / (m + 3.0)), 0.0)
-    return float(out) if np.ndim(gamma) == 0 else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def vlc_snr_cdf(gamma, d: VlcDerived):
     """Distribution function of the optical-hop SNR, clamped to 0 below
-    snr_min and 1 above snr_max.  Vectorized."""
+    snr_min and 1 above snr_max.  Vectorized over the SNRs and the cells
+    of `d`, which broadcast."""
     g = validate_snr(gamma)
     m = d.lambert_order
     r2 = d.cell_radius**2
@@ -219,7 +228,7 @@ def vlc_snr_cdf(gamma, d: VlcDerived):
         dist2 = np.exp((log_scale - np.log(np.where(g > 0.0, g, 1.0))) / (m + 3.0))
     raw = np.clip((r2 + l2 - dist2) / r2, 0.0, 1.0)
     out = np.where(g < d.snr_min, 0.0, np.where(g > d.snr_max, 1.0, raw))
-    return float(out) if np.ndim(gamma) == 0 else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def snr_law(d: VlcDerived):
@@ -245,7 +254,7 @@ def sample_vlc_snr(d: VlcDerived, rng: np.random.Generator, size=None):
     return float(snr) if size is None else snr
 
 
-def vlc_avg_ber(d: VlcDerived) -> float:
+def vlc_avg_ber(d: VlcDerived):
     """Average bit error probability of coherent binary signalling on the
     optical hop, P = E[erfc(sqrt(snr))/2], in closed form.
 
@@ -264,12 +273,18 @@ def vlc_avg_ber(d: VlcDerived) -> float:
     snr_min is near log(DBL_MAX) ~ 709, both h are subnormal and their
     difference can lose its sign; the value is then below the normal
     float range, and 0.0 is returned.
+
+    A float for one cell; for a `d` whose fields are arrays over cells,
+    the array of their BERs, erfc and Gamma each taken in one call over
+    all the cell-edge SNRs.
     """
     m = d.lambert_order
     beta = 1.0 / (m + 3.0)
     q = (m + 1.0) / (2.0 * m + 6.0)
-    ends = np.array([d.snr_min, d.snr_max])
-    h = ends ** (-beta) * erfc_sqrt(ends) - [upper_gamma(q, g) / _SQRT_PI for g in ends]
-    pref = math.exp(_log_scale(d) * beta) / (2.0 * d.cell_radius**2)
-    diff = float(h[0] - h[1])
-    return pref * diff if diff > 0.0 else 0.0
+    ends = np.array([d.snr_min, d.snr_max])  # (2,) + the cells' shape
+    erfc = erfc_sqrt(ends.ravel()).reshape(ends.shape)
+    h = ends ** (-beta) * erfc - upper_gamma(q, ends) / _SQRT_PI
+    pref = np.exp(_log_scale(d) * beta) / (2.0 * d.cell_radius**2)
+    diff = h[0] - h[1]
+    out = np.where(diff > 0.0, pref * diff, 0.0)
+    return float(out) if np.ndim(out) == 0 else out

@@ -202,6 +202,28 @@ class TestBatches:
             assert values.tolist() == [lone(c) for c in cfgs]
             assert floors.tolist() == [floor(c) for c in cfgs]
 
+    def test_optical_hop_matches_each_cell_alone(self):
+        # distinct cells across semi-angle, height and power, one repeated,
+        # some with a cell edge below q + 1 (Gamma(q, g) by its series)
+        cells = [dict(), dict(optical_power=0.01), dict(semi_angle=80.0), dict(semi_angle=30.0),
+                 dict(height=4.0), dict(height=3.0, optical_power=0.05),
+                 dict(semi_angle=20.0, height=1.0, optical_power=2.0), dict()]
+        thresholds = [1.0, 0.1, 3.0, 200.0, 1e-3, 1.0, 1e6, 5.0]
+        base = make_cfg()
+        cfgs = [base._replace(vlc=base.vlc._replace(**kw), outage_threshold=t)
+                for kw, t in zip(cells, thresholds)]
+        _, f_vlc = outage_batch(cfgs)
+        assert f_vlc.tolist() == [vlc_snr_cdf(c.outage_threshold, derive(c.vlc)) for c in cfgs]
+        values, p_rf = ber_batch(cfgs)
+        p_vlc = [vlc_avg_ber(derive(c.vlc)) for c in cfgs]
+        assert values.tolist() == [r + v - 2.0 * r * v for r, v in zip(p_rf.tolist(), p_vlc)]
+
+    def test_empty_batches(self):
+        # a sweep whose first grid point fails passes no configs
+        for batch in (outage_batch, ber_batch):
+            values, floors = batch([])
+            assert values.shape == floors.shape == (0,)
+
     def test_failing_entries_raise_for_the_batch(self):
         # K = 20 dB with M = 4 (rate 400) fails the outage at 10 dB but not
         # the BER; K = 30 dB with M = 1 (rate 1000) fails both at 30 dB.  The

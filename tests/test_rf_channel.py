@@ -110,6 +110,16 @@ class TestMrcPdf:
         val, err = integrate.quad(lambda g: mrc_snr_pdf(g, p), 0.0, np.inf, limit=300)
         assert val == pytest.approx(1.0, rel=1e-9)
 
+    @pytest.mark.parametrize("k", [0.0, 2.0])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_vanishes_at_infinity(self, k, m):
+        # validate_snr lets +inf through, and the density's limit there is
+        # 0; both formulas would give inf * 0, NaN with a RuntimeWarning
+        p = RfParams(k_factor=k, branches=m, avg_snr=1.5)
+        assert mrc_snr_pdf(math.inf, p) == 0.0
+        assert rician_snr_pdf(math.inf, p) == 0.0
+        assert mrc_snr_pdf(np.array([1.0, math.inf]), p).tolist() == [mrc_snr_pdf(1.0, p), 0.0]
+
     def test_mean_is_branches_times_avg(self):
         p = RfParams(k_factor=2.0, branches=3, avg_snr=1.5)
         val, err = integrate.quad(lambda g: g * mrc_snr_pdf(g, p), 0.0, np.inf, limit=300)

@@ -640,6 +640,18 @@ class TestUpperGamma:
     def test_vanishes_past_the_float_range(self):
         assert upper_gamma(0.3, 1e300) == 0.0
 
+    def test_array_entries_equal_lone_calls(self):
+        # one call over both sides of the switch at g = q + 1, at several q,
+        # the entries shuffled so that each side's run is interleaved
+        qs = np.repeat([1.0 / 6.0 + 1e-12, 0.25, 0.4, 0.5 - 1e-12], 9)
+        gs = qs + 1.0 + np.tile([-1.0, -0.5, -1e-9, 0.0, 1e-9, 0.5, 5.0, 100.0, 700.0], 4)
+        order = np.random.default_rng(5).permutation(qs.size)
+        q, g = qs[order], gs[order]
+        lone = [upper_gamma(float(a), float(b)) for a, b in zip(q, g)]
+        assert upper_gamma(q, g).tolist() == lone
+        assert upper_gamma(q.reshape(4, 9), g.reshape(4, 9)).ravel().tolist() == lone
+        assert upper_gamma(0.25, g).tolist() == [upper_gamma(0.25, float(b)) for b in g]
+
 
 class TestErfcSqrt:
     """erfc(sqrt(s)) against mpmath from the float s itself, over the SNRs

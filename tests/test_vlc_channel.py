@@ -6,6 +6,7 @@ from scipy import integrate, stats
 
 import oracles
 from rfvlc.vlc_channel import (
+    VlcDerived,
     VlcParams,
     channel_gain,
     derive,
@@ -77,6 +78,15 @@ class TestParams:
     def test_rejects_invalid(self, kw):
         with pytest.raises(ValueError):
             cell(**kw)
+
+    @pytest.mark.parametrize("field,value", [("refractive_index", math.nan),
+                                             ("refractive_index", math.inf),
+                                             ("optical_power", math.nan),
+                                             ("optical_power", math.inf)])
+    def test_rejects_non_finite(self, field, value):
+        # refused by the field's own rule, which names it, not later by derive
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            cell(**{field: value})
 
     def test_power_exclusivity(self):
         with pytest.raises(ValueError):
@@ -223,6 +233,10 @@ class TestChannelGain:
             channel_gain(-0.1, d)
         with pytest.raises(ValueError):
             channel_gain(d.cell_radius * 1.01, d)
+        with pytest.raises(ValueError):
+            channel_gain(math.nan, d)
+        with pytest.raises(ValueError):
+            channel_gain(np.array([0.0, math.nan]), d)
 
 
 class TestSnrPdf:
@@ -392,3 +406,23 @@ class TestAvgBer:
     def test_monotone_increasing_in_semi_angle(self):
         vals = [vlc_avg_ber(derive(cell(semi_angle=a))) for a in [30.0, 40.0, 50.0, 60.0, 70.0]]
         assert all(x < y for x, y in zip(vals, vals[1:]))
+
+
+class TestCellArrays:
+    """The closed forms over a `VlcDerived` whose fields are arrays over
+    cells give each cell its lone call's value bit for bit."""
+
+    # semi-angle, height and power vary; the low-power and wide-beam cells
+    # have an edge SNR below q + 1, where Gamma(q, g) takes its series
+    CELLS = [cell(), cell(optical_power=0.01), cell(semi_angle=80.0), cell(semi_angle=30.0),
+             cell(height=4.0), cell(semi_angle=10.0, height=0.5, optical_power=5.0)]
+
+    def test_entries_equal_lone_calls(self):
+        lone = [derive(p) for p in self.CELLS]
+        cells = VlcDerived(*np.array(lone).T)
+        inside = np.sqrt(cells.snr_min * cells.snr_max)
+        assert vlc_avg_ber(cells).tolist() == [vlc_avg_ber(d) for d in lone]
+        assert vlc_snr_pdf(inside, cells).tolist() == [vlc_snr_pdf(g, d) for g, d in zip(inside, lone)]
+        for g in (inside, 1.0, [0.1, 1.0, 10.0, 200.0, 1e3, 1e6]):
+            want = [vlc_snr_cdf(x, d) for x, d in zip(np.broadcast_to(g, inside.shape), lone)]
+            assert vlc_snr_cdf(g, cells).tolist() == want
