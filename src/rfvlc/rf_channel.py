@@ -85,9 +85,10 @@ def mrc_snr_pdf(gamma, params: RfParams):
     g = np.where(finite, g, 0.0)
     k, m, mu = params.k_factor, params.branches, params.avg_snr
     if k * m < 1e-12:
-        # Noncentrality below any representable effect: gamma density limit.
-        # Relative error is O(k*m), far under the working precision.
-        out = g ** (m - 1) * np.exp(-g / mu) / (math.factorial(m - 1) * mu**m)
+        # Noncentrality below any representable effect: gamma density limit,
+        # pois(m - 1; g/mu)/mu.  Relative error is O(k*m), far under the
+        # working precision.
+        out = specfun._pois(m - 1, g / mu) / mu
     else:
         x = 2.0 * np.sqrt(k * (k + 1.0) * m * g / mu)
         # (k+1)g/(k m mu) raised to (m-1)/2; neutral 1.0 at g == 0 where the

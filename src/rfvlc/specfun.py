@@ -15,7 +15,9 @@ sum each of its two sides a block of orders at a time, equal to the walk
 one order per step bit for bit.
 The two continued fractions, the BER anchor's I_w(a, 1/2) and the
 optical BER's Gamma(q, g) (`upper_gamma`, over arrays), run in one
-modified-Lentz loop, `_lentz`.  `erfc_sqrt` is the erfc(sqrt(snr)) of the
+modified-Lentz loop, `_lentz`; the two positive series, the CDF anchor's
+P(a, y) and `upper_gamma`'s below g = q + 1, run in one block loop,
+`_series`.  `erfc_sqrt` is the erfc(sqrt(snr)) of the
 Monte Carlo and optical BERs.  `validate_snr`
 is the one argument check shared by the SNR distributions of both hops,
 `is_integer` the one rule for a count argument, and `checked` the one way
@@ -217,7 +219,7 @@ def _orders(a, const):
 
 def _pois(a, y):
     """The Poisson mass pois(a; y) = y^a e^-y / a! of an integer a >= 0 at
-    every entry of y > 0; for a sequence of orders a >= 1, one row per order.
+    every entry of y >= 0; for a sequence of orders a >= 1, one row per order.
 
     Evaluated as exp(a (log u - u + 1) - log(2 pi a)/2 - stirling(a)) with
     u = y/a: log1p carries log u - u + 1 where u is near 1, so the exponent
@@ -248,6 +250,43 @@ def _pois(a, y):
         return np.exp(log_u, out=log_u)
 
 
+def _series(ratios, *params):
+    """S = 1 + r1 + r1 r2 + r1 r2 r3 + ... at every entry of the 1-D
+    arrays `params`, for ratios r_n >= 0 that fall in n and drop below 1.
+
+    ratios(ns, *params) gives the ratios r_n at the float column of orders
+    ns over the entries of the params, one row per order, as a fresh array;
+    the params passed are those of the entries still open, as `_lentz`
+    passes its `coefs`.  Each entry stops on its own once the geometric
+    bound on its tail is below eps of its partial sum, so its value does
+    not depend on the other entries.
+
+    The series runs a block of terms at a time over the entries still
+    open: the running products of the block's ratios and the running sums
+    of its terms (`multiply` and `add` accumulate, each as sequential as
+    one term per step), then each entry's first stop in the block.
+    """
+    total = np.ones(params[0].size)
+    open_ = np.arange(total.size)  # the entries still summing, with
+    last = term = np.ones(total.size)  # each one's sum so far and last term
+    n = 1
+    while open_.size:
+        ns = np.arange(n, n + _block_len(open_.size), dtype=float)[:, None]
+        n += len(ns)
+        ratio = ratios(ns, *params)
+        rest = 1.0 - ratio
+        ratio[0] *= term
+        terms = np.multiply.accumulate(ratio, axis=0, out=ratio)
+        sums = np.add.accumulate(np.concatenate([last[None], terms]), axis=0)
+        # an entry stops before its first term t <= eps S (1 - r), S its
+        # sum before t: the geometric bound on the tail from t on
+        stop = terms <= _EPS * sums[:-1] * rest
+        done = stop.any(axis=0)
+        total[open_[done]] = sums[stop[:, done].argmax(axis=0), done]
+        open_, last, term, *params = (v[~done] for v in (open_, sums[-1], terms[-1], *params))
+    return total
+
+
 def _anchor(a, y):
     """P(a, y) at every entry of y > 0, for an integer order a >= 1.
 
@@ -256,37 +295,16 @@ def _anchor(a, y):
     P = 1 - pois(a-1; y) R with R = 1 + (a-1)/y + (a-1)(a-2)/y^2 + ...,
     so P is summed directly where it is below about 1/2 and through its
     complement where it is above.  Both series have positive terms with
-    falling ratios below 1, and each entry stops on its own once the
-    geometric bound on its tail is below eps of its partial sum, so its
-    value does not depend on the other entries.
-
-    The series run a block of terms at a time over the entries still
-    open: the running products of the block's ratios and the running sums
-    of its terms (`multiply` and `add` accumulate, each as sequential as
-    one term per step), then each entry's first stop in the block.
+    falling ratios below 1, and `_series` sums them.
     """
     direct = y < a
-    total = np.ones_like(y)
-    open_ = np.arange(y.size)  # the entries still summing, with
-    sums = np.ones((1, y.size))  # each one's sum so far
-    term = np.ones(y.size)     # and last term
-    n = 1
-    while open_.size:
-        ns = np.arange(n, n + _block_len(open_.size), dtype=float)[:, None]
-        n += len(ns)
-        y_open = y[open_]
-        ratio = y_open / (a + ns)
-        np.divide(np.maximum(a - ns, 0.0), y_open, out=ratio, where=~direct[open_])
-        rest = 1.0 - ratio
-        ratio[0] *= term
-        terms = np.multiply.accumulate(ratio, axis=0, out=ratio)
-        sums = np.add.accumulate(np.concatenate([sums, terms]), axis=0)
-        # an entry stops before its first term t <= eps S (1 - r), S its
-        # sum before t: the geometric bound on the tail from t on
-        stop = terms <= _EPS * sums[:-1] * rest
-        done = stop.any(axis=0)
-        total[open_[done]] = sums[stop[:, done].argmax(axis=0), done]
-        open_, sums, term = open_[~done], sums[-1:, ~done], terms[-1, ~done]
+
+    def ratios(ns, y, direct):
+        r = y / (a + ns)
+        np.divide(np.maximum(a - ns, 0.0), y, out=r, where=~direct)
+        return r
+
+    total = _series(ratios, y, direct)
     return np.where(direct, _pois(a, y) * total, 1.0 - _pois(a - 1, y) * total)
 
 
@@ -509,9 +527,9 @@ def upper_gamma(q, g):
     takes it at the cell-edge SNRs, where q lies in (1/6, 1/2).
 
     Below g = q + 1 it is Gamma(q) - gamma(q, g), with the lower function
-    from its positive series g^q e^-g sum_n g^n / (q (q+1) ... (q+n))
-    (DLMF 8.7.1), each entry stopping once its term is below eps of its
-    sum; the difference loses at most about one digit there.  Above,
+    from its positive series g^q e^-g / q (1 + g/(q+1) + g^2/((q+1)(q+2))
+    + ...) (DLMF 8.7.1), summed by `_series`; the difference loses at most
+    about one digit there.  Above,
     Legendre's continued fraction (DLMF 8.9.2) by `_lentz`.  Each entry's
     value does not depend on the other entries.
     """
@@ -520,18 +538,8 @@ def upper_gamma(q, g):
     out = np.exp(-g) * g**q
     series = g < q + 1.0
     qs, gs = q[series], g[series]
-    total = np.empty_like(gs)
-    open_ = np.arange(gs.size)  # the entries still summing
-    term = sums = 1.0 / qs
-    n = 0
-    while open_.size:
-        n += 1
-        term = term * (gs / (qs + n))
-        sums = sums + term
-        more = term > _EPS * sums
-        total[open_[~more]] = sums[~more]
-        open_, qs, gs, term, sums = (v[more] for v in (open_, qs, gs, term, sums))
-    out[series] = [math.gamma(v) for v in q[series]] - out[series] * total
+    out[series] = ([math.gamma(v) for v in qs]
+                   - out[series] * _series(lambda ns, q, g: g / (q + ns), qs, gs) / qs)
     b0 = g[~series] + 1.0 - q[~series]
     out[~series] *= _lentz(np.full_like(b0, 1.0 / _TINY), 1.0 / b0,
                            lambda n, q, b0: ((-n * (n - q), b0 + 2.0 * n),), q[~series], b0)

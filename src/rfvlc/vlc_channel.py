@@ -126,7 +126,8 @@ def derive(params: VlcParams) -> VlcDerived:
     Lambertian order m, and upsilon's factor height ** (m + 1) then
     overflows above 1 m or underflows below it.  Raises ValueError when
     that scale is not a finite float > 0, or when the SNR cannot be
-    evaluated as a float > 0 over the cell, out to its edge."""
+    evaluated as a finite float > 0 over the cell, from under the emitter
+    out to its edge."""
     m = lambertian_order(params.semi_angle)
     # an error before the scale is formed is an overflow, or a divisor that
     # underflowed to 0: either way the scale is past the float range
@@ -150,8 +151,8 @@ def derive(params: VlcParams) -> VlcDerived:
             radius = params.height * math.tan(math.radians(params.semi_angle))
             gain_max = upsilon / params.height ** (m + 3.0)
             gain_min = upsilon / (radius**2 + params.height**2) ** (0.5 * (m + 3.0))
-            snr_min = mu_vlc * gain_min**2
-            if snr_min > 0.0:
+            snr_min, snr_max = mu_vlc * gain_min**2, mu_vlc * gain_max**2
+            if snr_min > 0.0 and snr_max < math.inf:
                 return VlcDerived(
                     lambert_order=m,
                     cell_radius=radius,
@@ -161,7 +162,7 @@ def derive(params: VlcParams) -> VlcDerived:
                     gain_min=gain_min,
                     gain_max=gain_max,
                     snr_min=snr_min,
-                    snr_max=mu_vlc * gain_max**2,
+                    snr_max=snr_max,
                     mu_vlc=mu_vlc,
                     noise_var=noise_var,
                 )

@@ -108,6 +108,12 @@ def stirling_correction_mp(a, dps=40):
                      - mpmath.log(2 * mpmath.pi) / 2)
 
 
+def exp_mp(y, dps=40):
+    """e^y by mpmath, from the float y itself."""
+    with mpmath.workdps(dps):
+        return float(mpmath.exp(mpmath.mpf(float(y))))
+
+
 def pois_mp(a, y, dps=40):
     """The Poisson mass y^a e^-y / a! by mpmath, from the float y itself."""
     with mpmath.workdps(dps):

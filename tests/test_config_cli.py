@@ -722,19 +722,21 @@ class TestCli:
         assert captured.err.startswith("config error: [vlc]: the optical SNR scale")
         assert f"semi_angle {angle} degrees" in captured.err
 
-    @pytest.mark.parametrize("command", [["outage", "--no-mc"], ["outage"], ["validate"]])
+    @pytest.mark.parametrize(
+        "command", [["outage", "--no-mc"], ["outage"], ["validate"], ["ber", "--no-mc"]])
     @pytest.mark.parametrize(
         "edits",
         [dict(semi_angle_deg="2.11", area_m2="1e-200"),  # height ** (m + 3) overflowed
-         dict(height_m="1e-160", area_m2="1e300")],      # ... underflowed to 0
-        ids=["2.11deg-1e-200m2", "1e-160m-1e300m2"],
+         dict(height_m="1e-160", area_m2="1e300"),       # ... underflowed to 0
+         dict(height_m="0.5", area_m2="1e148")],         # the peak SNR overflowed
+        ids=["2.11deg-1e-200m2", "1e-160m-1e300m2", "0.5m-1e148m2"],
     )
     def test_snr_outside_float_range_is_config_error(self, cfg_file, capsys, command, edits):
         rc = cli.main(command + ["--config", cfg_file(doc_with(**edits))])
         captured = capsys.readouterr()
         assert (rc, captured.out) == (2, "")
         assert captured.err.startswith("config error: [vlc]: the optical SNR mu_vlc * (upsilon")
-        assert "Traceback" not in captured.err
+        assert captured.err.count("\n") == 1  # one line, no traceback or warning
 
     @pytest.mark.parametrize("extra", [[], ["--no-mc"]])
     def test_narrow_beam_sweep_names_the_grid_point(self, cfg_file, capsys, extra):

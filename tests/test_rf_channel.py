@@ -98,6 +98,16 @@ class TestMrcPdf:
         p = RfParams(k_factor=1e-9, branches=2, avg_snr=1.0)
         assert mrc_snr_pdf(1.0, p) == pytest.approx(math.exp(-1.0), rel=1e-7)
 
+    @pytest.mark.parametrize("m,mu", [(60, 1e6), (171, 1.0), (172, 1.0)])
+    def test_gamma_limit_past_the_float_range_of_its_factors(self, m, mu):
+        # mu ** m, (m - 1)! or g ** (m - 1) overflows here, while the density
+        # itself is a float; where it is below the smallest normal float
+        # (g = 1 at m = 172, g = 100 at m = 60) the check is absolute
+        g = np.array([1.0, 100.0, 1e4])
+        got = mrc_snr_pdf(g, RfParams(k_factor=0.0, branches=m, avg_snr=mu))
+        np.testing.assert_allclose(got, stats.gamma.pdf(g, m, scale=mu), rtol=1e-13,
+                                   atol=1e-13 * np.finfo(float).tiny)
+
     def test_value_at_origin(self):
         assert mrc_snr_pdf(0.0, RfParams(k_factor=2.0, branches=1, avg_snr=1.0)) == pytest.approx(
             3.0 * math.exp(-2.0), rel=1e-13

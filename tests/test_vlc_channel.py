@@ -118,13 +118,16 @@ class TestCheckSnrScale:
 
     # the scale is finite, but height ** (m + 3) overflows (2.11 degrees)
     # or underflows to 0 (1e-160 m) in the channel gain, or the SNR at the
-    # cell edge underflows to 0 (the closed-form BER divided by it)
+    # cell edge underflows to 0 (the closed-form BER divided by it), or the
+    # SNR under the emitter overflows (Gamma(q, inf) and the Monte Carlo
+    # multiply would be NaN and overflow)
     @pytest.mark.parametrize(
         "kw",
         [
             dict(semi_angle=2.11, area=1e-200),
             dict(height=1e-160, area=1e300),
             dict(height=1.5e37, area=1e-144),
+            dict(height=0.5, area=1e148),
         ],
     )
     def test_rejects_snr_outside_float_range(self, kw):
