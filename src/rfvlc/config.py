@@ -91,6 +91,7 @@ SWEEP_AXES = {
     "optical_power_w": ("vlc", "optical_power", float),
     "semi_angle_deg": ("vlc", "semi_angle", float),
     "branches": ("rf", "branches", lambda value: int(round(value))),
+    "k_factor_db": ("rf", "k_factor", db_to_linear),
 }
 SWEEP_QUANTITIES = ("outage", "ber")
 SWEEP_SCALES = ("linear", "log")

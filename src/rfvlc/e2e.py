@@ -75,7 +75,8 @@ def outage_probability(cfg: SystemConfig) -> float:
 
 def outage_batch(cfgs):
     """Outage probability and outage floor of every config, from one radio
-    series pass per distinct (rf.k_factor, rf.branches).
+    series pass over all of them, whatever their rf.k_factor and
+    rf.branches.
 
     The configs may differ in every field.  Each distinct optical cell is
     derived once, and the optical CDF is one `vlc_snr_cdf` call over the

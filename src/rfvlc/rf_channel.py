@@ -4,14 +4,17 @@ The combiner output SNR over `branches` i.i.d. Rician branches is a scaled
 noncentral chi-square variable with 2*branches degrees of freedom and
 noncentrality 2*k_factor*branches, which is what every formula below
 evaluates in one stable form or another.  Its CDF and average BER are
-Poisson mixtures, which `_mixture` alone evaluates: it takes per-entry K
-and branch counts and sums one series pass per distinct (K, branches),
-under the one truncation budget `specfun.REL_TOL`/`specfun.MAX_TERMS`, so
-the batch forms take params with any K and branch count; a rate the
-budget does not cover (`specfun.covers`) gets no pass.  Every closed
-form returns values that meet it or raises `ConvergenceError`.  The CDF's
-terms come from `specfun.GammaTerms` and the average BER's from
-`specfun.BetaTerms`, numpy alone; scipy is imported only by the density
+Poisson mixtures of the term walks `GammaTerms` and `BetaTerms`, which
+`_mixture` alone evaluates: it takes per-entry K
+and branch counts and sums every entry in one series pass, each at its
+own rate K*M, under the one budget of `specfun` (`REL_TOL`, and steps
+growing as the square root of the rate), so the batch forms take params
+with any K and branch count; a rate the budget does not cover
+(`specfun.covers`, past `specfun.MAX_RATE`) gets no term built.  Every
+closed form returns values that meet `REL_TOL` or raises
+`ConvergenceError`.  The CDF's
+terms come from `GammaTerms` and the average BER's from
+`BetaTerms`, numpy alone; scipy is imported only by the density
 (`mrc_snr_pdf`, and so `rician_snr_pdf`), when it is first called.
 """
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import specfun
-from .specfun import BetaTerms, ConvergenceError, GammaTerms, poisson_weighted_sum, validate_snr
+from .specfun import ConvergenceError, poisson_weighted_sum, validate_snr
 
 __all__ = [
     "RfParams",
@@ -34,6 +37,8 @@ __all__ = [
     "sample_mrc_snr",
     "rf_avg_ber",
     "rf_avg_ber_batch",
+    "GammaTerms",
+    "BetaTerms",
 ]
 
 
@@ -80,10 +85,12 @@ def mrc_snr_pdf(gamma, params: RfParams):
     from scipy.special import ive
 
     g = validate_snr(gamma)
-    # the density is 0 at g = inf, where both formulas give inf * 0
-    finite = g < math.inf
-    g = np.where(finite, g, 0.0)
     k, m, mu = params.k_factor, params.branches, params.avg_snr
+    # the density's limit is 0 where (k+1) g/mu overflows, g = inf included,
+    # and both formulas would give inf * 0 there
+    with np.errstate(over="ignore"):
+        finite = (k + 1.0) * g / mu < math.inf
+    g = np.where(finite, g, 0.0)
     if k * m < 1e-12:
         # Noncentrality below any representable effect: gamma density limit,
         # pois(m - 1; g/mu)/mu.  Relative error is O(k*m), far under the
@@ -110,7 +117,7 @@ def mrc_snr_cdf(gamma, params: RfParams):
     Equals 1 - Q_m(sqrt(2*k*m), sqrt(2*(k+1)*gamma/avg_snr)), Q_m being
     the generalized Marcum Q function of order m = branches, but is
     evaluated as the complementary Poisson mixture of regularized lower
-    incomplete gammas (`specfun.GammaTerms`): every term is positive, so the
+    incomplete gammas (`GammaTerms`): every term is positive, so the
     deep left tail keeps full relative accuracy instead of cancelling
     against 1.
 
@@ -120,60 +127,185 @@ def mrc_snr_cdf(gamma, params: RfParams):
     entries that ran out of terms.
     """
     k, m, mu = params.k_factor, params.branches, params.avg_snr
-    return _scalar_like(gamma, _mixture(k, m, (k + 1.0) * validate_snr(gamma) / mu, GammaTerms))
+    with np.errstate(over="ignore"):  # GammaTerms clamps an argument past the float range
+        x = (k + 1.0) * validate_snr(gamma) / mu
+    return _scalar_like(gamma, _mixture(k, m, x, GammaTerms))
+
+
+# The orders a block of a `_TermWalk` side holds, for every batch size, so
+# that each entry's right anchors sit at the same orders in a batch and
+# alone
+_WALK_ORDERS = 8
+
+
+class _TermWalk:
+    """The terms T(j) = T'(m + j) of a `poisson_weighted_sum`, T'(a)
+    falling in the integer order a with steps d(a) = T'(a) - T'(a + 1) >= 0,
+    each entry with its own branch count m.  Both families are tails
+    Pr(N >= a) of a count N, so d(a) is its mass Pr(N = a).
+
+    walk(lam) starts each entry at the peak of its summand (`_start`),
+    anchors it there (`_value`) and returns the block protocol of
+    `poisson_weighted_sum`, each side a generator (`_side`) of blocks of
+    `_WALK_ORDERS` orders.  Every value is a positive sum:
+
+        T'(a - 1) = T'(a) + d(a - 1)     (left, from the block's inner order)
+        T'(a) = T'(a + 1) + d(a)         (right, from the block's far order)
+
+    so each right block is anchored afresh at its far order; as the block
+    length is fixed, the anchors sit at the same orders for an entry in
+    any batch.  Subclasses give `_start(lam)`, and `_value(a, live)` = T'(a)
+    and `_step(a, live)` = d(a) for the entries `live`; `_rho`, the ratio of
+    each row to the one before it, bounds log-concave terms.  The sum
+    overwrites the blocks.
+    """
+
+    def __call__(self, lam):
+        j = self._start(lam)
+        value = self._value(self._m + j, slice(None))
+        return j, value, self._side(1, self._m + j, value), self._side(-1, self._m + j, value)
+
+    def _side(self, sign, a, value):
+        """The blocks (values, rho) of the orders past a, whose values are
+        `value`, on the side `sign` (+1 right, -1 left), one per next():
+        over all entries, or over the entries `live` a send() names."""
+        m, value, live = np.broadcast_to(self._m, a.shape), value.copy(), slice(None)
+        rows = np.arange(1.0, _WALK_ORDERS + 1.0)[:, None]
+        while True:
+            # the far order's value first, while no block is held
+            far = self._value(a[live] + _WALK_ORDERS, live) if sign > 0 else None
+            orders = a[live] + sign * rows
+            past = orders < m[live]
+            block = self._step(np.maximum(orders, m[live], out=orders), live)
+            if sign > 0:  # the far order's value, then the steps inward
+                block[-1] = far
+            else:         # the inner order's value, then the steps outward
+                block[0] += value[live]
+            np.add.accumulate(block[::-sign], axis=0, out=block[::-sign])
+            block[past] = 0.0
+            rho = self._rho(sign, orders, block, value[live], live)
+            # a copy, as the sum multiplies its weights into the block
+            a, value[live] = a + sign * _WALK_ORDERS, block[-1]
+            del orders, past
+            sent = yield block, rho
+            live = live if sent is None else sent
+            del block, rho
+
+    def _rho(self, sign, orders, block, value, live):
+        with np.errstate(divide="ignore"):  # a value after a 0.0 gives no bound
+            return np.divide(block, np.concatenate([value[None], block[:-1]]),
+                             out=np.zeros_like(block), where=block > 0.0)
+
+
+class GammaTerms(_TermWalk):
+    """The terms T(j) = P(m + j, y) of the radio CDF, P being the
+    regularized lower incomplete gamma, at every entry of the array y > 0.
+
+    P(a, y) = Pr(N >= a) with N ~ Poisson(y): the step is pois(a; y), the
+    anchor `specfun._anchor`'s series, and P is log-concave in a.  P(a+1)/P(a) is
+    about y/(a + 1), so the summand peaks near the first j past the root of
+    (j + 1)(m + j + 1) = lam y, or at floor(lam).  Arguments above the float
+    range are clamped to it, where P is 1.
+    """
+
+    def __init__(self, m, y):
+        self._m, self._y = np.asarray(m, dtype=float), np.minimum(validate_snr(y), specfun._BIG)
+
+    def _start(self, lam):
+        # y clamped where 4 lam y would overflow: the root is far past lam there
+        root = 0.5 * (np.sqrt(self._m * self._m + 4.0 * lam * np.minimum(self._y, 1e300)) - self._m)
+        return np.minimum(np.floor(lam), np.floor(root))
+
+    def _value(self, a, live):
+        return specfun._anchor(a, self._y[live])
+
+    def _step(self, a, live):
+        return specfun._pois(a, self._y[live])
+
+
+class BetaTerms(_TermWalk):
+    """The terms T(j) = I_w(m + j, 1/2) of the radio BER, I being the
+    regularized incomplete beta, at every entry of the array w in [0, 1].
+
+    I_w(a, 1/2) = Pr(N >= a), N negative binomial of shape 1/2 and failure
+    probability w: the step is d(a) = w^a (1 - w)^(1/2) / (a B(a, 1/2))
+    (DLMF 8.17.20), from logs, and the anchor `specfun._beta_anchor`'s continued
+    fraction.  I is log-convex in a, so a row ratio bounds nothing; but
+    d(a + 1)/d(a) = w (a + 1/2)/(a + 1) rises toward w, so I(a + 1)/I(a) <= w
+    and I(a - 1)/I(a) <= a/(w (a - 1/2)), whose product with j rises in j.
+    The summand is about pois(j; lam w), peaking at floor(lam w).
+    """
+
+    def __init__(self, m, w):
+        self._m, self._w = np.asarray(m, dtype=float), validate_snr(w)
+        with np.errstate(divide="ignore"):  # log(0) sends d to its 0 limit
+            self._log_w, self._half_log_1mw = np.log(self._w), 0.5 * np.log1p(-self._w)
+
+    def _start(self, lam):
+        return np.floor(lam * self._w)
+
+    def _value(self, a, live):
+        return specfun._beta_anchor(a, self._w[live], self._step(a, live))
+
+    def _step(self, a, live=slice(None)):
+        log_d = a * self._log_w[live] + self._half_log_1mw[live]
+        return np.exp(log_d - specfun._log_a_beta_half(a))
+
+    def _rho(self, sign, orders, block, value, live):
+        with np.errstate(divide="ignore", invalid="ignore"):  # w = 0: no bound on the left
+            return np.where(sign > 0, self._w[live], orders / (self._w[live] * (orders - 0.5)))
 
 
 def _mixture(k, m, x, terms):
     """The Poisson mixture sum_j pois(j; k*m) * T(m + j) at every entry of
     `x`, each entry with its own Rician K `k` and branch count `m` (arrays
     over `x`, or scalars for all of it), terms(m, part) being the term
-    walk of one series pass over the entries `part` (`specfun.GammaTerms`
-    or `specfun.BetaTerms`).
+    walk over the entries `part` (`GammaTerms` or
+    `BetaTerms`).
 
-    This is where the radio series are grouped: one `poisson_weighted_sum`
-    pass per distinct (K, branches), in order of first appearance, over the
-    entries with x > 0; every entry is its own series in its pass, and the
-    entries with x = 0 are 0.  A pass whose rate the budget does not cover
-    (`specfun.covers`) is not run: no sum could stop, so its entries are
-    flagged as the pass would flag them, without a term built.  Raises the
+    One `poisson_weighted_sum` pass sums every entry with x > 0 whose rate
+    k*m the budget covers (`specfun.covers`), each its own series at its
+    own rate; the entries with x = 0 are 0, and an entry whose rate is not
+    covered gets no term built and is flagged as unconverged.  Raises the
     ConvergenceError of the first entry that ran out of terms, naming its
     series rate k*m, with an `unconverged` mask over all of `x`.
     """
-    k, m, _ = np.broadcast_arrays(k, m, x)
+    shape = np.shape(x)
+    k, m, x = (v.ravel() for v in np.broadcast_arrays(k, m, x))
+    with np.errstate(over="ignore"):  # a rate past the float range is inf
+        lam = k * m
     out = np.zeros_like(x)
-    unconverged = np.zeros(x.shape, dtype=bool)
-    live = x > 0.0
-    for kk, mm in dict.fromkeys(zip(k[live].tolist(), m[live].tolist())):
-        idx = live & (k == kk) & (m == mm)
-        lam = kk * mm
-        if specfun.covers(lam):
-            out[idx], unconverged[idx] = poisson_weighted_sum(lam, terms(mm, x[idx]))
-        else:
-            unconverged[idx] = True
+    run = (x > 0.0) & specfun.covers(lam)
+    unconverged = (x > 0.0) & ~run
+    if run.any():
+        out[run], unconverged[run] = poisson_weighted_sum(lam[run], terms(m[run], x[run]))
     if unconverged.any():
-        i = np.argmax(unconverged)
-        rate = float(k.flat[i]) * int(m.flat[i])  # inf past the float range, with no warning
         raise ConvergenceError(
-            f"Poisson-weighted series did not converge: rate={rate:g}, "
-            f"max_terms={specfun.MAX_TERMS}, rel_tol={specfun.REL_TOL:g}",
-            unconverged,
+            f"Poisson-weighted series did not converge: rate={lam[unconverged][0]:g}, "
+            f"max_rate={specfun.MAX_RATE:g}, rel_tol={specfun.REL_TOL:g}",
+            unconverged.reshape(shape),
         )
-    return out
+    return out.reshape(shape)
 
 
 def mrc_cdf_batch(gammas, params):
     """F(gammas[i]; params[i]) for every i, each point its own series.
 
-    The params may differ in every field.  Params that share k_factor and
-    branches (the series rate) share one series pass, and every point gets
-    exactly the value of `mrc_snr_cdf(gammas[i], params[i])`.  Raises
+    The params may differ in every field.  All points share one series
+    pass, each at its own rate, and every point gets exactly the value of
+    `mrc_snr_cdf(gammas[i], params[i])`.  Raises
     ConvergenceError if any point runs out of terms: its `unconverged`
     mask names those points and its message the series rate of the first.
     """
-    k = np.array([p.k_factor for p in params], dtype=float)
-    m = np.array([p.branches for p in params])
-    mu = np.array([p.avg_snr for p in params], dtype=float)
-    return _mixture(k, m, (k + 1.0) * validate_snr(gammas) / mu, GammaTerms)
+    k, m, mu = _fields(params)
+    with np.errstate(over="ignore"):  # GammaTerms clamps an argument past the float range
+        return _mixture(k, m, (k + 1.0) * validate_snr(gammas) / mu, GammaTerms)
+
+
+def _fields(params):
+    """The arrays of k_factor, branches and avg_snr of a sequence of params."""
+    return (np.array([p.k_factor for p in params], dtype=float), np.array([p.branches for p in params]),
+            np.array([p.avg_snr for p in params], dtype=float))
 
 
 def mrc_gains(z, exps, fading):
@@ -236,7 +368,7 @@ def rf_avg_ber(params: RfParams) -> float:
 
     Poisson mixture over the noncentral expansion: each conditional term is
     half a regularized incomplete beta, P_k = I(m+k, 1/2; w) / 2 with
-    w = (k_factor+1)/(k_factor+1+avg_snr), from `specfun.BetaTerms`.  All
+    w = (k_factor+1)/(k_factor+1+avg_snr), from `BetaTerms`.  All
     terms are positive and bounded by 1, so the series is evaluated to
     relative accuracy even when the result is many orders below 1.
     """
@@ -245,9 +377,7 @@ def rf_avg_ber(params: RfParams) -> float:
 
 
 def rf_avg_ber_batch(params):
-    """`rf_avg_ber` of every params, each its own sum, one series pass per
-    distinct (k_factor, branches).  Raises as `mrc_cdf_batch` does."""
-    k = np.array([p.k_factor for p in params], dtype=float)
-    m = np.array([p.branches for p in params])
-    mu = np.array([p.avg_snr for p in params], dtype=float)
+    """`rf_avg_ber` of every params, each its own sum, all in one series
+    pass.  Raises as `mrc_cdf_batch` does."""
+    k, m, mu = _fields(params)
     return 0.5 * _mixture(k, m, (k + 1.0) / (k + 1.0 + mu), BetaTerms)

@@ -3,16 +3,16 @@ kernel, in numpy and the standard library alone.
 
 The combined radio SNR is a noncentral chi-square variable, so its CDF and
 its average BER are both Poisson mixtures of bounded terms.
-`poisson_weighted_sum` evaluates such a mixture elementwise under one
-fixed truncation budget (`REL_TOL`, `MAX_TERMS`) and flags the entries
-that run out of terms; the closed forms raise them as a `ConvergenceError`
-and never return silently wrong numbers.  `covers` is the rule for the
-rates that budget can cover at all.  The CDF's terms are regularized
-incomplete gammas of integer order (`GammaTerms`) and the BER's are
-regularized incomplete betas I_w(a, 1/2) (`BetaTerms`); each walk costs
-one anchor per entry and then one multiply-add per term, and hands the
-sum each of its two sides a block of orders at a time, equal to the walk
-one order per step bit for bit.
+`poisson_weighted_sum` evaluates such mixtures in one pass over any
+entries, each with its own rate, start and tail bound, under one budget
+(`REL_TOL`, and TERMS_BASE + TERMS_SLOPE sqrt(rate) steps), and flags the
+entries that run out of terms; the closed forms raise them as a
+`ConvergenceError` and never return silently wrong numbers.  `covers` is
+the rule for the rates the budget runs at all (up to `MAX_RATE`).  The
+terms' walks (`rf_channel.GammaTerms`, `rf_channel.BetaTerms`) take their
+anchors from here: `_anchor`, the regularized incomplete gamma of integer
+order, and `_beta_anchor`, the incomplete beta I_w(a, 1/2), with the masses
+`_pois` and the per-order constants of `_ByOrder` tables.
 The two continued fractions, the BER anchor's I_w(a, 1/2) and the
 optical BER's Gamma(q, g) (`upper_gamma`, over arrays), run in one
 modified-Lentz loop, `_lentz`; the two positive series, the CDF anchor's
@@ -26,19 +26,18 @@ a parameter record runs its field checks.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
 
 __all__ = [
     "REL_TOL",
-    "MAX_TERMS",
+    "TERMS_BASE",
+    "TERMS_SLOPE",
+    "MAX_RATE",
     "covers",
     "ConvergenceError",
     "poisson_weighted_sum",
-    "GammaTerms",
-    "BetaTerms",
     "upper_gamma",
     "erfc_sqrt",
     "validate_snr",
@@ -48,21 +47,23 @@ __all__ = [
 
 
 # The truncation budget of every Poisson-weighted series: the target
-# relative error of the truncation, and the cap on the number of terms.
+# relative error of the truncation, and the steps an entry at the rate lam
+# may take, TERMS_BASE + TERMS_SLOPE sqrt(lam), each step one order on each
+# side of its start.  Rates past MAX_RATE get no series.
 REL_TOL = 1e-10
-MAX_TERMS = 512
+TERMS_BASE, TERMS_SLOPE = 64, 20
+MAX_RATE = 1e6
 
 
 def covers(lam):
-    """Whether a sum at the rate lam >= 0 could stop within the budget.
-    Every tail bound of a `poisson_weighted_sum` is at least
-    pois(floor(lam) + MAX_TERMS; lam), so no sum of terms in [0, 1] can stop
-    where that is above 2 REL_TOL, nor from 2**53 on (inf included)."""
-    return lam < 2.0**53 and bool(_pois(int(lam) + MAX_TERMS, lam) <= 2.0 * REL_TOL)
+    """Whether the budget runs a sum at the rate lam, 0 <= lam <= MAX_RATE,
+    elementwise over an array of rates: past MAX_RATE a pass could take
+    more than 20000 steps."""
+    return (0.0 <= lam) & (lam <= MAX_RATE)
 
 
 class ConvergenceError(RuntimeError):
-    """A truncated series failed to reach its tolerance within MAX_TERMS.
+    """A truncated series failed to reach its tolerance within its budget.
 
     `unconverged` is the boolean mask of the failing elements, or None
     when the failure names no array.
@@ -112,64 +113,74 @@ def checked(record):
 
 
 def poisson_weighted_sum(lam, term):
-    """Evaluate sum_{k>=0} pois(k; lam) * T(k) for term values in [0, 1],
-    each entry of the 1-D array T(k) its own series sharing the rate.
+    """sum_{j>=0} pois(j; lam_i) T_i(j) at every entry i of the 1-D rates
+    lam, for terms in [0, 1], each entry its own series at its own rate.
 
-    `term` is called once, at the start order k0 = floor(lam), and returns
-    the block protocol of a `_TermWalk`: (T(k0), right, left), each side
-    an iterator of blocks, one row per order, walking outward (T(k0 + 1),
-    T(k0 + 2), ... on the right, T(k0 - 1) down to T(0) on the left).
-    The sum takes the blocks' rows one order per step, and asks a side for
-    its next block only once it has summed the rows of the last one.
+    `term` is called once, with the rates, and returns a term walk's
+    (`rf_channel._TermWalk`) (j0, T(j0), right, left): each entry's start
+    order and each side a
+    generator of blocks (T, rho), one row per order outward from j0, 0 on
+    the left past order 0, sent the entries still open for each next
+    block.  rho bounds the ratio of each later term to the one before it,
+    so the rest of a side is at most a row's summand times r/(1 - r),
+    r = lam rho/(j + 1) on the right and j rho/lam on the left.
 
-    Terms are accumulated outward from the Poisson mode, so large `lam`
-    costs O(sqrt(lam)) evaluations instead of O(lam) and the weights never
-    underflow prematurely.  The remaining tail is bounded through the
-    frontier weights themselves (geometric-ratio bound), which keeps the
-    stopping rule meaningful even when a sum is many orders of magnitude
-    below 1.  An entry stops once the bound is within REL_TOL of its
-    own partial sum, and later terms are added only to the entries still
-    open, so its value does not depend on the other entries.  At lam = 0
-    the first bound is 0 and the sum is T(0).
-
-    Returns (sums, unconverged): entries still open after MAX_TERMS are
-    flagged in the boolean mask (their sums are partial).
+    An entry takes one order on each side per step, with weights from
+    `_pois`, and stops once its bounds are below eps of its partial sum
+    (or of 1e-300), so the truncation is below the rounding of its terms;
+    its value does not depend on the other entries.  Returns (sums,
+    unconverged): the entries still open after TERMS_BASE + TERMS_SLOPE
+    sqrt(lam) steps, or past MAX_RATE, are flagged (partial sums).
     """
-    if not 0.0 <= lam < math.inf:
-        raise ValueError(f"Poisson rate must be >= 0 and finite, got {lam}")
-    k0 = int(lam)
-    p0 = math.exp(-lam) if k0 == 0 else math.exp(k0 * math.log(lam) - lam - math.lgamma(k0 + 1))
-    value, right, left = term(k0)
-    total = p0 * value  # a fresh array, so adding in place never writes into a term
-    right, left = itertools.chain.from_iterable(right), itertools.chain.from_iterable(left)
-    k_lo = k_hi = k0
-    p_lo = p_hi = p0
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    bad = lam[~((lam >= 0.0) & (lam < math.inf))]
+    if bad.size:
+        raise ValueError(f"Poisson rate must be >= 0 and finite, got {bad[0]}")
+    j0, value, right, left = term(lam)
+    total = _pois(j0, lam) * value  # a fresh array, so adding in place never writes into a term
+    steps = np.where(covers(lam), TERMS_BASE + TERMS_SLOPE * np.sqrt(lam), 0.0)
     open_ = np.ones(total.shape, dtype=bool)
-
-    for _ in range(MAX_TERMS):
-        # Tail bound: the right terms fall at least geometrically with ratio
-        # lam/(k_hi+2), below 1 as k_hi >= floor(lam) unless k_hi + 2 rounds
-        # to lam (past 2**53); the left ones with ratio k_lo/lam, 1 on the
-        # first step for an integer lam, and the left side ends at k = 0.
-        ratio_hi = lam / (k_hi + 2.0)
-        ratio_lo = k_lo / lam if k_lo > 0 else 0.0
-        if ratio_hi < 1.0 and ratio_lo < 1.0:
-            bound = (p_hi * (lam / (k_hi + 1.0)) / (1.0 - ratio_hi)
-                     + p_lo * ratio_lo / (1.0 - ratio_lo))
-            # the bound is a float, so one array comparison per step; the
-            # terms, so the sums, are >= 0
-            open_ &= bound >= 1e-300 and REL_TOL * total < bound
-            if not open_.any():
-                break
-
-        p_hi = p_hi * lam / (k_hi + 1.0)
-        k_hi += 1
-        np.add(total, p_hi * next(right), out=total, where=open_)
-        if k_lo > 0:
-            p_lo = p_lo * k_lo / lam
-            k_lo -= 1
-            np.add(total, p_lo * next(left), out=total, where=open_)
+    rows = zip(_summands(right, 1, j0, lam, open_), _summands(left, -1, j0, lam, open_))
+    for n, ((s_hi, b_hi), (s_lo, b_lo)) in enumerate(rows, 1):
+        live = open_ & (n <= steps)
+        if not live.any():
+            break
+        np.add(total, s_hi, out=total, where=live)
+        np.add(total, s_lo, out=total, where=live)
+        open_ &= ~live | (_EPS * np.maximum(total, _TINY) < b_hi + b_lo)
     return total, open_
+
+
+def _summands(side, sign, j, lam, open_):
+    """The rows (summand, tail bound) over all entries of one side of a
+    `poisson_weighted_sum`, walking from the orders j, from blocks over
+    the entries `live`: all at first, then those still `open_` when the
+    side is sent for its next block."""
+    summand, rho = next(side)
+    live = np.arange(lam.size)
+    while True:
+        orders = j[live] + sign * np.arange(1.0, len(summand) + 1.0)[:, None]
+        j = j + sign * len(summand)
+        # the walk's block, done with, and 0 past order 0 (as its orders here)
+        summand *= _pois(np.maximum(orders, 0.0, out=orders), lam[live])
+        # the ratios may meet 0 * inf or x/0, and the bound inf/inf; each
+        # only where the row gives no bound, which is then inf
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            bound = rho  # in place, as the walk holds rho till its next block
+            bound *= lam[live] / (orders + 1.0) if sign > 0 else orders / lam[live]
+            bound[orders <= 0.0] = 0.0  # nothing is left past order 0
+            none = ~(bound < 1.0)
+            bound /= 1.0 - bound
+            bound *= summand  # the row's summand r/(1 - r) where r < 1
+            bound[none] = math.inf
+        del rho, orders, none
+        for row, tail in zip(summand, bound):  # rows over every entry
+            out = np.zeros((2, lam.size))
+            out[:, live] = row, tail
+            yield out
+        del summand, bound, row, tail  # freed before the next block is made
+        live = np.flatnonzero(open_)
+        summand, rho = side.send(live)
 
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -191,35 +202,47 @@ def _block_len(entries):
     return max(1, min(_BLOCK_ORDERS, _BLOCK_ELEMENTS // entries))
 
 
+class _ByOrder:
+    """f(a) at integer orders a >= 1, elementwise over arrays, from a table
+    of f(1), f(2), ... grown to twice the largest order asked for, so that
+    a per-order constant costs one lookup.  f takes a float array of
+    orders, and each entry of the table is f's at that order alone, so an
+    order gets the same value from the table and from f."""
+
+    def __init__(self, f):
+        self._f, self._table = f, np.empty(0)
+
+    def __call__(self, a, out=None):
+        top = np.max(a, initial=0.0)
+        if top > 2**16:  # past a table of 1 MiB, f itself
+            return self._f(np.asarray(a, dtype=float))
+        if top >= self._table.size:  # entry 0 is a placeholder
+            self._table = np.append(0.0, self._f(np.arange(1.0, 2.0 * top + 1.0)))
+        return np.take(self._table, np.asarray(a, dtype=np.intp), out=out)
+
+
+def _small_orders(a, small, large):
+    """small[a - 1] below order 16 and `large` from 16 on, at every entry of
+    the float array of integer orders a >= 1."""
+    return np.where(a < 16.0, np.take(small, np.minimum(a, 15.0).astype(np.intp) - 1), large)
+
+
 def _stirling_correction(a):
-    """log(a!) - (a + 1/2) log(a) + a - log(2 pi)/2 for an integer a >= 1."""
-    if a < 16:
-        return math.lgamma(a + 1.0) - (a + 0.5) * math.log(a) + a - _HALF_LOG_2PI
+    """log(a!) - (a + 1/2) log(a) + a - log(2 pi)/2 for integer orders a >= 1."""
     # Stirling series; the first omitted term is below 2e-16 at a = 16
     r = 1.0 / (a * a)
-    return (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r * (
-        1.0 / 1680.0 - r / 1188.0)))) / a
+    return _small_orders(a, [math.lgamma(v + 1.0) - (v + 0.5) * math.log(v) + v - _HALF_LOG_2PI
+                             for v in range(1, 16)], (1.0 / 12.0 - r * (1.0 / 360.0 - r * (
+                                 1.0 / 1260.0 - r * (1.0 / 1680.0 - r / 1188.0)))) / a)
 
 
-def _log_norm(a):
-    """log(a!) - a log(a) + a = log(2 pi a)/2 + stirling(a), for an integer a >= 1."""
-    return _HALF_LOG_2PI + 0.5 * math.log(a) + _stirling_correction(a)
-
-
-def _orders(a, const):
-    """(a, const(a)) for one integer order a; for a sequence of orders, a
-    float column of them and the column of const at each, so that an array
-    over the entries broadcasts against them to one row per order.  Each
-    const(a) is a scalar Python float either way, so a row is bit for bit
-    the array of its order alone."""
-    if np.ndim(a) == 0:
-        return a, const(a)
-    return np.array(a, dtype=float)[:, None], np.array([[const(k)] for k in a])
+# log(a!) - a log(a) + a = log(2 pi a)/2 + stirling(a), by order
+_log_norm = _ByOrder(lambda a: _HALF_LOG_2PI + 0.5 * np.log(a) + _stirling_correction(a))
 
 
 def _pois(a, y):
-    """The Poisson mass pois(a; y) = y^a e^-y / a! of an integer a >= 0 at
-    every entry of y >= 0; for a sequence of orders a >= 1, one row per order.
+    """The Poisson mass pois(a; y) = y^a e^-y / a! of the integer orders
+    a >= 0 at y >= 0, elementwise over the broadcast arrays.
 
     Evaluated as exp(a (log u - u + 1) - log(2 pi a)/2 - stirling(a)) with
     u = y/a: log1p carries log u - u + 1 where u is near 1, so the exponent
@@ -227,27 +250,21 @@ def _pois(a, y):
     of the mass in y.  It is never formed as a running product, which
     would underflow long before the tails it multiplies do.
     """
-    if np.ndim(a) == 0 and a == 0:
-        return np.exp(-y)
-    a, log_norm = _orders(a, _log_norm)
-    # in place, and y copied in before a broadcast order meets it, since a
-    # binary op on two broadcast operands buffers both
-    s = np.empty(np.shape(a)[:1] + np.shape(y))  # a row per order of a column
-    s[...] = y
-    s -= a
-    s /= a
-    far = s < -0.5
+    b = np.maximum(a, 1.0)  # the orders 0 are patched in below
+    # in place, so that a block of orders holds few temporaries
+    s = np.subtract(y, b, out=np.empty(np.broadcast_shapes(np.shape(a), np.shape(y))))
+    s /= b
+    log_u = np.divide(y, b, out=np.empty_like(s))
     # log(0) and a * -huge only send the mass to its 0 limit
     with np.errstate(divide="ignore", over="ignore"):
-        log_u = np.empty_like(s)
-        log_u[...] = y
-        log_u /= a
-        np.log(log_u, out=log_u, where=far)
-        np.log1p(s, out=log_u, where=~far)
+        np.log(log_u, out=log_u, where=s < -0.5)
+        np.log1p(s, out=log_u, where=s >= -0.5)
         log_u -= s
-        log_u *= a
-        log_u -= log_norm
-        return np.exp(log_u, out=log_u)
+        log_u *= b
+        log_u -= _log_norm(np.broadcast_to(b, s.shape), out=s)
+        np.exp(log_u, out=log_u)
+    np.copyto(log_u, np.exp(-np.asarray(y)), where=np.equal(a, 0))
+    return log_u
 
 
 def _series(ratios, *params):
@@ -277,18 +294,22 @@ def _series(ratios, *params):
         rest = 1.0 - ratio
         ratio[0] *= term
         terms = np.multiply.accumulate(ratio, axis=0, out=ratio)
-        sums = np.add.accumulate(np.concatenate([last[None], terms]), axis=0)
+        sums = np.concatenate([last[None], terms])
+        np.add.accumulate(sums, axis=0, out=sums)
         # an entry stops before its first term t <= eps S (1 - r), S its
         # sum before t: the geometric bound on the tail from t on
-        stop = terms <= _EPS * sums[:-1] * rest
+        rest *= _EPS * sums[:-1]  # in place, as the walk's blocks are alive
+        stop = terms <= rest
         done = stop.any(axis=0)
         total[open_[done]] = sums[stop[:, done].argmax(axis=0), done]
         open_, last, term, *params = (v[~done] for v in (open_, sums[-1], terms[-1], *params))
+        del ratio, rest, terms, sums, stop  # freed before the next block is made
     return total
 
 
 def _anchor(a, y):
-    """P(a, y) at every entry of y > 0, for an integer order a >= 1.
+    """P(a, y) at every entry of y > 0, for the integer orders a >= 1 of
+    the entries.
 
     Where a > y, P = pois(a; y) S with
     S = 1 + y/(a+1) + y^2/((a+1)(a+2)) + ...; where a <= y,
@@ -299,125 +320,21 @@ def _anchor(a, y):
     """
     direct = y < a
 
-    def ratios(ns, y, direct):
+    def ratios(ns, y, direct, a):
         r = y / (a + ns)
         np.divide(np.maximum(a - ns, 0.0), y, out=r, where=~direct)
         return r
 
-    total = _series(ratios, y, direct)
-    return np.where(direct, _pois(a, y) * total, 1.0 - _pois(a - 1, y) * total)
+    total = _series(ratios, y, direct, a)
+    return np.where(direct, _pois(a, y) * total, 1.0 - _pois(a - 1.0, y) * total)
 
 
-class _TermWalk:
-    """The terms T(a) of a `poisson_weighted_sum`, T(a) being an array
-    of terms that fall in the integer order a, with known steps
-    d(a) = T(a) - T(a + 1) >= 0.  Both term families are tails
-    Pr(N >= a) of a count N, Poisson for `GammaTerms` and negative binomial
-    for `BetaTerms`, so d(a) is the mass Pr(N = a) of that count.
-
-    The block protocol: walk(j) anchors the walk at the order a0 = m + j
-    (`_start`) and returns (T(a0), right, left), each side a generator
-    (`_side`) that yields its next block of orders per next(), one row
-    per order, outward from a0: T(a0 + 1), T(a0 + 2), ... on the right and
-    T(a0 - 1) down to T(m) on the left.  Both sides' blocks hold
-    `_block_len` orders, the left's last one cut at order m, so the sum
-    takes the two sides' blocks in step.  Each order is one multiply-add
-    away from its inner neighbour:
-
-        T(a - 1) = T(a) + d(a - 1)               (left, positive)
-        T(a + 1) = max(T(a) - d(a), 0)           (right)
-
-    A right step cancels, but its absolute error stays a few ulp of
-    T(a0) per step.  That is small against the mixture it feeds: T falls
-    in a and the Poisson weight at or below the mode a0 - m is about 1/2,
-    so the mixture is at least about T(a0)/2, and after the O(sqrt(lam))
-    steps of the walk its relative error stays about sqrt(lam) eps.
-
-    A side holds its frontier and computes a block in one pass, and its
-    values are the per-step walk's bit for bit: one sequential
-    accumulate of the frontier value and the steps (`np.add` on the left,
-    `np.subtract` on the right) takes the same steps in the same order,
-    and on the right a single max(., 0) after it equals the clamp at each
-    step, since every step is >= 0 (once a partial value is below 0,
-    every later one is too).
-    The mass d falls away from its mode on both sides, `mode` holding
-    each entry's, so an entry whose step is 0.0 at an order a beyond its
-    mode (a >= mode on the right, a <= mode on the left) is dead on that
-    side: its later steps there are all 0.0 too, so its value stays
-    where it is, and the walk computes no more steps for it there.
-    Subclasses give `_start(a)` = T(a) and `_step(a, live)` = d(a) at the
-    entries `live` (one row per order for a sequence of orders).
-    """
-
-    def __init__(self, m, mode):
-        self._m, self._mode = m, mode
-
-    def __call__(self, j):
-        a = self._m + j
-        value = self._start(a)
-        return value, self._side(1, a, value), self._side(-1, a, value)
-
-    def _side(self, sign, a, value):
-        """The blocks of values at the orders past a, whose value is
-        `value`, on the side `sign` (+1 right, -1 left), one per next().
-        A block is computed when it is asked for; `live` holds the entries
-        whose steps on this side may still be nonzero."""
-        count, live = _block_len(value.size), np.arange(value.size)
-        while True:
-            if sign > 0:  # T(a + 1) = max(T(a) - d(a), 0)
-                orders = range(a, a + count)
-            else:         # T(a - 1) = T(a) + d(a - 1), down to order m
-                orders = range(a - 1, max(a - 1 - count, self._m - 1), -1)
-            block = steps = self._step(orders, live)
-            dead = (steps[-1] == 0.0) & (sign * orders[-1] >= sign * self._mode[live])
-            if sign > 0:
-                steps[0] = value[live] - steps[0]
-                np.subtract.accumulate(steps, axis=0, out=steps)
-                np.maximum(steps, 0.0, out=steps)
-            else:
-                steps[0] += value[live]
-                np.add.accumulate(steps, axis=0, out=steps)
-            if live.size < value.size:
-                block = np.repeat(value[None], len(orders), axis=0)
-                block[:, live] = steps
-            live = live[~dead]
-            yield block
-            # a copy, so that the block is freed once the next one is made
-            a, value = a + sign * len(orders), block[-1].copy()
-
-
-class GammaTerms(_TermWalk):
-    """The terms T(m + j) = P(m + j, y) of the radio CDF, P(a, y) being
-    the regularized lower incomplete gamma at every entry of the array
-    y > 0, walked as `_TermWalk` describes.
-
-    For an integer order a, P(a, y) = Pr(N >= a) with N ~ Poisson(y), so
-    the step is d(a) = pois(a; y), and the anchor is `_anchor`'s positive
-    series, and the mode is y.  Arguments above the float range are
-    clamped to it, where P is 1.
-    """
-
-    def __init__(self, m, y):
-        self._y = np.minimum(np.asarray(y, dtype=float), _BIG)
-        super().__init__(m, self._y)
-
-    def _start(self, a):
-        return _anchor(a, self._y)
-
-    def _step(self, a, live):
-        return _pois(a, self._y[live])
-
-
-def _log_a_beta_half(a):
-    """log(a B(a, 1/2)) for an integer a >= 1.
-
-    a B(a, 1/2) = 4^a / C(2a, a), which is sqrt(pi a) times
-    exp(2 stirling(a) - stirling(2a)); below 16, where `_stirling_correction`
-    cancels, the integer quotient is rounded once instead."""
-    if a < 16:
-        return math.log(4**a / math.comb(2 * a, a))
-    return (0.5 * math.log(math.pi * a) + 2.0 * _stirling_correction(a)
-            - _stirling_correction(2 * a))
+# log(a B(a, 1/2)) by order.  a B(a, 1/2) = 4^a / C(2a, a), which is
+# sqrt(pi a) times exp(2 stirling(a) - stirling(2a)); below 16, where
+# `_stirling_correction` cancels, the integer quotient is rounded once instead
+_log_a_beta_half = _ByOrder(lambda a: _small_orders(
+    a, [math.log(4**v / math.comb(2 * v, v)) for v in range(1, 16)],
+    0.5 * np.log(np.pi * a) + 2.0 * _stirling_correction(a) - _stirling_correction(2.0 * a)))
 
 
 def _off_zero(v):
@@ -458,8 +375,8 @@ def _lentz(c, d, coefs, *params):
 
 
 def _beta_anchor(a, w, front):
-    """I_w(a, 1/2) at every entry of w in [0, 1], for an integer order
-    a >= 1, given front = w^a (1 - w)^(1/2) / (a B(a, 1/2)).
+    """I_w(a, 1/2) at every entry of w in [0, 1], for integer orders a >= 1
+    (an array over w, or one order for all of it), given front = w^a (1 - w)^(1/2) / (a B(a, 1/2)).
 
     The continued fraction of DLMF 8.17.22,
 
@@ -474,8 +391,8 @@ def _beta_anchor(a, w, front):
     an iteration k being the pair of steps d(2k), d(2k+1).
     """
     direct = w < (a + 1.0) / (a + 2.5)
-    p = np.where(direct, float(a), 0.5)
-    q = np.where(direct, 0.5, float(a))
+    p = np.where(direct, a, 0.5)
+    q = np.where(direct, 0.5, a)
     x = np.where(direct, w, 1.0 - w)
 
     def coefs(k, p, q, x):
@@ -486,39 +403,6 @@ def _beta_anchor(a, w, front):
     d = 1.0 / _off_zero(1.0 - (p + q) * x / (p + 1.0))
     h = _lentz(np.ones_like(x), d, coefs, p, q, x)
     return np.where(direct, front * h, 1.0 - 2.0 * a * front * h)
-
-
-class BetaTerms(_TermWalk):
-    """The terms T(m + j) = I_w(m + j, 1/2) of the radio BER, I being the
-    regularized incomplete beta at every entry of the array w in [0, 1],
-    walked as `_TermWalk` describes.
-
-    The twin of `GammaTerms`: I_w(a, 1/2) = Pr(N >= a) with N negative
-    binomial of shape 1/2 and failure probability w, so the step is its
-    mass d(a) = w^a (1 - w)^(1/2) / (a B(a, 1/2)) (DLMF 8.17.20), formed
-    from logs, so it never underflows before the value it changes does.
-    The anchor is `_beta_anchor`'s continued fraction, and the mode is 0,
-    since the mass falls in a everywhere.
-    """
-
-    def __init__(self, m, w):
-        self._w = np.asarray(w, dtype=float)
-        super().__init__(m, np.zeros_like(self._w))
-        with np.errstate(divide="ignore"):  # log(0) sends d to its 0 limit
-            self._log_w = np.log(self._w)
-            self._half_log_1mw = 0.5 * np.log1p(-self._w)
-
-    def _start(self, a):
-        return _beta_anchor(a, self._w, self._step(a))
-
-    def _step(self, a, live=slice(None)):
-        a, log_norm = _orders(a, _log_a_beta_half)
-        log_d = np.empty(np.shape(a)[:1] + self._w[live].shape)
-        log_d[...] = self._log_w[live]  # filled in place, as `_pois`
-        log_d *= a
-        log_d += self._half_log_1mw[live]
-        log_d -= log_norm
-        return np.exp(log_d, out=log_d)
 
 
 def upper_gamma(q, g):

@@ -42,8 +42,8 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec, mc: McOptions | None) -> list[
     Carlo.
 
     The closed forms run first, in one batch call over the grid, which
-    runs one radio series pass per distinct branch count and K factor;
-    each point keeps the value a lone call would give.  The first failing
+    runs one radio series pass over every point, whatever its branch
+    count and K factor; each point keeps the value a lone call would give.  The first failing
     grid point raises, its error gaining the axis value without losing its
     type; a ConvergenceError keeps its `unconverged` mask, whose entry i
     is grid point i.  Monte Carlo then runs once for the whole grid: its

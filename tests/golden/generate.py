@@ -91,14 +91,25 @@ def cases():
         # a BER of 24% relative standard error: the report adds mc_warning
         out[f"{command}-unreliable"] = ([command] + run, config(
             power_w=1.0, mc={"trials": 1000, "seed": 1}))
+    for quantity in ("outage", "ber"):
+        # K from 10 to 30 dB at M = 4: the series rate K M passes 300 near 19 dB
+        spec = _sweep("k_factor_db", 10.0, 30.0, 11, quantity)
+        out[f"sweep-k_factor_db-{quantity}"] = (["sweep"] + run, config(
+            branches=4, sweep=spec, mc=mc))
+        out[f"sweep-k_factor_db-{quantity}-no-mc"] = (["sweep", "--no-mc"] + run, config(
+            branches=4, sweep=spec))
     out["validate"] = (["validate"] + run + ["--trials", "140000", "--seed", "5"], config())
     for quantity in ("outage", "ber"):
+        # K = 20 dB with M = 4, rate 400
         out[f"unconverged-{quantity}"] = (["sweep", "--no-mc"] + run, config(
             k_db=20.0, branches=4,
             sweep=_sweep("rf_avg_snr_db", -10.0, 40.0, 51, quantity)))
-        # mixed fading: the first failing point is past the first (K, M) group
+        # rates 100 to 800: once past what a mode-anchored series could sum
         out[f"unconverged-branches-{quantity}"] = (["sweep", "--no-mc"] + run, config(
             k_db=20.0, snr_db=20.0, sweep=_sweep("branches", 1, 8, 8, quantity)))
+    # K = 60 dB with M = 4, a rate past specfun.MAX_RATE: exit 3
+    out["refused-rate"] = (["sweep", "--no-mc"] + run, config(
+        k_db=60.0, branches=4, sweep=_sweep("rf_avg_snr_db", 0.0, 20.0, 3, "outage")))
     out["config-error"] = (["outage"] + run, config(branches=0))
     return out
 

@@ -6,7 +6,6 @@ quadrature of defining integrals, and mpmath at high precision. Tests
 compare library outputs against these, never against the library itself.
 """
 
-import itertools
 import math
 
 import mpmath
@@ -14,17 +13,11 @@ import numpy as np
 from scipy import integrate, stats
 from scipy import special as sc
 
-from rfvlc import specfun
+from rfvlc import rf_channel, specfun
 from rfvlc.specfun import (
-    _BIG,
     _EPS,
-    _HALF_LOG_2PI,
-    MAX_TERMS,
     REL_TOL,
     ConvergenceError,
-    _beta_anchor,
-    _log_a_beta_half,
-    _stirling_correction,
     erfc_sqrt,
 )
 from rfvlc.vlc_channel import VlcParams, derive
@@ -161,6 +154,52 @@ def mrc_cdf_mp(snr, k_factor, branches, avg_snr, dps=40):
             j += 1
 
 
+def poisson_mixture_mp(lam, term, dps=30):
+    """sum_j pois(j; lam) term(j) by mpmath at `dps` digits, for a summand
+    with one peak: the peak is the largest summand on a grid of 201 orders
+    over [0, lam + 40 sqrt(lam) + 40], and the sum runs outward from it on
+    each side until a summand is below 10^-dps of the sum."""
+    with mpmath.workdps(dps):
+        lam = mpmath.mpf(float(lam))
+
+        def summand(j):
+            weight = mpmath.exp(j * mpmath.log(lam) - lam - mpmath.loggamma(j + 1)) if lam else mpmath.mpf(j == 0)
+            return weight * term(j)
+
+        top = int(float(lam + 40 * mpmath.sqrt(lam) + 40))
+        grid = sorted({round(top * i / 200) for i in range(201)})
+        peak = max(grid, key=summand)
+        total = summand(peak)
+        for sign in (1, -1):
+            j = peak + sign
+            while j >= 0:
+                value = summand(j)
+                total += value
+                if value < mpmath.mpf(10) ** -dps * total:
+                    break
+                j += sign
+        return float(total)
+
+
+def mrc_cdf_peak_mp(snr, k_factor, branches, avg_snr, dps=30):
+    """`mrc_cdf_mp` summed from the peak of its summand (`poisson_mixture_mp`),
+    for rates where a sum from j = 0 is too long."""
+    with mpmath.workdps(dps):
+        y = (mpmath.mpf(k_factor) + 1) * mpmath.mpf(float(snr)) / mpmath.mpf(avg_snr)
+        return poisson_mixture_mp(k_factor * branches, lambda j: mpmath.gammainc(
+            branches + j, 0, y, regularized=True), dps)
+
+
+def rf_ber_mp(k_factor, branches, avg_snr, dps=30):
+    """The radio BER's Poisson mixture sum_j pois(j; K M) I_w(M + j, 1/2)/2,
+    w = (K+1)/(K+1+avg_snr), by mpmath from the peak of its summand."""
+    with mpmath.workdps(dps):
+        k = mpmath.mpf(k_factor)
+        w = (k + 1) / (k + 1 + mpmath.mpf(avg_snr))
+        return poisson_mixture_mp(k_factor * branches, lambda j: mpmath.betainc(
+            branches + j, mpmath.mpf(1) / 2, 0, w, regularized=True), dps) / 2
+
+
 def mrc_ppf_ref(q, k_factor, branches, avg_snr):
     """Quantiles of the diversity-combined SNR through scipy.stats.ncx2."""
     scale = avg_snr / (2.0 * (k_factor + 1.0))
@@ -207,6 +246,10 @@ def meijer_ref(shift, z, dps=50):
     with mpmath.workdps(dps):
         val = mpmath.meijerg([[shift], [1]], [[0, mpmath.mpf(1) / 2], []], mpmath.mpf(z))
         return float(val)
+
+
+# The fixed term budget of the scalar reference sum below
+MAX_TERMS = 512
 
 
 # Special functions that sit on no library path, kept here as references:
@@ -522,126 +565,125 @@ def poisson_weighted_sum(lam, term, *, rel_tol=REL_TOL, max_terms=MAX_TERMS, abs
 
 
 def block_terms(term):
-    """A term function of one order, term(k) a 1-D array, in the block
-    protocol of `specfun.poisson_weighted_sum`: called once, at the start
-    order k0, it returns (term(k0), right, left), each side yielding
-    blocks of `specfun._block_len` orders, one row per order, outward from
-    k0, the left's last block cut at order 0, as a `specfun._TermWalk`
-    does."""
-    def walk(k0):
-        value = term(k0)
-        count = specfun._block_len(value.size)
+    """A term function of one order, term(k) a 1-D array over the entries,
+    in the block protocol of `specfun.poisson_weighted_sum`: called once,
+    with the rates, it starts every entry at floor(lam) and returns
+    (j0, term(j0), right, left), each side yielding blocks (values, rho) of
+    `rf_channel._WALK_ORDERS` orders, one row per order, outward from j0, the
+    left's values 0 past order 0, over all entries or over the entries a
+    send() names.  rho is the ratio of each row to the one before it, a
+    bound for log-concave terms, as `rf_channel._TermWalk` gives."""
+    def walk(lam):
+        j0 = np.floor(lam)
+        value = np.array([term(int(j))[i] for i, j in enumerate(j0)])
 
         def side(sign):
-            k = k0
+            j, prev, live = j0, value.copy(), np.arange(j0.size)
             while True:
-                if sign > 0:
-                    orders = range(k + 1, k + 1 + count)
-                else:
-                    orders = range(k - 1, max(k - 1 - count, -1), -1)
-                yield np.array([term(a) for a in orders])
-                k = orders[-1]
+                orders = j[live] + sign * np.arange(1.0, rf_channel._WALK_ORDERS + 1.0)[:, None]
+                block = np.array([[term(int(o))[i] if o >= 0 else 0.0 for i, o in zip(live, row)]
+                                  for row in orders])
+                ratio = np.zeros_like(block)
+                np.divide(block, np.concatenate([prev[live][None], block[:-1]]), out=ratio,
+                          where=block > 0.0)
+                # a copy of the frontier, as the sum overwrites the block
+                j, prev[live] = j + sign * rf_channel._WALK_ORDERS, block[-1]
+                sent = yield block, ratio
+                live = live if sent is None else sent
 
-        return value, side(1), side(-1)
+        return j0, value, side(1), side(-1)
 
     return walk
 
 
 def rows(side):
-    """The rows of a walk side's blocks, one order per next()."""
-    return itertools.chain.from_iterable(side)
+    """The value rows of a walk side's blocks, one order per next()."""
+    return (row for values, _ in side for row in values)
 
 
-# The radio series walked one order per step, as it stood before the walk
-# computed its steps a block of orders ahead, kept word for word (the
-# budget read from `specfun` when a series runs) as the reference the
-# block walk must equal bit for bit.
-def step_weighted_sum(lam, term):
-    """Evaluate sum_{k>=0} pois(k; lam) * term(k) for term values in [0, 1],
-    each entry of the 1-D array term(k) its own series sharing the rate.
+# The radio series summed one order per step, as a reference that
+# `specfun.poisson_weighted_sum` and the block walk of `rf_channel._TermWalk`
+# must equal bit for bit.  Each entry starts at the peak of its summand
+# (`_start`), and the per-order functions are the walk's own (`_value`,
+# `_step`, `_rho`) and `step_pois`; what this checks is the block
+# arithmetic: each right order anchored at the far order of its block of
+# `rf_channel._WALK_ORDERS` orders and summed inward, each left order one
+# step from its neighbour, every weight and bound taken one order at a time.
+def step_weighted_sum(lam, walk):
+    """Evaluate sum_{j>=0} pois(j; lam_i) * T_i(j) at every entry i of the
+    rates lam, one order per step on each side of each entry's start, with
+    the stopping rule and budget of `specfun.poisson_weighted_sum`.
 
-    Terms are accumulated outward from the Poisson mode, so large `lam`
-    costs O(sqrt(lam)) evaluations instead of O(lam) and the weights never
-    underflow prematurely.  The remaining tail is bounded through the
-    frontier weights themselves (geometric-ratio bound), which keeps the
-    stopping rule meaningful even when a sum is many orders of magnitude
-    below 1.  An entry stops once the bound is within REL_TOL of its
-    own partial sum, and later terms are added only to the entries still
-    open, so its value does not depend on the other entries.  At lam = 0
-    the first bound is 0 and the sum is term(0).
-
-    Returns (sums, unconverged): entries still open after MAX_TERMS are
-    flagged in the boolean mask (their sums are partial).
-    """
-    if lam < 0.0:
-        raise ValueError(f"Poisson rate must be >= 0, got {lam}")
-    k0 = int(lam)
-    p0 = math.exp(-lam) if k0 == 0 else math.exp(k0 * math.log(lam) - lam - math.lgamma(k0 + 1))
-    total = p0 * term(k0)  # a fresh array, so adding in place never writes into a term
-    k_lo = k_hi = k0
-    p_lo = p_hi = p0
+    Returns (sums, unconverged)."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    m, width = walk._m, rf_channel._WALK_ORDERS
+    j0 = walk._start(lam)
+    value = walk._value(m + j0, slice(None))
+    total = step_pois(j0, lam) * value
+    steps = np.where(specfun.covers(lam), specfun.TERMS_BASE + specfun.TERMS_SLOPE * np.sqrt(lam), 0.0)
     open_ = np.ones(total.shape, dtype=bool)
-
-    for _ in range(specfun.MAX_TERMS):
-        # Tail bound: the right terms fall at least geometrically with ratio
-        # lam/(k_hi+2), below 1 as k_hi >= floor(lam) unless k_hi + 2 rounds
-        # to lam (past 2**53); the left ones with ratio k_lo/lam, 1 on the
-        # first step for an integer lam, and the left side ends at k = 0.
-        ratio_hi = lam / (k_hi + 2.0)
-        ratio_lo = k_lo / lam if k_lo > 0 else 0.0
-        if ratio_hi < 1.0 and ratio_lo < 1.0:
-            bound = (p_hi * (lam / (k_hi + 1.0)) / (1.0 - ratio_hi)
-                     + p_lo * ratio_lo / (1.0 - ratio_lo))
-            open_ &= ~((bound <= specfun.REL_TOL * np.abs(total)) | (bound < 1e-300))
-            if not open_.any():
-                break
-
-        p_hi = p_hi * lam / (k_hi + 1.0)
-        k_hi += 1
-        np.add(total, p_hi * term(k_hi), out=total, where=open_)
-        if k_lo > 0:
-            p_lo = p_lo * k_lo / lam
-            k_lo -= 1
-            np.add(total, p_lo * term(k_lo), out=total, where=open_)
-    return total, open_
+    hi = lo = value
+    n = 0
+    while True:
+        n += 1
+        live = open_ & (n <= steps)
+        if not live.any():
+            return total, open_
+        bounds = []
+        # right: the value at the far order of this order's block, then the
+        # steps down to this order, one at a time
+        far = m + j0 + width * math.ceil(n / width)
+        right = walk._value(far, slice(None))
+        for a in range(width * math.ceil(n / width) - 1, n - 1, -1):
+            right = right + walk._step(m + j0 + a, slice(None))
+        # left: one step from the last order, 0 past order m
+        a = m + j0 - n
+        left = np.where(a >= m, lo + walk._step(np.maximum(a, m), slice(None)), 0.0)
+        for sign, new, prev in ((1, right, hi), (-1, left, lo)):
+            j = j0 + sign * n
+            rho = walk._rho(sign, np.maximum(m + j, m)[None], new[None], prev, slice(None))[0]
+            summand = step_pois(np.maximum(j, 0.0), lam) * new
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                r = rho * (lam / (j + 1.0) if sign > 0 else np.maximum(j, 0.0) / lam)
+                r = np.where(j <= 0.0, 0.0, r)
+                bounds.append(np.where(r < 1.0, r / (1.0 - r) * summand, math.inf))
+            np.add(total, summand, out=total, where=live)
+        hi, lo = right, left
+        open_ &= ~live | (specfun._EPS * np.maximum(total, specfun._TINY) < bounds[0] + bounds[1])
 
 
 def step_pois(a, y):
-    """The Poisson mass pois(a; y) = y^a e^-y / a! of an integer a >= 0 at
-    every entry of the array y > 0.
-
-    Evaluated as exp(a (log u - u + 1) - log(2 pi a)/2 - stirling(a)) with
-    u = y/a: log1p carries log u - u + 1 where u is near 1, so the exponent
-    is accurate to a few ulp of itself plus eps |y - a|, the conditioning
-    of the mass in y.  It is never formed as a running product, which
-    would underflow long before the tails it multiplies do.
-    """
-    if a == 0:
-        return np.exp(-y)
-    s = (y - a) / a
-    # log(0) and a * -huge only send the mass to its 0 limit
-    with np.errstate(divide="ignore", over="ignore"):
-        log_u = np.where(s < -0.5, np.log(y / a), np.log1p(np.maximum(s, -0.5)))
-        return np.exp(a * (log_u - s) - (_HALF_LOG_2PI + 0.5 * math.log(a)
-                                            + _stirling_correction(a)))
+    """The Poisson mass pois(a; y) = y^a e^-y / a! of the integer orders
+    a >= 0 at every entry of the array y >= 0, as `specfun._pois` forms it,
+    with its per-order constant `specfun._log_norm`, one entry at a time."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(y)))
+    for i, (order, v) in enumerate(np.broadcast(a, y)):
+        if order == 0:
+            out.flat[i] = np.exp(-np.float64(v))
+            continue
+        s = (v - order) / order
+        with np.errstate(divide="ignore", over="ignore"):
+            log_u = np.log(np.float64(v) / order) if s < -0.5 else np.log1p(np.float64(s))
+            out.flat[i] = np.exp(order * (log_u - s) - specfun._log_norm(order))
+    return out
 
 
 def step_anchor(a, y):
-    """P(a, y) at every entry of y > 0, for an integer order a >= 1.
+    """P(a, y) at every entry of y > 0, for integer orders a >= 1, as
+    `specfun._anchor` sums it, one term per step over all entries: the
+    reference its block series (`specfun._series`) must equal bit for bit.
 
     Where a > y, P = pois(a; y) S with
     S = 1 + y/(a+1) + y^2/((a+1)(a+2)) + ...; where a <= y,
     P = 1 - pois(a-1; y) R with R = 1 + (a-1)/y + (a-1)(a-2)/y^2 + ...,
-    so P is summed directly where it is below about 1/2 and through its
-    complement where it is above.  Both series have positive terms with
-    falling ratios below 1, and each entry stops on its own once the
-    geometric bound on its tail is below eps of its partial sum, so its
-    value does not depend on the other entries.
+    each entry stopping on its own once the geometric bound on its tail is
+    below eps of its partial sum.
     """
+    a = np.broadcast_to(np.asarray(a, dtype=float), y.shape)
     direct = y < a
 
     def ratio(n):
-        return np.where(direct, y / (a + n), max(a - n, 0) / y)
+        return np.where(direct, y / (a + n), np.maximum(a - n, 0.0) / y)
 
     term = np.ones_like(y)
     total = np.ones_like(y)
@@ -656,96 +698,4 @@ def step_anchor(a, y):
         total = np.where(open_, total + term, total)
         n += 1
         r = ratio(n)
-    return np.where(direct, step_pois(a, y) * total, 1.0 - step_pois(a - 1, y) * total)
-
-
-class _StepWalk:
-    """term(j) = T(m + j) for the orders `poisson_weighted_sum` asks for,
-    T(a) being an array of terms that fall in the integer order a, with
-    known steps d(a) = T(a) - T(a + 1) >= 0.  Both term families are tails
-    Pr(N >= a) of a count N, Poisson for `GammaTerms` and negative binomial
-    for `BetaTerms`, so d(a) is the mass Pr(N = a) of that count.
-
-    The first call anchors the walk at its order a0 (`_start`); after that
-    only the neighbours of the two frontier orders may be asked for, each
-    one multiply-add away:
-
-        T(a - 1) = T(a) + d(a - 1)               (left, positive)
-        T(a + 1) = max(T(a) - d(a), 0)           (right)
-
-    A right step cancels, but its absolute error stays a few ulp of
-    T(a0) per step.  That is small against the mixture it feeds: T falls
-    in a and the Poisson weight at or below the mode a0 - m is about 1/2,
-    so the mixture is at least about T(a0)/2, and after the O(sqrt(lam))
-    steps of the walk its relative error stays about sqrt(lam) eps.
-    Subclasses give `_start(a)` = T(a) and `_step(a)` = d(a).
-    """
-
-    def __init__(self, m):
-        self._m = m
-        self._lo = self._hi = None  # (order, value) at each frontier
-
-    def __call__(self, j):
-        a = self._m + j
-        if self._lo is None:
-            p = self._start(a)
-            self._lo = self._hi = (a, p)
-        elif a == self._lo[0] - 1:
-            p = self._lo[1] + self._step(a)
-            self._lo = (a, p)
-        elif a == self._hi[0] + 1:
-            p = np.maximum(self._hi[1] - self._step(a - 1), 0.0)
-            self._hi = (a, p)
-        else:
-            raise ValueError(f"order {a} is not next to the walked orders "
-                             f"{self._lo[0]}..{self._hi[0]}")
-        return p
-
-
-class StepGammaTerms(_StepWalk):
-    """term(j) = P(m + j, y), P(a, y) being the regularized lower
-    incomplete gamma at every entry of the array y > 0: the terms of the
-    radio CDF, walked as `_TermWalk` describes.
-
-    For an integer order a, P(a, y) = Pr(N >= a) with N ~ Poisson(y), so
-    the step is d(a) = pois(a; y), and the anchor is `_anchor`'s positive
-    series.  Arguments above the float range are clamped to it, where P
-    is 1.
-    """
-
-    def __init__(self, m, y):
-        super().__init__(m)
-        self._y = np.minimum(np.asarray(y, dtype=float), _BIG)
-
-    def _start(self, a):
-        return step_anchor(a, self._y)
-
-    def _step(self, a):
-        return step_pois(a, self._y)
-
-
-class StepBetaTerms(_StepWalk):
-    """term(j) = I_w(m + j, 1/2), I being the regularized incomplete beta
-    at every entry of the array w in [0, 1]: the terms of the radio BER,
-    walked as `_TermWalk` describes.
-
-    The twin of `GammaTerms`: I_w(a, 1/2) = Pr(N >= a) with N negative
-    binomial of shape 1/2 and failure probability w, so the step is its
-    mass d(a) = w^a (1 - w)^(1/2) / (a B(a, 1/2)) (DLMF 8.17.20), formed
-    from logs, so it never underflows before the value it changes does.
-    The anchor is `_beta_anchor`'s continued fraction.
-    """
-
-    def __init__(self, m, w):
-        super().__init__(m)
-        self._w = np.asarray(w, dtype=float)
-        with np.errstate(divide="ignore"):  # log(0) sends d to its 0 limit
-            self._log_w = np.log(self._w)
-            self._half_log_1mw = 0.5 * np.log1p(-self._w)
-
-    def _start(self, a):
-        return _beta_anchor(a, self._w, self._step(a))
-
-    def _step(self, a):
-        return np.exp(a * self._log_w + self._half_log_1mw - _log_a_beta_half(a))
-
+    return np.where(direct, step_pois(a, y) * total, 1.0 - step_pois(a - 1.0, y) * total)

@@ -421,32 +421,33 @@ class TestRunSweep:
             assert abs(r.mc_estimate - r.analytic) < 6.0 * r.mc_std_error + 1e-9
 
     def test_convergence_error_carries_grid_mask(self):
-        # K = 20 dB with M = 4 over 0..20 dB: the series runs out of terms
-        # from 10 dB on, and entry i of the mask is grid point i
+        # K over 0..90 dB with M = 2: the rate passes MAX_RATE from 60 dB
+        # on, and entry i of the mask is grid point i
         from rfvlc.specfun import ConvergenceError
 
-        parsed = parse_config(doc_with(k_factor_db="20", branches="4"))
+        parsed = parse_config(DOC)
+        spec = SweepSpec("k_factor_db", 0.0, 90.0, 4, "outage")
         with pytest.raises(ConvergenceError) as ei:
-            run_sweep(parsed.system, parsed.sweep, None)
-        assert ei.value.unconverged.tolist() == [False, False, True, True, True]
+            run_sweep(parsed.system, spec, None)
+        assert ei.value.unconverged.tolist() == [False, False, True, True]
 
     def test_error_carries_axis_context(self):
         from rfvlc.specfun import ConvergenceError
 
-        parsed = parse_config(doc_with(k_factor_db="50", branches="4"))
+        parsed = parse_config(doc_with(k_factor_db="70", branches="4"))
         with pytest.raises(ConvergenceError) as ei:
             run_sweep(parsed.system, parsed.sweep, None)
         assert "rf_avg_snr_db = 0" in str(ei.value)
 
     @pytest.mark.parametrize("quantity", ["outage", "ber"])
     def test_first_failing_grid_point_raises(self, quantity):
-        # K = 20 dB with M = 4: the series runs out of terms at 1000 dB, and
-        # 4000 dB overflows to an infinite SNR later on the same grid
+        # K = 70 dB with M = 4: the rate is past MAX_RATE from the first
+        # point, and 4000 dB overflows to an infinite SNR later on the grid
         from rfvlc.specfun import ConvergenceError
 
-        parsed = parse_config(doc_with(k_factor_db="20", branches="4"))
+        parsed = parse_config(doc_with(k_factor_db="70", branches="4"))
         spec = SweepSpec("rf_avg_snr_db", 0.0, 4000.0, 5, quantity)
-        with pytest.raises(ConvergenceError, match="^at rf_avg_snr_db = 1000: "):
+        with pytest.raises(ConvergenceError, match="^at rf_avg_snr_db = 0: "):
             run_sweep(parsed.system, spec, None)
         # with every series converging, the later failure is the first one
         with pytest.raises(ValueError, match="^at rf_avg_snr_db = 4000: "):
@@ -620,8 +621,9 @@ class TestCli:
         assert sorted(keys) == [(0,), (1,), (2,)]
 
     def test_mid_grid_convergence_error_matches_no_mc(self, cfg_file, capsys):
-        # K = 20 dB with M = 4 converges at 0 and 5 dB, not at 10 dB
-        path = cfg_file(doc_with(k_factor_db="20", branches="4"))
+        # K over 0..90 dB with M = 2 converges at 0 and 30 dB, not at
+        # 60 dB, where the rate is past MAX_RATE
+        path = cfg_file(doc_with(axis="k_factor_db", start="0", stop="90", points="4"))
         reports = []
         for extra in ([], ["--no-mc"]):
             rc = cli.main(["sweep", "--config", path] + extra)
@@ -631,8 +633,8 @@ class TestCli:
         rc, out, err = reports[0]
         assert rc == 3 and out == ""
         assert err == (
-            "convergence error: at rf_avg_snr_db = 10: Poisson-weighted series did not "
-            "converge: rate=400, max_terms=512, rel_tol=1e-10\n"
+            "convergence error: at k_factor_db = 60: Poisson-weighted series did not "
+            "converge: rate=2e+06, max_rate=1e+06, rel_tol=1e-10\n"
         )
 
     @pytest.mark.parametrize("command", ["outage", "ber"])
@@ -657,7 +659,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert (rc, captured.out) == (3, "")
         assert captured.err == ("convergence error: Poisson-weighted series did not converge: "
-                                f"rate={rate}, max_terms=512, rel_tol=1e-10\n")
+                                f"rate={rate}, max_rate=1e+06, rel_tol=1e-10\n")
 
     @pytest.mark.parametrize("command", ["outage", "sweep"])
     def test_unwritable_out_is_config_error(self, cfg_file, tmp_path, capsys, command):
@@ -798,7 +800,7 @@ class TestCli:
             assert captured.err == "config error: trials must be an integer >= 1000, got 10\n"
 
     def test_convergence_exit_code(self, cfg_file, capsys):
-        rc = cli.main(["outage", "--config", cfg_file(doc_with(k_factor_db="50", branches="4")), "--no-mc"])
+        rc = cli.main(["outage", "--config", cfg_file(doc_with(k_factor_db="70", branches="4")), "--no-mc"])
         err = capsys.readouterr().err
         assert rc == 3
         assert "convergence error" in err

@@ -45,7 +45,7 @@ def test_config_docstring_example_parses():
 def test_readme_library_snippet():
     snippet = _fenced("python")
     printed = re.search(r"^outage_probability\(cfg\) +# (\S+)$", snippet, re.M).group(1)
-    assert printed == "0.10969812690047864"
+    assert printed == "0.10969812690047863"
     namespace = {}
     exec(snippet, namespace)
     assert namespace["outage_probability"](namespace["cfg"]) == float(printed)

@@ -225,16 +225,16 @@ class TestBatches:
             assert values.shape == floors.shape == (0,)
 
     def test_failing_entries_raise_for_the_batch(self):
-        # K = 20 dB with M = 4 (rate 400) fails the outage at 10 dB but not
-        # the BER; K = 30 dB with M = 1 (rate 1000) fails both at 30 dB.  The
-        # rate-1000 group comes first in the list but fails later.
+        # rates 3e6 and 2e6 are past MAX_RATE and fail both closed forms;
+        # K = 20 dB with M = 4 (rate 400) converges.  The first failing
+        # entry names its rate.
         cfgs = self.CONVERGING[:3] + [
-            make_cfg(avg_snr=1.0, branches=1, k_factor=1000.0),
+            make_cfg(avg_snr=1.0, branches=1, k_factor=3e6),
             make_cfg(avg_snr=10.0, branches=4, k_factor=100.0),
-            make_cfg(avg_snr=1000.0, branches=1, k_factor=1000.0),
+            make_cfg(avg_snr=1000.0, branches=1, k_factor=2e6),
         ]
-        for batch, lone, rate in ((outage_batch, outage_probability, "rate=400,"),
-                                  (ber_batch, e2e_avg_ber, "rate=1000,")):
+        for batch, lone, rate in ((outage_batch, outage_probability, "rate=3e[+]06,"),
+                                  (ber_batch, e2e_avg_ber, "rate=3e[+]06,")):
             lones = [_lone_or_error(lambda: lone(c)) for c in cfgs]
             with pytest.raises(ConvergenceError, match=rate) as info:
                 batch(cfgs)

@@ -108,6 +108,15 @@ class TestMrcPdf:
         np.testing.assert_allclose(got, stats.gamma.pdf(g, m, scale=mu), rtol=1e-13,
                                    atol=1e-13 * np.finfo(float).tiny)
 
+    @pytest.mark.parametrize("k,m", [(0.0, 2), (0.0, 1), (1.0, 1), (1.0, 2)])
+    def test_argument_past_the_float_range(self, k, m):
+        # (k+1) g/mu overflows: the density is its limit 0 and the CDF
+        # about 1, with no warning (pytest makes a RuntimeWarning an error)
+        p = RfParams(k_factor=k, branches=m, avg_snr=1e-300)
+        assert mrc_snr_pdf(1e300, p) == 0.0
+        assert mrc_snr_pdf(np.array([1e300, 0.0]), p)[0] == 0.0
+        assert mrc_snr_cdf(1e300, p) == pytest.approx(1.0, rel=1e-12)
+
     def test_value_at_origin(self):
         assert mrc_snr_pdf(0.0, RfParams(k_factor=2.0, branches=1, avg_snr=1.0)) == pytest.approx(
             3.0 * math.exp(-2.0), rel=1e-13
@@ -403,13 +412,76 @@ class TestDiversityOrder:
         assert max(last) < max(1e-7, floor)
 
     @pytest.mark.parametrize("closed_form", ["cdf", "ber"])
-    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
-                       reason="rate 253 fails from 50 dB up: the walk starts at "
-                              "the Poisson mode, far from the deep left tail")
     def test_deep_left_tail_at_rate_253(self, closed_form):
+        # each series starts at the peak of its own summand, so the deep
+        # left tail converges
         p = RfParams(k_factor=10.0 ** 1.5, branches=8, avg_snr=1e6)
         value = mrc_snr_cdf(1.0, p) if closed_form == "cdf" else rf_avg_ber(p)
         assert value > 0.0
+
+
+# Line-of-sight links whose radio series the mode-anchored walk of earlier
+# versions could not sum (K in dB, M): at threshold 0.1 from K M = 253 on
+BASELINE_ROWS = [(15.0, 8), (25.0, 1), (20.0, 4), (17.0, 8), (25.0, 2), (30.0, 1),
+                 (30.0, 8), (40.0, 1)]
+
+
+class TestLineOfSight:
+    """The radio closed forms of strong line-of-sight links, rates 253 to
+    1e4, over 51 average SNRs in [-10, 40] dB."""
+
+    @pytest.mark.parametrize("k_db, m", BASELINE_ROWS)
+    def test_every_point_converges(self, k_db, m):
+        k = 10.0 ** (k_db / 10.0)
+        params = [RfParams(k, m, 10.0 ** (s / 10.0)) for s in np.linspace(-10.0, 40.0, 51)]
+        for threshold in (0.1, 1.0):
+            assert np.all(np.isfinite(mrc_cdf_batch([threshold] * 51, params)))
+        assert np.all(np.isfinite(rf_avg_ber_batch(params)))
+
+    @pytest.mark.parametrize("k_db, m", BASELINE_ROWS)
+    def test_matches_mpmath(self, k_db, m):
+        # at -10, 15 and 40 dB; 0 where the true value underflows
+        k = 10.0 ** (k_db / 10.0)
+        for snr_db in (-10.0, 15.0, 40.0):
+            mu = 10.0 ** (snr_db / 10.0)
+            p = RfParams(k, m, mu)
+            pairs = [(mrc_snr_cdf(g, p), oracles.mrc_cdf_peak_mp(g, k, m, mu, dps=20))
+                     for g in (0.1, 1.0)]
+            pairs.append((rf_avg_ber(p), oracles.rf_ber_mp(k, m, mu, dps=20)))
+            for got, want in pairs:
+                if want >= 1e-300:
+                    assert got == pytest.approx(want, rel=REL_TOL, abs=0.0), (snr_db, want)
+                else:
+                    assert got <= 1e-300, (snr_db, want)
+
+    @pytest.mark.parametrize("quantity", ["outage", "ber"])
+    def test_branches_sweep_at_17_db(self, quantity):
+        # rates 50 to 401: every branch count converges
+        from golden.generate import config
+        from rfvlc.config import SweepSpec, parse_config
+        from rfvlc.sweep import run_sweep
+
+        doc = config(k_db=17.0, branches=4, snr_db=20.0)
+        records = run_sweep(parse_config(doc).system, SweepSpec("branches", 1, 8, 8, quantity), None)
+        assert [r.axis_value for r in records] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+        assert all(0.0 < r.analytic < 1.0 for r in records)
+
+    def test_mixed_batch_is_one_pass(self, monkeypatch):
+        # mixed K and branch counts, rates 0 to 1e4: one series pass per
+        # closed form
+        calls = []
+
+        def counted(lam, term):
+            calls.append(lam.size)
+            return poisson_weighted_sum(lam, term)
+
+        monkeypatch.setattr(rf_channel, "poisson_weighted_sum", counted)
+        params = [RfParams(10.0 ** (k_db / 10.0) if k_db is not None else 0.0, m, 10.0 ** (s / 10.0))
+                  for k_db, m, s in [(None, 1, 0.0), (5.0, 2, 7.0), (17.0, 4, 20.0), (40.0, 1, 10.0),
+                                     (20.0, 8, -5.0), (5.0, 2, 30.0)]]
+        mrc_cdf_batch([1.0] * len(params), params)
+        rf_avg_ber_batch(params)
+        assert calls == [len(params), len(params)]
 
 
 def _scalar_or_failed(fn):
@@ -452,8 +524,8 @@ def _ber_batch(params):
 
 
 class TestBatch:
-    """One series pass per fading group gives each point its lone value,
-    or raises for the points that fail."""
+    """One series pass over the batch gives each point its lone value, or
+    raises for the points that fail."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -464,7 +536,8 @@ class TestBatch:
             min_size=1, max_size=6,
         ),
     )
-    # K = 20 dB with M = 4 runs out of terms at 10 dB, not at 0 dB
+    # K = 20 dB with M = 4, whose series the mode-anchored walk of earlier
+    # versions could not sum at 10 dB
     @example(k_db=20.0, m=4, points=[(0.0, 0.0), (10.0, 0.0), (5.0, 3.0)])
     def test_matches_lone_calls_and_oracle(self, k_db, m, points):
         k = 10.0 ** (k_db / 10.0)
@@ -476,19 +549,19 @@ class TestBatch:
         for p, g in zip(params, gammas):
             y = (k + 1.0) * g / p.avg_snr
             w = (k + 1.0) / (k + 1.0 + p.avg_snr)
-            lone = _scalar_or_failed(lambda: mrc_snr_cdf(g, p))
+            # every rate here converges; the scalar oracle's fixed budget of
+            # 512 terms past the mode does not reach every one
+            lone = mrc_snr_cdf(g, p)
             ref = _scalar_or_failed(lambda: float(oracles.poisson_weighted_sum(
                 k * m, lambda j: sc.gammainc(m + j, y))))
-            assert (lone is None) == (ref is None)
-            if lone is not None:
+            if ref is not None:
                 # the oracle's terms are scipy's gammainc, the library's
                 # its own Poisson tails: equal within the truncation budget
                 assert lone == pytest.approx(ref, rel=REL_TOL, abs=0.0)
-            lone = _scalar_or_failed(lambda: rf_avg_ber(p))
+            lone = rf_avg_ber(p)
             ref = _scalar_or_failed(lambda: 0.5 * oracles.poisson_weighted_sum(
                 k * m, lambda j: float(sc.betainc(m + j, 0.5, w))))
-            assert (lone is None) == (ref is None)
-            if lone is not None:
+            if ref is not None:
                 # the oracle's terms are scipy's betainc, the library's its
                 # own incomplete-beta walk: equal within the truncation budget
                 assert lone == pytest.approx(ref, rel=REL_TOL, abs=0.0)
@@ -503,23 +576,23 @@ class TestBatch:
                 assert arr.tolist() == lones
 
     def test_failure_names_the_points(self):
-        params = [RfParams(k_factor=100.0, branches=4, avg_snr=10.0 ** (s / 10.0))
-                  for s in (0.0, 10.0, 5.0)]
-        with pytest.raises(ConvergenceError, match="rate=400") as info:
+        # the middle point's rate is past MAX_RATE
+        params = [RfParams(k_factor=k, branches=4, avg_snr=10.0 ** (s / 10.0))
+                  for k, s in ((100.0, 0.0), (1e6, 10.0), (100.0, 5.0))]
+        with pytest.raises(ConvergenceError, match="rate=4e[+]06") as info:
             mrc_cdf_batch([1.0] * 3, params)
         assert info.value.unconverged.tolist() == [False, True, False]
-        with pytest.raises(ConvergenceError, match="rate=400"):
+        with pytest.raises(ConvergenceError, match="rate=4e[+]06"):
             mrc_snr_cdf(1.0, params[1])
         _check_batch(_cdf_batch([1.0] * 3, params), lambda i: mrc_snr_cdf(1.0, params[i]), 3)
 
     def test_mixed_fading_matches_lone_calls(self):
-        # interleaved fading groups; K = 1000 (rate 1000) fails at 30 dB and
-        # converges at 0 dB, K = 100 with M = 4 (rate 400) fails the CDF at
-        # 20 dB, and the rate-400 group comes first on the array but fails
-        # later than the rate-1000 one
-        cells = [(1.0, 1, 3.0, 1.0), (100.0, 4, 0.0, 1.0), (1000.0, 1, 30.0, 1.0),
+        # interleaved fading; K = 2e6 (rate 2e6) is past MAX_RATE and fails
+        # at every SNR, K = 100 with M = 4 (rate 400) and K = 1000 (rate
+        # 1000) converge, and a rate-8e5 point comes first on the array
+        cells = [(1.0, 1, 3.0, 1.0), (2e5, 4, 0.0, 1.0), (2e6, 1, 30.0, 1.0),
                  (100.0, 4, 20.0, 1.0), (0.0, 3, 0.0, 0.0), (1.0, 2, 7.0, 2.0),
-                 (1000.0, 1, 0.0, 1.0), (1.0, 1, 3.0, 0.5)]
+                 (2e6, 1, 0.0, 1.0), (1000.0, 1, 3.0, 0.5)]
         params = [RfParams(k_factor=k, branches=m, avg_snr=10.0 ** (s / 10.0))
                   for k, m, s, _ in cells]
         gammas = [g for *_, g in cells]
@@ -528,17 +601,16 @@ class TestBatch:
             _cdf_batch(gammas, params), lambda i: mrc_snr_cdf(gammas[i], params[i]), n)
         _, ber_error = _check_batch(_ber_batch(params), lambda i: rf_avg_ber(params[i]), n)
         for error in (cdf_error, ber_error):
-            assert "rate=1000," in str(error)
-        assert cdf_error.unconverged[3] and not ber_error.unconverged[3]
+            assert "rate=2e+06," in str(error)
+            assert error.unconverged.tolist() == [False, False, True, False, False, False, True, False]
         assert cdf[4] == 0.0
 
 
 class TestRefusedRates:
-    @pytest.mark.parametrize("max_terms, first_refused", [(16, 2.52), (40, 28.9), (512, 7575.0)])
-    def test_refused_only_where_no_sum_can_stop(self, monkeypatch, max_terms, first_refused):
-        # a rate gets no series pass only where even the all-ones series,
-        # the largest sum of terms in [0, 1], runs out of terms
-        monkeypatch.setattr(specfun, "MAX_TERMS", max_terms)
+    def test_refused_exactly_past_max_rate(self, monkeypatch):
+        # a rate gets no series pass exactly where it is past MAX_RATE, and
+        # every rate up to it converges, here from 1e-3 to 1e6 at one
+        # branch and 10 dB
         passes = []
 
         def counted(lam, term):
@@ -546,16 +618,9 @@ class TestRefusedRates:
             return poisson_weighted_sum(lam, term)
 
         monkeypatch.setattr(rf_channel, "poisson_weighted_sum", counted)
-        refused = []
-        for lam in np.geomspace(1e-3, 4.0 * first_refused, 300):
-            passes.clear()
-            try:
-                mrc_snr_cdf(1.0, RfParams(k_factor=float(lam), branches=1, avg_snr=1.0))
-            except ConvergenceError:
-                pass
-            if not passes:
-                refused.append(lam)
-                term = oracles.block_terms(lambda k: np.ones(1))
-                _, flagged = poisson_weighted_sum(float(lam), term)
-                assert flagged.all()
-        assert refused and refused[0] == pytest.approx(first_refused, rel=0.1)
+        rates = np.concatenate([np.geomspace(1e-3, 1e6, 7), [math.nextafter(1e6, 2e6), 4e6]])
+        params = [RfParams(k_factor=float(lam), branches=1, avg_snr=10.0) for lam in rates]
+        with pytest.raises(ConvergenceError, match="rate=1e[+]06, max_rate=1e[+]06") as info:
+            mrc_cdf_batch([1.0] * rates.size, params)
+        assert info.value.unconverged.tolist() == [False] * 7 + [True, True]
+        assert [p.tolist() for p in passes] == [rates[:7].tolist()]

@@ -12,10 +12,9 @@ import oracles
 from oracles import erfc_moment, marcum_q, meijer_g_2122
 from rfvlc import rf_channel, specfun
 from rfvlc.rf_channel import RfParams, mrc_cdf_batch, mrc_snr_cdf, rf_avg_ber_batch
+from rfvlc.rf_channel import BetaTerms, GammaTerms
 from rfvlc.specfun import (
-    BetaTerms,
     ConvergenceError,
-    GammaTerms,
     erfc_sqrt,
     poisson_weighted_sum,
     upper_gamma,
@@ -144,7 +143,7 @@ class TestMeijerG2122:
 class TestPoissonWeightedSum:
     def test_zero_rate_is_first_term(self):
         term = oracles.block_terms(lambda k: np.array([k + 7.0, k + 2.0]))
-        got, unconverged = poisson_weighted_sum(0.0, term)
+        got, unconverged = poisson_weighted_sum(np.zeros(2), term)
         assert got.tolist() == [7.0, 2.0]
         assert unconverged.tolist() == [False, False]
 
@@ -157,7 +156,7 @@ class TestPoissonWeightedSum:
     def test_known_generating_function(self):
         # E[t^K] = exp(lam (t - 1)), one entry per t
         lam, ts = 5.0, np.array([0.2, 0.7])
-        got, _ = poisson_weighted_sum(lam, oracles.block_terms(lambda k: ts**k))
+        got, _ = poisson_weighted_sum(np.full(2, lam), oracles.block_terms(lambda k: ts**k))
         np.testing.assert_allclose(got, np.exp(lam * (ts - 1.0)), rtol=1e-11)
 
     def test_relative_accuracy_for_tiny_sums(self):
@@ -170,13 +169,14 @@ class TestPoissonWeightedSum:
 
     def test_truncation_raises(self, monkeypatch):
         # the budget is read when a series runs, and the closed form's
-        # error names it and carries the mask of the failing entries
-        monkeypatch.setattr(specfun, "MAX_TERMS", 16)
+        # error names the rate and carries the mask of the failing entries
+        monkeypatch.setattr(specfun, "TERMS_BASE", 16)
+        monkeypatch.setattr(specfun, "TERMS_SLOPE", 0)
         p = RfParams(k_factor=1250.0, branches=4, avg_snr=1.0)
         with pytest.raises(ConvergenceError) as info:
-            mrc_snr_cdf(np.array([0.0, 1.0, 2.0]), p)
+            mrc_snr_cdf(np.array([0.0, 4.0, 8.0]), p)
         assert str(info.value) == (
-            "Poisson-weighted series did not converge: rate=5000, max_terms=16, rel_tol=1e-10"
+            "Poisson-weighted series did not converge: rate=5000, max_rate=1e+06, rel_tol=1e-10"
         )
         assert info.value.unconverged.tolist() == [False, True, True]
 
@@ -188,21 +188,22 @@ class TestPoissonWeightedSum:
 
     @pytest.mark.parametrize("lam", [0.0, 0.3, 30.0, 400.0])
     def test_independent_entries_match_scalar_calls(self, lam, monkeypatch):
-        # each entry stops where the scalar oracle stops for it alone, bit
-        # for bit, and is flagged exactly where that call runs out of terms
-        monkeypatch.setattr(specfun, "REL_TOL", 1e-3)
-        monkeypatch.setattr(specfun, "MAX_TERMS", 40)
-        ts = np.array([1e-30, 1e-3, 0.3, 0.7, 1.0])
-        got, unconverged = poisson_weighted_sum(lam, oracles.block_terms(lambda k: ts**k))
+        # each entry stops where it stops alone, bit for bit, and is
+        # flagged exactly where it runs out of terms alone; the entries'
+        # rates differ, and the budget of 8 + sqrt(lam) steps leaves some
+        # of them open
+        monkeypatch.setattr(specfun, "TERMS_BASE", 8)
+        monkeypatch.setattr(specfun, "TERMS_SLOPE", 1)
+        ts = np.array([1e-30, 1e-3, 0.3, 0.7, 1.0, 0.999])
+        rates = lam * np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.5])
+        got, unconverged = poisson_weighted_sum(rates, oracles.block_terms(lambda k: ts**k))
         assert got.shape == unconverged.shape == ts.shape
-        for t, value, flagged in zip(ts, got, unconverged):
-            try:
-                want = oracles.poisson_weighted_sum(lam, lambda k: t**k,
-                                                    rel_tol=1e-3, max_terms=40)
-            except ConvergenceError:
+        for i, (value, flagged) in enumerate(zip(got, unconverged)):
+            (want,), (alone,) = poisson_weighted_sum(
+                rates[i:i + 1], oracles.block_terms(lambda k: ts[i:i + 1]**k))
+            assert flagged == alone and value == want
+            if lam == 400.0 and ts[i] > 0.5:  # the budget runs out here
                 assert flagged
-            else:
-                assert not flagged and value == want
 
     def test_negative_rate_is_refused(self):
         with pytest.raises(ValueError, match="rate must be >= 0"):
@@ -219,8 +220,10 @@ class TestPoissonWeightedSum:
             poisson_weighted_sum(lam, unasked)
 
     def test_unconverged_entries_are_flagged(self, monkeypatch):
-        monkeypatch.setattr(specfun, "MAX_TERMS", 16)
-        got, unconverged = poisson_weighted_sum(5000.0, oracles.block_terms(lambda k: np.ones(3)))
+        monkeypatch.setattr(specfun, "TERMS_BASE", 16)
+        monkeypatch.setattr(specfun, "TERMS_SLOPE", 0)
+        got, unconverged = poisson_weighted_sum(np.full(3, 5000.0),
+                                                oracles.block_terms(lambda k: np.ones(3)))
         assert unconverged.tolist() == [True, True, True]
         assert np.all((got > 0.0) & (got < 1.0))  # partial sums
 
@@ -229,99 +232,116 @@ class TestPoissonWeightedSum:
     def test_a_walk_sums_the_same_through_a_wrapper(self, walk):
         # a plain function of one argument around the walk, as a tracer
         # that counts the calls of `term` puts there, gets the sums bit for
-        # bit, and is called once per pass, at the start order
-        want = poisson_weighted_sum(200.0, walk())
+        # bit, and is called once per pass, with the rates
+        rates = np.linspace(0.0, 400.0, 25)
+        want = poisson_weighted_sum(rates, walk())
         inner, calls = walk(), []
 
-        def wrapped(k):
-            calls.append(k)
-            return inner(k)
+        def wrapped(lam):
+            calls.append(lam)
+            return inner(lam)
 
-        got = poisson_weighted_sum(200.0, wrapped)
-        assert calls == [200]
+        got = poisson_weighted_sum(rates, wrapped)
+        assert len(calls) == 1 and calls[0].tolist() == rates.tolist()
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     @pytest.mark.parametrize("walk, args", [(GammaTerms, np.geomspace(1e-2, 1e3, 9)),
                                             (BetaTerms, np.linspace(0.01, 0.99, 9))],
                              ids=["gamma", "beta"])
     def test_one_order_blocks_at_an_integer_rate(self, walk, args):
-        # past _BLOCK_ELEMENTS entries a block holds one order, and at an
-        # integer rate the first step has no tail bound (k_lo/lam = 1), so
-        # the first block's row stops no entry; each entry is its lone call's
+        # past _BLOCK_ELEMENTS entries an anchor's series sums one order
+        # per block, while the walk's blocks keep their _WALK_ORDERS orders,
+        # so the right anchors sit where they sit alone; each entry is its
+        # lone call's
         x = np.tile(args, specfun._BLOCK_ELEMENTS // args.size + 1)
         assert specfun._block_len(x.size) == 1
-        got, unconverged = poisson_weighted_sum(40.0, walk(2, x))
+        got, unconverged = poisson_weighted_sum(np.full(x.size, 40.0), walk(2, x))
         for i in range(args.size):
-            (want,), (flagged,) = poisson_weighted_sum(40.0, walk(2, args[i:i + 1]))
+            (want,), (flagged,) = poisson_weighted_sum(np.array([40.0]), walk(2, args[i:i + 1]))
             assert got[i::args.size].tobytes() == np.full(x.size // args.size, want).tobytes()
             assert not flagged and not unconverged[i::args.size].any()
 
     def test_rate_past_the_float_integers_is_flagged(self):
-        # past 2**53 the right frontier's k + 2 rounds to the rate, so the
-        # tail bound's ratio reaches 1: no bound, no stop, no division by 0
-        _, unconverged = poisson_weighted_sum(1e17, oracles.block_terms(lambda k: np.ones(2)))
+        # past MAX_RATE an entry takes no step, so it is flagged at once,
+        # and past 2**53, where j + 1 rounds to the rate, no bound is formed
+        _, unconverged = poisson_weighted_sum(np.full(2, 1e17),
+                                              oracles.block_terms(lambda k: np.ones(2)))
         assert unconverged.tolist() == [True, True]
 
 
-# Where the weight pois(floor(lam) + 512; lam) crosses 2e-10 at the
-# default budget: the last covered rate of each crossing; the next float up
-# is refused.  The weight rises in lam between integers and drops where
-# floor(lam) steps, so between the first and the last crossing the covered
-# rates alternate with the refused ones.
-CROSSINGS = [7549.984859638253, 7575.167261901771, 7580.010187196885]
+# Rates where the fixed 512-term budget of the mode-anchored series once
+# crossed between covering and refusing (the weight pois(floor(lam) + 512;
+# lam) against 2e-10), now all far inside MAX_RATE
+OLD_CROSSINGS = [7549.984859638253, 7575.167261901771, 7580.010187196885]
 
 
 class TestCovers:
-    @pytest.mark.parametrize("lam", CROSSINGS)
+    @pytest.mark.parametrize("lam", OLD_CROSSINGS)
     def test_one_float_on_each_side_of_a_crossing(self, lam):
-        above = math.nextafter(lam, math.inf)
-        assert specfun.covers(lam) and not specfun.covers(above)
-        # the crossing is the weight's own, not a rounding artefact of it
-        for rate in (lam, above):
-            assert float(oracles.pois_mp(int(rate) + specfun.MAX_TERMS, rate)) == pytest.approx(
-                2.0 * specfun.REL_TOL, rel=1e-12)
+        # both floats are covered now, and both closed forms converge there
+        rates = [lam, math.nextafter(lam, math.inf)]
+        assert all(specfun.covers(rate) for rate in rates)
+        params = [RfParams(k_factor=rate, branches=1, avg_snr=10.0) for rate in rates]
+        assert np.all(mrc_cdf_batch([1e4, 1e4], params) > 0.0)
+        assert np.all(rf_avg_ber_batch(params) > 0.0)
+
+    def test_one_float_on_each_side_of_the_cap(self):
+        above = math.nextafter(specfun.MAX_RATE, math.inf)
+        assert specfun.covers(specfun.MAX_RATE) and not specfun.covers(above)
+        rates = np.array([0.0, specfun.MAX_RATE, above, -1e-300, math.nan])
+        assert specfun.covers(rates).tolist() == [True, True, False, False, False]
 
     def test_covered_up_to_the_first_crossing(self):
-        lams = np.concatenate([[0.0, 1e-300, 0.5], np.linspace(1.0, CROSSINGS[0], 500)])
+        # the one crossing is MAX_RATE
+        lams = np.concatenate([[0.0, 1e-300, 0.5], np.linspace(1.0, specfun.MAX_RATE, 500)])
         assert all(specfun.covers(lam) for lam in lams)
 
     def test_refused_past_the_last_crossing(self):
-        lams = np.linspace(math.nextafter(CROSSINGS[-1], math.inf), 2e4, 500)
+        lams = np.linspace(math.nextafter(specfun.MAX_RATE, math.inf), 1e8, 500)
         assert not any(specfun.covers(lam) for lam in lams)
 
     @pytest.mark.parametrize("lam", [math.nextafter(2.0**53, 0.0), 2.0**53, 1e300, math.inf])
     def test_refused_at_and_past_the_float_integers(self, lam):
-        # just below 2**53 by its weight; from 2**53 on without it: past
-        # about 4e18 the weight, about 1/sqrt(2 pi lam), is below 2 REL_TOL
-        # although no 512 terms span the mass, and at inf it has no order
         assert specfun.covers(lam) is False
 
-    @pytest.mark.parametrize("lam", [*CROSSINGS, *(math.nextafter(c, math.inf) for c in CROSSINGS),
+    @pytest.mark.parametrize("lam", [*OLD_CROSSINGS, *(math.nextafter(c, math.inf) for c in OLD_CROSSINGS),
                                      math.nextafter(2.0**53, 0.0), 2.0**53, math.inf])
     def test_mixture_refuses_exactly_the_uncovered_rates(self, lam):
-        # `rf_channel._mixture` builds the terms of a rate's pass exactly
-        # where the rule covers the rate, and flags a refused rate's
-        # entries as a pass that ran out of terms would
+        # `rf_channel._mixture` builds the terms of its one pass over the
+        # entries whose rates the rule covers, and flags the others as
+        # unconverged, unbuilt
         built = []
 
         def terms(m, x):
-            built.append(m)
-            # the largest sum: it cannot stop here
+            built.append(m.tolist())
             return oracles.block_terms(lambda j: np.ones(x.shape))
 
+        k, m = np.array([lam, 1.0]), np.array([1, 2])
+        if specfun.covers(lam):
+            got = rf_channel._mixture(k, m, np.ones(2), terms)
+            assert built == [[1, 2]] and got == pytest.approx(1.0, rel=1e-15)
+            return
         with pytest.raises(ConvergenceError) as info:
-            rf_channel._mixture(np.array([lam, 1.0]), np.array([1, 2]), np.ones(2), terms)
-        assert built == ([1, 2] if specfun.covers(lam) else [2])
+            rf_channel._mixture(k, m, np.ones(2), terms)
+        assert built == [[2]]
         assert str(info.value) == ("Poisson-weighted series did not converge: "
-                                   f"rate={lam:g}, max_terms=512, rel_tol=1e-10")
+                                   f"rate={lam:g}, max_rate=1e+06, rel_tol=1e-10")
         assert info.value.unconverged.tolist() == [True, False]
+
+
+def _at(walk, j):
+    """walk(lam) with its start moved to the order j for every entry:
+    (j0, T(j0), right, left)."""
+    entries = (walk._y if isinstance(walk, GammaTerms) else walk._w).size
+    walk._start = lambda lam: np.full(entries, float(j))
+    return walk(np.zeros(entries))
 
 
 def _walked(walk, j, steps):
     """The values walk(j) gives at its anchor order a0 and `steps` orders
     out on each side: T(a0), T(a0 + 1), ..., T(a0 + steps), then T(a0 - 1),
     ..., T(a0 - steps)."""
-    value, right, left = walk(j)
+    _, value, right, left = _at(walk, j)
     right, left = oracles.rows(right), oracles.rows(left)
     return [value] + [next(right) for _ in range(steps)] + [next(left) for _ in range(steps)]
 
@@ -348,23 +368,22 @@ class TestGammaTerms:
 
     @pytest.mark.parametrize("a", [1, 2, 3, 5, 8, 15, 16, 17, 40, 99, 204, 401, 700, 1000, 1178, 1200])
     def test_anchor(self, a):
-        self.check_relative(GammaTerms(a, GAMMA_YS)(0)[0], a)
+        self.check_relative(_at(GammaTerms(a, GAMMA_YS), 0)[1], a)
 
     @pytest.mark.parametrize("a0", [1, 30, 204, 700, 1200])
     def test_walk(self, a0):
-        # the anchor, then the rows of both sides outward; left values keep
-        # relative accuracy, right values an absolute error within
-        # GAMMA_REL of P(a0), which includes the anchor's own error
-        anchor, right, left = GammaTerms(1, GAMMA_YS)(a0 - 1)
+        # the anchor, then the rows of both sides outward; the values of
+        # both sides keep relative accuracy, each right block being
+        # anchored at its far order
+        _, anchor, right, left = _at(GammaTerms(1, GAMMA_YS), a0 - 1)
         right, left = oracles.rows(right), oracles.rows(left)
         lo = hi = a0
         for step in range(300):
             hi += 1
             value = next(right)
             assert np.all(value >= 0.0), hi
-            if step % 9 == 0:
-                want = np.array([oracles.regularized_gamma_mp(hi, y) for y in GAMMA_YS])
-                assert np.all(np.abs(value - want) <= GAMMA_REL * anchor + 1e-300), hi
+            if step % 9 == 0 or step % 16 == 15:
+                self.check_relative(value, hi)
             if lo > 1:
                 lo -= 1
                 value = next(left)
@@ -377,7 +396,7 @@ class TestGammaTerms:
         # its left are not
         k = 10.0**1.7
         y = np.array([(k + 1.0) * 1.0 / 1000.0])
-        anchor, _, left = GammaTerms(4, y)(200)
+        _, anchor, _, left = _at(GammaTerms(4, y), 200)
         assert anchor[0] == 0.0
         for a, value in zip(range(203, 3, -1), oracles.rows(left)):
             got = value[0]
@@ -397,7 +416,7 @@ class TestGammaTerms:
             assert got.tolist() == [lone[n][0] for lone in lones]
 
     def test_saturates_above_the_float_range(self):
-        assert GammaTerms(3, np.array([np.inf, 1e308]))(5)[0].tolist() == [1.0, 1.0]
+        assert _at(GammaTerms(3, np.array([np.inf, 1e308])), 5)[1].tolist() == [1.0, 1.0]
 
 
 # measured worst over these tests: 1.3e-13 relative at the anchors,
@@ -423,22 +442,21 @@ class TestBetaTerms:
 
     @pytest.mark.parametrize("a", [1, 2, 3, 5, 8, 15, 16, 17, 40, 99, 204, 401, 700, 1000, 1200])
     def test_anchor(self, a):
-        self.check_relative(BetaTerms(a, BETA_WS)(0)[0], a)
+        self.check_relative(_at(BetaTerms(a, BETA_WS), 0)[1], a)
 
     @pytest.mark.parametrize("a0", [1, 30, 204, 700, 1200])
     def test_walk(self, a0):
-        # as GammaTerms' walk: left values keep relative accuracy, right
-        # values an absolute error within BETA_REL of I(a0)
-        anchor, right, left = BetaTerms(1, BETA_WS)(a0 - 1)
+        # as GammaTerms' walk: the values of both sides keep relative
+        # accuracy
+        _, anchor, right, left = _at(BetaTerms(1, BETA_WS), a0 - 1)
         right, left = oracles.rows(right), oracles.rows(left)
         lo = hi = a0
         for step in range(300):
             hi += 1
             value = next(right)
             assert np.all(value >= 0.0), hi
-            if step % 9 == 0:
-                want = np.array([oracles.regularized_beta_mp(hi, 0.5, w) for w in BETA_WS])
-                assert np.all(np.abs(value - want) <= BETA_REL * anchor + 1e-300), hi
+            if step % 9 == 0 or step % 16 == 15:
+                self.check_relative(value, hi)
             if lo > 1:
                 lo -= 1
                 value = next(left)
@@ -449,7 +467,7 @@ class TestBetaTerms:
         # I_w(208, 1/2) ~ 1e-416 is 0 in floats; the orders the walk
         # reaches on its left are not
         w = np.array([0.01])
-        anchor, _, left = BetaTerms(4, w)(204)
+        _, anchor, _, left = _at(BetaTerms(4, w), 204)
         assert anchor[0] == 0.0
         for a, value in zip(range(207, 3, -1), oracles.rows(left)):
             got = value[0]
@@ -523,7 +541,7 @@ class TestPoissonMass:
         # array of its order alone, bit for bit
         ys = np.geomspace(1e-3, 1e5, 41)
         orders = [1, 2, 3, 7, 15, 16, 17, 40, 99, 204, 700, 1000, 2000, 5000, 20000, 100000]
-        rows = specfun._pois(orders, ys)
+        rows = specfun._pois(np.array(orders, dtype=float)[:, None], ys)
         assert rows.shape == (len(orders), ys.size)
         for a, row in zip(orders, rows):
             assert row.tobytes() == specfun._pois(a, ys).tobytes(), a
@@ -575,8 +593,9 @@ class TestSeries:
             assert got[i] == specfun._series(ratios, q[i:i + 1], y[i:i + 1])[0], (q[i], y[i])
 
 
-# Series budgets whose block ends fall before, at and past MAX_TERMS
-BUDGETS = [(1e-10, 512), (1e-3, 40), (1e-10, 16)]
+# Series budgets (TERMS_BASE, TERMS_SLOPE): the default, and two whose
+# ends fall inside the walk's blocks
+BUDGETS = [(64, 20), (8, 1), (4, 0)]
 
 
 def _outcome(fn, *args):
@@ -588,13 +607,9 @@ def _outcome(fn, *args):
 
 
 def _stepwise_outcome(fn, *args):
-    """`_outcome` with the radio series walked one order per step (the
-    coverage rule `specfun.covers` on the reference mass too)."""
+    """`_outcome` with the radio series summed one order per step."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rf_channel, "poisson_weighted_sum", oracles.step_weighted_sum)
-        mp.setattr(rf_channel, "GammaTerms", oracles.StepGammaTerms)
-        mp.setattr(rf_channel, "BetaTerms", oracles.StepBetaTerms)
-        mp.setattr(specfun, "_pois", oracles.step_pois)
         return _outcome(fn, *args)
 
 
@@ -605,9 +620,9 @@ _POINTS = st.lists(st.tuples(st.floats(-10.0, 300.0), st.floats(-300.0, 30.0)),
 
 
 class TestBlockWalk:
-    """The walk computes its steps a block of orders ahead; what it returns
-    is the one-order-per-step walk's (`oracles.step_weighted_sum` and its
-    term walks), bit for bit."""
+    """The walk computes its values a block of orders at a time, and the sum
+    its weights and bounds; what they return is the one-order-per-step
+    sum's (`oracles.step_weighted_sum`), bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(budget=st.sampled_from(BUDGETS),
@@ -623,8 +638,8 @@ class TestBlockWalk:
                 gammas.append(10.0 ** (gamma_db / 10.0))
         gammas = np.array(gammas)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(specfun, "REL_TOL", budget[0])
-            mp.setattr(specfun, "MAX_TERMS", budget[1])
+            mp.setattr(specfun, "TERMS_BASE", budget[0])
+            mp.setattr(specfun, "TERMS_SLOPE", budget[1])
             for fn, args in ((mrc_cdf_batch, (gammas, params)), (rf_avg_ber_batch, (params,))):
                 assert _outcome(fn, *args) == _stepwise_outcome(fn, *args), fn.__name__
 
@@ -633,29 +648,41 @@ class TestBlockWalk:
         # complement's (a - n)/y would overflow here
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert GammaTerms(2, np.array([1e-310, 1.0]))(2)[0][0] == 0.0
+            assert _at(GammaTerms(2, np.array([1e-310, 1.0])), 2)[1][0] == 0.0
 
-    @settings(max_examples=25, deadline=None)
-    @given(log_y=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=8),
-           a0=st.integers(1, 3000))
-    @example(log_y=[math.log10(1500.0), 1.0], a0=100)  # 0 at a0, not past 1500
-    @example(log_y=[2.0, -2.0], a0=1000)  # 0 at a0, not below 100; w = 0.01 grows
-    def test_dead_entries_stay_dead(self, log_y, a0):
-        # once the reference step of an entry is 0.0 at an order beyond its
-        # mode on a side, every later step on that side is 0.0 too, so the
-        # walk computes no more of them: the Poisson mass on both sides,
-        # the negative binomial mass (w = y/(1 + y), mode 0) on the right only
-        y = 10.0 ** np.array(log_y)
-        w = y / (1.0 + y)
-        walks = [(GammaTerms(1, y), oracles.StepGammaTerms(1, y)),
-                 (BetaTerms(1, w), oracles.StepBetaTerms(1, w))]
-        for sign in (1, -1):
-            orders = range(a0, max(a0 + 1201 * sign, 0), sign)
-            for walk, reference in walks:
-                steps = np.array([reference._step(a) for a in orders])
-                beyond = np.array([sign * a >= sign * walk._mode for a in orders])
-                dead = np.logical_or.accumulate((steps == 0.0) & beyond, axis=0)
-                assert not steps[dead].any(), (type(walk).__name__, sign)
+    @pytest.mark.parametrize("a", [1, 2, 3, 16, 47, 204, 1200])
+    def test_anchor_equals_the_stepwise_series(self, a):
+        # the block series of `_anchor` is the one-term-per-step series of
+        # `oracles.step_anchor` bit for bit, at one order and at an order
+        # per entry, on both sides of the switch to the complement
+        ys = np.concatenate([GAMMA_YS, a + np.linspace(-21.0, 21.0, 41).clip(-a + 1e-3)])
+        orders = a + np.arange(ys.size) % 5
+        for order in (np.full(ys.shape, float(a)), orders):
+            assert specfun._anchor(order, ys).tobytes() == oracles.step_anchor(order, ys).tobytes()
+
+
+class TestNaN:
+    """A NaN argument raises at every public series entry point, where an
+    anchor's series would never stop on it."""
+
+    @pytest.mark.parametrize("walk", [GammaTerms, BetaTerms])
+    def test_term_walks(self, walk):
+        with pytest.raises(ValueError, match="^snr values must be >= 0$"):
+            walk(2, np.array([0.5, np.nan]))
+
+    def test_sum(self):
+        with pytest.raises(ValueError, match="^snr values must be >= 0$"):
+            poisson_weighted_sum(3.0, GammaTerms(2, np.array([np.nan])))
+        with pytest.raises(ValueError, match="^Poisson rate must be >= 0 and finite, got nan$"):
+            poisson_weighted_sum(np.array([1.0, np.nan]), GammaTerms(2, np.ones(2)))
+
+    def test_closed_forms(self):
+        with pytest.raises(ValueError, match="^snr values must be >= 0$"):
+            mrc_snr_cdf(np.array([1.0, np.nan]), RfParams(1.0, 2, 1.0))
+        with pytest.raises(ValueError, match="^snr values must be >= 0$"):
+            mrc_cdf_batch([np.nan], [RfParams(1.0, 2, 1.0)])
+        with pytest.raises(ValueError, match="avg_snr must be finite"):
+            rf_avg_ber_batch([RfParams(1.0, 2, np.nan)])
 
 
 class TestUpperGamma:
