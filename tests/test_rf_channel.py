@@ -607,6 +607,40 @@ class TestBatch:
 
 
 class TestRefusedRates:
+    @pytest.mark.parametrize("max_terms, first_refused", [(16, 2.52), (40, 28.9), (512, 7575.0)])
+    def test_refused_only_where_no_sum_can_stop(self, monkeypatch, max_terms, first_refused):
+        # under a fixed budget of max_terms steps, a cap MAX_RATE at
+        # first_refused (read when a series runs) refuses exactly the rates
+        # past it, before any series pass, and each of them is a rate where
+        # even the all-ones series, the largest sum of terms in [0, 1],
+        # runs out of steps: that cap loses no sum the budget could finish
+        monkeypatch.setattr(specfun, "TERMS_BASE", max_terms)
+        monkeypatch.setattr(specfun, "TERMS_SLOPE", 0)
+        monkeypatch.setattr(specfun, "MAX_RATE", first_refused)
+        passes = []
+
+        def counted(lam, term):
+            passes.append(lam)
+            return poisson_weighted_sum(lam, term)
+
+        monkeypatch.setattr(rf_channel, "poisson_weighted_sum", counted)
+        rates = np.geomspace(1e-3, 4.0 * first_refused, 300)
+        refused = []
+        for lam in rates:
+            passes.clear()
+            try:
+                mrc_snr_cdf(1.0, RfParams(k_factor=float(lam), branches=1, avg_snr=1.0))
+            except ConvergenceError:
+                pass
+            if not passes:
+                refused.append(lam)
+        assert refused == rates[rates > first_refused].tolist()
+        monkeypatch.setattr(specfun, "MAX_RATE", math.inf)  # the all-ones series runs
+        ones = oracles.block_terms(lambda k: np.ones(len(refused)))
+        _, flagged = poisson_weighted_sum(np.array(refused), ones)
+        assert flagged.all()
+        assert refused and refused[0] == pytest.approx(first_refused, rel=0.1)
+
     def test_refused_exactly_past_max_rate(self, monkeypatch):
         # a rate gets no series pass exactly where it is past MAX_RATE, and
         # every rate up to it converges, here from 1e-3 to 1e6 at one
