@@ -8,9 +8,9 @@ Poisson mixtures of the term walks `GammaTerms` and `BetaTerms`, which
 `_mixture` alone evaluates: it takes per-entry K
 and branch counts and sums every entry in one series pass, each at its
 own rate K*M, under the one budget of `specfun` (`REL_TOL`, and steps
-growing as the square root of the rate), so the batch forms take params
-with any K and branch count; a rate the budget does not cover
-(`specfun.covers`, past `specfun.MAX_RATE`) gets no term built.  Every
+growing as the square root of the rate, up to `specfun.MAX_STEPS`), so the
+batch forms take params with any K and branch count; a rate the budget
+cannot cover (`specfun.covers`) gets no term built.  Every
 closed form returns values that meet `REL_TOL` or raises
 `ConvergenceError`.  The CDF's
 terms come from `GammaTerms` and the average BER's from
@@ -101,13 +101,8 @@ def mrc_snr_pdf(gamma, params: RfParams):
         # (k+1)g/(k m mu) raised to (m-1)/2; neutral 1.0 at g == 0 where the
         # ive factor is already 0 for m > 1 and the exponent is 0 for m == 1.
         base = np.where(g > 0.0, (k + 1.0) * g / (k * m * mu), 1.0)
-        out = (
-            (k + 1.0)
-            / mu
-            * base ** (0.5 * (m - 1))
-            * ive(m - 1, x)
-            * np.exp(-np.square(np.sqrt((k + 1.0) * g / mu) - math.sqrt(k * m)))
-        )
+        out = ((k + 1.0) / mu * base ** (0.5 * (m - 1)) * ive(m - 1, x)
+               * np.exp(-np.square(np.sqrt((k + 1.0) * g / mu) - math.sqrt(k * m))))
     return _scalar_like(gamma, np.where(finite, out, 0.0))
 
 
@@ -126,10 +121,7 @@ def mrc_snr_cdf(gamma, params: RfParams):
     bit.  Raises ConvergenceError, whose `unconverged` mask names the
     entries that ran out of terms.
     """
-    k, m, mu = params.k_factor, params.branches, params.avg_snr
-    with np.errstate(over="ignore"):  # GammaTerms clamps an argument past the float range
-        x = (k + 1.0) * validate_snr(gamma) / mu
-    return _scalar_like(gamma, _mixture(k, m, x, GammaTerms))
+    return _scalar_like(gamma, _cdf(*params, gamma))
 
 
 # The orders a block of a `_TermWalk` side holds, for every batch size, so
@@ -147,14 +139,17 @@ class _TermWalk:
     walk(lam) starts each entry at the peak of its summand (`_start`),
     anchors it there (`_value`) and returns the block protocol of
     `poisson_weighted_sum`, each side a generator (`_side`) of blocks of
-    `_WALK_ORDERS` orders.  Every value is a positive sum:
+    `_WALK_ORDERS` orders.  The left values are positive sums,
 
-        T'(a - 1) = T'(a) + d(a - 1)     (left, from the block's inner order)
-        T'(a) = T'(a + 1) + d(a)         (right, from the block's far order)
+        T'(a - 1) = T'(a) + d(a - 1)     (from the block's inner order)
 
-    so each right block is anchored afresh at its far order; as the block
-    length is fixed, the anchors sit at the same orders for an entry in
-    any batch.  Subclasses give `_start(lam)`, and `_value(a, live)` = T'(a)
+    and so are the right ones of a block whose far order is past the mean
+    `_mean` of N, where T' falls fast and a difference would cancel: the
+    block is anchored afresh at its far order, T'(a) = T'(a + 1) + d(a).
+    Up to the mean, T' is at least about 0.3, so T'(a + 1) = T'(a) - d(a)
+    loses at most a few eps relative per step.  As the block length is
+    fixed, the anchors sit at the same orders for an entry in any batch.
+    Subclasses give `_start(lam)` and `_mean`, and `_value(a, live)` = T'(a)
     and `_step(a, live)` = d(a) for the entries `live`; `_rho`, the ratio of
     each row to the one before it, bounds log-concave terms.  The sum
     overwrites the blocks.
@@ -169,27 +164,34 @@ class _TermWalk:
         """The blocks (values, rho) of the orders past a, whose values are
         `value`, on the side `sign` (+1 right, -1 left), one per next():
         over all entries, or over the entries `live` a send() names."""
-        m, value, live = np.broadcast_to(self._m, a.shape), value.copy(), slice(None)
-        rows = np.arange(1.0, _WALK_ORDERS + 1.0)[:, None]
+        value, live = value.copy(), np.arange(a.size)
         while True:
-            # the far order's value first, while no block is held
-            far = self._value(a[live] + _WALK_ORDERS, live) if sign > 0 else None
-            orders = a[live] + sign * rows
-            past = orders < m[live]
-            block = self._step(np.maximum(orders, m[live], out=orders), live)
-            if sign > 0:  # the far order's value, then the steps inward
-                block[-1] = far
-            else:         # the inner order's value, then the steps outward
-                block[0] += value[live]
-            np.add.accumulate(block[::-sign], axis=0, out=block[::-sign])
-            block[past] = 0.0
-            rho = self._rho(sign, orders, block, value[live], live)
-            # a copy, as the sum multiplies its weights into the block
-            a, value[live] = a + sign * _WALK_ORDERS, block[-1]
-            del orders, past
-            sent = yield block, rho
-            live = live if sent is None else sent
-            del block, rho
+            # the sum alone holds a block: `_block`'s temporaries go with it
+            sent = yield self._block(sign, a, value, live)
+            a, live = a + sign * _WALK_ORDERS, live if sent is None else sent
+
+    def _block(self, sign, a, value, live):
+        """The next block (values, rho) of a `_side` over the entries
+        `live`, past the orders a, whose values `value` it moves on."""
+        m = np.broadcast_to(self._m, a.shape)[live]
+        orders = a[live] + sign * np.arange(1.0, _WALK_ORDERS + 1.0)[:, None]
+        if sign > 0:  # past the mean, the far order's value first, while no block is held
+            anchored = np.flatnonzero(orders[-1] > self._mean[live])
+            far = self._value(orders[-1, anchored], live[anchored])
+        # the steps from the inner order outward: d(a), ..., d(a + L - 1)
+        # on the right, d(a - 1), ..., d(a - L) on the left
+        block = self._step(np.maximum(orders - (sign > 0), m), live)
+        if sign > 0:  # then the steps inward
+            far = np.add.accumulate(np.append(block[1:, anchored], far[None], axis=0)[::-1], axis=0)
+        accumulate = np.subtract if sign > 0 else np.add  # from the inner order's value
+        block[0] = accumulate(value[live], block[0])
+        accumulate.accumulate(block, axis=0, out=block)
+        if sign > 0:
+            block[:, anchored] = far[::-1]
+        block[orders < m] = 0.0
+        rho = self._rho(sign, orders, block, value[live], live)
+        value[live] = block[-1]  # a copy, as the sum multiplies its weights into the block
+        return block, rho
 
     def _rho(self, sign, orders, block, value, live):
         with np.errstate(divide="ignore"):  # a value after a 0.0 gives no bound
@@ -210,6 +212,7 @@ class GammaTerms(_TermWalk):
 
     def __init__(self, m, y):
         self._m, self._y = np.asarray(m, dtype=float), np.minimum(validate_snr(y), specfun._BIG)
+        self._mean = self._y
 
     def _start(self, lam):
         # y clamped where 4 lam y would overflow: the root is far past lam there
@@ -238,8 +241,9 @@ class BetaTerms(_TermWalk):
 
     def __init__(self, m, w):
         self._m, self._w = np.asarray(m, dtype=float), validate_snr(w)
-        with np.errstate(divide="ignore"):  # log(0) sends d to its 0 limit
+        with np.errstate(divide="ignore"):  # log(0) sends d to its 0 limit, w = 1 the mean to inf
             self._log_w, self._half_log_1mw = np.log(self._w), 0.5 * np.log1p(-self._w)
+            self._mean = 0.5 * self._w / (1.0 - self._w)
 
     def _start(self, lam):
         return np.floor(lam * self._w)
@@ -280,11 +284,10 @@ def _mixture(k, m, x, terms):
     if run.any():
         out[run], unconverged[run] = poisson_weighted_sum(lam[run], terms(m[run], x[run]))
     if unconverged.any():
-        raise ConvergenceError(
-            f"Poisson-weighted series did not converge: rate={lam[unconverged][0]:g}, "
-            f"max_rate={specfun.MAX_RATE:g}, rel_tol={specfun.REL_TOL:g}",
-            unconverged.reshape(shape),
-        )
+        rate = lam[unconverged][0]
+        raise ConvergenceError(f"Poisson-weighted series did not converge: rate={rate:g}, steps="
+                               f"{specfun._budget(rate):g}, rel_tol={specfun.REL_TOL:g}",
+                               unconverged.reshape(shape))
     return out.reshape(shape)
 
 
@@ -297,15 +300,14 @@ def mrc_cdf_batch(gammas, params):
     ConvergenceError if any point runs out of terms: its `unconverged`
     mask names those points and its message the series rate of the first.
     """
-    k, m, mu = _fields(params)
+    return _cdf(*np.array(params, dtype=float).reshape(-1, 3).T, gammas)
+
+
+def _cdf(k, m, mu, gamma):
+    """The CDF's mixture at the SNRs gamma, for K, branch counts and mean
+    SNRs k, m and mu (arrays over gamma, or scalars for all of it)."""
     with np.errstate(over="ignore"):  # GammaTerms clamps an argument past the float range
-        return _mixture(k, m, (k + 1.0) * validate_snr(gammas) / mu, GammaTerms)
-
-
-def _fields(params):
-    """The arrays of k_factor, branches and avg_snr of a sequence of params."""
-    return (np.array([p.k_factor for p in params], dtype=float), np.array([p.branches for p in params]),
-            np.array([p.avg_snr for p in params], dtype=float))
+        return _mixture(k, m, (k + 1.0) * validate_snr(gamma) / mu, GammaTerms)
 
 
 def mrc_gains(z, exps, fading):
@@ -372,12 +374,11 @@ def rf_avg_ber(params: RfParams) -> float:
     terms are positive and bounded by 1, so the series is evaluated to
     relative accuracy even when the result is many orders below 1.
     """
-    (p,) = rf_avg_ber_batch([params])
-    return float(p)
+    return float(rf_avg_ber_batch([params])[0])
 
 
 def rf_avg_ber_batch(params):
     """`rf_avg_ber` of every params, each its own sum, all in one series
     pass.  Raises as `mrc_cdf_batch` does."""
-    k, m, mu = _fields(params)
+    k, m, mu = np.array(params, dtype=float).reshape(-1, 3).T
     return 0.5 * _mixture(k, m, (k + 1.0) / (k + 1.0 + mu), BetaTerms)

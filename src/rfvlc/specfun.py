@@ -5,14 +5,14 @@ The combined radio SNR is a noncentral chi-square variable, so its CDF and
 its average BER are both Poisson mixtures of bounded terms.
 `poisson_weighted_sum` evaluates such mixtures in one pass over any
 entries, each with its own rate, start and tail bound, under one budget
-(`REL_TOL`, and TERMS_BASE + TERMS_SLOPE sqrt(rate) steps), and flags the
-entries that run out of terms; the closed forms raise them as a
-`ConvergenceError` and never return silently wrong numbers.  `covers` is
-the rule for the rates the budget runs at all (up to `MAX_RATE`).  The
-terms' walks (`rf_channel.GammaTerms`, `rf_channel.BetaTerms`) take their
-anchors from here: `_anchor`, the regularized incomplete gamma of integer
-order, and `_beta_anchor`, the incomplete beta I_w(a, 1/2), with the masses
-`_pois` and the per-order constants of `_ByOrder` tables.
+(`REL_TOL`, and min(TERMS_BASE + TERMS_SLOPE sqrt(rate), MAX_STEPS)
+steps), and flags the entries whose steps run out before they meet
+`REL_TOL`; the closed forms raise them as a `ConvergenceError` and never
+return silently wrong numbers.  `covers` is the rule for the rates that
+budget can cover at all, read from it.  The terms' walks
+(`rf_channel.GammaTerms`, `rf_channel.BetaTerms`) take their anchors from
+here: `_anchor`, the regularized incomplete gamma of integer order, and
+`_beta_anchor`, the incomplete beta I_w(a, 1/2), with the masses `_pois`.
 The two continued fractions, the BER anchor's I_w(a, 1/2) and the
 optical BER's Gamma(q, g) (`upper_gamma`, over arrays), run in one
 modified-Lentz loop, `_lentz`; the two positive series, the CDF anchor's
@@ -34,7 +34,7 @@ __all__ = [
     "REL_TOL",
     "TERMS_BASE",
     "TERMS_SLOPE",
-    "MAX_RATE",
+    "MAX_STEPS",
     "covers",
     "ConvergenceError",
     "poisson_weighted_sum",
@@ -46,20 +46,32 @@ __all__ = [
 ]
 
 
-# The truncation budget of every Poisson-weighted series: the target
-# relative error of the truncation, and the steps an entry at the rate lam
-# may take, TERMS_BASE + TERMS_SLOPE sqrt(lam), each step one order on each
-# side of its start.  Rates past MAX_RATE get no series.
+# The truncation budget of every Poisson-weighted series: the relative
+# error of the truncation every sum meets or is flagged, and the steps an
+# entry at the rate lam may take, each one order on each side of its start:
+# TERMS_BASE + TERMS_SLOPE sqrt(lam), up to MAX_STEPS, which bounds the
+# time of a pass.
 REL_TOL = 1e-10
-TERMS_BASE, TERMS_SLOPE = 64, 20
-MAX_RATE = 1e6
+TERMS_BASE, TERMS_SLOPE, MAX_STEPS = 64, 20, 6000
+
+
+def _budget(lam):
+    """The steps an entry at the rate lam may take, elementwise."""
+    return np.minimum(TERMS_BASE + TERMS_SLOPE * np.sqrt(lam), MAX_STEPS)
 
 
 def covers(lam):
-    """Whether the budget runs a sum at the rate lam, 0 <= lam <= MAX_RATE,
-    elementwise over an array of rates: past MAX_RATE a pass could take
-    more than 20000 steps."""
-    return (0.0 <= lam) & (lam <= MAX_RATE)
+    """Whether even the all-ones series, the largest sum of terms in
+    [0, 1], could converge within the budget at the rate lam >= 0,
+    elementwise over an array of rates.  After n steps from its start
+    floor(lam) its right tail bound exceeds the next summand,
+    pois(floor(lam) + n + 1; lam), and its sum is at most 1, so it cannot
+    meet REL_TOL where that is >= REL_TOL at n = `_budget(lam)`, nor from
+    2**53 on (inf included), where orders no longer step by 1."""
+    ok = (0.0 <= lam) & (lam < 2.0**53)
+    lam = np.where(ok, lam, 0.0)
+    out = ok & (_pois(np.floor(lam) + _budget(lam) + 1.0, lam) < REL_TOL)
+    return out if np.ndim(out) else bool(out)
 
 
 class ConvergenceError(RuntimeError):
@@ -129,8 +141,9 @@ def poisson_weighted_sum(lam, term):
     `_pois`, and stops once its bounds are below eps of its partial sum
     (or of 1e-300), so the truncation is below the rounding of its terms;
     its value does not depend on the other entries.  Returns (sums,
-    unconverged): the entries still open after TERMS_BASE + TERMS_SLOPE
-    sqrt(lam) steps, or past MAX_RATE, are flagged (partial sums).
+    unconverged): an entry is flagged (a partial sum) where its bounds are
+    still above REL_TOL of its sum when its `_budget` steps run out, or at
+    a rate `covers` refuses.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     bad = lam[~((lam >= 0.0) & (lam < math.inf))]
@@ -138,8 +151,8 @@ def poisson_weighted_sum(lam, term):
         raise ValueError(f"Poisson rate must be >= 0 and finite, got {bad[0]}")
     j0, value, right, left = term(lam)
     total = _pois(j0, lam) * value  # a fresh array, so adding in place never writes into a term
-    steps = np.where(covers(lam), TERMS_BASE + TERMS_SLOPE * np.sqrt(lam), 0.0)
-    open_ = np.ones(total.shape, dtype=bool)
+    steps = np.where(covers(lam), _budget(lam), 0.0)
+    open_, bound = np.ones(total.shape, dtype=bool), np.full(total.shape, math.inf)
     rows = zip(_summands(right, 1, j0, lam, open_), _summands(left, -1, j0, lam, open_))
     for n, ((s_hi, b_hi), (s_lo, b_lo)) in enumerate(rows, 1):
         live = open_ & (n <= steps)
@@ -147,8 +160,9 @@ def poisson_weighted_sum(lam, term):
             break
         np.add(total, s_hi, out=total, where=live)
         np.add(total, s_lo, out=total, where=live)
-        open_ &= ~live | (_EPS * np.maximum(total, _TINY) < b_hi + b_lo)
-    return total, open_
+        np.add(b_hi, b_lo, out=bound, where=live)
+        open_ &= ~live | (_EPS * np.maximum(total, _TINY) < bound)
+    return total, open_ & (REL_TOL * np.maximum(total, _TINY) < bound)
 
 
 def _summands(side, sign, j, lam, open_):
@@ -156,24 +170,19 @@ def _summands(side, sign, j, lam, open_):
     `poisson_weighted_sum`, walking from the orders j, from blocks over
     the entries `live`: all at first, then those still `open_` when the
     side is sent for its next block."""
-    summand, rho = next(side)
-    live = np.arange(lam.size)
+    (summand, rho), live = next(side), np.arange(lam.size)
     while True:
-        orders = j[live] + sign * np.arange(1.0, len(summand) + 1.0)[:, None]
+        # the walk's values are 0 past order 0
+        orders = np.maximum(j[live] + sign * np.arange(1.0, len(summand) + 1.0)[:, None], 0.0)
         j = j + sign * len(summand)
-        # the walk's block, done with, and 0 past order 0 (as its orders here)
-        summand *= _pois(np.maximum(orders, 0.0, out=orders), lam[live])
+        summand *= _pois(orders, lam[live])  # the walk's block, done with
         # the ratios may meet 0 * inf or x/0, and the bound inf/inf; each
         # only where the row gives no bound, which is then inf
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            bound = rho  # in place, as the walk holds rho till its next block
-            bound *= lam[live] / (orders + 1.0) if sign > 0 else orders / lam[live]
-            bound[orders <= 0.0] = 0.0  # nothing is left past order 0
-            none = ~(bound < 1.0)
-            bound /= 1.0 - bound
-            bound *= summand  # the row's summand r/(1 - r) where r < 1
-            bound[none] = math.inf
-        del rho, orders, none
+            rho *= lam[live] / (orders + 1.0) if sign > 0 else orders / lam[live]  # r, in place
+            rho[orders <= 0.0] = 0.0  # nothing is left past order 0
+            bound = np.where(rho < 1.0, rho / (1.0 - rho) * summand, math.inf)
+        del rho, orders  # the rows alone are held while they are summed
         for row, tail in zip(summand, bound):  # rows over every entry
             out = np.zeros((2, lam.size))
             out[:, live] = row, tail
@@ -202,42 +211,24 @@ def _block_len(entries):
     return max(1, min(_BLOCK_ORDERS, _BLOCK_ELEMENTS // entries))
 
 
-class _ByOrder:
-    """f(a) at integer orders a >= 1, elementwise over arrays, from a table
-    of f(1), f(2), ... grown to twice the largest order asked for, so that
-    a per-order constant costs one lookup.  f takes a float array of
-    orders, and each entry of the table is f's at that order alone, so an
-    order gets the same value from the table and from f."""
-
-    def __init__(self, f):
-        self._f, self._table = f, np.empty(0)
-
-    def __call__(self, a, out=None):
-        top = np.max(a, initial=0.0)
-        if top > 2**16:  # past a table of 1 MiB, f itself
-            return self._f(np.asarray(a, dtype=float))
-        if top >= self._table.size:  # entry 0 is a placeholder
-            self._table = np.append(0.0, self._f(np.arange(1.0, 2.0 * top + 1.0)))
-        return np.take(self._table, np.asarray(a, dtype=np.intp), out=out)
-
-
-def _small_orders(a, small, large):
-    """small[a - 1] below order 16 and `large` from 16 on, at every entry of
-    the float array of integer orders a >= 1."""
-    return np.where(a < 16.0, np.take(small, np.minimum(a, 15.0).astype(np.intp) - 1), large)
+# `_stirling_correction` and `_log_a_beta_half` below order 16, by order
+# (entry 0 unused); past 15 the entry taken is the last, and not used
+_SMALL_STIRLING = np.array([0.0] + [math.lgamma(v + 1.0) - (v + 0.5) * math.log(v) + v - _HALF_LOG_2PI
+                                    for v in range(1, 16)])
+_SMALL_BETA = np.array([0.0] + [math.log(4**v / math.comb(2 * v, v)) for v in range(1, 16)])
 
 
 def _stirling_correction(a):
     """log(a!) - (a + 1/2) log(a) + a - log(2 pi)/2 for integer orders a >= 1."""
     # Stirling series; the first omitted term is below 2e-16 at a = 16
     r = 1.0 / (a * a)
-    return _small_orders(a, [math.lgamma(v + 1.0) - (v + 0.5) * math.log(v) + v - _HALF_LOG_2PI
-                             for v in range(1, 16)], (1.0 / 12.0 - r * (1.0 / 360.0 - r * (
-                                 1.0 / 1260.0 - r * (1.0 / 1680.0 - r / 1188.0)))) / a)
+    large = (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r * (1.0 / 1680.0 - r / 1188.0)))) / a
+    return np.where(a < 16.0, np.take(_SMALL_STIRLING, np.asarray(a, dtype=np.intp), mode="clip"), large)
 
 
-# log(a!) - a log(a) + a = log(2 pi a)/2 + stirling(a), by order
-_log_norm = _ByOrder(lambda a: _HALF_LOG_2PI + 0.5 * np.log(a) + _stirling_correction(a))
+def _log_norm(a):
+    """log(a!) - a log(a) + a = log(2 pi a)/2 + stirling(a), for integer orders a >= 1."""
+    return _HALF_LOG_2PI + 0.5 * np.log(a) + _stirling_correction(a)
 
 
 def _pois(a, y):
@@ -261,7 +252,7 @@ def _pois(a, y):
         np.log1p(s, out=log_u, where=s >= -0.5)
         log_u -= s
         log_u *= b
-        log_u -= _log_norm(np.broadcast_to(b, s.shape), out=s)
+        log_u -= _log_norm(b)
         np.exp(log_u, out=log_u)
     np.copyto(log_u, np.exp(-np.asarray(y)), where=np.equal(a, 0))
     return log_u
@@ -294,12 +285,10 @@ def _series(ratios, *params):
         rest = 1.0 - ratio
         ratio[0] *= term
         terms = np.multiply.accumulate(ratio, axis=0, out=ratio)
-        sums = np.concatenate([last[None], terms])
-        np.add.accumulate(sums, axis=0, out=sums)
+        sums = np.add.accumulate(np.concatenate([last[None], terms]), axis=0)
         # an entry stops before its first term t <= eps S (1 - r), S its
         # sum before t: the geometric bound on the tail from t on
-        rest *= _EPS * sums[:-1]  # in place, as the walk's blocks are alive
-        stop = terms <= rest
+        stop = terms <= _EPS * sums[:-1] * rest
         done = stop.any(axis=0)
         total[open_[done]] = sums[stop[:, done].argmax(axis=0), done]
         open_, last, term, *params = (v[~done] for v in (open_, sums[-1], terms[-1], *params))
@@ -329,12 +318,14 @@ def _anchor(a, y):
     return np.where(direct, _pois(a, y) * total, 1.0 - _pois(a - 1.0, y) * total)
 
 
-# log(a B(a, 1/2)) by order.  a B(a, 1/2) = 4^a / C(2a, a), which is
-# sqrt(pi a) times exp(2 stirling(a) - stirling(2a)); below 16, where
-# `_stirling_correction` cancels, the integer quotient is rounded once instead
-_log_a_beta_half = _ByOrder(lambda a: _small_orders(
-    a, [math.log(4**v / math.comb(2 * v, v)) for v in range(1, 16)],
-    0.5 * np.log(np.pi * a) + 2.0 * _stirling_correction(a) - _stirling_correction(2.0 * a)))
+def _log_a_beta_half(a):
+    """log(a B(a, 1/2)) for integer orders a >= 1.
+
+    a B(a, 1/2) = 4^a / C(2a, a), which is sqrt(pi a) times
+    exp(2 stirling(a) - stirling(2a)); below 16, where `_stirling_correction`
+    cancels, the integer quotient is rounded once instead."""
+    large = 0.5 * np.log(np.pi * a) + 2.0 * _stirling_correction(a) - _stirling_correction(2.0 * a)
+    return np.where(a < 16.0, np.take(_SMALL_BETA, np.asarray(a, dtype=np.intp), mode="clip"), large)
 
 
 def _off_zero(v):

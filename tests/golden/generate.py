@@ -107,7 +107,7 @@ def cases():
         # rates 100 to 800: once past what a mode-anchored series could sum
         out[f"unconverged-branches-{quantity}"] = (["sweep", "--no-mc"] + run, config(
             k_db=20.0, snr_db=20.0, sweep=_sweep("branches", 1, 8, 8, quantity)))
-    # K = 60 dB with M = 4, a rate past specfun.MAX_RATE: exit 3
+    # K = 60 dB with M = 4, a rate `specfun.covers` refuses: exit 3
     out["refused-rate"] = (["sweep", "--no-mc"] + run, config(
         k_db=60.0, branches=4, sweep=_sweep("rf_avg_snr_db", 0.0, 20.0, 3, "outage")))
     out["config-error"] = (["outage"] + run, config(branches=0))

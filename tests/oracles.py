@@ -605,10 +605,11 @@ def rows(side):
 # `specfun.poisson_weighted_sum` and the block walk of `rf_channel._TermWalk`
 # must equal bit for bit.  Each entry starts at the peak of its summand
 # (`_start`), and the per-order functions are the walk's own (`_value`,
-# `_step`, `_rho`) and `step_pois`; what this checks is the block
-# arithmetic: each right order anchored at the far order of its block of
-# `rf_channel._WALK_ORDERS` orders and summed inward, each left order one
-# step from its neighbour, every weight and bound taken one order at a time.
+# `_step`, `_rho`, `_mean`) and `step_pois`; what this checks is the block
+# arithmetic: each right order of a block of `rf_channel._WALK_ORDERS`
+# orders whose far order is past the mean anchored at that far order and
+# summed inward, every other order one step from its inner neighbour, every
+# weight and bound taken one order at a time.
 def step_weighted_sum(lam, walk):
     """Evaluate sum_{j>=0} pois(j; lam_i) * T_i(j) at every entry i of the
     rates lam, one order per step on each side of each entry's start, with
@@ -620,22 +621,24 @@ def step_weighted_sum(lam, walk):
     j0 = walk._start(lam)
     value = walk._value(m + j0, slice(None))
     total = step_pois(j0, lam) * value
-    steps = np.where(specfun.covers(lam), specfun.TERMS_BASE + specfun.TERMS_SLOPE * np.sqrt(lam), 0.0)
-    open_ = np.ones(total.shape, dtype=bool)
+    steps = np.where(specfun.covers(lam), specfun._budget(lam), 0.0)
+    open_, bound = np.ones(total.shape, dtype=bool), np.full(total.shape, math.inf)
     hi = lo = value
     n = 0
     while True:
         n += 1
         live = open_ & (n <= steps)
         if not live.any():
-            return total, open_
+            return total, open_ & (specfun.REL_TOL * np.maximum(total, specfun._TINY) < bound)
         bounds = []
-        # right: the value at the far order of this order's block, then the
-        # steps down to this order, one at a time
+        # right: past the mean, the value at the far order of this order's
+        # block, then the steps down to this order, one at a time; up to
+        # it, one step from the last order
         far = m + j0 + width * math.ceil(n / width)
         right = walk._value(far, slice(None))
         for a in range(width * math.ceil(n / width) - 1, n - 1, -1):
             right = right + walk._step(m + j0 + a, slice(None))
+        right = np.where(far > walk._mean, right, hi - walk._step(m + j0 + n - 1, slice(None)))
         # left: one step from the last order, 0 past order m
         a = m + j0 - n
         left = np.where(a >= m, lo + walk._step(np.maximum(a, m), slice(None)), 0.0)
@@ -649,7 +652,8 @@ def step_weighted_sum(lam, walk):
                 bounds.append(np.where(r < 1.0, r / (1.0 - r) * summand, math.inf))
             np.add(total, summand, out=total, where=live)
         hi, lo = right, left
-        open_ &= ~live | (specfun._EPS * np.maximum(total, specfun._TINY) < bounds[0] + bounds[1])
+        bound = np.where(live, bounds[0] + bounds[1], bound)
+        open_ &= ~live | (_EPS * np.maximum(total, specfun._TINY) < bound)
 
 
 def step_pois(a, y):

@@ -634,7 +634,7 @@ class TestCli:
         assert rc == 3 and out == ""
         assert err == (
             "convergence error: at k_factor_db = 60: Poisson-weighted series did not "
-            "converge: rate=2e+06, max_rate=1e+06, rel_tol=1e-10\n"
+            "converge: rate=2e+06, steps=6000, rel_tol=1e-10\n"
         )
 
     @pytest.mark.parametrize("command", ["outage", "ber"])
@@ -659,7 +659,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert (rc, captured.out) == (3, "")
         assert captured.err == ("convergence error: Poisson-weighted series did not converge: "
-                                f"rate={rate}, max_rate=1e+06, rel_tol=1e-10\n")
+                                f"rate={rate}, steps=6000, rel_tol=1e-10\n")
 
     @pytest.mark.parametrize("command", ["outage", "sweep"])
     def test_unwritable_out_is_config_error(self, cfg_file, tmp_path, capsys, command):

@@ -225,7 +225,7 @@ class TestBatches:
             assert values.shape == floors.shape == (0,)
 
     def test_failing_entries_raise_for_the_batch(self):
-        # rates 3e6 and 2e6 are past MAX_RATE and fail both closed forms;
+        # `covers` refuses rates 3e6 and 2e6, which fail both closed forms;
         # K = 20 dB with M = 4 (rate 400) converges.  The first failing
         # entry names its rate.
         cfgs = self.CONVERGING[:3] + [

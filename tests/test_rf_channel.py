@@ -576,7 +576,7 @@ class TestBatch:
                 assert arr.tolist() == lones
 
     def test_failure_names_the_points(self):
-        # the middle point's rate is past MAX_RATE
+        # `covers` refuses the middle point's rate
         params = [RfParams(k_factor=k, branches=4, avg_snr=10.0 ** (s / 10.0))
                   for k, s in ((100.0, 0.0), (1e6, 10.0), (100.0, 5.0))]
         with pytest.raises(ConvergenceError, match="rate=4e[+]06") as info:
@@ -587,7 +587,7 @@ class TestBatch:
         _check_batch(_cdf_batch([1.0] * 3, params), lambda i: mrc_snr_cdf(1.0, params[i]), 3)
 
     def test_mixed_fading_matches_lone_calls(self):
-        # interleaved fading; K = 2e6 (rate 2e6) is past MAX_RATE and fails
+        # interleaved fading; `covers` refuses K = 2e6 (rate 2e6), which fails
         # at every SNR, K = 100 with M = 4 (rate 400) and K = 1000 (rate
         # 1000) converge, and a rate-8e5 point comes first on the array
         cells = [(1.0, 1, 3.0, 1.0), (2e5, 4, 0.0, 1.0), (2e6, 1, 30.0, 1.0),
@@ -609,14 +609,11 @@ class TestBatch:
 class TestRefusedRates:
     @pytest.mark.parametrize("max_terms, first_refused", [(16, 2.52), (40, 28.9), (512, 7575.0)])
     def test_refused_only_where_no_sum_can_stop(self, monkeypatch, max_terms, first_refused):
-        # under a fixed budget of max_terms steps, a cap MAX_RATE at
-        # first_refused (read when a series runs) refuses exactly the rates
-        # past it, before any series pass, and each of them is a rate where
-        # even the all-ones series, the largest sum of terms in [0, 1],
-        # runs out of steps: that cap loses no sum the budget could finish
-        monkeypatch.setattr(specfun, "TERMS_BASE", max_terms)
-        monkeypatch.setattr(specfun, "TERMS_SLOPE", 0)
-        monkeypatch.setattr(specfun, "MAX_RATE", first_refused)
+        # a rate gets no series pass only where even the all-ones series,
+        # the largest sum of terms in [0, 1], runs out of steps under the
+        # budget: the default base and slope, with the ceiling MAX_STEPS
+        # lowered to max_terms (read when a series runs)
+        monkeypatch.setattr(specfun, "MAX_STEPS", max_terms)
         passes = []
 
         def counted(lam, term):
@@ -624,9 +621,8 @@ class TestRefusedRates:
             return poisson_weighted_sum(lam, term)
 
         monkeypatch.setattr(rf_channel, "poisson_weighted_sum", counted)
-        rates = np.geomspace(1e-3, 4.0 * first_refused, 300)
         refused = []
-        for lam in rates:
+        for lam in np.geomspace(1e-3, 4.0 * first_refused, 300):
             passes.clear()
             try:
                 mrc_snr_cdf(1.0, RfParams(k_factor=float(lam), branches=1, avg_snr=1.0))
@@ -634,17 +630,23 @@ class TestRefusedRates:
                 pass
             if not passes:
                 refused.append(lam)
-        assert refused == rates[rates > first_refused].tolist()
-        monkeypatch.setattr(specfun, "MAX_RATE", math.inf)  # the all-ones series runs
-        ones = oracles.block_terms(lambda k: np.ones(len(refused)))
-        _, flagged = poisson_weighted_sum(np.array(refused), ones)
-        assert flagged.all()
+        self.check_all_ones_runs_out(monkeypatch, refused)
         assert refused and refused[0] == pytest.approx(first_refused, rel=0.1)
 
-    def test_refused_exactly_past_max_rate(self, monkeypatch):
-        # a rate gets no series pass exactly where it is past MAX_RATE, and
-        # every rate up to it converges, here from 1e-3 to 1e6 at one
-        # branch and 10 dB
+    @staticmethod
+    def check_all_ones_runs_out(monkeypatch, rates):
+        """The all-ones series, run over its whole budget at every rate
+        `covers` refuses, is flagged at each."""
+        monkeypatch.setattr(specfun, "covers", lambda lam: np.ones(np.shape(lam), dtype=bool))
+        ones = oracles.block_terms(lambda k: np.ones(len(rates)))
+        _, flagged = poisson_weighted_sum(np.array(rates), ones)
+        assert flagged.all()
+
+    def test_refused_exactly_where_not_covered(self, monkeypatch):
+        # at the shipped budget a rate gets no series pass exactly where
+        # `covers` refuses it, past about 1.19e6, and every rate below
+        # converges, here from 1e-3 to 1e6 at one branch and 10 dB; just
+        # past the cap, the all-ones series runs out of steps
         passes = []
 
         def counted(lam, term):
@@ -652,9 +654,11 @@ class TestRefusedRates:
             return poisson_weighted_sum(lam, term)
 
         monkeypatch.setattr(rf_channel, "poisson_weighted_sum", counted)
-        rates = np.concatenate([np.geomspace(1e-3, 1e6, 7), [math.nextafter(1e6, 2e6), 4e6]])
+        cap = math.nextafter(1189267.999904181, math.inf)  # the first rate refused
+        rates = np.concatenate([np.geomspace(1e-3, 1e6, 7), [cap, 4e6]])
         params = [RfParams(k_factor=float(lam), branches=1, avg_snr=10.0) for lam in rates]
-        with pytest.raises(ConvergenceError, match="rate=1e[+]06, max_rate=1e[+]06") as info:
+        with pytest.raises(ConvergenceError, match="rate=1.18927e[+]06, steps=6000") as info:
             mrc_cdf_batch([1.0] * rates.size, params)
         assert info.value.unconverged.tolist() == [False] * 7 + [True, True]
         assert [p.tolist() for p in passes] == [rates[:7].tolist()]
+        self.check_all_ones_runs_out(monkeypatch, [cap])

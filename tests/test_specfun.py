@@ -176,7 +176,7 @@ class TestPoissonWeightedSum:
         with pytest.raises(ConvergenceError) as info:
             mrc_snr_cdf(np.array([0.0, 4.0, 8.0]), p)
         assert str(info.value) == (
-            "Poisson-weighted series did not converge: rate=5000, max_rate=1e+06, rel_tol=1e-10"
+            "Poisson-weighted series did not converge: rate=5000, steps=16, rel_tol=1e-10"
         )
         assert info.value.unconverged.tolist() == [False, True, True]
 
@@ -262,8 +262,8 @@ class TestPoissonWeightedSum:
             assert not flagged and not unconverged[i::args.size].any()
 
     def test_rate_past_the_float_integers_is_flagged(self):
-        # past MAX_RATE an entry takes no step, so it is flagged at once,
-        # and past 2**53, where j + 1 rounds to the rate, no bound is formed
+        # past 2**53, where j + 1 rounds to the rate, `covers` refuses the
+        # rate, so an entry takes no step and is flagged at once
         _, unconverged = poisson_weighted_sum(np.full(2, 1e17),
                                               oracles.block_terms(lambda k: np.ones(2)))
         assert unconverged.tolist() == [True, True]
@@ -271,8 +271,15 @@ class TestPoissonWeightedSum:
 
 # Rates where the fixed 512-term budget of the mode-anchored series once
 # crossed between covering and refusing (the weight pois(floor(lam) + 512;
-# lam) against 2e-10), now all far inside MAX_RATE
+# lam) against 2e-10), now all far below the cap
 OLD_CROSSINGS = [7549.984859638253, 7575.167261901771, 7580.010187196885]
+
+# Where the all-ones weight pois(floor(lam) + MAX_STEPS + 1; lam) crosses
+# REL_TOL at the default budget: the last covered rate of the first and of
+# the last crossing; the next float up is refused.  The weight rises in lam
+# between integers and drops where floor(lam) steps, so between the two
+# crossings the covered rates alternate with the refused ones.
+CROSSINGS = [1189267.999904181, 1189678.0007729116]
 
 
 class TestCovers:
@@ -285,19 +292,23 @@ class TestCovers:
         assert np.all(mrc_cdf_batch([1e4, 1e4], params) > 0.0)
         assert np.all(rf_avg_ber_batch(params) > 0.0)
 
-    def test_one_float_on_each_side_of_the_cap(self):
-        above = math.nextafter(specfun.MAX_RATE, math.inf)
-        assert specfun.covers(specfun.MAX_RATE) and not specfun.covers(above)
-        rates = np.array([0.0, specfun.MAX_RATE, above, -1e-300, math.nan])
+    @pytest.mark.parametrize("lam", CROSSINGS)
+    def test_one_float_on_each_side_of_the_cap(self, lam):
+        above = math.nextafter(lam, math.inf)
+        assert specfun.covers(lam) and not specfun.covers(above)
+        # the crossing is the weight's own, not a rounding artefact of it
+        for rate in (lam, above):
+            assert float(oracles.pois_mp(int(rate) + specfun.MAX_STEPS + 1, rate)) == pytest.approx(
+                specfun.REL_TOL, rel=1e-11)
+        rates = np.array([0.0, lam, above, -1e-300, math.nan])
         assert specfun.covers(rates).tolist() == [True, True, False, False, False]
 
     def test_covered_up_to_the_first_crossing(self):
-        # the one crossing is MAX_RATE
-        lams = np.concatenate([[0.0, 1e-300, 0.5], np.linspace(1.0, specfun.MAX_RATE, 500)])
+        lams = np.concatenate([[0.0, 1e-300, 0.5], np.linspace(1.0, CROSSINGS[0], 500)])
         assert all(specfun.covers(lam) for lam in lams)
 
     def test_refused_past_the_last_crossing(self):
-        lams = np.linspace(math.nextafter(specfun.MAX_RATE, math.inf), 1e8, 500)
+        lams = np.linspace(math.nextafter(CROSSINGS[-1], math.inf), 1e8, 500)
         assert not any(specfun.covers(lam) for lam in lams)
 
     @pytest.mark.parametrize("lam", [math.nextafter(2.0**53, 0.0), 2.0**53, 1e300, math.inf])
@@ -325,7 +336,7 @@ class TestCovers:
             rf_channel._mixture(k, m, np.ones(2), terms)
         assert built == [[2]]
         assert str(info.value) == ("Poisson-weighted series did not converge: "
-                                   f"rate={lam:g}, max_rate=1e+06, rel_tol=1e-10")
+                                   f"rate={lam:g}, steps=6000, rel_tol=1e-10")
         assert info.value.unconverged.tolist() == [True, False]
 
 
@@ -352,6 +363,17 @@ GAMMA_REL = 5e-13
 GAMMA_YS = np.geomspace(1e-3, 1e3, 25)
 
 
+def check_right_anchors(walk, j, want):
+    """The entries whose values the right side of walk, started at j,
+    takes from an anchor at each block's far order, block by block."""
+    anchored, value = [], walk._value
+    _, _, right, _ = _at(walk, j)
+    walk._value = lambda a, live: (anchored.append(live.tolist()), value(a, live))[1]
+    for _ in want:
+        next(right)
+    assert anchored == want
+
+
 class TestGammaTerms:
     """P(a, y) of integer order against mpmath at 40 digits, for a in
     [1, 1200] and y in [1e-3, 1e3]: values near 1 (a << y) down to the
@@ -373,8 +395,9 @@ class TestGammaTerms:
     @pytest.mark.parametrize("a0", [1, 30, 204, 700, 1200])
     def test_walk(self, a0):
         # the anchor, then the rows of both sides outward; the values of
-        # both sides keep relative accuracy, each right block being
-        # anchored at its far order
+        # both sides keep relative accuracy, each right block past y being
+        # anchored at its far order and each other one stepping from its
+        # inner order by subtraction
         _, anchor, right, left = _at(GammaTerms(1, GAMMA_YS), a0 - 1)
         right, left = oracles.rows(right), oracles.rows(left)
         lo = hi = a0
@@ -417,6 +440,12 @@ class TestGammaTerms:
 
     def test_saturates_above_the_float_range(self):
         assert _at(GammaTerms(3, np.array([np.inf, 1e308])), 5)[1].tolist() == [1.0, 1.0]
+
+    def test_right_anchors_only_past_the_mean(self):
+        # from a0 = 51, the right blocks' far orders are 59, 67, ..., 99,
+        # 107: an entry at y = 100 is anchored from the seventh block on,
+        # one at y = 5 in every block
+        check_right_anchors(GammaTerms(1, np.array([100.0, 5.0])), 50, [[1]] * 6 + [[0, 1]] * 2)
 
 
 # measured worst over these tests: 1.3e-13 relative at the anchors,
@@ -486,6 +515,11 @@ class TestBetaTerms:
         lones = [_walked(BetaTerms(3, ws[i:i + 1]), 44, 2) for i in range(ws.size)]
         for n, got in enumerate(_walked(BetaTerms(3, ws), 44, 2)):
             assert got.tolist() == [lone[n][0] for lone in lones]
+
+    def test_right_anchors_only_past_the_mean(self):
+        # the counts' means at w = 0.99 and 0.5 are 49.5 and 0.5; from
+        # a0 = 11 the right blocks' far orders are 19, 27, ..., 51
+        check_right_anchors(BetaTerms(1, np.array([0.99, 0.5])), 10, [[1]] * 4 + [[0, 1]] * 2)
 
     @pytest.mark.parametrize("a", range(1, 65))
     def test_anchor_entries_equal_lone_calls(self, a):
