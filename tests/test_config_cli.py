@@ -421,7 +421,7 @@ class TestRunSweep:
             assert abs(r.mc_estimate - r.analytic) < 6.0 * r.mc_std_error + 1e-9
 
     def test_convergence_error_carries_grid_mask(self):
-        # K over 0..90 dB with M = 2: the rate passes MAX_RATE from 60 dB
+        # K over 0..90 dB with M = 2: `covers` refuses the rate from 60 dB
         # on, and entry i of the mask is grid point i
         from rfvlc.specfun import ConvergenceError
 
@@ -441,7 +441,7 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("quantity", ["outage", "ber"])
     def test_first_failing_grid_point_raises(self, quantity):
-        # K = 70 dB with M = 4: the rate is past MAX_RATE from the first
+        # K = 70 dB with M = 4: `covers` refuses the rate from the first
         # point, and 4000 dB overflows to an infinite SNR later on the grid
         from rfvlc.specfun import ConvergenceError
 
@@ -622,7 +622,7 @@ class TestCli:
 
     def test_mid_grid_convergence_error_matches_no_mc(self, cfg_file, capsys):
         # K over 0..90 dB with M = 2 converges at 0 and 30 dB, not at
-        # 60 dB, where the rate is past MAX_RATE
+        # 60 dB, where `covers` refuses the rate
         path = cfg_file(doc_with(axis="k_factor_db", start="0", stop="90", points="4"))
         reports = []
         for extra in ([], ["--no-mc"]):
