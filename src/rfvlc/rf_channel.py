@@ -203,11 +203,11 @@ class GammaTerms(_TermWalk):
     """The terms T(j) = P(m + j, y) of the radio CDF, P being the
     regularized lower incomplete gamma, at every entry of the array y > 0.
 
-    P(a, y) = Pr(N >= a) with N ~ Poisson(y): the step is pois(a; y), the
-    anchor `specfun._anchor`'s series, and P is log-concave in a.  P(a+1)/P(a) is
-    about y/(a + 1), so the summand peaks near the first j past the root of
-    (j + 1)(m + j + 1) = lam y, or at floor(lam).  Arguments above the float
-    range are clamped to it, where P is 1.
+    P(a, y) = Pr(N >= a) with N ~ Poisson(y), of mean y: the step is
+    pois(a; y), the anchor `specfun._anchor`'s series, and P is log-concave
+    in a.  P(a+1)/P(a) is about y/(a + 1), so the summand peaks near the
+    first j past the root of (j + 1)(m + j + 1) = lam y, or at floor(lam).
+    Arguments above the float range are clamped to it, where P is 1.
     """
 
     def __init__(self, m, y):
@@ -231,7 +231,7 @@ class BetaTerms(_TermWalk):
     regularized incomplete beta, at every entry of the array w in [0, 1].
 
     I_w(a, 1/2) = Pr(N >= a), N negative binomial of shape 1/2 and failure
-    probability w: the step is d(a) = w^a (1 - w)^(1/2) / (a B(a, 1/2))
+    probability w, of mean w/(2(1 - w)): the step is d(a) = w^a (1 - w)^(1/2) / (a B(a, 1/2))
     (DLMF 8.17.20), from logs, and the anchor `specfun._beta_anchor`'s continued
     fraction.  I is log-convex in a, so a row ratio bounds nothing; but
     d(a + 1)/d(a) = w (a + 1/2)/(a + 1) rises toward w, so I(a + 1)/I(a) <= w
