@@ -22,15 +22,26 @@ same count, trial for trial.
 
 Scratch.  A caller that runs many chunks passes each one the same
 `scratch` dict, one per thread, and the kernel draws into and computes in
-the arrays it holds.  The C allocator may give a freed chunk-sized array
-back to the system, and a fresh one then costs a page fault per 4 KiB
-page on every chunk: a 16-chunk, 21-point outage sweep took about 9100
-minor faults with fresh arrays and about 600 with reused ones (2 vCPUs,
-Python 3.11, numpy 2.4).
+the arrays it holds, so after a thread's first chunk no chunk allocates a
+chunk-sized array.  For chunks of n trials, a largest branch count M and
+P distinct (K, M) pairs, a thread holds (2 + M + P) n doubles, less n
+when M > 1: the normal pairs, the uniforms, the M - 1 exponential rows
+and one gain array per pair, but for the pair with the most branches,
+which `rf_channel.mrc_gains` forms in its own exponential row.  A point
+counted directly adds the radio SNR, n, and a BER pass the erfc result
+array, n, and erfc's Horner scratch, 2 ERFC_BLOCK.  At n = 65536, M = 2
+and one pair that is 4n on a grouped outage pass, 5n on a direct one
+and 7n, 3.5 MiB, on a BER pass.  The C allocator may give a freed
+chunk-sized array back to the system, and a fresh one then costs a page
+fault per 4 KiB page on every chunk: a 2e6-trial BER pass at the
+reference cell took 7795 minor faults when every chunk made its gains,
+its minimum, its erfc scratch and its patches afresh, and takes 918; the
+21-point, 16-chunk outage sweep on two threads took 1527 and takes 1052,
+nearly all in each thread's first chunk (Python 3.11, numpy 2.4).
 
 The conditional bit error probabilities take erfc(sqrt(snr)) from
-`specfun.erfc_sqrt`, numpy alone, in scratch the chunk already owns, so
-the kernel imports no scipy and erfc adds no chunk-sized temporaries.
+`specfun.erfc_sqrt`, numpy alone, a sub-block at a time (`_erfc`), so the
+kernel imports no scipy and erfc's temporaries stay sub-block-sized.
 """
 from __future__ import annotations
 
@@ -44,6 +55,14 @@ from .specfun import erfc_sqrt
 # (the sort won 33 and 34 of 60 interleaved chunks at 7 and 8 points, 53
 # of 60 at 10)
 MIN_GROUP = 8
+
+# the trials erfc takes at a time on a BER pass: each `erfc_sqrt` call
+# costs some 50-75 us of call overhead whatever its length, so a 2e6-trial
+# BER pass at the reference cell took 190, 170, 160 and 163 ms at 8192,
+# 16384, 32768 and 65536 (one call per chunk), medians of 30 interleaved
+# runs in process on one thread; `rfvlc validate` there peaked at 38.5 MiB
+# at 16384, 38.9 at 32768 and 40.7 with the whole-chunk scratch before it
+ERFC_BLOCK = 32768
 
 
 def shared_groups(points):
@@ -88,7 +107,7 @@ def chunk_stats(bitgen, n, points, ber, groups, scratch):
     u = gen.random(out=buffer("uniforms", n))
     rows = max(m for _, m in fading) - 1
     exps = gen.standard_exponential(out=buffer("exponentials", rows * n).reshape(rows, n))
-    gains = mrc_gains(z, exps, fading)
+    gains = mrc_gains(z, exps, fading, lambda k, m: buffer(("gain", k, m), n))
     del z, exps
     # the normal pairs are spent once the gains are formed: the optical
     # power law and SNR are formed in their two halves
@@ -131,9 +150,10 @@ def chunk_stats(bitgen, n, points, ber, groups, scratch):
             vlc_key = vlc
             snr_vlc = np.multiply(power(vlc[1:]), vlc[0], out=vlc_buf)
             vlc_moments = _moments(snr_vlc, buffer) if ber else ()
-        below = np.minimum(snr_rf, snr_vlc, out=buffer("min", n))
-        count = int(np.count_nonzero(below < gamma_th))
-        out[i] = (count, *rf_moments, *vlc_moments)
+        # min(snr_rf, snr_vlc) < gamma_th, as neither SNR is NaN
+        below = np.less(snr_rf, gamma_th)
+        below |= snr_vlc < gamma_th
+        out[i] = (int(np.count_nonzero(below)), *rf_moments, *vlc_moments)
     return out
 
 
@@ -171,12 +191,27 @@ def _sorted_counts(snr_vlc, gains, mus, gamma_th):
 
 def _moments(snr, buffer):
     """Sum and sum of squares of the conditional BPSK bit error
-    probability erfc(sqrt(snr))/2 over the chunk, computed in the chunk's
-    arrays `buffer` holds alone: the erfc's (2, n) Horner scratch and one
-    result array, shared by every point."""
-    n = snr.size
-    x = erfc_sqrt(snr, out=buffer("erfc", n), work=buffer("horner", 2 * n).reshape(2, n))
+    probability erfc(sqrt(snr))/2 over the chunk, each summed over the
+    whole array `_erfc` fills, as after one erfc call over the chunk."""
+    x = _erfc(snr, buffer)
     x *= 0.5
     total = float(x.sum())
     x *= x
     return total, float(x.sum())
+
+
+def _erfc(snr, buffer):
+    """erfc(sqrt(snr)) over the chunk, into the one chunk-sized result
+    array `buffer` holds, shared by every point.
+
+    erfc runs over sub-blocks of ERFC_BLOCK trials, each in the one (2,
+    ERFC_BLOCK) Horner scratch `buffer` holds, so its region patches are
+    sub-block-sized too.  Each value is computed elementwise, so the array
+    equals one erfc call over the whole chunk bit for bit."""
+    n = snr.size
+    x = buffer("erfc", n)
+    work = buffer("horner", 2 * ERFC_BLOCK).reshape(2, ERFC_BLOCK)
+    for start in range(0, n, ERFC_BLOCK):
+        s = snr[start:start + ERFC_BLOCK]
+        erfc_sqrt(s, out=x[start:start + s.size], work=work[:, :s.size])
+    return x

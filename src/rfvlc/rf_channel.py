@@ -310,7 +310,7 @@ def _cdf(k, m, mu, gamma):
         return _mixture(k, m, (k + 1.0) * validate_snr(gamma) / mu, GammaTerms)
 
 
-def mrc_gains(z, exps, fading):
+def mrc_gains(z, exps, fading, out=None):
     """Unscaled combined gains sum_b |h_b|^2 of unit-mean-power Rician
     branches, one array per (K, branch count) pair, all from the same draws.
 
@@ -328,8 +328,15 @@ def mrc_gains(z, exps, fading):
 
     `z` and `exps` serve as scratch and are overwritten, which spares the
     chunk kernel fresh temporaries.  Returns {(K, m): gain} for every pair
-    in `fading`.  Raises ValueError where m K is not a finite float, since
-    its square would overflow.
+    in `fading`.  The pair with the most branches, when it has two or
+    more, is formed last, in z[..., 0] and then in the exponential row it
+    reads, which no other pair needs by then: its gain is that row.  Every
+    other pair's gain is written into out(K, m), an array the caller
+    passes for it (the chunk kernel's reused scratch), or into a fresh
+    array when `out` is None.  IEEE addition is commutative, so adding the
+    shifted square into the row gives the same sum bit for bit.  Raises
+    ValueError where m K is not a finite float, since its square would
+    overflow.
     """
     z *= math.sqrt(0.5)
     im = z[..., 1]
@@ -338,13 +345,18 @@ def mrc_gains(z, exps, fading):
     for b in range(1, len(exps)):
         exps[b] += exps[b - 1]
     gains = {}
-    for k, m in set(fading):
+    pairs = sorted(set(fading), key=lambda pair: pair[::-1])  # the most branches last
+    for k, m in pairs:
         if not math.isfinite(m * k):
             raise ValueError(f"the Rician rate K*M must be finite, got K={k:g}, M={m}")
-        gain = z[..., 0] + math.sqrt(m * k)
+        in_row = m > 1 and (k, m) == pairs[-1]
+        gain = z[..., 0] if in_row else None if out is None else out(k, m)
+        gain = np.add(z[..., 0], math.sqrt(m * k), out=gain)
         gain *= gain
         gain += im
-        if m > 1:
+        if in_row:  # a view of the row, a 0-d one for a scalar draw
+            gain = np.add(exps[m - 2, ...], gain, out=exps[m - 2, ...])
+        elif m > 1:
             gain += exps[m - 2]
         gain *= 1.0 / (k + 1.0)
         gains[k, m] = gain

@@ -154,50 +154,63 @@ def mrc_cdf_mp(snr, k_factor, branches, avg_snr, dps=40):
             j += 1
 
 
-def poisson_mixture_mp(lam, term, dps=30):
-    """sum_j pois(j; lam) term(j) by mpmath at `dps` digits, for a summand
-    with one peak: the peak is the largest summand on a grid of 201 orders
-    over [0, lam + 40 sqrt(lam) + 40], and the sum runs outward from it on
-    each side until a summand is below 10^-dps of the sum."""
+def poisson_mixture_mp(lam, order, anchor, drop, back, dps=30):
+    """sum_j pois(j; lam) T(order + j) by mpmath at `dps` digits, lam > 0,
+    for a term T(a) that falls in its order a by the drops
+    D(a) = T(a) - T(a + 1) >= 0.
+
+    The sum runs down from j = top = lam + 40 sqrt(lam) + 40, past which
+    the weights are below e^-800 of their peak, to j = 0, from one mpmath
+    anchor T(order + top) = anchor(order + top).  Each step adds,
+    T(a - 1) = T(a) + D(a - 1), and the drops and the weights follow by
+    their ratios, D(a - 2) = D(a - 1) back(a - 1) and
+    pois(j - 1) = pois(j) j / lam, from D(order + top - 1) = drop(...) and
+    pois(top; lam), so no step cancels and the error grows by about one
+    unit of 10^-dps per step."""
     with mpmath.workdps(dps):
         lam = mpmath.mpf(float(lam))
-
-        def summand(j):
-            weight = mpmath.exp(j * mpmath.log(lam) - lam - mpmath.loggamma(j + 1)) if lam else mpmath.mpf(j == 0)
-            return weight * term(j)
-
         top = int(float(lam + 40 * mpmath.sqrt(lam) + 40))
-        grid = sorted({round(top * i / 200) for i in range(201)})
-        peak = max(grid, key=summand)
-        total = summand(peak)
-        for sign in (1, -1):
-            j = peak + sign
-            while j >= 0:
-                value = summand(j)
-                total += value
-                if value < mpmath.mpf(10) ** -dps * total:
-                    break
-                j += sign
+        a = order + top
+        value, step = anchor(a), drop(a - 1)
+        weight = mpmath.exp(top * mpmath.log(lam) - lam - mpmath.loggamma(top + 1))
+        total = weight * value
+        for j in range(top, 0, -1):
+            a = order + j
+            value += step
+            step *= back(a - 1)
+            weight *= j / lam
+            total += weight * value
         return float(total)
 
 
 def mrc_cdf_peak_mp(snr, k_factor, branches, avg_snr, dps=30):
-    """`mrc_cdf_mp` summed from the peak of its summand (`poisson_mixture_mp`),
-    for rates where a sum from j = 0 is too long."""
+    """`mrc_cdf_mp` summed by `poisson_mixture_mp`, for rates where a sum
+    from j = 0 that calls mpmath at every order is too slow: the term
+    P(a, y) drops by pois(a; y), whose ratio pois(a - 1; y)/pois(a; y) is
+    a / y."""
     with mpmath.workdps(dps):
         y = (mpmath.mpf(k_factor) + 1) * mpmath.mpf(float(snr)) / mpmath.mpf(avg_snr)
-        return poisson_mixture_mp(k_factor * branches, lambda j: mpmath.gammainc(
-            branches + j, 0, y, regularized=True), dps)
+        return poisson_mixture_mp(
+            k_factor * branches, branches,
+            lambda a: mpmath.gammainc(a, 0, y, regularized=True),
+            lambda a: mpmath.exp(a * mpmath.log(y) - y - mpmath.loggamma(a + 1)),
+            lambda a: a / y, dps)
 
 
 def rf_ber_mp(k_factor, branches, avg_snr, dps=30):
     """The radio BER's Poisson mixture sum_j pois(j; K M) I_w(M + j, 1/2)/2,
-    w = (K+1)/(K+1+avg_snr), by mpmath from the peak of its summand."""
+    w = (K+1)/(K+1+avg_snr), by `poisson_mixture_mp`: I_w(a, b) drops by
+    w^a (1-w)^b Gamma(a+b)/(Gamma(a+1) Gamma(b)) (DLMF 8.17.20), whose ratio
+    from order a to a - 1 is a / ((a - 1 + b) w)."""
     with mpmath.workdps(dps):
-        k = mpmath.mpf(k_factor)
+        k, half = mpmath.mpf(k_factor), mpmath.mpf(1) / 2
         w = (k + 1) / (k + 1 + mpmath.mpf(avg_snr))
-        return poisson_mixture_mp(k_factor * branches, lambda j: mpmath.betainc(
-            branches + j, mpmath.mpf(1) / 2, 0, w, regularized=True), dps) / 2
+        return poisson_mixture_mp(
+            k_factor * branches, branches,
+            lambda a: mpmath.betainc(a, half, 0, w, regularized=True),
+            lambda a: mpmath.exp(a * mpmath.log(w) + half * mpmath.log(1 - w) + mpmath.loggamma(a + half)
+                                 - mpmath.loggamma(a + 1) - mpmath.loggamma(half)),
+            lambda a: a / ((a - 1 + half) * w), dps) / 2
 
 
 def mrc_ppf_ref(q, k_factor, branches, avg_snr):

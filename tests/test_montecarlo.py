@@ -10,7 +10,7 @@ import oracles
 from rfvlc.e2e import e2e_avg_ber, outage_probability
 from rfvlc.config import SweepSpec
 from rfvlc.e2e import ber_floor, outage_floor
-from rfvlc import _mc_numpy
+from rfvlc import _mc_numpy, specfun
 from rfvlc.montecarlo import (
     CHUNK_SIZE,
     EstimateWithError,
@@ -21,6 +21,7 @@ from rfvlc.montecarlo import (
     simulate_outage,
 )
 from rfvlc.rf_channel import mrc_gains, sample_mrc_snr
+from rfvlc.specfun import erfc_sqrt
 from rfvlc.sweep import ResultRecord, apply_axis, axis_grid, emit_csv, run_sweep
 from rfvlc.vlc_channel import derive, sample_vlc_snr
 from test_e2e import make_cfg
@@ -388,6 +389,79 @@ class TestScratch:
                                            scratch)
             assert reused == fresh
         assert scratch["normals"].size == 2 * 9000
+
+    @pytest.mark.parametrize("points, ber", [
+        # a grouped outage sweep, a direct outage point, a BER point, and
+        # a BER pass over mixed fading with one and four branches
+        ([_point_args(make_cfg(avg_snr=float(mu))) for mu in np.logspace(0.0, 2.0, 21)], False),
+        ([_point_args(make_cfg())], False),
+        ([_point_args(make_cfg())], True),
+        ([_point_args(make_cfg(branches=1)), _point_args(make_cfg(branches=4, avg_snr=2.0))], True),
+    ], ids=["grouped-outage-sweep", "direct-outage", "ber", "mixed-fading-ber"])
+    def test_a_warm_chunk_allocates_nothing_chunk_sized(self, points, ber):
+        # a thread's second chunk draws into and computes in the arrays of
+        # its first: it adds or replaces no scratch array, and what it
+        # allocates besides (boolean masks, erfc's sub-block patches) stays
+        # far below one chunk of doubles
+        import tracemalloc
+
+        n = CHUNK_SIZE
+        groups = () if ber else _mc_numpy.shared_groups(points)
+        assert len(groups) == (1 if len(points) == 21 else 0)
+        scratch = {}
+        _mc_numpy.chunk_stats(np.random.SFC64(1), n, points, ber, groups, scratch)
+        held = dict(scratch)
+        tracemalloc.start()
+        try:
+            warm = _mc_numpy.chunk_stats(np.random.SFC64(2), n, points, ber, groups, scratch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scratch.keys() == held.keys()
+        assert all(scratch[name] is array for name, array in held.items())
+        # no single allocation of n doubles, since the peak bounds each
+        assert peak < 8 * n
+        assert peak < 256 * 1024
+        assert warm == _mc_numpy.chunk_stats(np.random.SFC64(2), n, points, ber, groups, {})
+
+
+class TestBlockedErfc:
+    """The kernel's erfc, taken a sub-block at a time, against one
+    `erfc_sqrt` call over the whole chunk, bit for bit."""
+
+    EDGES = [0.0, np.nextafter(1.0, 0.0), 1.0, np.nextafter(64.0, 0.0), 64.0,
+             np.nextafter(specfun._MAXLOG, 0.0), specfun._MAXLOG, np.nextafter(specfun._MAXLOG, np.inf),
+             745.0, 1e308, np.inf]
+
+    @staticmethod
+    def snrs(n):
+        # the edges at the start and across the first sub-block boundaries,
+        # then random SNRs uniform on [0, 2000] and log-uniform over
+        # [e^-30, e^8], shuffled
+        rng = np.random.default_rng(21)
+        random = np.concatenate([rng.uniform(0.0, 2000.0, 50_000), np.exp(rng.uniform(-30.0, 8.0, 50_000))])
+        s = np.concatenate([TestBlockedErfc.EDGES, rng.permutation(random)])
+        for boundary in (1000, 32768):
+            s[boundary - 5:boundary + 6] = TestBlockedErfc.EDGES
+        return s[:n]
+
+    @pytest.mark.parametrize("block", [_mc_numpy.ERFC_BLOCK, 1000, 4096])
+    @pytest.mark.parametrize("n", [CHUNK_SIZE, 2_000_000 % CHUNK_SIZE, 17])
+    def test_equals_one_whole_call(self, monkeypatch, block, n):
+        # 1000 divides neither chunk length; 2e6 trials end on a short
+        # chunk of 33920, and 17 trials are less than one sub-block
+        monkeypatch.setattr(_mc_numpy, "ERFC_BLOCK", block)
+        s = self.snrs(n)
+        assert np.isin(self.EDGES, s).all()
+        want = erfc_sqrt(s)
+
+        def buffer(name, size):
+            return np.full(size, np.nan)
+
+        got = _mc_numpy._erfc(s, buffer)
+        assert got.tobytes() == want.tobytes()
+        x = 0.5 * want
+        assert _mc_numpy._moments(s, buffer) == (float(x.sum()), float((x * x).sum()))
 
 
 class RecordingThread:

@@ -323,6 +323,22 @@ class TestGains:
             alone = rf_channel.mrc_gains(z.copy(), exps[:m - 1].copy(), [(k, m)])
             np.testing.assert_array_equal(alone[k, m], together[k, m])
 
+    def test_written_into_the_given_arrays(self):
+        # the chunk kernel's reused scratch: the same gains, bit for bit,
+        # each in its own given array but the pair with the most branches,
+        # whose gain is formed in the exponential row it reads
+        rng = np.random.default_rng(6)
+        z, exps = rng.standard_normal((500, 2)), rng.standard_exponential((3, 500))
+        pairs = [(50.0, 4), (0.0, 1), (3.162, 2), (0.5, 4)]
+        fresh = rf_channel.mrc_gains(z.copy(), exps.copy(), pairs)
+        out = {pair: np.full(500, np.nan) for pair in pairs}
+        spent = exps.copy()
+        given = rf_channel.mrc_gains(z.copy(), spent, pairs, lambda k, m: out[k, m])
+        for pair in pairs:
+            assert given[pair].tobytes() == fresh[pair].tobytes()
+            assert given[pair] is out[pair] or pair == (50.0, 4)
+        assert np.shares_memory(given[50.0, 4], spent[2]) and np.isnan(out[50.0, 4]).all()
+
 
 class TestAvgBer:
     def test_spot_value(self):

@@ -603,10 +603,11 @@ class TestSeries:
     """`_series`, the one positive-series loop (`_anchor`, `upper_gamma`)."""
 
     def test_sums_the_exponential(self):
-        # ratios y/n: each term summed carries a rounding of its product and
-        # one of its addition (measured worst 0.3 ulp per term)
+        # ratios y/n, at most 1/2 from n = 2 y <= 80 on: each term summed
+        # carries a rounding of its product and one of its addition
+        # (measured worst 0.3 ulp per term)
         ys = np.linspace(0.0, 40.0, 401)
-        got = specfun._series(lambda ns, y: y / ns, ys)
+        got = specfun._series(lambda ns, y: y / ns, 80.0, ys)
         for y, value in zip(ys, got):
             want = oracles.exp_mp(y)
             assert value == pytest.approx(want, rel=2.0 * 2.0**-53 * _terms_summed(y), abs=0.0), y
@@ -620,11 +621,11 @@ class TestSeries:
         q, y = q[order], y[order]
 
         def ratios(ns, q, y):
-            return y / (q + ns)
+            return y / (q + ns)  # at most 1/2 from n = 80 on
 
-        got = specfun._series(ratios, q, y)
+        got = specfun._series(ratios, 80.0, q, y)
         for i in range(q.size):
-            assert got[i] == specfun._series(ratios, q[i:i + 1], y[i:i + 1])[0], (q[i], y[i])
+            assert got[i] == specfun._series(ratios, 80.0, q[i:i + 1], y[i:i + 1])[0], (q[i], y[i])
 
 
 # Series budgets (TERMS_BASE, TERMS_SLOPE): the default, and two whose
@@ -697,7 +698,7 @@ class TestBlockWalk:
 
 class TestNaN:
     """A NaN argument raises at every public series entry point, where an
-    anchor's series would never stop on it."""
+    anchor's series would never stop on it, and at both loops' callers."""
 
     @pytest.mark.parametrize("walk", [GammaTerms, BetaTerms])
     def test_term_walks(self, walk):
@@ -717,6 +718,27 @@ class TestNaN:
             mrc_cdf_batch([np.nan], [RfParams(1.0, 2, 1.0)])
         with pytest.raises(ValueError, match="avg_snr must be finite"):
             rf_avg_ber_batch([RfParams(1.0, 2, np.nan)])
+
+    def test_positive_series_ends(self):
+        # the CDF anchor's series (`_series`) on a NaN argument or order:
+        # its stop test is never true, and its cap ends it
+        with pytest.raises(ConvergenceError, match="^a positive series is still open after 128 terms$"):
+            specfun._anchor(np.array([3.0, 3.0]), np.array([np.nan, 2.0]))
+        with pytest.raises(ConvergenceError, match="^a positive series is still open after 0 terms$"):
+            specfun._anchor(np.array([np.nan, 3.0]), np.array([2.0, 2.0]))
+
+    @pytest.mark.parametrize("call", [
+        lambda: upper_gamma(0.3, np.nan),
+        lambda: upper_gamma(np.nan, 0.5),
+        lambda: upper_gamma(np.array([0.3, 0.3]), np.array([5.0, np.nan])),
+        lambda: specfun._beta_anchor(np.array([3.0, 3.0]), np.array([np.nan, 0.5]), np.ones(2)),
+        lambda: specfun._beta_anchor(np.array([3.0, 3.0]), np.array([0.99, np.nan]), np.ones(2)),
+    ], ids=["gamma-g", "gamma-q", "gamma-array", "beta-direct", "beta-complement"])
+    def test_continued_fractions_end(self, call):
+        # both continued fractions (`_lentz`) keep a NaN entry open, and
+        # their cap ends it, where it used to return NaN at once
+        with pytest.raises(ConvergenceError, match="^a continued fraction is still open after 256 iterations$"):
+            call()
 
 
 class TestUpperGamma:
