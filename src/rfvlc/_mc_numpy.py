@@ -29,9 +29,9 @@ when M > 1: the normal pairs, the uniforms, the M - 1 exponential rows
 and one gain array per pair, but for the pair with the most branches,
 which `rf_channel.mrc_gains` forms in its own exponential row.  A point
 counted directly adds the radio SNR, n, and a BER pass the erfc result
-array, n, and erfc's Horner scratch, 2 ERFC_BLOCK.  At n = 65536, M = 2
-and one pair that is 4n on a grouped outage pass, 5n on a direct one
-and 7n, 3.5 MiB, on a BER pass.  The C allocator may give a freed
+array, n, and erfc's Horner scratch, 2 min(n, ERFC_BLOCK).  At n = 65536,
+M = 2 and one pair that is 4n on a grouped outage pass, 5n on a direct
+one and 7n, 3.5 MiB, on a BER pass.  The C allocator may give a freed
 chunk-sized array back to the system, and a fresh one then costs a page
 fault per 4 KiB page on every chunk: a 2e6-trial BER pass at the
 reference cell took 7795 minor faults when every chunk made its gains,
@@ -204,13 +204,14 @@ def _erfc(snr, buffer):
     """erfc(sqrt(snr)) over the chunk, into the one chunk-sized result
     array `buffer` holds, shared by every point.
 
-    erfc runs over sub-blocks of ERFC_BLOCK trials, each in the one (2,
-    ERFC_BLOCK) Horner scratch `buffer` holds, so its region patches are
-    sub-block-sized too.  Each value is computed elementwise, so the array
-    equals one erfc call over the whole chunk bit for bit."""
+    erfc runs over sub-blocks of ERFC_BLOCK trials, each in the one (2, b)
+    Horner scratch `buffer` holds, b = min(n, ERFC_BLOCK), so its region
+    patches are sub-block-sized too.  Each value is computed elementwise,
+    so the array equals one erfc call over the whole chunk bit for bit."""
     n = snr.size
     x = buffer("erfc", n)
-    work = buffer("horner", 2 * ERFC_BLOCK).reshape(2, ERFC_BLOCK)
+    b = min(n, ERFC_BLOCK)
+    work = buffer("horner", 2 * b).reshape(2, b)
     for start in range(0, n, ERFC_BLOCK):
         s = snr[start:start + ERFC_BLOCK]
         erfc_sqrt(s, out=x[start:start + s.size], work=work[:, :s.size])

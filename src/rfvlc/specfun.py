@@ -105,22 +105,16 @@ def checked(record):
     field.  That is the constructor, with keyword or positional arguments,
     which unpickling and `copy` call too, and `_make`, which `_replace`
     calls."""
-    new, make = record.__new__, record._make.__func__
+    def checking(build):
+        @functools.wraps(build)
+        def build_checked(cls, *args, **kwargs):
+            self = build(cls, *args, **kwargs)
+            self._check()
+            return self
+        return build_checked
 
-    @functools.wraps(new)
-    def __new__(cls, *args, **kwargs):
-        self = new(cls, *args, **kwargs)
-        self._check()
-        return self
-
-    @functools.wraps(make)
-    def _make(cls, iterable):
-        self = make(cls, iterable)
-        self._check()
-        return self
-
-    record.__new__ = staticmethod(__new__)
-    record._make = classmethod(_make)
+    record.__new__ = staticmethod(checking(record.__new__))
+    record._make = classmethod(checking(record._make.__func__))
     return record
 
 
@@ -276,9 +270,9 @@ def _series(ratios, half, *params):
 
     `half` is an order from which every entry's ratios are at most 1/2.
     From there each term at least halves, the sum is at least 1 and
-    1 - r at least 1/2, so every entry stops by term half + 54; an entry
-    still open past term half + 64 (a NaN never stops) raises
-    ConvergenceError.
+    1 - r at least 1/2, so every entry stops by term half + 54; if an
+    entry is still open (a NaN never stops) when the next block would
+    start past term half + 64, it raises ConvergenceError.
     """
     total = np.ones(params[0].size)
     open_ = np.arange(total.size)  # the entries still summing, with
@@ -344,7 +338,18 @@ def _off_zero(v):
     return v
 
 
-def _lentz(c, d, coefs, *params, iterations=256):
+# the iterations `_lentz` allows an entry.  Press et al., Numerical Recipes
+# (3rd ed., 2007), put the beta's fraction at O(sqrt(max(p, q)))
+# iterations at worst on its side of the switch (section 6.4), and the
+# gamma's as fast above g = q + 1 (section 6.2).  The most measured is 89
+# for the beta's, over the orders 1 to 2e6 (past every order a covered
+# rate reaches) and w on both sides of the switch, at a = 613 next to it,
+# and 93 for the gamma's, over q in (0, 1) and g from just above q + 1 to
+# 1e300, next to q + 1; the cap is about 2.75 times that
+_LENTZ_ITERATIONS = 256
+
+
+def _lentz(c, d, coefs, *params):
     """A continued fraction at every entry, by modified Lentz (Thompson &
     Barnett, J. Comput. Phys. 64, 1986), as Numerical Recipes' betacf and
     gcf: from the arrays c and d of Lentz's ratios after the fraction's
@@ -357,21 +362,12 @@ def _lentz(c, d, coefs, *params, iterations=256):
     an iteration is within 2 eps of 1 and leaves the later iterations, so
     its value does not depend on the other entries.
 
-    An entry still open after `iterations` iterations (a NaN never stops)
-    raises ConvergenceError.  Press et al., Numerical Recipes (3rd ed.,
-    2007), put the beta's fraction at O(sqrt(max(p, q))) iterations at
-    worst on its side of the switch (section 6.4), and the gamma's as fast
-    above g = q + 1 (section 6.2).  The most measured is 89 for the beta's,
-    over the orders 1 to 2e6 (past every order a covered rate reaches) and
-    w on both sides of the switch, at a = 613 next to it, and 93 for the
-    gamma's, over q in (0, 1) and g from just above q + 1 to 1e300, next
-    to q + 1; the default cap is about 2.75 times that.
+    An entry still open after _LENTZ_ITERATIONS iterations (a NaN never
+    stops) raises ConvergenceError.
     """
     f, out = d, np.empty_like(d)
     open_ = np.arange(d.size)  # the entries still converging
-    for k in range(1, iterations + 2):
-        if not open_.size:
-            return out
+    for k in range(1, _LENTZ_ITERATIONS + 1):
         for a, b in coefs(k, *params):
             d = 1.0 / _off_zero(a * d + b)
             c = _off_zero(b + a / c)
@@ -381,7 +377,9 @@ def _lentz(c, d, coefs, *params, iterations=256):
         if not more.all():
             out[open_[~more]] = f[~more]
             open_, c, d, f, *params = (v[more] for v in (open_, c, d, f, *params))
-    raise ConvergenceError(f"a continued fraction is still open after {iterations} iterations")
+        if not open_.size:
+            return out
+    raise ConvergenceError(f"a continued fraction is still open after {_LENTZ_ITERATIONS} iterations")
 
 
 def _beta_anchor(a, w, front):
@@ -498,8 +496,10 @@ def erfc_sqrt(s, out=None, work=None):
     alone, and the other two regions are patched on their index sets,
     their rationals in the front of `work`.
     """
-    out = np.empty_like(s) if out is None else out
-    work = np.empty((2,) + s.shape) if work is None else work
+    if out is None:
+        out = np.empty_like(s)
+    if work is None:
+        work = np.empty((2,) + s.shape)
     # entries from 64 on may overflow here; they are patched below
     with np.errstate(over="ignore", invalid="ignore"):
         num, den = _horner(_ERFC_MID, np.sqrt(s, out=out), work)

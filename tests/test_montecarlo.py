@@ -454,12 +454,16 @@ class TestBlockedErfc:
         s = self.snrs(n)
         assert np.isin(self.EDGES, s).all()
         want = erfc_sqrt(s)
+        sizes = {}
 
         def buffer(name, size):
+            sizes[name] = size
             return np.full(size, np.nan)
 
         got = _mc_numpy._erfc(s, buffer)
         assert got.tobytes() == want.tobytes()
+        # the Horner scratch is one sub-block, or the chunk where shorter
+        assert sizes == {"erfc": n, "horner": 2 * min(n, block)}
         x = 0.5 * want
         assert _mc_numpy._moments(s, buffer) == (float(x.sum()), float((x * x).sum()))
 
