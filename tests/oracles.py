@@ -459,17 +459,15 @@ def per_point_mc(cfg, trials, seed, chunk_size=65536, ber=True):
     Same stream layout as the library: chunk i draws from SFC64 seeded
     with SeedSequence(seed, spawn_key=(i,)), first n pairs of normals, then
     n uniforms, then one row of n exponentials per radio branch beyond the
-    first.  The radio gain is the noncentral chi-square form of the branch
-    sum: (Z1/sqrt(2) + sqrt(M K))^2 + (Z2/sqrt(2))^2 plus the exponential
-    rows, summed in row order, all times 1/(K+1).  The per-trial arithmetic
-    and the reductions are written out here for this config alone, so the
-    library must match it bit for bit.  erfc is the library's `erfc_sqrt`,
-    which test_specfun checks against mpmath: this loop checks the stream
-    layout and the reductions.  Returns ((outage, se), (ber, se)), or
-    ((outage, se), None) without the erfc work when `ber` is false.
+    first.  The radio gain is `mrc_gain_ref`'s, and the per-trial
+    arithmetic and the reductions are written out here for this config
+    alone, so the library must match it bit for bit.  erfc is the
+    library's `erfc_sqrt`, which test_specfun checks against mpmath: this
+    loop checks the stream layout and the reductions.  Returns ((outage,
+    se), (ber, se)), or ((outage, se), None) without the erfc work when
+    `ber` is false.
     """
     rf, d = cfg.rf, derive(cfg.vlc)
-    shift = math.sqrt(rf.branches * rf.k_factor)
     count, partials = 0, []
     for idx, start in enumerate(range(0, trials, chunk_size)):
         n = min(chunk_size, trials - start)
@@ -477,25 +475,13 @@ def per_point_mc(cfg, trials, seed, chunk_size=65536, ber=True):
         z = gen.standard_normal((n, 2))
         u = gen.random(n)
         e = gen.standard_exponential((rf.branches - 1, n))
-        re = math.sqrt(0.5) * z[:, 0] + shift
-        im = math.sqrt(0.5) * z[:, 1]
-        snr_rf = re * re + im * im
-        if rf.branches > 1:
-            exp_sum = e[0]
-            for row in e[1:]:
-                exp_sum = exp_sum + row
-            snr_rf = snr_rf + exp_sum
-        snr_rf = (1.0 / (rf.k_factor + 1.0)) * snr_rf
+        snr_rf = mrc_gain_ref(z, e, rf.k_factor, rf.branches)
         snr_rf *= rf.avg_snr
         scale = d.mu_vlc * d.upsilon**2
         snr_vlc = scale * (d.cell_radius**2 * u + d.height**2) ** -(d.lambert_order + 3.0)
-        count += int(np.count_nonzero(np.minimum(snr_rf, snr_vlc) < cfg.outage_threshold))
-        if not ber:
-            continue
-        x_rf = 0.5 * erfc_sqrt(snr_rf)
-        x_vlc = 0.5 * erfc_sqrt(snr_vlc)
-        partials.append([float(x_rf.sum()), float((x_rf * x_rf).sum()),
-                         float(x_vlc.sum()), float((x_vlc * x_vlc).sum())])
+        chunk = whole_chunk_stats(snr_rf, snr_vlc, cfg.outage_threshold, ber)
+        count += chunk[0]
+        partials.append(chunk[1:])
     p = count / trials
     outage = (p, math.sqrt(p * (1.0 - p) / trials))
     if not ber:
@@ -510,6 +496,57 @@ def per_point_mc(cfg, trials, seed, chunk_size=65536, ber=True):
                   + (1.0 - 2.0 * m_rf) ** 2 * var_vlc / trials),
     )
     return outage, ber
+
+
+def mrc_gain_ref(z, e, k_factor, branches):
+    """The combined radio gain of K = k_factor and `branches` branches
+    from a chunk's normal pairs z and exponential rows e, by the
+    noncentral chi-square form of the branch sum: (Z1/sqrt(2) +
+    sqrt(M K))^2 + (Z2/sqrt(2))^2 plus the first M - 1 exponential rows,
+    summed in row order, all times 1/(K+1)."""
+    re = math.sqrt(0.5) * z[:, 0] + math.sqrt(branches * k_factor)
+    im = math.sqrt(0.5) * z[:, 1]
+    gain = re * re + im * im
+    if branches > 1:
+        exp_sum = e[0]
+        for row in e[1:branches - 1]:
+            exp_sum = exp_sum + row
+        gain = gain + exp_sum
+    return (1.0 / (k_factor + 1.0)) * gain
+
+
+def whole_chunk_stats(snr_rf, snr_vlc, gamma_th, ber):
+    """One point's chunk partials by the whole-chunk route: the count of
+    trials with min(snr_rf, snr_vlc) < gamma_th, then, when `ber` is true,
+    each hop's sum and sum of squares of erfc(sqrt(snr))/2, from one
+    `erfc_sqrt` call over the whole chunk, halved in place, summed,
+    squared in place and summed again, each sum numpy's over the whole
+    array."""
+    stats = [int(np.count_nonzero(np.minimum(snr_rf, snr_vlc) < gamma_th))]
+    for snr in (snr_rf, snr_vlc) if ber else ():
+        x = erfc_sqrt(snr)
+        x *= 0.5
+        stats.append(float(x.sum()))
+        x *= x
+        stats.append(float(x.sum()))
+    return tuple(stats)
+
+
+def chunk_stats_ref(bitgen, n, points, ber):
+    """The chunk kernel's partials (`_mc_numpy.chunk_stats`) for kernel
+    points `(k_factor, branches, rf_mu, (scale, expo, r2, l2), gamma_th)`,
+    every point counted directly and its whole chunk evaluated at once
+    (`whole_chunk_stats`), from draws made by the stream contract."""
+    gen = np.random.Generator(bitgen)
+    z = gen.standard_normal((n, 2))
+    u = gen.random(n)
+    e = gen.standard_exponential((max(point[1] for point in points) - 1, n))
+    stats = []
+    for k_factor, branches, rf_mu, (scale, expo, r2, l2), gamma_th in points:
+        snr_rf = mrc_gain_ref(z, e, k_factor, branches) * rf_mu
+        snr_vlc = np.power(u * r2 + l2, expo) * scale
+        stats.append(whole_chunk_stats(snr_rf, snr_vlc, gamma_th, ber))
+    return stats
 
 
 # The scalar Poisson-mixture summation as it stood before the library

@@ -390,14 +390,46 @@ class TestScratch:
             assert reused == fresh
         assert scratch["normals"].size == 2 * 9000
 
-    @pytest.mark.parametrize("points, ber", [
-        # a grouped outage sweep, a direct outage point, a BER point, and
-        # a BER pass over mixed fading with one and four branches
+    # a grouped outage sweep, a direct outage point, a BER point, and a BER
+    # pass over mixed fading with one and four branches
+    MIXES = pytest.mark.parametrize("points, ber", [
         ([_point_args(make_cfg(avg_snr=float(mu))) for mu in np.logspace(0.0, 2.0, 21)], False),
         ([_point_args(make_cfg())], False),
         ([_point_args(make_cfg())], True),
         ([_point_args(make_cfg(branches=1)), _point_args(make_cfg(branches=4, avg_snr=2.0))], True),
     ], ids=["grouped-outage-sweep", "direct-outage", "ber", "mixed-fading-ber"])
+
+    @MIXES
+    @pytest.mark.parametrize("n", [CHUNK_SIZE, 2_000_000 % CHUNK_SIZE, 9000, 17])
+    def test_equals_the_whole_chunk_route(self, points, ber, n):
+        # the kernel evaluates a chunk one node at a time and adds the
+        # nodes' sums; the reference takes one erfc call and one numpy sum
+        # over the whole chunk, and counts every point directly.  A full
+        # chunk and 2e6 trials' last one split into nodes, 9000 trials
+        # are one node and spill views out of the spent normals, and 17
+        # fit no node view twice in them
+        groups = () if ber else _mc_numpy.shared_groups(points)
+        for seed in (1, 2):
+            got = _mc_numpy.chunk_stats(np.random.SFC64(seed), n, points, ber, groups, {})
+            assert got == oracles.chunk_stats_ref(np.random.SFC64(seed), n, points, ber)
+            assert all(type(count) is int for count, *_ in got)
+
+    @pytest.mark.parametrize("ber, groups, held", [(True, False, 5), (False, False, 4),
+                                                   (False, True, 4)],
+                             ids=["ber", "direct-outage", "grouped-outage"])
+    def test_a_thread_holds_a_few_chunks_of_doubles(self, ber, groups, held):
+        # at M = 2 and one (K, M) pair: the normal pairs, the uniforms and
+        # the exponential row, which holds the gain, and on a BER pass the
+        # node array, whose Horner scratch is one full chunk's two nodes
+        points = [_point_args(make_cfg(avg_snr=float(mu))) for mu in np.logspace(0.0, 2.0, 21)]
+        groups = _mc_numpy.shared_groups(points) if groups else ()
+        if not groups:
+            points = points[:1]
+        scratch = {}
+        _mc_numpy.chunk_stats(np.random.SFC64(1), CHUNK_SIZE, points, ber, groups, scratch)
+        assert sum(array.size for array in scratch.values()) == held * CHUNK_SIZE
+
+    @MIXES
     def test_a_warm_chunk_allocates_nothing_chunk_sized(self, points, ber):
         # a thread's second chunk draws into and computes in the arrays of
         # its first: it adds or replaces no scratch array, and what it
@@ -426,8 +458,8 @@ class TestScratch:
 
 
 class TestBlockedErfc:
-    """The kernel's erfc, taken a sub-block at a time, against one
-    `erfc_sqrt` call over the whole chunk, bit for bit."""
+    """The kernel's erfc, taken a node at a time, against one `erfc_sqrt`
+    call over the whole chunk, bit for bit."""
 
     EDGES = [0.0, np.nextafter(1.0, 0.0), 1.0, np.nextafter(64.0, 0.0), 64.0,
              np.nextafter(specfun._MAXLOG, 0.0), specfun._MAXLOG, np.nextafter(specfun._MAXLOG, np.inf),
@@ -435,7 +467,7 @@ class TestBlockedErfc:
 
     @staticmethod
     def snrs(n):
-        # the edges at the start and across the first sub-block boundaries,
+        # the edges at the start and across the first node boundaries,
         # then random SNRs uniform on [0, 2000] and log-uniform over
         # [e^-30, e^8], shuffled
         rng = np.random.default_rng(21)
@@ -449,23 +481,65 @@ class TestBlockedErfc:
     @pytest.mark.parametrize("n", [CHUNK_SIZE, 2_000_000 % CHUNK_SIZE, 17])
     def test_equals_one_whole_call(self, monkeypatch, block, n):
         # 1000 divides neither chunk length; 2e6 trials end on a short
-        # chunk of 33920, and 17 trials are less than one sub-block
+        # chunk of 33920, and 17 trials are less than one node
         monkeypatch.setattr(_mc_numpy, "ERFC_BLOCK", block)
         s = self.snrs(n)
         assert np.isin(self.EDGES, s).all()
-        want = erfc_sqrt(s)
-        sizes = {}
+        x = 0.5 * erfc_sqrt(s)
+        nodes = []
 
-        def buffer(name, size):
-            sizes[name] = size
-            return np.full(size, np.nan)
+        def moments(start, stop):
+            nodes.append((start, stop))
+            got, work = np.full(stop - start, np.nan), np.full((2, stop - start), np.nan)
+            sums = _mc_numpy._moments(s[start:stop], got, work)
+            # the node's result array ends squared
+            assert got.tobytes() == (x[start:stop] ** 2).tobytes()
+            return np.array(sums)
 
-        got = _mc_numpy._erfc(s, buffer)
-        assert got.tobytes() == want.tobytes()
-        # the Horner scratch is one sub-block, or the chunk where shorter
-        assert sizes == {"erfc": n, "horner": 2 * min(n, block)}
-        x = 0.5 * want
-        assert _mc_numpy._moments(s, buffer) == (float(x.sum()), float((x * x).sum()))
+        got = _mc_numpy._pairwise(0, n, moments)
+        assert tuple(got) == (float(x.sum()), float((x * x).sum()))
+        # the nodes tile the chunk in order, each at most one block and
+        # the chunk one node where it is no longer
+        assert [start for start, _ in nodes] == [0] + [stop for _, stop in nodes[:-1]]
+        assert nodes[-1][1] == n
+        assert max(stop - start for start, stop in nodes) <= block
+        assert (len(nodes) == 1) == (n <= block)
+
+
+class TestNodeSums:
+    """The summation order the kernel relies on: numpy's sum of a float
+    array equals the sums of its nodes added in the order of
+    `_mc_numpy._pairwise`, bit for bit.  This pins numpy's pairwise split
+    (n/2 rounded down to a multiple of 8, past 128 entries); a numpy
+    release that changes it fails here."""
+
+    @staticmethod
+    def check(n, seed):
+        # values over many magnitudes, so that any other order of the
+        # additions rounds differently somewhere
+        rng = np.random.default_rng(seed)
+        x = rng.random(n) * np.exp(rng.uniform(-30.0, 30.0, n))
+        got = _mc_numpy._pairwise(0, n, lambda start, stop: x[start:stop].sum())
+        assert got.tobytes() == x.sum().tobytes()
+
+    @pytest.mark.parametrize("block", [_mc_numpy.ERFC_BLOCK, 1000, 4096])
+    @pytest.mark.parametrize("n", [CHUNK_SIZE, 2_000_000 % CHUNK_SIZE, 17])
+    def test_named_lengths(self, monkeypatch, block, n):
+        monkeypatch.setattr(_mc_numpy, "ERFC_BLOCK", block)
+        for seed in range(5):
+            self.check(n, seed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, CHUNK_SIZE), block=st.sampled_from([_mc_numpy.ERFC_BLOCK, 1000, 4096]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_any_length(self, n, block, seed):
+        # monkeypatch is function-scoped, so the block is set by hand here
+        saved = _mc_numpy.ERFC_BLOCK
+        _mc_numpy.ERFC_BLOCK = block
+        try:
+            self.check(n, seed)
+        finally:
+            _mc_numpy.ERFC_BLOCK = saved
 
 
 class RecordingThread:
