@@ -400,31 +400,32 @@ class TestScratch:
     ], ids=["grouped-outage-sweep", "direct-outage", "ber", "mixed-fading-ber"])
 
     @MIXES
-    @pytest.mark.parametrize("n", [CHUNK_SIZE, 2_000_000 % CHUNK_SIZE, 9000, 17])
+    @pytest.mark.parametrize("n", [CHUNK_SIZE, 2_000_000 % CHUNK_SIZE, 40004, 9000, 17])
     def test_equals_the_whole_chunk_route(self, points, ber, n):
         # the kernel evaluates a chunk one node at a time and adds the
         # nodes' sums; the reference takes one erfc call and one numpy sum
         # over the whole chunk, and counts every point directly.  A full
-        # chunk and 2e6 trials' last one split into nodes, 9000 trials
-        # are one node and spill views out of the spent normals, and 17
-        # fit no node view twice in them
+        # chunk and 2e6 trials' last one split into two equal nodes, whose
+        # four views fill the spent normals; 40004 trials split into 20000
+        # and 20004, and three views of the longer node fit there; 9000
+        # and 17 trials are one node each (17 below numpy's 128-entry
+        # pairwise block), two of whose views fit there
         groups = () if ber else _mc_numpy.shared_groups(points)
         for seed in (1, 2):
             got = _mc_numpy.chunk_stats(np.random.SFC64(seed), n, points, ber, groups, {})
             assert got == oracles.chunk_stats_ref(np.random.SFC64(seed), n, points, ber)
             assert all(type(count) is int for count, *_ in got)
 
-    @pytest.mark.parametrize("ber, groups, held", [(True, False, 5), (False, False, 4),
-                                                   (False, True, 4)],
-                             ids=["ber", "direct-outage", "grouped-outage"])
-    def test_a_thread_holds_a_few_chunks_of_doubles(self, ber, groups, held):
+    @pytest.mark.parametrize("points, ber, held", [
+        ([_point_args(make_cfg())], True, 5),
+        ([_point_args(make_cfg())], False, 4),
+        ([_point_args(make_cfg(avg_snr=float(mu))) for mu in np.logspace(0.0, 2.0, 21)], False, 4),
+    ], ids=["ber", "direct-outage", "grouped-outage"])
+    def test_a_thread_holds_a_few_chunks_of_doubles(self, points, ber, held):
         # at M = 2 and one (K, M) pair: the normal pairs, the uniforms and
         # the exponential row, which holds the gain, and on a BER pass the
         # node array, whose Horner scratch is one full chunk's two nodes
-        points = [_point_args(make_cfg(avg_snr=float(mu))) for mu in np.logspace(0.0, 2.0, 21)]
-        groups = _mc_numpy.shared_groups(points) if groups else ()
-        if not groups:
-            points = points[:1]
+        groups = () if ber else _mc_numpy.shared_groups(points)
         scratch = {}
         _mc_numpy.chunk_stats(np.random.SFC64(1), CHUNK_SIZE, points, ber, groups, scratch)
         assert sum(array.size for array in scratch.values()) == held * CHUNK_SIZE
@@ -490,10 +491,10 @@ class TestBlockedErfc:
 
         def moments(start, stop):
             nodes.append((start, stop))
-            got, work = np.full(stop - start, np.nan), np.full((2, stop - start), np.nan)
-            sums = _mc_numpy._moments(s[start:stop], got, work)
+            result, work = np.full(stop - start, np.nan), np.full((2, stop - start), np.nan)
+            sums = _mc_numpy._moments(s[start:stop], result, work)
             # the node's result array ends squared
-            assert got.tobytes() == (x[start:stop] ** 2).tobytes()
+            assert result.tobytes() == (x[start:stop] ** 2).tobytes()
             return np.array(sums)
 
         got = _mc_numpy._pairwise(0, n, moments)
