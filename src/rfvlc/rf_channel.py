@@ -2,20 +2,16 @@
 
 The combiner output SNR over `branches` i.i.d. Rician branches is a scaled
 noncentral chi-square variable with 2*branches degrees of freedom and
-noncentrality 2*k_factor*branches, which is what every formula below
-evaluates in one stable form or another.  Its CDF and average BER are
-Poisson mixtures of the term walks `GammaTerms` and `BetaTerms`, which
-`_mixture` alone evaluates: it takes per-entry K
+noncentrality 2*k_factor*branches.  Its density, CDF and average BER
+are Poisson mixtures of the term walks `DensityTerms`, `GammaTerms` and
+`BetaTerms`, numpy alone, which `_mixture` alone evaluates: it takes per-entry K
 and branch counts and sums every entry in one series pass, each at its
 own rate K*M, under the one budget of `specfun` (`REL_TOL`, and steps
 growing as the square root of the rate, up to `specfun.MAX_STEPS`), so the
 batch forms take params with any K and branch count; a rate the budget
 cannot cover (`specfun.covers`) gets no term built.  Every
 closed form returns values that meet `REL_TOL` or raises
-`ConvergenceError`.  The CDF's
-terms come from `GammaTerms` and the average BER's from
-`BetaTerms`, numpy alone; scipy is imported only by the density
-(`mrc_snr_pdf`, and so `rician_snr_pdf`), when it is first called.
+`ConvergenceError`.
 """
 from __future__ import annotations
 
@@ -70,40 +66,20 @@ def _scalar_like(template, out):
 
 def rician_snr_pdf(gamma, params: RfParams):
     """Density of the per-branch SNR (branch count ignored), vectorized:
-    `mrc_snr_pdf` with one branch.
-
-    That includes its gamma-density limit below K = 1e-12, where the value
-    is the exponential density: at K = 1e-13 it differs from the Rician
-    formula by at most 3e-13 relative wherever the density is a normal
-    float.  At K = 0 and at K >= 1e-12 it equals the formula bit for bit.
-    """
+    `mrc_snr_pdf` with one branch."""
     return mrc_snr_pdf(gamma, params._replace(branches=1))
 
 
 def mrc_snr_pdf(gamma, params: RfParams):
-    """Density of the combined SNR after maximal-ratio combining, vectorized."""
-    from scipy.special import ive
-
-    g = validate_snr(gamma)
-    k, m, mu = params.k_factor, params.branches, params.avg_snr
-    # the density's limit is 0 where (k+1) g/mu overflows, g = inf included,
-    # and both formulas would give inf * 0 there
-    with np.errstate(over="ignore"):
-        finite = (k + 1.0) * g / mu < math.inf
-    g = np.where(finite, g, 0.0)
-    if k * m < 1e-12:
-        # Noncentrality below any representable effect: gamma density limit,
-        # pois(m - 1; g/mu)/mu.  Relative error is O(k*m), far under the
-        # working precision.
-        out = specfun._pois(m - 1, g / mu) / mu
-    else:
-        x = 2.0 * np.sqrt(k * (k + 1.0) * m * g / mu)
-        # (k+1)g/(k m mu) raised to (m-1)/2; neutral 1.0 at g == 0 where the
-        # ive factor is already 0 for m > 1 and the exponent is 0 for m == 1.
-        base = np.where(g > 0.0, (k + 1.0) * g / (k * m * mu), 1.0)
-        out = ((k + 1.0) / mu * base ** (0.5 * (m - 1)) * ive(m - 1, x)
-               * np.exp(-np.square(np.sqrt((k + 1.0) * g / mu) - math.sqrt(k * m))))
-    return _scalar_like(gamma, np.where(finite, out, 0.0))
+    """Density of the combined SNR after maximal-ratio combining, vectorized:
+    the Poisson mixture (K+1)/mu sum_j pois(j; K M) pois(M + j - 1; y),
+    y = (K+1) gamma/mu, of `DensityTerms`.  Raises as `mrc_snr_cdf` does.
+    """
+    k, m, mu = params
+    # DensityTerms clamps a y past the float range, where the density is 0
+    with np.errstate(over="ignore"):  # and a density past it is inf
+        y = (k + 1.0) * validate_snr(gamma) / mu
+        return _scalar_like(gamma, (k + 1.0) * _mixture(k, m, y, DensityTerms) / mu)
 
 
 def mrc_snr_cdf(gamma, params: RfParams):
@@ -150,9 +126,9 @@ class _TermWalk:
     loses at most a few eps relative per step.  As the block length is
     fixed, the anchors sit at the same orders for an entry in any batch.
     Subclasses give `_start(lam)` and `_mean`, and `_value(a, live)` = T'(a)
-    and `_step(a, live)` = d(a) for the entries `live`; `_rho`, the ratio of
-    each row to the one before it, bounds log-concave terms.  The sum
-    overwrites the blocks.
+    and `_step(a, live)` = d(a) for the entries `live`, or their rows
+    T'(orders) directly (`_rows`); `_rho`, the ratio of each row to the
+    one before it, bounds log-concave terms.  The sum overwrites the blocks.
     """
 
     def __call__(self, lam):
@@ -175,6 +151,15 @@ class _TermWalk:
         `live`, past the orders a, whose values `value` it moves on."""
         m = np.broadcast_to(self._m, a.shape)[live]
         orders = a[live] + sign * np.arange(1.0, _WALK_ORDERS + 1.0)[:, None]
+        block = self._rows(sign, orders, m, value[live], live)
+        block[orders < m] = 0.0
+        rho = self._rho(sign, orders, block, value[live], live)
+        value[live] = block[-1]  # a copy, as the sum multiplies its weights into the block
+        return block, rho
+
+    def _rows(self, sign, orders, m, value, live):
+        """The values T'(orders) of a block, from the steps and the inner
+        order's values `value`."""
         if sign > 0:  # past the mean, the far order's value first, while no block is held
             anchored = np.flatnonzero(orders[-1] > self._mean[live])
             far = self._value(orders[-1, anchored], live[anchored])
@@ -184,14 +169,11 @@ class _TermWalk:
         if sign > 0:  # then the steps inward
             far = np.add.accumulate(np.append(block[1:, anchored], far[None], axis=0)[::-1], axis=0)
         accumulate = np.subtract if sign > 0 else np.add  # from the inner order's value
-        block[0] = accumulate(value[live], block[0])
+        block[0] = accumulate(value, block[0])
         accumulate.accumulate(block, axis=0, out=block)
         if sign > 0:
             block[:, anchored] = far[::-1]
-        block[orders < m] = 0.0
-        rho = self._rho(sign, orders, block, value[live], live)
-        value[live] = block[-1]  # a copy, as the sum multiplies its weights into the block
-        return block, rho
+        return block
 
     def _rho(self, sign, orders, block, value, live):
         with np.errstate(divide="ignore"):  # a value after a 0.0 gives no bound
@@ -224,6 +206,26 @@ class GammaTerms(_TermWalk):
 
     def _step(self, a, live):
         return specfun._pois(a, self._y[live])
+
+
+class DensityTerms(GammaTerms):
+    """The terms T(j) = pois(m + j - 1; y) of the radio density, the
+    masses `specfun._pois` given as the rows themselves, log-concave in
+    the order.  As T(j + 1)/T(j) = y/(m + j) may pass 1, the summand may
+    peak past lam: the walk starts at the first j past the root of
+    (j + 1)(m + j) = lam y, below 2**52, where orders still step by 1.
+    """
+
+    def _start(self, lam):
+        m1 = self._m - 1.0
+        root = 0.5 * (np.sqrt(m1 * m1 + 4.0 * lam * np.minimum(self._y, 1e300)) - m1)
+        return np.minimum(np.floor(root), 2.0**52)
+
+    def _value(self, a, live):
+        return specfun._pois(a - 1.0, self._y[live])
+
+    def _rows(self, sign, orders, m, value, live):
+        return self._value(np.maximum(orders, m), live)
 
 
 class BetaTerms(_TermWalk):
@@ -264,13 +266,15 @@ def _mixture(k, m, x, terms):
     """The Poisson mixture sum_j pois(j; k*m) * T(m + j) at every entry of
     `x`, each entry with its own Rician K `k` and branch count `m` (arrays
     over `x`, or scalars for all of it), terms(m, part) being the term
-    walk over the entries `part` (`GammaTerms` or
+    walk over the entries `part` (`GammaTerms`, `DensityTerms` or
     `BetaTerms`).
 
-    One `poisson_weighted_sum` pass sums every entry with x > 0 whose rate
-    k*m the budget covers (`specfun.covers`), each its own series at its
-    own rate; the entries with x = 0 are 0, and an entry whose rate is not
-    covered gets no term built and is flagged as unconverged.  Raises the
+    One `poisson_weighted_sum` pass sums every entry whose rate k*m the
+    budget covers (`specfun.covers`), each its own series at its own rate;
+    an entry whose rate is not covered gets no term built and is 0, and
+    is flagged as unconverged where x > 0.  At x = 0 that 0 is exact: each
+    family's value there is 0 or, for the density at one branch, exp(-k),
+    0 at such rates.  Raises the
     ConvergenceError of the first entry that ran out of terms, naming its
     series rate k*m, with an `unconverged` mask over all of `x`.
     """
@@ -279,7 +283,7 @@ def _mixture(k, m, x, terms):
     with np.errstate(over="ignore"):  # a rate past the float range is inf
         lam = k * m
     out = np.zeros_like(x)
-    run = (x > 0.0) & specfun.covers(lam)
+    run = specfun.covers(lam)
     unconverged = (x > 0.0) & ~run
     if run.any():
         out[run], unconverged[run] = poisson_weighted_sum(lam[run], terms(m[run], x[run]))

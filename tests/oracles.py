@@ -23,16 +23,16 @@ from rfvlc.specfun import (
 from rfvlc.vlc_channel import VlcParams, derive
 
 # The stated envelope of the closed forms.  Inside it every outage and BER
-# converges within the series budget: Rician K from 0 up to 14 dB, 1 to 8
+# converges within the series budget: Rician K from 0 up to 40 dB, 1 to 8
 # branches, an average SNR per branch over [-10, 40] dB and an outage
-# threshold over [0.1, 10], linear.  Just outside, K = 15 dB with 8
-# branches at threshold 0.1 runs out of terms from 33 dB up.  The optical
+# threshold over [0.1, 10], linear.  Its largest series rate K M is 8e4;
+# the budget first refuses a rate at about 1.19e6 (`specfun.covers`).  The optical
 # cell is the reference one with a semi-angle over [10, 85] degrees, a
 # height over [0.5, 6] m and an optical power over [0.01, 5] W, each
 # anywhere in its range.  `derive` accepts the whole box; it first refuses
 # beams narrower than about 2.9 degrees at 0.5 m and 4.8 degrees at 6 m.
 ENVELOPE = {
-    "k_factor_db_max": 14.0,
+    "k_factor_db_max": 40.0,
     "branches": (1, 8),
     "avg_snr_db": (-10.0, 40.0),
     "outage_threshold": (0.1, 10.0),
@@ -152,6 +152,23 @@ def mrc_cdf_mp(snr, k_factor, branches, avg_snr, dps=40):
             if ratio < 1 and weight * term * ratio / (1 - ratio) <= mpmath.mpf(10) ** -dps * total:
                 return float(total)
             j += 1
+
+
+def mrc_pdf_mp(snr, k_factor, branches, avg_snr, dps=40):
+    """Diversity-combined SNR density by mpmath at `dps` digits, in its
+    Bessel form (K+1)/avg_snr (y/(K M))^((M-1)/2) e^(-K M - y)
+    I_{M-1}(2 sqrt(K M y)), y = (K+1) snr/avg_snr, and the gamma density
+    (K+1)/avg_snr y^(M-1) e^-y/(M-1)! at K = 0."""
+    with mpmath.workdps(dps):
+        scale = (mpmath.mpf(k_factor) + 1) / mpmath.mpf(avg_snr)
+        y, lam = scale * mpmath.mpf(float(snr)), mpmath.mpf(k_factor) * branches
+        if y == 0:  # the limit of either form: (K+1)/avg_snr e^(-K) at one branch
+            return float(scale * mpmath.exp(-lam) * (branches == 1))
+        if lam == 0:
+            return float(scale * mpmath.exp((branches - 1) * mpmath.log(y) - y
+                                            - mpmath.loggamma(branches)))
+        return float(scale * (y / lam) ** (mpmath.mpf(branches - 1) / 2) * mpmath.exp(-lam - y)
+                     * mpmath.besseli(branches - 1, 2 * mpmath.sqrt(lam * y)))
 
 
 def poisson_mixture_mp(lam, order, anchor, drop, back, dps=30):

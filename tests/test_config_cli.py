@@ -825,40 +825,37 @@ def _fresh_interpreter(code):
     return proc.stdout.splitlines()[-1]
 
 
-class _ScipyImports(ast.NodeVisitor):
-    """Every scipy import statement of a module, as the dotted name of the
-    function or class that encloses it ("" at module level)."""
-
-    def __init__(self):
-        self.scope, self.found = [], []
-
-    def visit_FunctionDef(self, node):
-        self.scope.append(node.name)
-        self.generic_visit(node)
-        self.scope.pop()
-
-    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
-
-    def visit_Import(self, node):
-        self.found += [".".join(self.scope) for alias in node.names
-                       if alias.name.split(".")[0] == "scipy"]
-
-    def visit_ImportFrom(self, node):
-        if node.level == 0 and node.module.split(".")[0] == "scipy":
-            self.found.append(".".join(self.scope))
+def _scipy_imports(path):
+    """The line of every scipy import statement of a module."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "scipy"]
 
 
 class TestScipyImport:
-    """No command imports scipy, closed form or Monte Carlo: only the radio
-    density `mrc_snr_pdf` needs it, and no command calls it."""
+    """rfvlc needs no scipy: no module of the package imports it, and the
+    commands and the radio density run where it cannot be imported."""
 
-    def test_only_the_radio_density_imports_scipy(self):
-        found = []
-        for path in sorted(pathlib.Path(rf_channel.__file__).parent.glob("*.py")):
-            visitor = _ScipyImports()
-            visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
-            found += [(path.stem, scope) for scope in visitor.found]
-        assert found == [("rf_channel", "mrc_snr_pdf")]
+    def test_no_module_imports_scipy(self):
+        found = {path.stem: _scipy_imports(path)
+                 for path in pathlib.Path(rf_channel.__file__).parent.glob("*.py")}
+        assert "rf_channel" in found and not any(found.values()), found
+
+    def test_runs_with_scipy_blocked(self, cfg_file):
+        # as in an install without the test extra: `import scipy` raises
+        path = cfg_file(DOC)
+        code = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "import rfvlc.cli\n"
+            "from rfvlc.rf_channel import RfParams, mrc_snr_pdf, rician_snr_pdf\n"
+            "p = RfParams(k_factor=3.162, branches=2, avg_snr=5.0)\n"
+            "pdf = [mrc_snr_pdf(1.0, p), rician_snr_pdf(1.0, p)]\n"
+            f"rcs = [rfvlc.cli.main([c, '--config', {path!r}, '--trials', '20000'])\n"
+            "       for c in ('outage', 'ber', 'sweep', 'validate')]\n"
+            "print(rcs, all(v > 0.0 for v in pdf))"
+        )
+        assert _fresh_interpreter(code) == "[0, 0, 0, 0] True"
 
     @pytest.mark.parametrize("module", ["rfvlc", "rfvlc.cli"])
     def test_import_leaves_scipy_out(self, module):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -93,8 +94,28 @@ class TestMrcPdf:
         got = mrc_snr_pdf(g, p)
         np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-300)
 
+    @pytest.mark.parametrize("k_db", [None, -20.0, -10.0, 0.0, 7.0, 14.0, 20.0, 30.0,
+                                      oracles.ENVELOPE["k_factor_db_max"]])
+    def test_matches_mpmath_over_the_envelope(self, k_db):
+        # every branch count and six average SNRs of the envelope, the
+        # density from 0 to 60 times the mean per branch and at the outage
+        # thresholds' ends, to REL_TOL or to the smallest normal float
+        # absolute: 0 is accepted where the true value is below it.  The
+        # series stops within eps 1e-300 (`specfun._TINY`) of its sum, and
+        # the density is (K+1)/mu <= 1e5 times the sum over the envelope
+        k = 0.0 if k_db is None else 10.0 ** (k_db / 10.0)
+        for m in range(oracles.ENVELOPE["branches"][0], oracles.ENVELOPE["branches"][1] + 1):
+            for mu in 10.0 ** (np.linspace(*oracles.ENVELOPE["avg_snr_db"], 6) / 10.0):
+                g = np.concatenate([[0.0, *oracles.ENVELOPE["outage_threshold"]],
+                                    mu * np.geomspace(1e-3, 60.0, 12)])
+                got = mrc_snr_pdf(g, RfParams(k_factor=k, branches=m, avg_snr=mu))
+                want = [oracles.mrc_pdf_mp(v, k, m, mu) for v in g]
+                np.testing.assert_allclose(got, want, rtol=REL_TOL, atol=np.finfo(float).tiny,
+                                           err_msg=f"M = {m}, mu = {mu:g}")
+
     def test_vanishing_los_matches_gamma_limit(self):
-        # K = 1e-9 with two branches at unit mean pins the gamma fallback
+        # K = 1e-9 with two branches at unit mean: the series at rate 2e-9
+        # is within 1e-7 of the gamma density's e^-1
         p = RfParams(k_factor=1e-9, branches=2, avg_snr=1.0)
         assert mrc_snr_pdf(1.0, p) == pytest.approx(math.exp(-1.0), rel=1e-7)
 
@@ -116,6 +137,11 @@ class TestMrcPdf:
         assert mrc_snr_pdf(1e300, p) == 0.0
         assert mrc_snr_pdf(np.array([1e300, 0.0]), p)[0] == 0.0
         assert mrc_snr_cdf(1e300, p) == pytest.approx(1.0, rel=1e-12)
+        # at a subnormal mean (k+1) g/mu overflows from g = 1, and at one
+        # branch the value at 0, (k+1)/mu e^-k, is past the float range
+        p = p._replace(avg_snr=1e-310)
+        assert mrc_snr_pdf(1.0, p) == 0.0
+        assert mrc_snr_pdf(0.0, p) == (math.inf if m == 1 else 0.0)
 
     def test_value_at_origin(self):
         assert mrc_snr_pdf(0.0, RfParams(k_factor=2.0, branches=1, avg_snr=1.0)) == pytest.approx(
@@ -677,4 +703,13 @@ class TestRefusedRates:
             mrc_cdf_batch([1.0] * rates.size, params)
         assert info.value.unconverged.tolist() == [False] * 7 + [True, True]
         assert [p.tolist() for p in passes] == [rates[:7].tolist()]
+        # the density is refused there too, with its SNRs above 0 flagged:
+        # its value at 0, exp(-K) (K+1)/mu at one branch, is 0 at such rates
+        for p in params[7:]:
+            passes.clear()
+            message = re.escape(f"rate={p.k_factor:g}, steps=6000")
+            with pytest.raises(ConvergenceError, match=message) as info:
+                mrc_snr_pdf(np.array([1.0, 0.0, 2.0]), p)
+            assert info.value.unconverged.tolist() == [True, False, True]
+            assert not passes
         self.check_all_ones_runs_out(monkeypatch, [cap])
