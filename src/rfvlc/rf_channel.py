@@ -34,6 +34,7 @@ __all__ = [
     "rf_avg_ber",
     "rf_avg_ber_batch",
     "GammaTerms",
+    "DensityTerms",
     "BetaTerms",
 ]
 
@@ -100,7 +101,7 @@ def mrc_snr_cdf(gamma, params: RfParams):
     return _scalar_like(gamma, _cdf(*params, gamma))
 
 
-# The orders a block of a `_TermWalk` side holds, for every batch size, so
+# The orders a `_TermWalk` block holds, for every batch size, so
 # that each entry's right anchors sit at the same orders in a batch and
 # alone
 _WALK_ORDERS = 8
@@ -114,8 +115,10 @@ class _TermWalk:
 
     walk(lam) starts each entry at the peak of its summand (`_start`),
     anchors it there (`_value`) and returns the block protocol of
-    `poisson_weighted_sum`, each side a generator (`_side`) of blocks of
-    `_WALK_ORDERS` orders.  The left values are positive sums,
+    `poisson_weighted_sum`: the start, the anchors and `_block`, which
+    gives either side's next `_WALK_ORDERS` orders from the orders and
+    values the sum passes it, and keeps no state of its own.  The left
+    values are positive sums,
 
         T'(a - 1) = T'(a) + d(a - 1)     (from the block's inner order)
 
@@ -133,29 +136,17 @@ class _TermWalk:
 
     def __call__(self, lam):
         j = self._start(lam)
-        value = self._value(self._m + j, slice(None))
-        return j, value, self._side(1, self._m + j, value), self._side(-1, self._m + j, value)
+        return j, self._value(self._m + j, slice(None)), self._block
 
-    def _side(self, sign, a, value):
-        """The blocks (values, rho) of the orders past a, whose values are
-        `value`, on the side `sign` (+1 right, -1 left), one per next():
-        over all entries, or over the entries `live` a send() names."""
-        value, live = value.copy(), np.arange(a.size)
-        while True:
-            # the sum alone holds a block: `_block`'s temporaries go with it
-            sent = yield self._block(sign, a, value, live)
-            a, live = a + sign * _WALK_ORDERS, live if sent is None else sent
-
-    def _block(self, sign, a, value, live):
-        """The next block (values, rho) of a `_side` over the entries
-        `live`, past the orders a, whose values `value` it moves on."""
-        m = np.broadcast_to(self._m, a.shape)[live]
-        orders = a[live] + sign * np.arange(1.0, _WALK_ORDERS + 1.0)[:, None]
-        block = self._rows(sign, orders, m, value[live], live)
+    def _block(self, sign, j, value, live):
+        """The next block (values, rho) of the side `sign` (+1 right, -1
+        left) over the entries `live`, past their inner orders j, whose
+        values are `value`."""
+        m = np.broadcast_to(self._m, self._mean.shape)[live]
+        orders = m + j + sign * np.arange(1.0, _WALK_ORDERS + 1.0)[:, None]
+        block = self._rows(sign, orders, m, value, live)
         block[orders < m] = 0.0
-        rho = self._rho(sign, orders, block, value[live], live)
-        value[live] = block[-1]  # a copy, as the sum multiplies its weights into the block
-        return block, rho
+        return block, self._rho(sign, orders, block, value, live)
 
     def _rows(self, sign, orders, m, value, live):
         """The values T'(orders) of a block, from the steps and the inner

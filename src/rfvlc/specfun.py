@@ -1,8 +1,8 @@
 """The special functions behind the closed forms and the Monte Carlo
 kernel, in numpy and the standard library alone.
 
-The combined radio SNR is a noncentral chi-square variable, so its CDF and
-its average BER are both Poisson mixtures of bounded terms.
+The combined radio SNR is a noncentral chi-square variable, so its
+density, CDF and average BER are all Poisson mixtures of bounded terms.
 `poisson_weighted_sum` evaluates such mixtures in one pass over any
 entries, each with its own rate, start and tail bound, under one budget
 (`REL_TOL`, and min(TERMS_BASE + TERMS_SLOPE sqrt(rate), MAX_STEPS)
@@ -10,9 +10,10 @@ steps), and flags the entries whose steps run out before they meet
 `REL_TOL`; the closed forms raise them as a `ConvergenceError` and never
 return silently wrong numbers.  `covers` is the rule for the rates that
 budget can cover at all, read from it.  The terms' walks
-(`rf_channel.GammaTerms`, `rf_channel.BetaTerms`) take their anchors from
-here: `_anchor`, the regularized incomplete gamma of integer order, and
-`_beta_anchor`, the incomplete beta I_w(a, 1/2), with the masses `_pois`.
+(`rf_channel.GammaTerms`, `rf_channel.DensityTerms`,
+`rf_channel.BetaTerms`) take their anchors from here: `_anchor`, the
+regularized incomplete gamma of integer order, and `_beta_anchor`, the
+incomplete beta I_w(a, 1/2), with the masses `_pois`.
 The two continued fractions, the BER anchor's I_w(a, 1/2) and the
 optical BER's Gamma(q, g) (`upper_gamma`, over arrays), run in one
 modified-Lentz loop, `_lentz`; the two positive series, the CDF anchor's
@@ -123,13 +124,16 @@ def poisson_weighted_sum(lam, term):
     lam, for terms in [0, 1], each entry its own series at its own rate.
 
     `term` is called once, with the rates, and returns a term walk's
-    (`rf_channel._TermWalk`) (j0, T(j0), right, left): each entry's start
-    order and each side a
-    generator of blocks (T, rho), one row per order outward from j0, 0 on
-    the left past order 0, sent the entries still open for each next
-    block.  rho bounds the ratio of each later term to the one before it,
-    so the rest of a side is at most a row's summand times r/(1 - r),
-    r = lam rho/(j + 1) on the right and j rho/lam on the left.
+    (`rf_channel._TermWalk`) (j0, T(j0), block): each entry's start order
+    and a function block(sign, j, t, live) giving the next rows (T, rho)
+    of the side `sign` (+1 right, -1 left) for the entries `live`, one row
+    per order outward from their inner orders j, whose terms are t, 0 on
+    the left past order 0.  rho bounds the ratio of each later term to the
+    one before it, so the rest of a side is at most a row's summand times
+    r/(1 - r), r = lam rho/(j + 1) on the right and j rho/lam on the left.
+    The sum holds every entry's orders j0 +- n and each side's last row,
+    and asks for a pair of blocks, one per side, over the entries still
+    open and within their budget only.
 
     An entry takes one order on each side per step, with weights from
     `_pois`, and stops once its bounds are below eps of its partial sum
@@ -143,47 +147,47 @@ def poisson_weighted_sum(lam, term):
     bad = lam[~((lam >= 0.0) & (lam < math.inf))]
     if bad.size:
         raise ValueError(f"Poisson rate must be >= 0 and finite, got {bad[0]}")
-    j0, value, right, left = term(lam)
+    j0, value, block = term(lam)
     total = _pois(j0, lam) * value  # a fresh array, so adding in place never writes into a term
     steps = np.where(covers(lam), _budget(lam), 0.0)
     open_, bound = np.ones(total.shape, dtype=bool), np.full(total.shape, math.inf)
-    rows = zip(_summands(right, 1, j0, lam, open_), _summands(left, -1, j0, lam, open_))
-    for n, ((s_hi, b_hi), (s_lo, b_lo)) in enumerate(rows, 1):
-        live = open_ & (n <= steps)
-        if not live.any():
-            break
-        np.add(total, s_hi, out=total, where=live)
-        np.add(total, s_lo, out=total, where=live)
-        np.add(b_hi, b_lo, out=bound, where=live)
-        open_ &= ~live | (_EPS * np.maximum(total, _TINY) < bound)
+    ends, n = (value.copy(), value.copy()), 0  # each side's last row, unweighted
+    live = np.flatnonzero(steps >= 1.0)
+    while live.size:
+        (s_hi, b_hi), (s_lo, b_lo) = (_summands(block, sign, j0[live] + sign * n, lam, end, live)
+                                      for sign, end in zip((1, -1), ends))
+        col = np.arange(live.size)  # the blocks' columns of the entries still live
+        for row in range(len(s_hi)):
+            n += 1
+            col = col[n <= steps[live[col]]]
+            i = live[col]
+            total[i] += s_hi[row, col]
+            total[i] += s_lo[row, col]
+            bound[i] = b_hi[row, col] + b_lo[row, col]
+            open_[i] = _EPS * np.maximum(total[i], _TINY) < bound[i]
+            col = col[open_[i]]
+        del s_hi, b_hi, s_lo, b_lo  # freed before the next pair of blocks is made
+        live = live[col]
+        live = live[n < steps[live]]
     return total, open_ & (REL_TOL * np.maximum(total, _TINY) < bound)
 
 
-def _summands(side, sign, j, lam, open_):
-    """The rows (summand, tail bound) over all entries of one side of a
-    `poisson_weighted_sum`, walking from the orders j, from blocks over
-    the entries `live`: all at first, then those still `open_` when the
-    side is sent for its next block."""
-    (summand, rho), live = next(side), np.arange(lam.size)
-    while True:
-        # the walk's values are 0 past order 0
-        orders = np.maximum(j[live] + sign * np.arange(1.0, len(summand) + 1.0)[:, None], 0.0)
-        j = j + sign * len(summand)
-        summand *= _pois(orders, lam[live])  # the walk's block, done with
-        # the ratios may meet 0 * inf or x/0, and the bound inf/inf; each
-        # only where the row gives no bound, which is then inf
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            rho *= lam[live] / (orders + 1.0) if sign > 0 else orders / lam[live]  # r, in place
-            rho[orders <= 0.0] = 0.0  # nothing is left past order 0
-            bound = np.where(rho < 1.0, rho / (1.0 - rho) * summand, math.inf)
-        del rho, orders  # the rows alone are held while they are summed
-        for row, tail in zip(summand, bound):  # rows over every entry
-            out = np.zeros((2, lam.size))
-            out[:, live] = row, tail
-            yield out
-        del summand, bound, row, tail  # freed before the next block is made
-        live = np.flatnonzero(open_)
-        summand, rho = side.send(live)
+def _summands(block, sign, j, lam, end, live):
+    """The rows (summand, tail bound) of the next block of the side `sign`
+    of a `poisson_weighted_sum` over the entries `live`, past their inner
+    orders j, whose unweighted terms are held in `end`: it keeps the
+    block's last row there."""
+    summand, rho = block(sign, j, end[live], live)
+    end[live], lam = summand[-1], lam[live]
+    # the walk's values are 0 past order 0
+    orders = np.maximum(j + sign * np.arange(1.0, len(summand) + 1.0)[:, None], 0.0)
+    summand *= _pois(orders, lam)  # the walk's block, done with
+    # the ratios may meet 0 * inf or x/0, and the bound inf/inf; each
+    # only where the row gives no bound, which is then inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rho *= lam / (orders + 1.0) if sign > 0 else orders / lam  # r, in place
+        rho[orders <= 0.0] = 0.0  # nothing is left past order 0
+        return summand, np.where(rho < 1.0, rho / (1.0 - rho) * summand, math.inf)
 
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)

@@ -635,32 +635,36 @@ def block_terms(term):
     """A term function of one order, term(k) a 1-D array over the entries,
     in the block protocol of `specfun.poisson_weighted_sum`: called once,
     with the rates, it starts every entry at floor(lam) and returns
-    (j0, term(j0), right, left), each side yielding blocks (values, rho) of
-    `rf_channel._WALK_ORDERS` orders, one row per order, outward from j0, the
-    left's values 0 past order 0, over all entries or over the entries a
-    send() names.  rho is the ratio of each row to the one before it, a
-    bound for log-concave terms, as `rf_channel._TermWalk` gives."""
+    (j0, term(j0), block), block(sign, j, t, live) giving the next
+    `rf_channel._WALK_ORDERS` rows (values, rho) of the side `sign` for the
+    entries `live`, one row per order outward from their inner orders j,
+    whose terms are t, the left's values 0 past order 0.  rho is the ratio
+    of each row to the one before it, a bound for log-concave terms, as
+    `rf_channel._TermWalk` gives."""
+    def block(sign, j, t, live):
+        orders = j + sign * np.arange(1.0, rf_channel._WALK_ORDERS + 1.0)[:, None]
+        values = np.array([[term(int(o))[i] if o >= 0 else 0.0 for i, o in zip(live, row)]
+                           for row in orders])
+        ratio = np.zeros_like(values)
+        np.divide(values, np.concatenate([t[None], values[:-1]]), out=ratio, where=values > 0.0)
+        return values, ratio
+
     def walk(lam):
         j0 = np.floor(lam)
-        value = np.array([term(int(j))[i] for i, j in enumerate(j0)])
-
-        def side(sign):
-            j, prev, live = j0, value.copy(), np.arange(j0.size)
-            while True:
-                orders = j[live] + sign * np.arange(1.0, rf_channel._WALK_ORDERS + 1.0)[:, None]
-                block = np.array([[term(int(o))[i] if o >= 0 else 0.0 for i, o in zip(live, row)]
-                                  for row in orders])
-                ratio = np.zeros_like(block)
-                np.divide(block, np.concatenate([prev[live][None], block[:-1]]), out=ratio,
-                          where=block > 0.0)
-                # a copy of the frontier, as the sum overwrites the block
-                j, prev[live] = j + sign * rf_channel._WALK_ORDERS, block[-1]
-                sent = yield block, ratio
-                live = live if sent is None else sent
-
-        return j0, value, side(1), side(-1)
+        return j0, np.array([term(int(j))[i] for i, j in enumerate(j0)]), block
 
     return walk
+
+
+def side(walked, sign):
+    """The blocks (values, rho) of the side `sign` of walked = walk(lam),
+    over all entries, outward from their start, one per next()."""
+    j, value, block = walked
+    live = np.arange(j.size)
+    while True:
+        values, rho = block(sign, j, value, live)
+        j, value = j + sign * len(values), values[-1]
+        yield values, rho
 
 
 def rows(side):
@@ -676,7 +680,8 @@ def rows(side):
 # arithmetic: each right order of a block of `rf_channel._WALK_ORDERS`
 # orders whose far order is past the mean anchored at that far order and
 # summed inward, every other order one step from its inner neighbour, every
-# weight and bound taken one order at a time.
+# weight and bound taken one order at a time.  The density's terms are
+# masses with no steps: each order is its own `_value`, 0 below order m.
 def step_weighted_sum(lam, walk):
     """Evaluate sum_{j>=0} pois(j; lam_i) * T_i(j) at every entry i of the
     rates lam, one order per step on each side of each entry's start, with
@@ -698,17 +703,21 @@ def step_weighted_sum(lam, walk):
         if not live.any():
             return total, open_ & (specfun.REL_TOL * np.maximum(total, specfun._TINY) < bound)
         bounds = []
-        # right: past the mean, the value at the far order of this order's
-        # block, then the steps down to this order, one at a time; up to
-        # it, one step from the last order
-        far = m + j0 + width * math.ceil(n / width)
-        right = walk._value(far, slice(None))
-        for a in range(width * math.ceil(n / width) - 1, n - 1, -1):
-            right = right + walk._step(m + j0 + a, slice(None))
-        right = np.where(far > walk._mean, right, hi - walk._step(m + j0 + n - 1, slice(None)))
-        # left: one step from the last order, 0 past order m
-        a = m + j0 - n
-        left = np.where(a >= m, lo + walk._step(np.maximum(a, m), slice(None)), 0.0)
+        a = m + j0 - n  # the left order
+        if isinstance(walk, rf_channel.DensityTerms):
+            right = walk._value(m + j0 + n, slice(None))
+            left = np.where(a >= m, walk._value(np.maximum(a, m), slice(None)), 0.0)
+        else:
+            # right: past the mean, the value at the far order of this
+            # order's block, then the steps down to this order, one at a
+            # time; up to it, one step from the last order
+            far = m + j0 + width * math.ceil(n / width)
+            right = walk._value(far, slice(None))
+            for k in range(width * math.ceil(n / width) - 1, n - 1, -1):
+                right = right + walk._step(m + j0 + k, slice(None))
+            right = np.where(far > walk._mean, right, hi - walk._step(m + j0 + n - 1, slice(None)))
+            # left: one step from the last order, 0 past order m
+            left = np.where(a >= m, lo + walk._step(np.maximum(a, m), slice(None)), 0.0)
         for sign, new, prev in ((1, right, hi), (-1, left, lo)):
             j = j0 + sign * n
             rho = walk._rho(sign, np.maximum(m + j, m)[None], new[None], prev, slice(None))[0]

@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy import stats
 import oracles
 from oracles import erfc_moment, marcum_q, meijer_g_2122
 from rfvlc import rf_channel, specfun
-from rfvlc.rf_channel import RfParams, mrc_cdf_batch, mrc_snr_cdf, rf_avg_ber_batch
+from rfvlc.rf_channel import RfParams, mrc_cdf_batch, mrc_snr_cdf, mrc_snr_pdf, rf_avg_ber_batch
 from rfvlc.rf_channel import BetaTerms, GammaTerms
 from rfvlc.specfun import (
     ConvergenceError,
@@ -261,6 +262,53 @@ class TestPoissonWeightedSum:
             assert got[i::args.size].tobytes() == np.full(x.size // args.size, want).tobytes()
             assert not flagged and not unconverged[i::args.size].any()
 
+    def test_no_block_outlives_its_use(self):
+        # the analytic workload's cell, K = 17 dB and M = 4 over 600 SNRs:
+        # when a pair of blocks is asked for, every array the walk handed
+        # out for the pair before is freed, loop variables included
+        k = 10.0**1.7
+        walk, handed, alive = GammaTerms(4, (k + 1.0) / np.geomspace(0.1, 1e3, 600)), [], []
+
+        def term(lam):
+            j0, value, block = walk(lam)
+
+            def tracked(sign, j, t, live):
+                if sign > 0:  # the right block comes first in a pair
+                    alive.append(sum(ref() is not None for ref in handed))
+                    handed.clear()
+                out = block(sign, j, t, live)
+                handed.extend(weakref.ref(a) for a in out)
+                return out
+
+            return j0, value, tracked
+
+        _, unconverged = poisson_weighted_sum(np.full(600, 200.0), term)
+        assert not unconverged.any() and len(alive) > 8 and alive == [0] * len(alive)
+
+    def test_blocks_only_for_entries_that_can_still_step(self, monkeypatch):
+        # at 16 steps, the rates 5000 and 2e6 are refused: their entries
+        # take no step and get no block, and every block is built for the
+        # rate 3 alone; each entry's sum and flag are its lone call's
+        monkeypatch.setattr(specfun, "TERMS_BASE", 16)
+        monkeypatch.setattr(specfun, "TERMS_SLOPE", 0)
+        rates, ys, asked = np.array([5000.0, 5000.0, 3.0, 2e6]), np.array([3.0, 0.5, 3.0, 1.0]), []
+
+        def term(lam):
+            j0, value, block = GammaTerms(2, ys)(lam)
+
+            def recorded(sign, j, t, live):
+                asked.append(live.tolist())
+                return block(sign, j, t, live)
+
+            return j0, value, recorded
+
+        got, unconverged = poisson_weighted_sum(rates, term)
+        assert len(asked) == 4 and all(live == [2] for live in asked)
+        assert unconverged.tolist() == [True, True, False, True]
+        for i in range(rates.size):
+            (want,), (alone,) = poisson_weighted_sum(rates[i:i + 1], GammaTerms(2, ys[i:i + 1]))
+            assert got[i] == want and unconverged[i] == alone
+
     def test_rate_past_the_float_integers_is_flagged(self):
         # past 2**53, where j + 1 rounds to the rate, `covers` refuses the
         # rate, so an entry takes no step and is flagged at once
@@ -341,11 +389,13 @@ class TestCovers:
 
 
 def _at(walk, j):
-    """walk(lam) with its start moved to the order j for every entry:
+    """walk(lam) with its start moved to the order j for every entry, and
+    its block function as the generators of its two sides:
     (j0, T(j0), right, left)."""
     entries = (walk._y if isinstance(walk, GammaTerms) else walk._w).size
     walk._start = lambda lam: np.full(entries, float(j))
-    return walk(np.zeros(entries))
+    walked = walk(np.zeros(entries))
+    return *walked[:2], oracles.side(walked, 1), oracles.side(walked, -1)
 
 
 def _walked(walk, j, steps):
@@ -675,7 +725,10 @@ class TestBlockWalk:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(specfun, "TERMS_BASE", budget[0])
             mp.setattr(specfun, "TERMS_SLOPE", budget[1])
-            for fn, args in ((mrc_cdf_batch, (gammas, params)), (rf_avg_ber_batch, (params,))):
+            # the density takes the params' fields as arrays over the points
+            fields = np.array(params, dtype=float).T
+            for fn, args in ((mrc_cdf_batch, (gammas, params)), (rf_avg_ber_batch, (params,)),
+                             (mrc_snr_pdf, (gammas, fields))):
                 assert _outcome(fn, *args) == _stepwise_outcome(fn, *args), fn.__name__
 
     def test_anchor_below_the_float_range_warns_nothing(self):
